@@ -43,7 +43,6 @@ from .countable import (
     CountablePartition,
     EventuallyConstantFunction,
     EventuallyConstantSet,
-    check_finite_atoms,
     check_increases_continuously,
     continuity_from_below_countable,
     countable_induced_value,
@@ -95,80 +94,3 @@ from .sets import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraView",
-    "Capacity",
-    "CapacityError",
-    "ConvergenceReport",
-    "CountableFunctionSequence",
-    "CountableMeasure",
-    "CountableModel",
-    "CountablePartition",
-    "Decomposition",
-    "EventuallyConstantFunction",
-    "EventuallyConstantSet",
-    "FunctionDecomposition",
-    "FunctionSequence",
-    "InducedCapacity",
-    "IntegralResult",
-    "Partition",
-    "ProbabilityMeasure",
-    "PropertyReport",
-    "SimpleFunction",
-    "SpaceMismatchError",
-    "StateSpace",
-    "SubsetMask",
-    "WeakAEEquivalenceReport",
-    "argmax_witness",
-    "balanced_cover",
-    "brute_force_cav_oracle",
-    "chain_restricted_value",
-    "check_continuity_along_chain",
-    "check_continuity_from_above",
-    "check_convex",
-    "check_dense",
-    "check_finite_atoms",
-    "check_increases_continuously",
-    "check_monotone",
-    "check_null_additive",
-    "check_P_null_additive",
-    "check_weak_ae_equivalence",
-    "choquet_integral",
-    "concave_integral",
-    "continuity_from_below_countable",
-    "converges_P_ae",
-    "converges_pointwise",
-    "converges_strong_ae",
-    "converges_weak_ae",
-    "convexity_gap_witness",
-    "counterexample_null_additivity",
-    "countable_induced_value",
-    "countable_lebesgue",
-    "countable_psa_integral",
-    "dyadic_partitions",
-    "finite_measure",
-    "generate_sequences",
-    "generated_algebra",
-    "increasing_information_run",
-    "induce",
-    "induced_psp_capacity",
-    "mask_bits",
-    "maximal_null_sets",
-    "monotone_convergence_countable",
-    "monotone_convergence_experiment",
-    "pairs_model",
-    "pairs_partial_sum_trace",
-    "psa_integral",
-    "psp_integral",
-    "random_capacity",
-    "random_partition",
-    "random_probability",
-    "random_simple_function",
-    "singletons_model",
-    "telescoping_measure",
-    "trivial_model",
-    "uniform_finite_measure",
-    "unit_prefix_sequence",
-    "verify_dual_certificate",
-]

@@ -43,6 +43,23 @@ class CapacityError(ValueError):
         self.witness = witness
 
 
+def _monotonicity_violation(values: Sequence[Fraction]) -> tuple[int, int] | None:
+    """First covering pair ``(F, F | {k})`` with ``v(F) > v(F | {k})``, if any.
+
+    Covering pairs suffice: any ``F ⊆ E`` is reached by adding one state
+    at a time, so monotonicity along covers implies it in general.
+    """
+    for mask in range(1, len(values)):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            below = mask ^ low
+            if values[below] > values[mask]:
+                return below, mask
+            rest ^= low
+    return None
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -79,18 +96,10 @@ class Capacity:
         for mask, x in enumerate(values):
             if x < 0:
                 raise CapacityError(f"negative value at mask {mask}", (mask,))
-        for mask in range(1, 1 << n):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                below = mask ^ low
-                if values[below] > values[mask]:
-                    raise CapacityError(
-                        f"not monotone: v({below}) > v({mask})", (below, mask)
-                    )
-                rest ^= low
-        # covering pairs suffice: any F ⊆ E is reached by adding one state
-        # at a time, so monotonicity along covers implies it in general.
+        pair = _monotonicity_violation(values)
+        if pair is not None:
+            below, mask = pair
+            raise CapacityError(f"not monotone: v({below}) > v({mask})", pair)
 
     @classmethod
     def from_mapping(
@@ -108,15 +117,8 @@ class Capacity:
             )
         return cls(space, tuple(values))
 
-    def __call__(self, event: MaskLike) -> Fraction:
-        return self.values[mask_bits(event)]
-
     def value(self, event: MaskLike) -> Fraction:
         return self.values[mask_bits(event)]
-
-    def null_masks(self) -> list[int]:
-        """All subsets of capacity zero (always includes the empty set)."""
-        return [m for m, x in enumerate(self.values) if x == 0]
 
     def total(self) -> Fraction:
         return self.values[-1]
@@ -183,13 +185,13 @@ class PropertyReport:
     """Outcome of a structural check.
 
     ``witness`` is ``None`` when the property holds; otherwise it is the
-    tuple of objects (usually subset masks) that violates the defining
-    condition, chosen so that replaying the definition on the witness
-    yields a strict violation.
+    object that violates the defining condition (usually a tuple of subset
+    masks; for countable continuity, a ``ChainWitness``), chosen so that
+    replaying the definition on the witness yields a strict violation.
     """
 
     holds: bool
-    witness: tuple | None = None
+    witness: object | None = None
     detail: str = ""
 
     def __bool__(self) -> bool:
@@ -205,19 +207,15 @@ def check_monotone(v: Capacity) -> PropertyReport:
     invariant.
     """
     values = v.values
-    for mask in range(1, v.space.num_subsets):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            below = mask ^ low
-            if values[below] > values[mask]:
-                return PropertyReport(
-                    False,
-                    (below, mask),
-                    f"v({below}) = {values[below]} > {values[mask]} = v({mask})",
-                )
-            rest ^= low
-    return PropertyReport(True)
+    pair = _monotonicity_violation(values)
+    if pair is None:
+        return PropertyReport(True)
+    below, mask = pair
+    return PropertyReport(
+        False,
+        pair,
+        f"v({below}) = {values[below]} > {values[mask]} = v({mask})",
+    )
 
 
 def check_convex(v: Capacity) -> PropertyReport:

@@ -24,6 +24,8 @@ from pathlib import Path
 
 from . import countable, jsonio
 from .capacity import (
+    CapacityError,
+    PropertyReport,
     check_convex,
     check_dense,
     check_monotone,
@@ -97,34 +99,42 @@ def _report_obj(report) -> dict:
     return {"holds": report.holds, "witness": _witness_obj(report.witness)}
 
 
-def _sequence_from_json(obj: dict, capacity) -> FunctionSequence:
+def _sequence_from_json(obj, capacity) -> FunctionSequence:
+    if not isinstance(obj, dict):
+        raise FormatError("a sequence must be a JSON object")
     kind = obj.get("kind")
     space = capacity.space
+
+    def function(raw) -> SimpleFunction:
+        if not isinstance(raw, list):
+            raise FormatError(f"sequence function must be a list, got {raw!r}")
+        return SimpleFunction(space, tuple(jsonio.frac_from_str(x) for x in raw))
+
+    def integer(key: str, default=None) -> int:
+        raw = obj.get(key, default)
+        try:
+            return int(raw)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{kind} needs an integer {key!r}, got {raw!r}") from exc
+
     if kind == "ramp":
-        target = SimpleFunction(
-            space, tuple(jsonio.frac_from_str(x) for x in obj.get("target", []))
-        )
-        steps = int(obj.get("steps", 3))
+        target = function(obj.get("target", []))
+        steps = integer("steps", 3)
         terms = tuple(
             target.scale(Fraction(s, steps)) for s in range(1, steps + 1)
         )
         return FunctionSequence(terms, target)
     if kind == "null-counterexample":
-        try:
-            e = int(obj["E"])
-            f = int(obj["F"])
-        except KeyError as exc:
-            raise FormatError("null-counterexample needs E and F masks") from exc
+        e, f = integer("E"), integer("F")
+        if not (0 <= e < space.num_subsets and 0 <= f < space.num_subsets):
+            raise FormatError(f"E and F must be masks in 0..{space.full_bits}")
         return counterexample_null_additivity(capacity, e, f)
     if kind == "custom":
-        terms = tuple(
-            SimpleFunction(space, tuple(jsonio.frac_from_str(x) for x in row))
-            for row in obj.get("terms", [])
-        )
-        limit = SimpleFunction(
-            space, tuple(jsonio.frac_from_str(x) for x in obj.get("limit", []))
-        )
-        return FunctionSequence(terms, limit)
+        rows = obj.get("terms", [])
+        if not isinstance(rows, list):
+            raise FormatError(f"custom needs a list of 'terms', got {rows!r}")
+        terms = tuple(function(row) for row in rows)
+        return FunctionSequence(terms, function(obj.get("limit", [])))
     raise FormatError(f"unknown sequence kind {kind!r}")
 
 
@@ -166,13 +176,21 @@ def _cmd_integrate(args, results: dict) -> bool:
 def _cmd_check(args, results: dict) -> bool:
     if args.which in ("monotone", "convex", "null-additive"):
         _need(args, "capacity")
-        v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
-        checker = {
-            "monotone": check_monotone,
-            "convex": check_convex,
-            "null-additive": check_null_additive,
-        }[args.which]
-        report = checker(v)
+        try:
+            v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
+        except CapacityError as exc:
+            # loading runs the monotonicity scan: a covering-pair witness
+            # is that check's verdict, any other failure is bad input
+            if args.which != "monotone" or len(exc.witness) != 2:
+                raise
+            report = PropertyReport(False, exc.witness)
+        else:
+            checker = {
+                "monotone": check_monotone,
+                "convex": check_convex,
+                "null-additive": check_null_additive,
+            }[args.which]
+            report = checker(v)
     elif args.which == "p-null-additive":
         _need(args, "capacity", "measure")
         v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
@@ -229,8 +247,12 @@ def _trace_obj(trace, limit: int = 100) -> dict:
 
 
 def _cmd_converge(args, results: dict) -> bool:
+    if args.depth is not None and args.depth < 1:
+        raise FormatError(f"--depth must be at least 1, got {args.depth}")
+    if args.m is not None and args.m < 0:
+        raise FormatError(f"--m must be nonnegative, got {args.m}")
+    depth = 50 if args.depth is None else args.depth
     if args.preset == "pair-blocks":
-        depth = args.depth or 50
         trace = countable.pairs_partial_sum_trace(depth)
         report = countable.monotone_convergence_countable(
             countable.pairs_model(), countable.unit_prefix_sequence(), depth=12
@@ -241,7 +263,6 @@ def _cmd_converge(args, results: dict) -> bool:
         results["basis"] = report.basis
         return bool(report.converges)
     if args.preset == "trivial-field":
-        depth = args.depth or 50
         model = countable.trivial_model()
         seq = countable.unit_prefix_sequence()
         report = countable.monotone_convergence_countable(model, seq, depth=min(depth, 64))
@@ -266,9 +287,9 @@ def _cmd_converge(args, results: dict) -> bool:
         results.update(_trace_obj(run.integral_trace))
         _maybe_decimal(results, "target", run.target, args.decimal)
         results["stabilized_at"] = run.stabilized_at
-        results["convergent"] = bool(run.converges)
+        results["convergent"] = run.converges
         results["increases_continuously"] = run.continuity.holds
-        return bool(run.converges)
+        return run.converges
     if args.preset is not None:
         raise FormatError(f"unknown preset {args.preset!r}")
 

@@ -233,9 +233,7 @@ def convexity_gap_witness(
 PROFILES = ("general", "convex", "null-additive", "induced")
 
 
-def random_capacity(
-    n: int, seed: int, profile: str = "general", max_states: int = 20
-) -> Capacity:
+def random_capacity(n: int, seed: int, profile: str = "general") -> Capacity:
     """Deterministic capacity from ``(n, seed, profile)``.
 
     * ``general``:       random table completed upward to monotonicity;
@@ -249,7 +247,7 @@ def random_capacity(
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    space = StateSpace(n, max_states=max_states)
+    space = StateSpace(n)
     rng = random.Random(f"{seed}|{profile}|{n}")
     if profile == "general":
         return _random_monotone(space, rng)

@@ -410,11 +410,6 @@ def countable_induced_value(
     return total
 
 
-def check_finite_atoms(partition: CountablePartition) -> bool:
-    """True iff every block of the partition is finite."""
-    return partition.all_atoms_finite()
-
-
 @dataclass(frozen=True)
 class ChainWitness:
     """Finite prefixes of an infinite block: the canonical continuity breaker.
@@ -429,44 +424,33 @@ class ChainWitness:
     atom_mass: Fraction
 
 
-@dataclass(frozen=True)
-class ContinuityBelowReport:
-    holds: bool
-    witness: ChainWitness | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
 def continuity_from_below_countable(
     model: CountableModel, depth: int = 10
-) -> ContinuityBelowReport:
+) -> PropertyReport:
     """Is the induced capacity continuous from below?
 
     Holds when all blocks are finite.  With an infinite block of positive
     mass it fails, and the report carries the witness chain evaluated
     exactly at the requested depth.  An infinite block of mass zero does
     not break continuity (the chain values and the block value all
-    vanish); that degenerate case is reported as holding.
+    vanish); that degenerate case is reported as holding.  A failing
+    report's witness is a :class:`ChainWitness`.
     """
-    if check_finite_atoms(model.partition):
-        return ContinuityBelowReport(True, detail="all blocks finite")
+    if model.partition.all_atoms_finite():
+        return PropertyReport(True, detail="all blocks finite")
     start = model.partition.infinite_atom_start()
     if start is None:
         raise RuntimeError("non-finite family without a canonical infinite block")
     atom = EventuallyConstantSet(start - 1 if start > 1 else 0, (), True)
     atom_mass = atom.mass(model.measure)
     if atom_mass == 0:
-        return ContinuityBelowReport(
-            True, detail="infinite block carries no mass"
-        )
+        return PropertyReport(True, detail="infinite block carries no mass")
     members = tuple(range(start, start + depth))
     values = []
     for d in range(1, depth + 1):
         prefix = EventuallyConstantSet.finite(members[:d])
         values.append(countable_induced_value(prefix, model))
-    return ContinuityBelowReport(
+    return PropertyReport(
         False,
         ChainWitness(members, tuple(values), atom_mass),
         f"prefix values stay at {max(values)} while the block has mass {atom_mass}",
@@ -567,7 +551,7 @@ def monotone_convergence_countable(
     trace = tuple(countable_psa_integral(t, model) for t in terms)
     target = countable_psa_integral(seq.limit, model)
     gap = target - trace[-1]
-    finite_atoms = check_finite_atoms(model.partition)
+    finite_atoms = model.partition.all_atoms_finite()
 
     if seq.stable_after is not None and seq.stable_after <= depth:
         settled = trace[min(seq.stable_after, depth) - 1]
@@ -646,18 +630,15 @@ def check_increases_continuously(
     measure: CountableMeasure,
     test_sets: Sequence[EventuallyConstantSet] | None = None,
     *,
-    stabilized: bool = True,
     window: int = 64,
-    tol: Fraction | None = None,
 ) -> PropertyReport:
     """Do the induced values climb all the way to the measure on each event?
 
     For each test event the per-partition values are nondecreasing and
-    bounded by the event's mass.  With ``stabilized=True`` the last
-    partition is declared to persist, so the limit is the last value and
-    the verdict is exact both ways.  Otherwise the verdict is exact when
-    the last value reaches the mass, within ``tol`` when given, and a
-    failure report (limit not reached at this depth) otherwise.
+    bounded by the event's mass.  The last partition is declared to
+    persist, so the limit is the last value and the verdict is exact both
+    ways.  Refinement is checked on states ``1..window`` first; a
+    non-refining sequence raises ``ValueError``.
     """
     if not partitions:
         raise ValueError("need at least one partition")
@@ -673,8 +654,6 @@ def check_increases_continuously(
                 raise RuntimeError("induced values decreased along a refinement")
         target = event.mass(measure)
         if values[-1] == target:
-            continue
-        if not stabilized and tol is not None and target - values[-1] <= tol:
             continue
         return PropertyReport(
             False,
@@ -696,7 +675,7 @@ class IncreasingInfoReport:
     integral_trace: tuple[Fraction, ...]
     target: Fraction
     stabilized_at: int | None
-    converges: bool | None
+    converges: bool
     continuity: PropertyReport
 
 
@@ -705,7 +684,6 @@ def increasing_information_run(
     measure: CountableMeasure,
     f: EventuallyConstantFunction,
     *,
-    stabilized: bool = True,
     window: int = 64,
     test_sets: Sequence[EventuallyConstantSet] | None = None,
 ) -> IncreasingInfoReport:
@@ -713,13 +691,16 @@ def increasing_information_run(
 
     The target is the ordinary integral against the measure.  The trace is
     nondecreasing; once it touches the target it stays there, so reaching
-    it is an exact convergence certificate.  The density criterion is
-    cross-checked via :func:`check_increases_continuously` on the same
-    partition sequence.
+    it is an exact convergence certificate.  The last stage is declared to
+    persist, so a trace that never reaches the target does not converge.
+    The density criterion is cross-checked via
+    :func:`check_increases_continuously` on the same partition sequence,
+    which also rejects a non-refining sequence before any integral is
+    taken.
     """
-    if not partitions:
-        raise ValueError("need at least one partition")
-    _check_refining(partitions, window)
+    continuity = check_increases_continuously(
+        partitions, measure, test_sets, window=window
+    )
     trace = tuple(
         countable_psa_integral(f, CountableModel(measure, p)) for p in partitions
     )
@@ -730,20 +711,9 @@ def increasing_information_run(
     stabilized_at = next(
         (j + 1 for j, x in enumerate(trace) if x == target), None
     )
-    if stabilized_at is not None:
-        converges: bool | None = True
-    elif stabilized:
-        converges = False
-    else:
-        converges = None
-    continuity = check_increases_continuously(
-        partitions,
-        measure,
-        test_sets,
-        stabilized=stabilized,
-        window=window,
+    return IncreasingInfoReport(
+        trace, target, stabilized_at, stabilized_at is not None, continuity
     )
-    return IncreasingInfoReport(trace, target, stabilized_at, converges, continuity)
 
 
 # ---------------------------------------------------------------------------

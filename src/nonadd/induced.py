@@ -61,9 +61,6 @@ class InducedCapacity:
     def value(self, event: MaskLike) -> Fraction:
         return self.base.values[mask_bits(event)]
 
-    def __call__(self, event: MaskLike) -> Fraction:
-        return self.value(event)
-
 
 def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     """Build the capacity induced by knowing ``P`` on the partition's algebra.
@@ -158,8 +155,9 @@ class WeakAEEquivalenceReport:
        weakly almost everywhere (w.r.t. the induced capacity);
     4. the induced capacity is null-additive.
 
-    Condition 2 is sampled over random functions and condition 3 over a
-    generated family of sequences; 1 and 4 are exact sweeps.  ``agree``
+    Condition 2 is sampled over 20 seeded random functions and condition 3
+    over the family ``generate_sequences(count=8)`` builds; 1 and 4 are
+    exact sweeps.  ``agree``
     says whether all four verdicts coincide.  With null ``P``-states the
     equivalence is not asserted, only reported.
     """
@@ -189,8 +187,6 @@ def check_weak_ae_equivalence(
     partition: Partition,
     *,
     seed: int = 0,
-    num_functions: int = 20,
-    num_sequences: int = 8,
 ) -> WeakAEEquivalenceReport:
     """Evaluate all four conditions of the weak-a.e. equivalence.
 
@@ -207,7 +203,7 @@ def check_weak_ae_equivalence(
 
     rng = random.Random(f"{seed}|weak-ae-equivalence")
     lebesgue = PropertyReport(True)
-    for _ in range(num_functions):
+    for _ in range(20):
         f = convergence.random_simple_function(P.space, rng)
         lhs = psa_integral(f, P, partition).value
         rhs = f.expectation(P)
@@ -220,10 +216,7 @@ def check_weak_ae_equivalence(
             break
 
     monotone = PropertyReport(True)
-    sequences = convergence.generate_sequences(
-        ic.base, seed=seed, count=num_sequences
-    )
-    for seq in sequences:
+    for seq in convergence.generate_sequences(ic.base, seed=seed, count=8):
         weak = convergence.converges_weak_ae(seq, ic.base)
         if not weak.holds:
             continue

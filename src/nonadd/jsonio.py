@@ -1,4 +1,5 @@
-"""Canonical JSON encodings for every model object.
+"""Canonical JSON encodings of the finite model objects: capacities,
+measures, functions, function families and partitions.
 
 Rationals are ``"p/q"`` strings (plain integers allowed), subsets are the
 decimal strings of their masks, and capacity tables must list all ``2**n``
@@ -14,14 +15,6 @@ from pathlib import Path
 from typing import Any
 
 from .capacity import Capacity, ProbabilityMeasure
-from .countable import (
-    CountableMeasure,
-    CountableModel,
-    CountablePartition,
-    EventuallyConstantFunction,
-    finite_measure,
-    telescoping_measure,
-)
 from .integrals import SimpleFunction
 from .sets import Partition, StateSpace
 
@@ -41,12 +34,12 @@ def frac_from_str(s: Any) -> Fraction:
         raise FormatError(f"not a rational: {s!r}") from exc
 
 
-def _space(obj: dict, max_states: int = 20) -> StateSpace:
+def _space(obj: dict) -> StateSpace:
     try:
         n = int(obj["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError("missing or bad 'n'") from exc
-    return StateSpace(n, max_states=max_states)
+    return StateSpace(n)
 
 
 def capacity_to_obj(v: Capacity) -> dict:
@@ -56,8 +49,8 @@ def capacity_to_obj(v: Capacity) -> dict:
     }
 
 
-def capacity_from_obj(obj: dict, max_states: int = 20) -> Capacity:
-    space = _space(obj, max_states)
+def capacity_from_obj(obj: dict) -> Capacity:
+    space = _space(obj)
     raw = obj.get("values")
     if not isinstance(raw, dict):
         raise FormatError("capacity needs a 'values' table")
@@ -88,8 +81,8 @@ def measure_to_obj(P: ProbabilityMeasure) -> dict:
     return {"n": P.space.n, "weights": [frac_to_str(w) for w in P.weights]}
 
 
-def measure_from_obj(obj: dict, max_states: int = 20) -> ProbabilityMeasure:
-    space = _space(obj, max_states)
+def measure_from_obj(obj: dict) -> ProbabilityMeasure:
+    space = _space(obj)
     raw = obj.get("weights")
     if not isinstance(raw, list) or len(raw) != space.n:
         raise FormatError("measure needs one weight per state")
@@ -100,16 +93,16 @@ def function_to_obj(f: SimpleFunction) -> dict:
     return {"n": f.space.n, "values": [frac_to_str(x) for x in f.values]}
 
 
-def function_from_obj(obj: dict, max_states: int = 20) -> SimpleFunction:
-    space = _space(obj, max_states)
+def function_from_obj(obj: dict) -> SimpleFunction:
+    space = _space(obj)
     raw = obj.get("values")
     if not isinstance(raw, list) or len(raw) != space.n:
         raise FormatError("function needs one value per state")
     return SimpleFunction(space, tuple(frac_from_str(x) for x in raw))
 
 
-def family_from_obj(obj: dict, max_states: int = 20) -> list[SimpleFunction]:
-    space = _space(obj, max_states)
+def family_from_obj(obj: dict) -> list[SimpleFunction]:
+    space = _space(obj)
     raw = obj.get("functions")
     if not isinstance(raw, list) or not raw:
         raise FormatError("family needs a nonempty 'functions' list")
@@ -128,8 +121,8 @@ def partition_to_obj(p: Partition) -> dict:
     }
 
 
-def partition_from_obj(obj: dict, max_states: int = 20) -> Partition:
-    space = _space(obj, max_states)
+def partition_from_obj(obj: dict) -> Partition:
+    space = _space(obj)
     raw = obj.get("blocks")
     if not isinstance(raw, list) or not raw:
         raise FormatError("partition needs a nonempty 'blocks' list")
@@ -142,54 +135,6 @@ def partition_from_obj(obj: dict, max_states: int = 20) -> Partition:
         except ValueError as exc:
             raise FormatError(f"bad state index in block {block!r}") from exc
     return Partition.from_blocks(space, groups)
-
-
-def countable_measure_from_obj(obj: Any) -> CountableMeasure:
-    if obj == "telescoping":
-        return telescoping_measure()
-    if isinstance(obj, dict) and "weights" in obj:
-        return finite_measure([frac_from_str(w) for w in obj["weights"]])
-    raise FormatError(f"unknown countable measure description {obj!r}")
-
-
-def countable_partition_from_obj(obj: dict) -> CountablePartition:
-    if not isinstance(obj, dict) or "family" not in obj:
-        raise FormatError("countable partition needs a 'family'")
-    family = obj["family"]
-    params = obj.get("params", {})
-    if family in ("singletons", "trivial", "pairs"):
-        return CountablePartition(family)
-    if family == "prefix":
-        return CountablePartition(
-            "prefix",
-            prefix_len=int(params.get("length", 1)),
-            tail_mode=params.get("tail", "singletons"),
-        )
-    if family == "blocks":
-        blocks = params.get("blocks")
-        if not isinstance(blocks, list):
-            raise FormatError("blocks family needs params.blocks")
-        return CountablePartition(
-            "blocks",
-            explicit_blocks=tuple(tuple(int(k) for k in b) for b in blocks),
-            tail_mode=params.get("tail", "singletons"),
-        )
-    raise FormatError(f"unknown partition family {family!r}")
-
-
-def countable_model_from_obj(obj: dict) -> CountableModel:
-    if not isinstance(obj, dict):
-        raise FormatError("countable model must be an object")
-    return CountableModel(
-        countable_measure_from_obj(obj.get("measure", "telescoping")),
-        countable_partition_from_obj(obj.get("partition", {})),
-    )
-
-
-def countable_function_from_obj(obj: dict) -> EventuallyConstantFunction:
-    values = [frac_from_str(x) for x in obj.get("values", [])]
-    tail = frac_from_str(obj.get("tail", "0"))
-    return EventuallyConstantFunction(len(values), tuple(values), tail)
 
 
 def load(path: str | Path) -> Any:

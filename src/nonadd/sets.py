@@ -210,12 +210,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, state: int) -> SubsetMask:
-        for b in self.blocks:
-            if state in b:
-                return b
-        raise ValueError(f"state {state} outside the space")
-
     @classmethod
     def singletons(cls, space: StateSpace) -> Partition:
         return cls(tuple(space.singleton(k) for k in space.states()))

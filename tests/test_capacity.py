@@ -74,7 +74,7 @@ class TestConstruction:
     def test_from_mapping_round_trip(self):
         space = StateSpace(2)
         v = Capacity.from_mapping(space, {0: 0, 1: "1/2", 2: "1/4", 3: 1})
-        assert v(space.subset([0])) == F(1, 2)
+        assert v.value(space.subset([0])) == F(1, 2)
         with pytest.raises(CapacityError):
             Capacity.from_mapping(space, {0: 0, 3: 1})
 

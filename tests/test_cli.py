@@ -340,6 +340,35 @@ def test_global_flags_accepted_after_subcommand(capsys, files):
     assert code == 1
 
 
+def test_check_monotone_reports_failure(capsys, files, tmp_path):
+    code, report, _ = run_cli(
+        capsys, "--assert", "check", "monotone", "--capacity", files["nonconvex2.json"]
+    )
+    assert code == 0
+    assert report["results"] == {"holds": True, "witness": []}
+    # v({0}) = 1 > 1/2 = v({0, 1}): the loader's covering-pair witness
+    path = tmp_path / "dip.json"
+    jsonio.dump({"n": 2, "values": {"0": "0", "1": "1", "2": "0", "3": "1/2"}}, path)
+    code, report, _ = run_cli(capsys, "check", "monotone", "--capacity", str(path))
+    assert code == 0
+    assert report["results"] == {"holds": False, "witness": ["1", "3"]}
+    code, _, _ = run_cli(capsys, "--assert", "check", "monotone", "--capacity", str(path))
+    assert code == 1
+    # sign, empty-set and table-size failures are bad input, and so is a
+    # dip under any other check
+    for values, which in (
+        ({"0": "0", "1": "-1", "2": "0", "3": "1"}, "monotone"),
+        ({"0": "1", "1": "1", "2": "1", "3": "1"}, "monotone"),
+        ({"0": "0", "1": "1"}, "monotone"),
+        ({"0": "0", "1": "1", "2": "0", "3": "1/2"}, "convex"),
+    ):
+        jsonio.dump({"n": 2, "values": values}, path)
+        code, report, err = run_cli(capsys, "check", which, "--capacity", str(path))
+        assert code == 2
+        assert report is None
+        assert "error:" in err
+
+
 def test_assert_flag_on_passing_check(capsys, tmp_path):
     space = StateSpace(2)
     P = ProbabilityMeasure.uniform(space)
@@ -366,6 +395,25 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
     assert code == 2
     assert report is None
     assert "malformed" in err
+    cap = tmp_path / "v.json"
+    jsonio.dump(
+        jsonio.capacity_to_obj(ProbabilityMeasure.uniform(StateSpace(2)).as_capacity()),
+        cap,
+    )
+    for seq in (
+        [],
+        {"kind": "ramp", "target": ["1", "1"], "steps": None},
+        {"kind": "null-counterexample", "E": None, "F": "1"},
+        {"kind": "null-counterexample", "E": "9", "F": "1"},
+        {"kind": "custom", "terms": None, "limit": ["1", "1"]},
+    ):
+        jsonio.dump(seq, bad)
+        code, report, err = run_cli(
+            capsys, "converge", "--capacity", str(cap), "--sequence", str(bad)
+        )
+        assert code == 2, seq
+        assert report is None
+        assert err.startswith("error:")
 
 
 def test_dimension_mismatch_is_diagnosed(capsys, tmp_path):
@@ -402,6 +450,15 @@ def test_missing_required_inputs_are_diagnosed(capsys, files):
     code, _, err = run_cli(capsys, "converge")
     assert code == 2
     assert "--preset" in err
+    for preset, flag, value in (
+        ("pair-blocks", "--depth", "0"),
+        ("trivial-field", "--depth", "-5"),
+        ("dyadic", "--m", "-1"),
+    ):
+        code, report, err = run_cli(capsys, "converge", "--preset", preset, flag, value)
+        assert code == 2
+        assert report is None
+        assert flag in err
 
 
 def test_report_echoes_inputs_with_digests(capsys, files):

@@ -15,7 +15,6 @@ from nonadd import (
     ProbabilityMeasure,
     SimpleFunction,
     StateSpace,
-    check_finite_atoms,
     check_increases_continuously,
     continuity_from_below_countable,
     countable_induced_value,
@@ -206,15 +205,15 @@ class TestInducedValues:
 
 class TestFiniteAtoms:
     def test_families(self):
-        assert check_finite_atoms(CountablePartition("pairs"))
-        assert check_finite_atoms(CountablePartition("singletons"))
-        assert not check_finite_atoms(CountablePartition("trivial"))
-        assert check_finite_atoms(
-            CountablePartition("prefix", prefix_len=3, tail_mode="singletons")
-        )
-        assert not check_finite_atoms(
-            CountablePartition("prefix", prefix_len=3, tail_mode="lump")
-        )
+        assert CountablePartition("pairs").all_atoms_finite()
+        assert CountablePartition("singletons").all_atoms_finite()
+        assert not CountablePartition("trivial").all_atoms_finite()
+        assert CountablePartition(
+            "prefix", prefix_len=3, tail_mode="singletons"
+        ).all_atoms_finite()
+        assert not CountablePartition(
+            "prefix", prefix_len=3, tail_mode="lump"
+        ).all_atoms_finite()
 
 
 class TestContinuityFromBelow:

@@ -13,7 +13,6 @@ from nonadd import (
     random_probability,
     random_simple_function,
 )
-from nonadd.countable import CountablePartition
 from nonadd import jsonio
 from nonadd.jsonio import FormatError
 
@@ -92,35 +91,6 @@ def test_family_parsing():
     assert fam[1].values == (F(1, 2), F(3, 2))
     with pytest.raises(FormatError):
         jsonio.family_from_obj({"n": 2, "functions": []})
-
-
-def test_countable_model_parsing():
-    model = jsonio.countable_model_from_obj(
-        {"measure": "telescoping", "partition": {"family": "pairs"}}
-    )
-    assert model.partition.family == "pairs"
-    model = jsonio.countable_model_from_obj(
-        {
-            "measure": {"weights": ["1/2", "1/2"]},
-            "partition": {"family": "prefix", "params": {"length": 2, "tail": "lump"}},
-        }
-    )
-    assert model.partition.tail_mode == "lump"
-    assert model.measure.tail(2) == 0
-    with pytest.raises(FormatError):
-        jsonio.countable_model_from_obj({"measure": "zeta", "partition": {}})
-    with pytest.raises(FormatError):
-        jsonio.countable_model_from_obj(
-            {"measure": "telescoping", "partition": {"family": "mystery"}}
-        )
-
-
-def test_blocks_family_parsing():
-    p = jsonio.countable_partition_from_obj(
-        {"family": "blocks", "params": {"blocks": [[1, 2], [3]], "tail": "singletons"}}
-    )
-    assert isinstance(p, CountablePartition)
-    assert p.explicit_blocks == ((1, 2), (3,))
 
 
 def test_file_round_trip(tmp_path):
