@@ -246,11 +246,18 @@ def _trace_obj(trace, limit: int = 100) -> dict:
     }
 
 
+# Largest --m and --depth accepted, so that every preset ends in bounded
+# time and memory: dyadic --m builds 2**m states, and pair-blocks --depth
+# a trace of that many fractions.
+MAX_M = 16
+MAX_DEPTH = 100_000
+
+
 def _cmd_converge(args, results: dict) -> bool:
-    if args.depth is not None and args.depth < 1:
-        raise FormatError(f"--depth must be at least 1, got {args.depth}")
-    if args.m is not None and args.m < 0:
-        raise FormatError(f"--m must be nonnegative, got {args.m}")
+    if args.depth is not None and not 1 <= args.depth <= MAX_DEPTH:
+        raise FormatError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
+    if args.m is not None and not 0 <= args.m <= MAX_M:
+        raise FormatError(f"--m must be in 0..{MAX_M}, got {args.m}")
     depth = 50 if args.depth is None else args.depth
     if args.preset == "pair-blocks":
         trace = countable.pairs_partial_sum_trace(depth)

@@ -8,8 +8,11 @@ need infinitely many states.  This module realizes them exactly:
   value is ever truncated or rounded;
 * partitions come from canonical families (singletons, one infinite
   block, consecutive pairs, a finite prefix block with singleton or
-  lumped tail, explicit finite blocks) whose members intersecting any
-  finite window can be listed with their exact masses;
+  lumped tail, explicit finite blocks), each translated at construction
+  into one layout: finite head blocks covering ``{1..K}``, then either
+  consecutive tail blocks of a fixed width or one infinite block
+  ``{K+1, K+2, ...}``.  The blocks meeting any finite window can thus be
+  listed with their exact masses;
 * functions and test events are eventually constant, so each integral
   under partition-limited information is a finite sum: blocks meeting the
   window contribute their exact infimum times their mass, and everything
@@ -24,7 +27,7 @@ whose values stay at zero while the block itself carries positive mass).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -33,7 +36,6 @@ from .capacity import PropertyReport, _as_fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-FINITE_FAMILIES = ("singletons", "pairs")
 TAIL_MODES = ("singletons", "lump")
 
 
@@ -74,9 +76,6 @@ class CountableMeasure:
         if n < 0:
             raise ValueError("tail index must be nonnegative")
         return self.tail_rule(n)
-
-    def prefix_mass(self, n: int) -> Fraction:
-        return ONE - self.tail(n)
 
     def mass_of(self, states: Iterable[int]) -> Fraction:
         return sum((self.weight(k) for k in states), ZERO)
@@ -146,73 +145,83 @@ class CountablePartition:
       ``tail_mode`` either singletons or a single infinite block;
     * ``blocks``:     explicit finite blocks partitioning ``{1..K}``,
       then per ``tail_mode`` singletons or one infinite block.
+
+    Construction translates every family into one layout: finite head
+    blocks covering ``{1..K}`` (none for the first three families), then
+    either consecutive tail blocks of ``width`` states (1 for singletons,
+    2 for pairs) or, with ``width`` ``None``, one infinite block
+    ``{K+1, K+2, ...}``.  Blocks are numbered head first; the queries
+    below read only this layout.  A field the family does not read must
+    keep its default.
     """
 
     family: str
     prefix_len: int = 0
     tail_mode: str = "singletons"
     explicit_blocks: tuple[tuple[int, ...], ...] = ()
+    _head: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _width: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.family not in ("singletons", "trivial", "pairs", "prefix", "blocks"):
-            raise ValueError(f"unknown partition family {self.family!r}")
+        family = self.family
+        if family not in ("singletons", "trivial", "pairs", "prefix", "blocks"):
+            raise ValueError(f"unknown partition family {family!r}")
         if self.tail_mode not in TAIL_MODES:
             raise ValueError(f"unknown tail mode {self.tail_mode!r}")
-        if self.family == "prefix":
+        blocks = tuple(tuple(sorted(int(k) for k in b)) for b in self.explicit_blocks)
+        object.__setattr__(self, "explicit_blocks", blocks)
+        reads = {
+            "prefix": ("prefix_len", "tail_mode"),
+            "blocks": ("explicit_blocks", "tail_mode"),
+        }.get(family, ())
+        for name, default in (
+            ("prefix_len", 0), ("tail_mode", "singletons"), ("explicit_blocks", ())
+        ):
+            if name not in reads and getattr(self, name) != default:
+                raise ValueError(f"family {family!r} does not take {name}")
+        if family == "prefix":
             if self.prefix_len < 1:
                 raise ValueError("prefix family needs prefix_len >= 1")
-        if self.family == "blocks":
-            blocks = tuple(tuple(sorted(int(k) for k in b)) for b in self.explicit_blocks)
-            object.__setattr__(self, "explicit_blocks", blocks)
-            seen: set[int] = set()
-            for b in blocks:
-                if not b:
-                    raise ValueError("empty explicit block")
-                if seen & set(b):
+            blocks = (tuple(range(1, self.prefix_len + 1)),)
+        top = sum(len(b) for b in blocks)
+        block_of = [-1] * top
+        for i, b in enumerate(blocks):
+            if not b:
+                raise ValueError("empty explicit block")
+            for k in b:
+                if not 1 <= k <= top:
+                    raise ValueError("explicit blocks must partition 1..K")
+                if block_of[k - 1] >= 0:
                     raise ValueError("explicit blocks overlap")
-                seen |= set(b)
-            top = max(seen, default=0)
-            if seen != set(range(1, top + 1)):
-                raise ValueError("explicit blocks must partition 1..K")
-            object.__setattr__(self, "prefix_len", top)
+                block_of[k - 1] = i
+        if family in ("prefix", "blocks"):
+            width = 1 if self.tail_mode == "singletons" else None
+        else:
+            width = {"singletons": 1, "pairs": 2, "trivial": None}[family]
+        object.__setattr__(self, "_head", blocks)
+        object.__setattr__(self, "_block_of", tuple(block_of))
+        object.__setattr__(self, "_width", width)
 
     # -- structure ---------------------------------------------------------
 
-    def block_key(self, k: int):
-        """Hashable identifier of the block containing state ``k``."""
+    def block_key(self, k: int) -> int:
+        """Number of the block containing state ``k`` (head blocks first)."""
         if k < 1:
             raise ValueError("states are numbered from 1")
-        if self.family == "singletons":
-            return ("state", k)
-        if self.family == "trivial":
-            return ("all",)
-        if self.family == "pairs":
-            return ("pair", (k + 1) // 2)
-        if self.family == "prefix":
-            if k <= self.prefix_len:
-                return ("prefix",)
-        else:  # blocks
-            for i, b in enumerate(self.explicit_blocks):
-                if k in b:
-                    return ("block", i)
-        if self.tail_mode == "singletons":
-            return ("state", k)
-        return ("tail",)
+        top = len(self._block_of)
+        if k <= top:
+            return self._block_of[k - 1]
+        if self._width is None:
+            return len(self._head)
+        return len(self._head) + (k - top - 1) // self._width
 
     def all_atoms_finite(self) -> bool:
-        if self.family in FINITE_FAMILIES:
-            return True
-        if self.family == "trivial":
-            return False
-        return self.tail_mode == "singletons"
+        return self._width is not None
 
     def infinite_atom_start(self) -> int | None:
         """First state of the canonical infinite block, if there is one."""
-        if self.family == "trivial":
-            return 1
-        if self.family in ("prefix", "blocks") and self.tail_mode == "lump":
-            return self.prefix_len + 1
-        return None
+        return None if self._width else len(self._block_of) + 1
 
     def cover(
         self, measure: CountableMeasure, horizon: int
@@ -223,46 +232,26 @@ class CountablePartition:
         eventually-constant function its infimum is the tail constant;
         the caller folds all of those into ``remainder`` at once.
         """
-        blocks: list[CoveredBlock] = []
-        if self.family == "singletons":
-            for k in range(1, horizon + 1):
-                blocks.append(CoveredBlock((k,), False, measure.weight(k)))
-        elif self.family == "trivial":
-            if horizon >= 1:
-                blocks.append(
-                    CoveredBlock(tuple(range(1, horizon + 1)), True, ONE)
-                )
-        elif self.family == "pairs":
-            for k in range(1, (horizon + 1) // 2 + 1):
-                members = (2 * k - 1, 2 * k)
-                blocks.append(
-                    CoveredBlock(members, False, measure.mass_of(members))
-                )
-        else:  # prefix / blocks share the tail handling
-            top = self.prefix_len
-            if horizon >= 1:
-                if self.family == "prefix":
-                    members = tuple(range(1, top + 1))
-                    blocks.append(
-                        CoveredBlock(members, False, measure.prefix_mass(top))
-                    )
-                else:
-                    for b in self.explicit_blocks:
-                        if b[0] <= horizon:
-                            blocks.append(
-                                CoveredBlock(b, False, measure.mass_of(b))
-                            )
-            if self.tail_mode == "singletons":
-                for k in range(top + 1, horizon + 1):
-                    blocks.append(CoveredBlock((k,), False, measure.weight(k)))
-            elif horizon > top:
-                blocks.append(
-                    CoveredBlock(
-                        tuple(range(top + 1, horizon + 1)),
-                        True,
-                        measure.tail(top),
-                    )
-                )
+
+        def mass(b: tuple[int, ...]) -> Fraction:
+            # a run of consecutive states weighs tail(first - 1) - tail(last),
+            # in O(1) however long the run
+            if b[-1] - b[0] == len(b) - 1:
+                return measure.tail(b[0] - 1) - measure.tail(b[-1])
+            return measure.mass_of(b)
+
+        blocks = [
+            CoveredBlock(b, False, mass(b)) for b in self._head if b[0] <= horizon
+        ]
+        top = len(self._block_of)
+        if self._width is None:
+            if horizon > top:
+                members = tuple(range(top + 1, horizon + 1))
+                blocks.append(CoveredBlock(members, True, measure.tail(top)))
+        else:
+            for start in range(top + 1, horizon + 1, self._width):
+                members = tuple(range(start, start + self._width))
+                blocks.append(CoveredBlock(members, False, mass(members)))
         remainder = ONE - sum((b.mass for b in blocks), ZERO)
         return blocks, remainder
 
@@ -436,12 +425,10 @@ def continuity_from_below_countable(
     vanish); that degenerate case is reported as holding.  A failing
     report's witness is a :class:`ChainWitness`.
     """
-    if model.partition.all_atoms_finite():
-        return PropertyReport(True, detail="all blocks finite")
     start = model.partition.infinite_atom_start()
     if start is None:
-        raise RuntimeError("non-finite family without a canonical infinite block")
-    atom = EventuallyConstantSet(start - 1 if start > 1 else 0, (), True)
+        return PropertyReport(True, detail="all blocks finite")
+    atom = EventuallyConstantSet(start - 1, (), True)
     atom_mass = atom.mass(model.measure)
     if atom_mass == 0:
         return PropertyReport(True, detail="infinite block carries no mass")
@@ -568,7 +555,7 @@ def monotone_convergence_countable(
         )
     start = model.partition.infinite_atom_start()
     if start is not None and seq.tail_limit is not None:
-        atom = EventuallyConstantSet(max(start - 1, 0), (), True)
+        atom = EventuallyConstantSet(start - 1, (), True)
         mass = atom.mass(model.measure)
         inf_limit = _inf_over_set(seq.limit, atom)
         deficit = (inf_limit - min(inf_limit, seq.tail_limit)) * mass

@@ -230,18 +230,24 @@ def concave_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
     ``y`` solving ``min sum_x y_x f(x)`` with ``sum_{x in T} y_x >= v(T)``;
     primal and dual values agree exactly, certifying optimality.
     """
+    return _best_decomposition(f, v, range(1, f.space.num_subsets))
+
+
+def _best_decomposition(
+    f: SimpleFunction, v: Capacity, masks: Sequence[int]
+) -> IntegralResult:
+    """``max sum_T w_T v(T)`` under ``sum_{T containing x} w_T <= f(x)``,
+    one LP column per mask; the witness is replayed before returning."""
     _require_same_space(f.space, v.space)
-    space = f.space
-    n = space.n
-    nsub = space.num_subsets
-    objective = [v.values[t] for t in range(1, nsub)]
-    rows = []
-    for x in range(n):
-        bit = 1 << x
-        rows.append([ONE if (t & bit) else ZERO for t in range(1, nsub)])
+    objective = [v.values[m] for m in masks]
+    rows = [
+        [ONE if m & bit else ZERO for m in masks]
+        for bit in (1 << x for x in range(f.space.n))
+    ]
     sol = solve_max(objective, rows, list(f.values))
-    terms = tuple((w, t + 1) for t, w in enumerate(sol.x) if w != 0)
-    witness = Decomposition(terms, kind="free")
+    witness = Decomposition(
+        tuple((w, m) for w, m in zip(sol.x, masks) if w != 0), kind="free"
+    )
     if not witness.fits_under(f) or witness.weight_against(v) != sol.value:
         raise RuntimeError("simplex returned an inconsistent optimal basis")
     return IntegralResult(sol.value, witness, dual_witness=sol.duals)
@@ -436,11 +442,4 @@ def chain_restricted_value(
     for a, b in zip(masks, masks[1:]):
         if b & ~a:
             raise ValueError("events must be nested decreasingly")
-    masks = [m for m in masks if m]
-    if not masks:
-        return ZERO
-    objective = [v.values[m] for m in masks]
-    rows = [
-        [ONE if m >> x & 1 else ZERO for m in masks] for x in range(f.space.n)
-    ]
-    return solve_max(objective, rows, list(f.values)).value
+    return _best_decomposition(f, v, [m for m in masks if m]).value

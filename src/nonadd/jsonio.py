@@ -132,7 +132,7 @@ def partition_from_obj(obj: dict) -> Partition:
             raise FormatError("each block must be a list of state indices")
         try:
             groups.append([int(k) for k in block])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"bad state index in block {block!r}") from exc
     return Partition.from_blocks(space, groups)
 
@@ -146,6 +146,8 @@ def load(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"malformed JSON in {path}: nested too deeply") from exc
 
 
 def dump(obj: Any, path: str | Path) -> None:

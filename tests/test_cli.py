@@ -414,6 +414,32 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
         assert code == 2, seq
         assert report is None
         assert err.startswith("error:")
+    space = StateSpace(2)
+    measure, function = tmp_path / "m.json", tmp_path / "f.json"
+    jsonio.dump(jsonio.measure_to_obj(ProbabilityMeasure.uniform(space)), measure)
+    jsonio.dump(jsonio.function_to_obj(SimpleFunction.zero(space)), function)
+    jsonio.dump({"n": 2, "blocks": [[[0]], [1]]}, bad)
+    code, report, err = run_cli(
+        capsys,
+        "integrate",
+        "psa",
+        "--measure",
+        str(measure),
+        "--partition",
+        str(bad),
+        "--function",
+        str(function),
+    )
+    assert code == 2
+    assert report is None
+    assert "bad state index" in err
+    bad.write_text("[" * 100_000)
+    code, report, err = run_cli(
+        capsys, "integrate", "choquet", "--capacity", str(cap), "--function", str(bad)
+    )
+    assert code == 2
+    assert report is None
+    assert "malformed" in err
 
 
 def test_dimension_mismatch_is_diagnosed(capsys, tmp_path):
@@ -454,6 +480,8 @@ def test_missing_required_inputs_are_diagnosed(capsys, files):
         ("pair-blocks", "--depth", "0"),
         ("trivial-field", "--depth", "-5"),
         ("dyadic", "--m", "-1"),
+        ("dyadic", "--m", "17"),
+        ("pair-blocks", "--depth", "100001"),
     ):
         code, report, err = run_cli(capsys, "converge", "--preset", preset, flag, value)
         assert code == 2

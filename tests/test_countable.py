@@ -94,11 +94,73 @@ class TestPartitionCovers:
             CountablePartition("blocks", explicit_blocks=((1, 2), (2, 3)))
         with pytest.raises(ValueError):
             CountablePartition("blocks", explicit_blocks=((1, 2), (4,)))
+        with pytest.raises(ValueError):
+            CountablePartition("pairs", tail_mode="lump")
+        with pytest.raises(ValueError):
+            CountablePartition("trivial", tail_mode="lump")
+        with pytest.raises(ValueError):
+            CountablePartition("singletons", prefix_len=5)
+        with pytest.raises(ValueError):
+            CountablePartition(
+                "prefix", prefix_len=3, explicit_blocks=((1,), (2, 3))
+            )
+        with pytest.raises(ValueError):
+            CountablePartition("blocks", prefix_len=1, explicit_blocks=((1,),))
 
     def test_block_keys_partition_states(self):
         p = CountablePartition("prefix", prefix_len=2, tail_mode="singletons")
         assert p.block_key(1) == p.block_key(2)
         assert p.block_key(3) != p.block_key(4)
+
+    @pytest.mark.parametrize(
+        "partition",
+        [
+            # the seven partitions of acceptance criterion 10
+            CountablePartition("pairs"),
+            CountablePartition("singletons"),
+            CountablePartition("trivial"),
+            CountablePartition("prefix", prefix_len=3, tail_mode="singletons"),
+            CountablePartition("prefix", prefix_len=3, tail_mode="lump"),
+            CountablePartition(
+                "blocks", explicit_blocks=((1, 2, 3), (4,)), tail_mode="singletons"
+            ),
+            CountablePartition(
+                "blocks", explicit_blocks=((1,), (2, 3)), tail_mode="lump"
+            ),
+            # interleaved explicit blocks, and no explicit blocks at all
+            CountablePartition(
+                "blocks", explicit_blocks=((2, 5), (1,), (3, 4)), tail_mode="lump"
+            ),
+            CountablePartition("blocks"),
+            CountablePartition("prefix", prefix_len=1, tail_mode="lump"),
+        ],
+    )
+    def test_cover_keys_and_atoms_agree(self, partition):
+        m = telescoping_measure()
+        infinite_starts = set()
+        for horizon in range(13):
+            blocks, remainder = partition.cover(m, horizon)
+            where = {}
+            for i, b in enumerate(blocks):
+                assert b.members[0] <= horizon  # every listed block meets the window
+                for k in b.members:
+                    assert k not in where  # disjoint
+                    where[k] = i
+                if b.infinite:
+                    assert b.members == tuple(range(b.members[0], horizon + 1))
+                    assert b.mass == m.tail(b.members[0] - 1)
+                    infinite_starts.add(b.members[0])
+                else:
+                    assert b.mass == m.mass_of(b.members)
+            assert set(range(1, horizon + 1)) <= set(where)
+            assert sum((b.mass for b in blocks), remainder) == 1
+            for j in where:
+                for k in where:
+                    same_key = partition.block_key(j) == partition.block_key(k)
+                    assert same_key == (where[j] == where[k]), (horizon, j, k)
+        assert partition.all_atoms_finite() == (not infinite_starts)
+        assert len(infinite_starts) <= 1
+        assert partition.infinite_atom_start() == min(infinite_starts, default=None)
 
 
 class TestCountableIntegral:
