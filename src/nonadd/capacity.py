@@ -4,7 +4,9 @@ A capacity is a monotone set function vanishing on the empty set; it need
 not be additive.  All values are exact :class:`fractions.Fraction`s and
 every check below is an exact decision; there are no tolerances, because
 the characterizations this package verifies are exact iff-statements and
-floating error would corrupt them.
+floating error would corrupt them.  The scans over all ``2**n`` subsets
+compare the values scaled to one common denominator, as plain ints; the
+verdicts, witnesses and details they report are those of the Fractions.
 
 Each ``check_*`` function returns a :class:`PropertyReport`.  When a
 property fails, the report carries a witness that replays the defining
@@ -14,7 +16,8 @@ violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -25,6 +28,7 @@ from .sets import (
     SpaceMismatchError,
     StateSpace,
     mask_bits,
+    max_member_bits,
 )
 
 ZERO = Fraction(0)
@@ -43,19 +47,53 @@ class CapacityError(ValueError):
         self.witness = witness
 
 
-def _monotonicity_violation(values: Sequence[Fraction]) -> tuple[int, int] | None:
+# Largest common denominator, in bits, that the table scans scale to.
+# Past it (one prime denominator per subset, say) the scaled ints would
+# outgrow the Fractions they replace, so the scans read the Fractions.
+SCALE_BITS = 64
+
+
+def _scale(values: tuple[Fraction, ...]) -> tuple:
+    """``values`` times their least common denominator, as ints.
+
+    Scaling by one positive factor keeps every ``<``, ``==`` and sum
+    comparison, so a scan over the result decides what it would decide
+    over ``values``.  Past ``SCALE_BITS`` the Fractions come back as they
+    are; the scans only add and compare, so they take either.
+    """
+    ratios = list(map(Fraction.as_integer_ratio, values))
+    dens = {d for _, d in ratios}
+    common = 1
+    for d in dens:
+        common = math.lcm(common, d)
+        if common.bit_length() > SCALE_BITS:
+            return values
+    factor = {d: common // d for d in dens}
+    return tuple([p * factor[d] for p, d in ratios])
+
+
+def _subset_sums(weights: Sequence) -> list:
+    """The sum of ``weights`` over every subset, indexed by mask."""
+    table = [weights[0] * 0] * (1 << len(weights))  # a zero of their type
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    return table
+
+
+def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
     """First covering pair ``(F, F | {k})`` with ``v(F) > v(F | {k})``, if any.
 
     Covering pairs suffice: any ``F ⊆ E`` is reached by adding one state
     at a time, so monotonicity along covers implies it in general.
     """
     for mask in range(1, len(values)):
+        x = values[mask]
         rest = mask
         while rest:
             low = rest & -rest
-            below = mask ^ low
-            if values[below] > values[mask]:
-                return below, mask
+            if values[mask ^ low] > x:
+                return mask ^ low, mask
             rest ^= low
     return None
 
@@ -77,11 +115,14 @@ class Capacity:
     ``values[mask]`` is the capacity of the subset encoded by ``mask``.
     Construction validates the axioms: rejecting a table that is negative
     somewhere, nonzero on the empty set, or non-monotone along some
-    covering pair ``(F, F | {k})``.
+    covering pair ``(F, F | {k})``.  ``_scaled`` is the same table over
+    one common denominator (see :func:`_scale`), made once here and read
+    by every scan.
     """
 
     space: StateSpace
     values: tuple[Fraction, ...]
+    _scaled: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         values = tuple(_as_fraction(x) for x in self.values)
@@ -91,12 +132,14 @@ class Capacity:
             raise CapacityError(
                 f"need {1 << n} values for n={n}, got {len(values)}"
             )
-        if values[0] != 0:
+        scaled = _scale(values)
+        object.__setattr__(self, "_scaled", scaled)
+        if scaled[0] != 0:
             raise CapacityError("capacity of the empty set must be 0", (0,))
-        for mask, x in enumerate(values):
-            if x < 0:
-                raise CapacityError(f"negative value at mask {mask}", (mask,))
-        pair = _monotonicity_violation(values)
+        if min(scaled) < 0:
+            mask = next(m for m, x in enumerate(scaled) if x < 0)
+            raise CapacityError(f"negative value at mask {mask}", (mask,))
+        pair = _monotonicity_violation(scaled)
         if pair is not None:
             below, mask = pair
             raise CapacityError(f"not monotone: v({below}) > v({mask})", pair)
@@ -158,11 +201,7 @@ class ProbabilityMeasure:
     @cached_property
     def mass_table(self) -> tuple[Fraction, ...]:
         """``P`` evaluated on every subset, indexed by mask."""
-        table = [ZERO] * self.space.num_subsets
-        for mask in range(1, self.space.num_subsets):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] + self.weights[low.bit_length() - 1]
-        return tuple(table)
+        return tuple(_subset_sums(self.weights))
 
     def as_capacity(self) -> Capacity:
         """The measure viewed as an (additive, hence convex) capacity."""
@@ -206,10 +245,10 @@ def check_monotone(v: Capacity) -> PropertyReport:
     enforces the same scan), so this is the replayable form of that
     invariant.
     """
-    values = v.values
-    pair = _monotonicity_violation(values)
+    pair = _monotonicity_violation(v._scaled)
     if pair is None:
         return PropertyReport(True)
+    values = v.values
     below, mask = pair
     return PropertyReport(
         False,
@@ -230,21 +269,20 @@ def check_convex(v: Capacity) -> PropertyReport:
     is converted back to the pair ``(E, F) = (A | {i}, A | {j})`` so the
     witness replays against the definition verbatim.
     """
-    values = v.values
-    n = v.space.n
+    values = v._scaled
+    bits = [1 << i for i in range(v.space.n)]
     for base in range(v.space.num_subsets):
-        for i in range(n):
-            bi = 1 << i
-            if base & bi:
-                continue
-            for j in range(i + 1, n):
-                bj = 1 << j
-                if base & bj:
-                    continue
-                lhs = values[base | bi | bj] + values[base]
-                rhs = values[base | bi] + values[base | bj]
-                if lhs < rhs:
-                    e, f = base | bi, base | bj
+        x = values[base]
+        free = [b for b in bits if not base & b]
+        for i, bi in enumerate(free):
+            e = base | bi
+            xe = values[e]
+            for bj in free[i + 1 :]:
+                if values[e | bj] + x < xe + values[base | bj]:
+                    f = base | bj
+                    vals = v.values
+                    lhs = vals[e | f] + vals[base]
+                    rhs = vals[e] + vals[f]
                     return PropertyReport(
                         False,
                         (e, f),
@@ -260,7 +298,7 @@ def maximal_null_sets(v: Capacity) -> list[int]:
     the value positive.  Every null set sits inside a maximal one, so
     quantifiers over null sets can range over these only.
     """
-    values = v.values
+    values = v._scaled
     full = v.space.full_bits
     out = []
     for mask, x in enumerate(values):
@@ -286,16 +324,17 @@ def check_null_additive(v: Capacity) -> PropertyReport:
     for a maximal ``E'`` containing ``E`` then monotonicity squeezes
     ``v(F) <= v(E | F) <= v(E' | F) = v(F)``.
     """
-    values = v.values
+    values = v._scaled
     for e in maximal_null_sets(v):
         if e == 0:
             continue
         for f in range(v.space.num_subsets):
             if values[e | f] != values[f]:
+                vals = v.values
                 return PropertyReport(
                     False,
                     (e, f),
-                    f"v(E) = 0 but v(E|F) = {values[e | f]} != {values[f]} = v(F)",
+                    f"v(E) = 0 but v(E|F) = {vals[e | f]} != {vals[f]} = v(F)",
                 )
     return PropertyReport(True)
 
@@ -313,14 +352,15 @@ def check_P_null_additive(v: Capacity, P: ProbabilityMeasure) -> PropertyReport:
     null_bits = P.null_states_bits()
     if null_bits == 0:
         return PropertyReport(True, detail="P strictly positive: vacuous")
-    values = v.values
+    values = v._scaled
     for f in range(v.space.num_subsets):
         g = f & ~null_bits
         if values[g] != values[f]:
+            vals = v.values
             return PropertyReport(
                 False,
                 (g, f),
-                f"P(F-G) = 0 but v(G) = {values[g]} != {values[f]} = v(F)",
+                f"P(F-G) = 0 but v(G) = {vals[g]} != {vals[f]} = v(F)",
             )
     return PropertyReport(True)
 
@@ -335,19 +375,21 @@ def check_dense(alg: AlgebraView, P: ProbabilityMeasure) -> PropertyReport:
     """
     if alg.space != P.space:
         raise SpaceMismatchError("algebra and measure on different spaces")
-    table = P.mass_table
-    worst_gap = ZERO
+    table = _subset_sums(_scale(P.weights))
+    atoms = [a.bits for a in alg.atoms]
+    worst_gap = 0
     worst: tuple[int, int] | None = None
     for f in range(P.space.num_subsets):
-        a = alg.max_member_below(f).bits
+        a = max_member_bits(atoms, f)
         gap = table[f & ~a]
         if gap > worst_gap:
             worst_gap = gap
             worst = (f, a)
     if worst is None:
         return PropertyReport(True)
+    f, a = worst
     return PropertyReport(
-        False, worst, f"P(F - A_F) = {worst_gap} at F = {worst[0]}"
+        False, worst, f"P(F - A_F) = {P.mass(f & ~a)} at F = {f}"
     )
 
 

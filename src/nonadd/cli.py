@@ -8,7 +8,8 @@ sequence file), and ``gen`` (seeded random capacities to a file).
 All values print as exact ``p/q`` strings (``--decimal K`` adds rounded
 companions for display only).  A completed run exits 0 regardless of the
 verdict; ``--assert`` flips false verdicts to exit 1 for CI use.
-Malformed input exits 2 with a diagnostic on stderr.
+Malformed input exits 2 with a diagnostic on stderr; a broken internal
+invariant exits 3 with ``internal error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -111,11 +112,7 @@ def _sequence_from_json(obj, capacity) -> FunctionSequence:
         return SimpleFunction(space, tuple(jsonio.frac_from_str(x) for x in raw))
 
     def integer(key: str, default=None) -> int:
-        raw = obj.get(key, default)
-        try:
-            return int(raw)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{kind} needs an integer {key!r}, got {raw!r}") from exc
+        return jsonio.int_from_json(obj.get(key, default), f"{kind} {key!r}")
 
     if kind == "ramp":
         target = function(obj.get("target", []))
@@ -248,14 +245,17 @@ def _trace_obj(trace, limit: int = 100) -> dict:
 
 # Largest --m and --depth accepted, so that every preset ends in bounded
 # time and memory: dyadic --m builds 2**m states, and pair-blocks --depth
-# a trace of that many fractions.
+# a trace of that many fractions.  trivial-field's time grows with the
+# square of its depth, so it has its own, lower bound.
 MAX_M = 16
 MAX_DEPTH = 100_000
+MAX_TRIVIAL_DEPTH = 64
 
 
 def _cmd_converge(args, results: dict) -> bool:
-    if args.depth is not None and not 1 <= args.depth <= MAX_DEPTH:
-        raise FormatError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
+    top = MAX_TRIVIAL_DEPTH if args.preset == "trivial-field" else MAX_DEPTH
+    if args.depth is not None and not 1 <= args.depth <= top:
+        raise FormatError(f"--depth must be in 1..{top}, got {args.depth}")
     if args.m is not None and not 0 <= args.m <= MAX_M:
         raise FormatError(f"--m must be in 0..{MAX_M}, got {args.m}")
     depth = 50 if args.depth is None else args.depth
@@ -272,7 +272,7 @@ def _cmd_converge(args, results: dict) -> bool:
     if args.preset == "trivial-field":
         model = countable.trivial_model()
         seq = countable.unit_prefix_sequence()
-        report = countable.monotone_convergence_countable(model, seq, depth=min(depth, 64))
+        report = countable.monotone_convergence_countable(model, seq, depth=depth)
         results.update(_trace_obj(report.integral_trace))
         _maybe_decimal(results, "limit_integral", report.limit_integral, args.decimal)
         results["convergent"] = bool(report.converges)
@@ -446,6 +446,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a broken internal invariant (pivot limit, strong duality, basis,
+        # convexity of an induced capacity), not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     inputs = {}
     for name in _INPUT_ARGS:
         path = getattr(args, name, None)

@@ -268,11 +268,17 @@ def random_capacity(n: int, seed: int, profile: str = "general") -> Capacity:
     return induce(P, partition).base
 
 
+def _over(denom: int, numerators: list[int]) -> tuple[Fraction, ...]:
+    """The table ``numerators / denom``, one Fraction per distinct entry."""
+    fractions = {x: Fraction(x, denom) for x in set(numerators)}
+    return tuple(fractions[x] for x in numerators)
+
+
 def _random_monotone(space: StateSpace, rng: random.Random) -> Capacity:
     denom = rng.choice((8, 12, 16, 24))
-    table = [ZERO] * space.num_subsets
+    table = [0] * space.num_subsets  # numerators over denom
     for mask in range(1, space.num_subsets):
-        floor = ZERO
+        floor = 0
         rest = mask
         while rest:
             low = rest & -rest
@@ -280,19 +286,17 @@ def _random_monotone(space: StateSpace, rng: random.Random) -> Capacity:
             if below > floor:
                 floor = below
             rest ^= low
-        table[mask] = max(floor, Fraction(rng.randint(0, denom), denom))
-    return Capacity(space, tuple(table))
+        table[mask] = max(floor, rng.randint(0, denom))
+    return Capacity(space, _over(denom, table))
 
 
 def _random_totally_monotone(space: StateSpace, rng: random.Random) -> Capacity:
     denom = rng.choice((12, 24, 60))
-    masses: dict[int, Fraction] = {}
+    masses: dict[int, int] = {}  # numerators over denom
     for _ in range(rng.randint(space.n, 2 * space.n + 1)):
         event = rng.randint(1, space.full_bits)
-        masses[event] = masses.get(event, ZERO) + Fraction(
-            rng.randint(1, denom), denom
-        )
-    table = [ZERO] * space.num_subsets
+        masses[event] = masses.get(event, 0) + rng.randint(1, denom)
+    table = [0] * space.num_subsets
     for event, w in masses.items():
         table[event] = table[event] + w
     # zeta transform: value at F becomes the total mass of events inside F
@@ -301,7 +305,7 @@ def _random_totally_monotone(space: StateSpace, rng: random.Random) -> Capacity:
         for mask in range(space.num_subsets):
             if mask & bit:
                 table[mask] += table[mask ^ bit]
-    return Capacity(space, tuple(table))
+    return Capacity(space, _over(denom, table))
 
 
 def random_probability(

@@ -35,9 +35,8 @@ from .sets import (
     SubsetMask,
     generated_algebra,
     mask_bits,
+    max_member_bits,
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -74,20 +73,13 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
         raise SpaceMismatchError("measure and partition on different spaces")
     space = P.space
     block_bits = [b.bits for b in partition.blocks]
-    table = [ZERO] * space.num_subsets
-    witness = [0] * space.num_subsets
-    for f in range(space.num_subsets):
-        acc = 0
-        for b in block_bits:
-            if b & ~f == 0:
-                acc |= b
-        witness[f] = acc
-        table[f] = P.mass(acc)
-    base = Capacity(space, tuple(table))
+    witness = tuple(max_member_bits(block_bits, f) for f in space.all_masks())
+    mass = P.mass_table
+    base = Capacity(space, tuple(mass[acc] for acc in witness))
     convexity = check_convex(base)
     if not convexity.holds:  # structural guarantee; failing means a bug here
         raise RuntimeError(f"induced capacity not convex: {convexity.detail}")
-    return InducedCapacity(base, tuple(witness), P, partition)
+    return InducedCapacity(base, witness, P, partition)
 
 
 def argmax_witness(ic: InducedCapacity, event: MaskLike) -> SubsetMask:

@@ -10,6 +10,7 @@ to an equal object.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -34,12 +35,26 @@ def frac_from_str(s: Any) -> Fraction:
         raise FormatError(f"not a rational: {s!r}") from exc
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def int_from_json(raw: Any, what: str) -> int:
+    """A JSON integer (not a bool) or a decimal-integer string.
+
+    Anything else, ``2.7`` or ``true`` included, is a :class:`FormatError`
+    rather than a number truncated to some other model.
+    """
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
+        return int(raw)
+    raise FormatError(f"bad {what}: need an integer, got {raw!r}")
+
+
 def _space(obj: dict) -> StateSpace:
-    try:
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("missing or bad 'n'") from exc
-    return StateSpace(n)
+    if not isinstance(obj, dict) or "n" not in obj:
+        raise FormatError("missing 'n'")
+    return StateSpace(int_from_json(obj["n"], "'n'"))
 
 
 def capacity_to_obj(v: Capacity) -> dict:
@@ -61,6 +76,9 @@ def capacity_from_obj(obj: dict) -> Capacity:
         )
     values = [Fraction(0)] * space.num_subsets
     seen = set()
+    # files repeat a few hundred value strings over thousands of subsets:
+    # parse each once, so equal entries share one Fraction
+    parsed: dict[str, Fraction] = {}
     for key, val in raw.items():
         try:
             mask = int(key)
@@ -71,7 +89,12 @@ def capacity_from_obj(obj: dict) -> Capacity:
         if mask in seen:
             raise FormatError(f"subset {mask} listed twice")
         seen.add(mask)
-        values[mask] = frac_from_str(val)
+        if type(val) is not str:
+            values[mask] = frac_from_str(val)
+        elif val in parsed:
+            values[mask] = parsed[val]
+        else:
+            values[mask] = parsed[val] = frac_from_str(val)
     if len(seen) != space.num_subsets:
         raise FormatError("capacity table must cover every subset exactly once")
     return Capacity(space, tuple(values))
@@ -130,10 +153,8 @@ def partition_from_obj(obj: dict) -> Partition:
     for block in raw:
         if not isinstance(block, list):
             raise FormatError("each block must be a list of state indices")
-        try:
-            groups.append([int(k) for k in block])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad state index in block {block!r}") from exc
+        what = f"state index in block {block!r}"
+        groups.append([int_from_json(k, what) for k in block])
     return Partition.from_blocks(space, groups)
 
 

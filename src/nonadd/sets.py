@@ -97,6 +97,19 @@ def mask_bits(event: MaskLike) -> int:
     return event.bits if isinstance(event, SubsetMask) else int(event)
 
 
+def max_member_bits(atoms: Iterable[int], bits: int) -> int:
+    """Union of the atoms (disjoint masks) contained in the event ``bits``.
+
+    This is the inclusion-maximal union of atoms inside the event: every
+    other such union is a subset of it.
+    """
+    acc = 0
+    for a in atoms:
+        if a & ~bits == 0:
+            acc |= a
+    return acc
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """An event: an immutable subset of a :class:`StateSpace`.
@@ -265,12 +278,8 @@ class AlgebraView:
         This is the union of all atoms inside the event; every other
         member below the event is a subset of it.
         """
-        bits = mask_bits(event)
-        acc = 0
-        for a in self.atoms:
-            if a.bits & ~bits == 0:
-                acc |= a.bits
-        return SubsetMask(acc, self.space)
+        atoms = (a.bits for a in self.atoms)
+        return SubsetMask(max_member_bits(atoms, mask_bits(event)), self.space)
 
 
 def generated_algebra(partition: Partition) -> AlgebraView:

@@ -24,6 +24,7 @@ from nonadd import (
     CapacityError,
     Partition,
     ProbabilityMeasure,
+    PropertyReport,
     StateSpace,
     check_continuity_along_chain,
     check_convex,
@@ -32,6 +33,7 @@ from nonadd import (
     check_null_additive,
     check_P_null_additive,
     generated_algebra,
+    jsonio,
     random_capacity,
     random_partition,
     random_probability,
@@ -305,3 +307,190 @@ class TestContinuityAlongChain:
         chain = [space.subset([0]), space.subset([1])]
         with pytest.raises(NonMonotoneChainError):
             check_continuity_along_chain(lambda e: F(0), chain)
+
+
+# ---------------------------------------------------------------------------
+# The scaled-integer scans against plain-Fraction reference loops
+# ---------------------------------------------------------------------------
+#
+# The loops below are the scans written directly on Fractions, in the
+# library's visiting order, so verdicts, witnesses and details must agree
+# exactly, on both sides of the scaling budget.
+
+# Two large primes: a table using both has a common denominator over 64 bits.
+KERNEL_DENOMS = (1, 2, 3, 4, 6, 7, 2**31 - 1, 2**61 - 1)
+
+
+def ref_validate(values):
+    if values[0] != 0:
+        return "capacity of the empty set must be 0", (0,)
+    for mask, x in enumerate(values):
+        if x < 0:
+            return f"negative value at mask {mask}", (mask,)
+    pair = ref_monotone(values)
+    if pair is not None:
+        return f"not monotone: v({pair[0]}) > v({pair[1]})", pair
+    return None
+
+
+def ref_monotone(values):
+    n = len(values).bit_length() - 1
+    for mask in range(1, len(values)):
+        for k in range(n):
+            if mask >> k & 1 and values[mask ^ (1 << k)] > values[mask]:
+                return mask ^ (1 << k), mask
+    return None
+
+
+def ref_convex(values, n):
+    for base in range(1 << n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if base >> i & 1 or base >> j & 1:
+                    continue
+                e, f = base | 1 << i, base | 1 << j
+                lhs = values[e | f] + values[base]
+                rhs = values[e] + values[f]
+                if lhs < rhs:
+                    detail = f"v({e}) + v({f}) = {rhs} > {lhs} = v(union) + v(intersection)"
+                    return PropertyReport(False, (e, f), detail)
+    return PropertyReport(True)
+
+
+def ref_null_additive(values, n):
+    for e in range(1, 1 << n):
+        if values[e] != 0:
+            continue
+        outside = [1 << k for k in range(n) if not e >> k & 1]
+        if any(values[e | b] == 0 for b in outside):
+            continue  # not maximal
+        for f in range(1 << n):
+            if values[e | f] != values[f]:
+                detail = f"v(E) = 0 but v(E|F) = {values[e | f]} != {values[f]} = v(F)"
+                return PropertyReport(False, (e, f), detail)
+    return PropertyReport(True)
+
+
+def ref_P_null_additive(values, weights):
+    null = sum(1 << k for k, w in enumerate(weights) if w == 0)
+    if null == 0:
+        return PropertyReport(True, detail="P strictly positive: vacuous")
+    for f in range(len(values)):
+        g = f & ~null
+        if values[g] != values[f]:
+            detail = f"P(F-G) = 0 but v(G) = {values[g]} != {values[f]} = v(F)"
+            return PropertyReport(False, (g, f), detail)
+    return PropertyReport(True)
+
+
+def ref_dense(blocks, weights):
+    def mass(bits):
+        return sum((w for k, w in enumerate(weights) if bits >> k & 1), F(0))
+
+    worst_gap, worst = F(0), None
+    for f in range(1 << len(weights)):
+        a = 0
+        for b in blocks:
+            if b & f == b:
+                a |= b
+        if mass(f & ~a) > worst_gap:
+            worst_gap, worst = mass(f & ~a), (f, a)
+    if worst is None:
+        return PropertyReport(True)
+    return PropertyReport(False, worst, f"P(F - A_F) = {worst_gap} at F = {worst[0]}")
+
+
+def assert_kernel_matches_reference(n, values, weights, groups):
+    space = StateSpace(n)
+    expected = ref_validate(values)
+    if expected is not None:
+        with pytest.raises(CapacityError) as err:
+            Capacity(space, values)
+        assert (str(err.value), err.value.witness) == expected
+        return
+    v = Capacity(space, values)
+    assert check_monotone(v) == PropertyReport(True)
+    assert check_convex(v) == ref_convex(values, n)
+    assert check_null_additive(v) == ref_null_additive(values, n)
+    P = ProbabilityMeasure(space, weights)
+    assert check_P_null_additive(v, P) == ref_P_null_additive(values, weights)
+    partition = Partition.from_blocks(space, groups)
+    blocks = [b.bits for b in partition.blocks]
+    assert check_dense(generated_algebra(partition), P) == ref_dense(blocks, weights)
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    fractions = st.builds(F, st.integers(-1, 6), st.sampled_from(KERNEL_DENOMS))
+    values = draw(st.lists(fractions, min_size=size, max_size=size))
+    shape = draw(st.sampled_from(("raw", "zero-empty", "monotone", "monotone")))
+    if shape != "raw":
+        values[0] = F(0)
+    if shape == "monotone":
+        # upward completion: a capacity, often with null sets and non-convex
+        for mask in range(1, size):
+            below = [values[mask ^ (1 << k)] for k in range(n) if mask >> k & 1]
+            values[mask] = max([values[mask], F(0)] + below)
+    raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    dens = draw(st.lists(st.sampled_from(KERNEL_DENOMS), min_size=n, max_size=n))
+    mass = [F(r, d) for r, d in zip(raw, dens)]
+    if not any(mass):
+        mass[0] = F(1)
+    weights = tuple(m / sum(mass) for m in mass)
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    groups = {}
+    for state, label in enumerate(labels):
+        groups.setdefault(label, []).append(state)
+    return n, tuple(values), weights, list(groups.values())
+
+
+def prime_table(n, power):
+    """``v(F) = |F|**power + 1/p_F``, one prime denominator per event."""
+    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    return (F(0),) + tuple(
+        F(bin(m).count("1") ** power) + F(1, primes[m]) for m in range(1, 1 << n)
+    )
+
+
+class TestScaledKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    def test_matches_fraction_reference(self, case):
+        assert_kernel_matches_reference(*case)
+
+    @pytest.mark.parametrize("power", [2, 1])
+    def test_over_budget_prime_table_matches_reference(self, power):
+        # |F|**2 + 1/p_F is convex; |F| + 1/p_F is monotone but not convex
+        values = prime_table(6, power)
+        v = Capacity(StateSpace(6), values)
+        assert v._scaled is v.values  # common denominator over budget
+        weights = (F(0),) + (F(1, 5),) * 5
+        groups = [[0, 1], [2], [3, 4, 5]]
+        assert_kernel_matches_reference(6, values, weights, groups)
+        assert check_convex(v).holds == (power == 2)
+
+    def test_over_budget_non_monotone_table_matches_reference(self):
+        values = list(prime_table(6, 2))
+        values[1] = F(10) + values[1]
+        with pytest.raises(CapacityError) as err:
+            Capacity(StateSpace(6), tuple(values))
+        assert (str(err.value), err.value.witness) == ref_validate(values)
+        assert err.value.witness == (1, 3)
+
+    def test_within_budget_table_scans_ints(self):
+        v = random_capacity(4, 0, "general")
+        assert all(type(x) is int for x in v._scaled)
+        assert v == Capacity(v.space, v.values)
+        assert repr(v) == repr(Capacity(v.space, v.values))
+
+
+def test_capacity_parse_shares_repeated_strings():
+    strings = ["0", "1/2", "2/4", "1/2", "3/4", "1", "6/8", "1"]
+    obj = {"n": 3, "values": {str(m): x for m, x in enumerate(strings)}}
+    parsed = jsonio.capacity_from_obj(obj)
+    separately = Capacity(StateSpace(3), tuple(F(x) for x in strings))
+    assert parsed == separately
+    assert parsed.values == separately.values
+    assert all(type(x) is F for x in parsed.values)

@@ -440,6 +440,31 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
     assert code == 2
     assert report is None
     assert "malformed" in err
+    # numbers that are not integers are not truncated to another model
+    for obj in (
+        {"n": 2.7, "values": {"0": "0", "1": "1/2", "2": "1/2", "3": "1"}},
+        {"n": True, "values": {"0": "0", "1": "1"}},
+    ):
+        jsonio.dump(obj, bad)
+        code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(bad))
+        assert code == 2, obj
+        assert report is None
+        assert "'n'" in err
+    jsonio.dump({"n": 2, "blocks": [[0.9], [1]]}, bad)
+    code, report, err = run_cli(
+        capsys,
+        "integrate",
+        "psa",
+        "--measure",
+        str(measure),
+        "--partition",
+        str(bad),
+        "--function",
+        str(function),
+    )
+    assert code == 2
+    assert report is None
+    assert "bad state index" in err
 
 
 def test_dimension_mismatch_is_diagnosed(capsys, tmp_path):
@@ -482,11 +507,31 @@ def test_missing_required_inputs_are_diagnosed(capsys, files):
         ("dyadic", "--m", "-1"),
         ("dyadic", "--m", "17"),
         ("pair-blocks", "--depth", "100001"),
+        ("trivial-field", "--depth", "65"),
     ):
         code, report, err = run_cli(capsys, "converge", "--preset", preset, flag, value)
         assert code == 2
         assert report is None
         assert flag in err
+
+
+def test_internal_error_exits_3(capsys, files, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("pivot limit exceeded")
+
+    monkeypatch.setattr("nonadd.integrals.solve_max", broken)
+    code, report, err = run_cli(
+        capsys,
+        "integrate",
+        "cav",
+        "--capacity",
+        files["nonconvex2.json"],
+        "--function",
+        files["ones2.json"],
+    )
+    assert code == 3
+    assert report is None
+    assert err.startswith("internal error: pivot limit exceeded")
 
 
 def test_report_echoes_inputs_with_digests(capsys, files):
