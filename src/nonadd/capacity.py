@@ -29,6 +29,7 @@ from .sets import (
     StateSpace,
     mask_bits,
     max_member_bits,
+    subset_sums,
 )
 
 ZERO = Fraction(0)
@@ -70,15 +71,6 @@ def _scale(values: tuple[Fraction, ...]) -> tuple:
             return values
     factor = {d: common // d for d in dens}
     return tuple([p * factor[d] for p, d in ratios])
-
-
-def _subset_sums(weights: Sequence) -> list:
-    """The sum of ``weights`` over every subset, indexed by mask."""
-    table = [weights[0] * 0] * (1 << len(weights))  # a zero of their type
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
-    return table
 
 
 def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
@@ -152,6 +144,8 @@ class Capacity:
         seen = set()
         for key, x in table.items():
             bits = mask_bits(key)
+            if not 0 <= bits < space.num_subsets:
+                raise CapacityError(f"mask {bits} out of range for n={space.n}")
             values[bits] = _as_fraction(x)
             seen.add(bits)
         if len(seen) != space.num_subsets:
@@ -201,7 +195,7 @@ class ProbabilityMeasure:
     @cached_property
     def mass_table(self) -> tuple[Fraction, ...]:
         """``P`` evaluated on every subset, indexed by mask."""
-        return tuple(_subset_sums(self.weights))
+        return tuple(subset_sums(self.weights))
 
     def as_capacity(self) -> Capacity:
         """The measure viewed as an (additive, hence convex) capacity."""
@@ -375,7 +369,7 @@ def check_dense(alg: AlgebraView, P: ProbabilityMeasure) -> PropertyReport:
     """
     if alg.space != P.space:
         raise SpaceMismatchError("algebra and measure on different spaces")
-    table = _subset_sums(_scale(P.weights))
+    table = subset_sums(_scale(P.weights))
     atoms = [a.bits for a in alg.atoms]
     worst_gap = 0
     worst: tuple[int, int] | None = None

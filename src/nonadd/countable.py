@@ -4,8 +4,9 @@ On a finite space every capacity is continuous from below (increasing
 chains stabilize), so the interesting failures of monotone convergence
 need infinitely many states.  This module realizes them exactly:
 
-* measures come with a closed-form tail ``T(N) = sum_{k > N} p_k``, so no
-  value is ever truncated or rounded;
+* a measure is its closed-form tail ``T(N) = sum_{k > N} p_k``, each
+  weight being ``T(k-1) - T(k)``, so no value is ever truncated or
+  rounded;
 * partitions come from canonical families (singletons, one infinite
   block, consecutive pairs, a finite prefix block with singleton or
   lumped tail, explicit finite blocks), each translated at construction
@@ -41,36 +42,30 @@ TAIL_MODES = ("singletons", "lump")
 
 @dataclass(frozen=True)
 class CountableMeasure:
-    """Summable weights on ``{1, 2, ...}`` with an exact tail rule.
+    """Summable weights on ``{1, 2, ...}``, given by one exact tail rule.
 
-    ``weight(k)`` is the mass of state ``k`` and ``tail(N)`` the total mass
-    beyond ``N``; ``tail(0) == 1``.  Consistency (``tail(N) ==
-    tail(N+1) + weight(N+1)``) is spot-checked on a short prefix at
-    construction; the rules are trusted beyond that, which is what makes
-    infinite-tail arithmetic exact.
+    ``tail(N)`` is the total mass beyond state ``N``, with ``tail(0) ==
+    1``, and ``weight(k)`` is ``tail(k-1) - tail(k)``: weights, tails and
+    block masses come from the one rule, so they agree at every ``N``.  A
+    rising tail would be a negative weight; construction checks that the
+    tail never rises on states ``1..8``, and the rule is trusted beyond
+    that prefix, which is what makes infinite-tail arithmetic exact.
     """
 
     name: str
-    weight_rule: Callable[[int], Fraction]
     tail_rule: Callable[[int], Fraction]
 
     def __post_init__(self) -> None:
         if self.tail_rule(0) != 1:
             raise ValueError("total mass must be exactly 1")
-        for n in range(8):
-            lhs = self.tail_rule(n)
-            rhs = self.tail_rule(n + 1) + self.weight_rule(n + 1)
-            if lhs != rhs:
-                raise ValueError(
-                    f"tail rule inconsistent at N={n}: {lhs} != {rhs}"
-                )
-            if self.weight_rule(n + 1) < 0:
-                raise ValueError(f"negative weight at k={n + 1}")
+        for k in range(1, 9):
+            if self.weight(k) < 0:
+                raise ValueError(f"tail rule rises at N={k}: negative weight")
 
     def weight(self, k: int) -> Fraction:
         if k < 1:
             raise ValueError("states are numbered from 1")
-        return self.weight_rule(k)
+        return self.tail_rule(k - 1) - self.tail_rule(k)
 
     def tail(self, n: int) -> Fraction:
         if n < 0:
@@ -87,11 +82,7 @@ def telescoping_measure() -> CountableMeasure:
     An exactly summable stand-in for weights of order ``1/k^2``: the
     partial sums telescope, so every prefix and tail is a small rational.
     """
-    return CountableMeasure(
-        "telescoping",
-        lambda k: Fraction(1, k * (k + 1)),
-        lambda n: Fraction(1, n + 1),
-    )
+    return CountableMeasure("telescoping", lambda n: Fraction(1, n + 1))
 
 
 def finite_measure(weights: Sequence[Fraction | int | str]) -> CountableMeasure:
@@ -99,19 +90,12 @@ def finite_measure(weights: Sequence[Fraction | int | str]) -> CountableMeasure:
     ws = tuple(_as_fraction(w) for w in weights)
     if any(w < 0 for w in ws):
         raise ValueError("weights must be nonnegative")
-    if sum(ws) != 1:
-        raise ValueError(f"weights sum to {sum(ws)}, expected 1")
     suffix = [ZERO] * (len(ws) + 1)
     for i in range(len(ws) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + ws[i]
-
-    def _weight(k: int) -> Fraction:
-        return ws[k - 1] if k <= len(ws) else ZERO
-
-    def _tail(n: int) -> Fraction:
-        return suffix[n] if n < len(ws) else ZERO
-
-    return CountableMeasure(f"finite[{len(ws)}]", _weight, _tail)
+    return CountableMeasure(
+        f"finite[{len(ws)}]", lambda n: suffix[min(n, len(ws))]
+    )
 
 
 def uniform_finite_measure(size: int) -> CountableMeasure:
@@ -428,8 +412,7 @@ def continuity_from_below_countable(
     start = model.partition.infinite_atom_start()
     if start is None:
         return PropertyReport(True, detail="all blocks finite")
-    atom = EventuallyConstantSet(start - 1, (), True)
-    atom_mass = atom.mass(model.measure)
+    atom_mass = model.measure.tail(start - 1)
     if atom_mass == 0:
         return PropertyReport(True, detail="infinite block carries no mass")
     members = tuple(range(start, start + depth))
@@ -496,20 +479,6 @@ class CountableConvergenceReport:
     divergence_bound: Fraction | None = None
 
 
-def _inf_over_set(
-    g: EventuallyConstantFunction, s: EventuallyConstantSet
-) -> Fraction:
-    candidates = [g(k) for k in s.members]
-    if s.tail_in:
-        candidates.extend(
-            g(k) for k in range(s.horizon + 1, g.horizon + 1)
-        )
-        candidates.append(g.tail)
-    if not candidates:
-        raise ValueError("infimum over the empty set")
-    return min(candidates)
-
-
 def monotone_convergence_countable(
     model: CountableModel,
     seq: CountableFunctionSequence,
@@ -555,9 +524,8 @@ def monotone_convergence_countable(
         )
     start = model.partition.infinite_atom_start()
     if start is not None and seq.tail_limit is not None:
-        atom = EventuallyConstantSet(start - 1, (), True)
-        mass = atom.mass(model.measure)
-        inf_limit = _inf_over_set(seq.limit, atom)
+        mass = model.measure.tail(start - 1)
+        inf_limit = min(seq.limit.values[start - 1 :] + (seq.limit.tail,))
         deficit = (inf_limit - min(inf_limit, seq.tail_limit)) * mass
         if deficit > 0:
             return CountableConvergenceReport(
@@ -728,18 +696,11 @@ def pairs_partial_sum_trace(depth: int) -> list[Fraction]:
     Under pair blocks, the indicator of ``{1..2m}`` integrates to the mass
     of ``{1..2m}`` (each complete pair contributes its own mass, nothing
     straddles an even cutoff, and everything beyond contributes zero), so
-    the m-th entry is the partial sum of the weights through ``2m``,
-    computed incrementally, which keeps the whole trace cheap at any
-    depth.  Under the telescoping measure the m-th entry is
-    ``1 - 1/(2m+1)``.
+    the m-th entry is ``1 - tail(2m)``, one read of the tail rule at any
+    depth.  Under the telescoping measure it is ``1 - 1/(2m+1)``.
     """
     measure = telescoping_measure()
-    trace: list[Fraction] = []
-    running = ZERO
-    for m in range(1, depth + 1):
-        running += measure.weight(2 * m - 1) + measure.weight(2 * m)
-        trace.append(running)
-    return trace
+    return [ONE - measure.tail(2 * m) for m in range(1, depth + 1)]
 
 
 def dyadic_partitions(m: int) -> list[CountablePartition]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .capacity import (
     Capacity,
@@ -87,47 +86,31 @@ def argmax_witness(ic: InducedCapacity, event: MaskLike) -> SubsetMask:
     return SubsetMask(ic.witness_map[mask_bits(event)], ic.space)
 
 
-def check_continuity_from_above(
-    ic: InducedCapacity,
-    *,
-    max_exhaustive: int = 6,
-    samples: int = 200,
-    seed: int = 0,
-) -> PropertyReport:
+def check_continuity_from_above(ic: InducedCapacity) -> PropertyReport:
     """Regression sentinel for the witness map along decreasing chains.
 
     On a finite space every decreasing chain stabilizes, so value
     continuity from above is automatic; what can break is the witness
     bookkeeping.  Along every maximal decreasing chain the witness of each
     intersection must equal the intersection of the witnesses above it.
-    All ``n!`` chains are walked for small spaces, a seeded sample
-    otherwise.
+    That holds for all ``n!`` chains exactly when every covering pair
+    ``F ⊃ F - {k}`` has ``w(F - {k}) ⊆ w(F)``, which is what is scanned.
+    ``F`` runs down from the full set, so at the first failing pair the
+    witnesses above ``F`` are nested, and a chain through ``F`` then
+    ``F - {k}`` fails there with the reported witness ``(F - {k},
+    w(F - {k}), w(F) & w(F - {k}))``.
     """
-    n = ic.space.n
-    full = ic.space.full_bits
-    if n <= max_exhaustive:
-        orders = permutations(range(n))
-    else:
-        rng = random.Random(seed)
-        pool = list(range(n))
-
-        def _sampled():
-            for _ in range(samples):
-                rng.shuffle(pool)
-                yield tuple(pool)
-
-        orders = _sampled()
-
-    for order in orders:
-        current = full
-        running = ic.witness_map[full]
-        for k in order:
-            current &= ~(1 << k)
-            running &= ic.witness_map[current]
-            if ic.witness_map[current] != running:
+    w = ic.witness_map
+    for f in range(ic.space.full_bits, 0, -1):
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            g = f ^ low
+            if w[g] & ~w[f]:
                 return PropertyReport(
                     False,
-                    (current, ic.witness_map[current], running),
+                    (g, w[g], w[f] & w[g]),
                     "witness of the intersection differs from the "
                     "intersection of witnesses",
                 )

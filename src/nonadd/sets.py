@@ -14,7 +14,7 @@ workers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 DEFAULT_MAX_STATES = 20
 
@@ -108,6 +108,15 @@ def max_member_bits(atoms: Iterable[int], bits: int) -> int:
         if a & ~bits == 0:
             acc |= a
     return acc
+
+
+def subset_sums(weights: Sequence) -> list:
+    """The sum of ``weights`` over every subset, indexed by mask."""
+    table = [weights[0] * 0] * (1 << len(weights))  # a zero of their type
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    return table
 
 
 @dataclass(frozen=True)

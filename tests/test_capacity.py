@@ -79,6 +79,10 @@ class TestConstruction:
         assert v.value(space.subset([0])) == F(1, 2)
         with pytest.raises(CapacityError):
             Capacity.from_mapping(space, {0: 0, 3: 1})
+        # a mask outside 0..2**n-1 is an error, not an alias or an IndexError
+        for table in ({0: 0, -1: 1}, {0: 0, 1: 1, 5: 1}):
+            with pytest.raises(CapacityError, match="out of range"):
+                Capacity.from_mapping(StateSpace(1), table)
 
     @settings(max_examples=60, deadline=None)
     @given(

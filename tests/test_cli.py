@@ -450,6 +450,12 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
         assert code == 2, obj
         assert report is None
         assert "'n'" in err
+    # nor is a subset key read in another spelling of a mask
+    jsonio.dump({"n": 1, "values": {"0": "0", " +1": "1"}}, bad)
+    code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(bad))
+    assert code == 2
+    assert report is None
+    assert "bad subset key" in err
     jsonio.dump({"n": 2, "blocks": [[0.9], [1]]}, bad)
     code, report, err = run_cli(
         capsys,

@@ -53,13 +53,41 @@ class TestMeasures:
         assert m.tail(3) == 0
         assert m.weight(7) == 0
 
-    def test_inconsistent_tail_rejected(self):
+    def test_rising_tail_rejected(self):
         from nonadd.countable import CountableMeasure
 
-        with pytest.raises(ValueError):
-            CountableMeasure(
-                "broken", lambda k: F(1, 2**k), lambda n: F(1, n + 1)
-            )
+        # a rising tail is a negative weight, here at state 3
+        rising = {0: F(1), 1: F(1, 2), 2: F(1, 4), 3: F(1, 3)}
+        with pytest.raises(ValueError, match="N=3"):
+            CountableMeasure("rising", lambda n: rising.get(n, F(1, 2**n)))
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            telescoping_measure(),
+            finite_measure(["1/2", "1/3", "1/6"]),
+            uniform_finite_measure(7),
+        ],
+        ids=["telescoping", "finite", "uniform"],
+    )
+    def test_weights_are_tail_differences(self, measure):
+        for k in range(1, 1001):
+            assert measure.weight(k) == measure.tail(k - 1) - measure.tail(k)
+
+    def test_pair_masses_match_weights_past_a_kink(self):
+        from nonadd.countable import CountableMeasure
+
+        # a valid tail rule that changes formula at N=20: pair masses read
+        # through the tail must still equal their summed weights there
+        def tail(n):
+            return F(1, n + 1) if n < 20 else F(1, 21) * F(2, n - 18)
+
+        m = CountableMeasure("kinked", tail)
+        blocks, remainder = CountablePartition("pairs").cover(m, 24)
+        assert [b.members for b in blocks][-3:] == [(19, 20), (21, 22), (23, 24)]
+        for b in blocks:
+            assert b.mass == m.mass_of(b.members)
+        assert remainder == m.tail(24)
 
     def test_finite_measure_validation(self):
         with pytest.raises(ValueError):

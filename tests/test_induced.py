@@ -1,7 +1,9 @@
 """Induced capacities: construction, witnesses, and the structural lemmas."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 from helpers import all_set_partitions, lebesgue
 from nonadd import (
@@ -155,7 +157,39 @@ class TestContinuityFromAbove:
         space = StateSpace(8)
         P = ProbabilityMeasure.uniform(space)
         ic = induce(P, Partition.from_blocks(space, [[k, k + 4] for k in range(4)]))
-        assert check_continuity_from_above(ic, max_exhaustive=4, samples=50).holds
+        assert check_continuity_from_above(ic).holds
+
+    def test_corrupted_witness_maps_match_all_chains(self):
+        # the reference walks every maximal decreasing chain and keeps the
+        # witness each failing chain reports; the scan must agree on the
+        # verdict, and its witness must be one that some chain reaches
+        rng = random.Random(11)
+        failing = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            space = StateSpace(n)
+            ic = induce(random_probability(space, rng), random_partition(space, rng))
+            w = list(ic.witness_map)
+            for _ in range(rng.randint(0, 2)):
+                w[rng.randrange(1 << n)] = rng.randrange(1 << n)
+            reached = set()
+            for order in permutations(range(n)):
+                current = space.full_bits
+                running = w[current]
+                for k in order:
+                    current &= ~(1 << k)
+                    running &= w[current]
+                    if w[current] != running:
+                        reached.add((current, w[current], running))
+                        break
+            report = check_continuity_from_above(
+                dataclasses.replace(ic, witness_map=tuple(w))
+            )
+            assert report.holds == (not reached)
+            if not report.holds:
+                failing += 1
+                assert report.witness in reached
+        assert failing >= 50
 
 
 class TestWeakAEEquivalence:

@@ -1,6 +1,7 @@
 """The four integrals, the balanced cover, and the brute-force oracle."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -140,6 +141,26 @@ class TestConcave:
             assert verify_dual_certificate(result, f, v)
             assert result.witness.fits_under(f)
             assert result.witness.weight_against(v) == result.value
+
+    def test_tampered_dual_certificates_fail(self):
+        rng = random.Random(20)
+        for seed in range(10):
+            v = random_capacity(4, seed, "general")
+            f = random_simple_function(v.space, rng)
+            result = concave_integral(f, v)
+            y = result.dual_witness
+            negative = (F(-1),) + y[1:]
+            for bad in (y[:-1], y + (F(0),), negative):
+                assert not verify_dual_certificate(
+                    replace(result, dual_witness=bad), f, v
+                )
+        # same pairing with f, but y_0 + 0 < v({0}) = 6/10: infeasible
+        f = SimpleFunction(NONCONVEX2.space, (F(1), F(1)))
+        result = concave_integral(f, NONCONVEX2)
+        assert result.value == F(6, 5)
+        assert result.dual_witness == (F(6, 10), F(6, 10))
+        lowered = replace(result, dual_witness=(F(5, 10), F(7, 10)))
+        assert not verify_dual_certificate(lowered, f, NONCONVEX2)
 
     def test_dominates_choquet(self):
         rng = random.Random(23)

@@ -48,6 +48,13 @@ def test_capacity_rejects_bad_keys_and_values():
         jsonio.capacity_from_obj({"n": 1, "values": {"0": "0", "1": "a/b"}})
     with pytest.raises(FormatError):
         jsonio.capacity_from_obj({"values": {"0": "0"}})
+    # keys must be the decimal mask strings capacity_to_obj writes:
+    # int() would read "1_0" as mask 10 and " +1" as mask 1
+    for n, key, spelled in ((4, "10", "1_0"), (1, "1", " +1"), (2, "2", "+2")):
+        obj = jsonio.capacity_to_obj(random_capacity(n, 0, "general"))
+        obj["values"][spelled] = obj["values"].pop(key)
+        with pytest.raises(FormatError, match="bad subset key"):
+            jsonio.capacity_from_obj(obj)
 
 
 def test_measure_round_trip_and_validation():
