@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import gt
 from typing import Callable, Mapping, Sequence
 
 from .sets import (
@@ -78,16 +79,34 @@ def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
 
     Covering pairs suffice: any ``F ⊆ E`` is reached by adding one state
     at a time, so monotonicity along covers implies it in general.
+
+    For bit ``k`` (``s = 2**k``) the pairs are compared slice against
+    slice: offsets ``values[r::2s]`` against ``values[r+s::2s]`` for each
+    ``r < s``, or blocks ``values[b:b+s]`` against ``values[b+s:b+2s]``,
+    whichever shape gives fewer slices.  The witness is the dip with the
+    smallest upper mask ``F | {k}``, the lowest ``k`` on ties: the pair a
+    scan by ascending mask, then ascending bit, meets first.
     """
-    for mask in range(1, len(values)):
-        x = values[mask]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if values[mask ^ low] > x:
-                return mask ^ low, mask
-            rest ^= low
-    return None
+    size = len(values)
+    best = None
+    s = 1
+    while s < size:
+        step = s << 1
+        if s * step <= size:
+            starts, stride, span = range(s), step, size
+        else:
+            starts, stride, span = range(0, size, step), 1, s
+        for lo in starts:
+            below = values[lo : lo + span : stride]
+            above = values[lo + s : lo + s + span : stride]
+            if any(map(gt, below, above)):
+                mask = lo + s + stride * list(map(gt, below, above)).index(True)
+                if best is None or mask < best[1]:
+                    best = (mask - s, mask)
+                if stride == 1:
+                    break  # later blocks hold only larger masks
+        s = step
+    return best
 
 
 def _as_fraction(x) -> Fraction:
@@ -117,7 +136,9 @@ class Capacity:
     _scaled: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        values = tuple(_as_fraction(x) for x in self.values)
+        values = tuple(self.values)
+        if set(map(type, values)) != {Fraction}:
+            values = tuple(map(_as_fraction, values))
         object.__setattr__(self, "values", values)
         n = self.space.n
         if len(values) != 1 << n:

@@ -15,6 +15,7 @@ invariant exits 3 with ``internal error: ...`` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -329,10 +330,13 @@ def _cmd_gen(args, results: dict) -> bool:
     return True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # the global flags are accepted both before and after the subcommand;
-    # the subcommand copy uses SUPPRESS defaults (and its own action
-    # objects) so it never clobbers a value parsed up front
+    # one parser per process: parse_args fills a fresh namespace each call
+    # and no action mutates a default.  The global flags are accepted both
+    # before and after the subcommand; the subcommand copy uses SUPPRESS
+    # defaults (and its own action objects) so it never clobbers a value
+    # parsed up front
     def global_flags(defaults: bool) -> argparse.ArgumentParser:
         flags = argparse.ArgumentParser(add_help=False)
         flags.add_argument(

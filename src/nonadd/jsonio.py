@@ -64,6 +64,16 @@ def capacity_to_obj(v: Capacity) -> dict:
     }
 
 
+def _key_error(key: Any) -> FormatError:
+    try:
+        canonical = str(int(key)) == key
+    except (TypeError, ValueError):
+        canonical = False
+    if canonical:
+        return FormatError(f"subset key {key!r} out of range")
+    return FormatError(f"bad subset key {key!r}")
+
+
 def capacity_from_obj(obj: dict) -> Capacity:
     space = _space(obj)
     raw = obj.get("values")
@@ -75,20 +85,17 @@ def capacity_from_obj(obj: dict) -> Capacity:
             f"got {len(raw)}"
         )
     values = [Fraction(0)] * space.num_subsets
+    # only the spelling capacity_to_obj writes: distinct keys then name
+    # distinct masks, so 2**n keys found here cover every subset once
+    subsets = range(space.num_subsets)
+    masks = dict(zip(map(str, subsets), subsets))
     # files repeat a few hundred value strings over thousands of subsets:
     # parse each once, so equal entries share one Fraction
     parsed: dict[str, Fraction] = {}
     for key, val in raw.items():
-        # only the spelling capacity_to_obj writes: distinct keys then name
-        # distinct masks, so 2**n keys in range cover every subset once
-        try:
-            mask = int(key)
-        except ValueError as exc:
-            raise FormatError(f"bad subset key {key!r}") from exc
-        if str(mask) != key:
-            raise FormatError(f"bad subset key {key!r}")
-        if not 0 <= mask < space.num_subsets:
-            raise FormatError(f"subset key {key!r} out of range")
+        mask = masks.get(key)
+        if mask is None:
+            raise _key_error(key)
         if type(val) is not str:
             values[mask] = frac_from_str(val)
         elif val in parsed:

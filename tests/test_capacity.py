@@ -84,6 +84,16 @@ class TestConstruction:
             with pytest.raises(CapacityError, match="out of range"):
                 Capacity.from_mapping(StateSpace(1), table)
 
+    def test_values_become_a_tuple_of_fractions(self):
+        space = StateSpace(2)
+        expected = (F(0), F(1, 2), F(1, 4), F(1))
+        for table in ([0, "1/2", F(1, 4), 1], list(expected), expected):
+            v = Capacity(space, table)
+            assert v.values == expected and type(v.values) is tuple
+            assert all(type(x) is F for x in v.values)
+        with pytest.raises(TypeError, match="exact rational"):
+            Capacity(StateSpace(1), (F(0), 0.5))
+
     @settings(max_examples=60, deadline=None)
     @given(
         raw=st.lists(st.integers(0, 12), min_size=8, max_size=8),
@@ -425,18 +435,25 @@ def assert_kernel_matches_reference(n, values, weights, groups):
 
 @st.composite
 def kernel_cases(draw):
-    n = draw(st.integers(1, 5))
+    # up to n=7 every bit meets both slice shapes of the monotonicity scan
+    # (offsets for bits 0-3, blocks for bits 4-6) and several offsets
+    n = draw(st.integers(1, 7))
     size = 1 << n
     fractions = st.builds(F, st.integers(-1, 6), st.sampled_from(KERNEL_DENOMS))
     values = draw(st.lists(fractions, min_size=size, max_size=size))
-    shape = draw(st.sampled_from(("raw", "zero-empty", "monotone", "monotone")))
+    shapes = ("raw", "zero-empty", "monotone", "monotone", "dented")
+    shape = draw(st.sampled_from(shapes))
     if shape != "raw":
         values[0] = F(0)
-    if shape == "monotone":
+    if shape in ("monotone", "dented"):
         # upward completion: a capacity, often with null sets and non-convex
         for mask in range(1, size):
             below = [values[mask ^ (1 << k)] for k in range(n) if mask >> k & 1]
             values[mask] = max([values[mask], F(0)] + below)
+    if shape == "dented":
+        # then a few entries lowered (still >= 0): dips on several bits
+        for mask in draw(st.lists(st.integers(1, size - 1), max_size=3)):
+            values[mask] = values[mask] * draw(st.sampled_from((0, F(1, 2))))
     raw = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     dens = draw(st.lists(st.sampled_from(KERNEL_DENOMS), min_size=n, max_size=n))
     mass = [F(r, d) for r, d in zip(raw, dens)]
@@ -452,7 +469,7 @@ def kernel_cases(draw):
 
 def prime_table(n, power):
     """``v(F) = |F|**power + 1/p_F``, one prime denominator per event."""
-    primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+    primes = [p for p in range(2, 800) if all(p % q for q in range(2, p))]
     return (F(0),) + tuple(
         F(bin(m).count("1") ** power) + F(1, primes[m]) for m in range(1, 1 << n)
     )
@@ -482,6 +499,46 @@ class TestScaledKernel:
             Capacity(StateSpace(6), tuple(values))
         assert (str(err.value), err.value.witness) == ref_validate(values)
         assert err.value.witness == (1, 3)
+
+    @pytest.mark.parametrize("over_budget", [False, True])
+    @pytest.mark.parametrize(
+        "light, dents, witness",
+        [
+            # a tie: 77 dips on bit 3 (offset slice r=5) and bit 6 (a block)
+            ((3, 6), (77, 90), (69, 77)),
+            # a block-shaped dip (bit 4) before offset-shaped ones (bit 1)
+            ((1, 4), (53, 58, 99), (37, 53)),
+            # one bit, three offsets: the last offset (r=3) holds the first dip
+            ((2,), (108, 70, 55), (51, 55)),
+            # and the first offset (r=0)
+            ((2,), (71, 44), (40, 44)),
+            # ties on bits 0 and 2 at 29, a later dip on bit 2 at offset r=2
+            ((0, 2), (118, 121, 29), (28, 29)),
+        ],
+    )
+    def test_first_dip_across_bits_and_offsets(
+        self, light, dents, witness, over_budget
+    ):
+        """Dips at chosen pairs of an n=7 table, on both sides of the budget.
+
+        The table is additive with weight 1 on the ``light`` states and 4
+        on the others (over budget, plus ``1 + 1/p_F`` on every nonempty
+        ``F``); each dent ``U`` is lowered by 2, so it dips against
+        ``U - {k}`` for every light ``k`` in ``U`` and nowhere else.
+        """
+        weights = [1 if k in light else 4 for k in range(7)]
+        values = [
+            sum(w for k, w in enumerate(weights) if m >> k & 1) for m in range(128)
+        ]
+        if over_budget:
+            values = [x + y for x, y in zip(values, prime_table(7, 0))]
+        values = [F(x) for x in values]
+        for mask in dents:
+            values[mask] -= 2
+        with pytest.raises(CapacityError) as err:
+            Capacity(StateSpace(7), tuple(values))
+        assert (str(err.value), err.value.witness) == ref_validate(values)
+        assert err.value.witness == witness
 
     def test_within_budget_table_scans_ints(self):
         v = random_capacity(4, 0, "general")

@@ -1,9 +1,19 @@
 """Command-line interface: value printing, verdicts, exit codes, round-trips."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonadd import (
     Capacity,
@@ -12,8 +22,11 @@ from nonadd import (
     SimpleFunction,
     StateSpace,
     jsonio,
+    random_capacity,
 )
 from nonadd.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -559,3 +572,178 @@ def test_report_echoes_inputs_with_digests(capsys, files):
         files["f4321.json"],
     }
     assert all(len(d) == 12 for d in report["inputs"].values())
+
+
+def run_fresh(*argv):
+    """``nonadd.cli`` in a new interpreter: (exit code, report, stderr)."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "nonadd.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    report = json.loads(done.stdout) if done.stdout.strip() else None
+    return done.returncode, report, done.stderr
+
+
+def test_parser_reuse_leaks_no_state(capsys, files, tmp_path):
+    # one parser serves every call in a process; flags of an earlier call
+    # must not reach a later one: --assert would turn the false convexity
+    # verdict into exit 1, --decimal would add value_decimal, and --seed
+    # would change the generated table
+    dip = tmp_path / "dip.json"
+    jsonio.dump({"n": 2, "values": {"0": "0", "1": "1", "2": "0", "3": "1/2"}}, dip)
+    flagged = ("--assert", "--decimal", "3", "--seed", "7")
+    code, _, _ = run_cli(capsys, *flagged, "check", "monotone", "--capacity", str(dip))
+    assert code == 1
+    for argv in (
+        ("check", "convex", "--capacity", files["nonconvex2.json"]),
+        ("integrate", "cav", "--capacity", files["nonconvex2.json"],
+         "--function", files["ones2.json"]),
+        ("gen", "--n", "3", "--out", str(tmp_path / "gen.json")),
+    ):
+        code, report, err = run_cli(capsys, *argv)
+        fresh_code, fresh_report, fresh_err = run_fresh(*argv)
+        for r in (report, fresh_report):
+            del r["elapsed_s"]
+        assert (code, report, err) == (fresh_code, fresh_report, fresh_err)
+    # an argparse error after successful calls still exits 2
+    for argv in (("check", "bogus"), ("integrate", "cav"), ("gen", "--n", "x")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    code, report, _ = run_cli(
+        capsys, "check", "convex", "--capacity", files["nonconvex2.json"]
+    )
+    assert (code, report["results"]["holds"]) == (0, False)
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary JSON through the file readers
+# ---------------------------------------------------------------------------
+#
+# Each example starts from a valid document of one file kind and applies up
+# to four edits: a new "n", a payload of the wrong type, or a dropped,
+# inserted, respelled or replaced entry; one in ten documents is then
+# replaced by a scalar, list or bare table.  Whatever comes out, the CLI
+# must end in a defined exit code, never in a traceback.
+
+N_VALUES = st.one_of(
+    st.integers(-2, 6), st.sampled_from(["3", "-1", 2.5, True, None, "x", []])
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 70),
+    st.floats(-10, 10),
+    st.sampled_from(["1/2", "-1/3", "1/0", "a/b", "", " 1", "0x1", "1_0"]),
+    st.text(max_size=3),
+)
+ENTRIES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+MASK_KEYS = st.one_of(
+    st.sampled_from(["1_0", " +1", "-0", "007", "-1", "+2", "64", "4096", "1.0"]),
+    st.integers(0, 70).map(str),
+    st.text(max_size=3),
+)
+WRONG_PAYLOADS = st.one_of(
+    SCALARS,
+    st.dictionaries(MASK_KEYS, SCALARS, max_size=3),
+    st.lists(ENTRIES, max_size=3),
+)
+PAYLOADS = {
+    "capacity": "values",
+    "measure": "weights",
+    "function": "values",
+    "partition": "blocks",
+}
+
+
+@functools.cache
+def valid_doc(kind, n):
+    space = StateSpace(n)
+    if kind == "capacity":
+        return jsonio.capacity_to_obj(random_capacity(n, n, "general"))
+    if kind == "measure":
+        return jsonio.measure_to_obj(ProbabilityMeasure.uniform(space))
+    if kind == "function":
+        values = tuple(F(k, 2) for k in range(n))
+        return jsonio.function_to_obj(SimpleFunction(space, values))
+    blocks = [list(range(0, n, 2)), list(range(1, n, 2))]
+    return jsonio.partition_to_obj(Partition.from_blocks(space, filter(None, blocks)))
+
+
+@st.composite
+def edited_docs(draw, kind):
+    n = draw(st.integers(1, 6))
+    doc = copy.deepcopy(valid_doc(kind, n))
+    field = PAYLOADS[kind]
+    for _ in range(draw(st.integers(0, 4))):
+        payload = doc[field]
+        edit = draw(st.sampled_from(("n", "payload", "drop", "insert", "set")))
+        if edit == "n":
+            doc["n"] = draw(N_VALUES)
+        elif edit == "payload":
+            doc[field] = draw(WRONG_PAYLOADS)
+        elif isinstance(payload, dict) and payload:
+            key = draw(st.sampled_from(sorted(payload)))
+            if edit == "drop":
+                del payload[key]
+            elif edit == "insert":  # the entry moves to another key
+                payload[draw(MASK_KEYS)] = payload.pop(key)
+            else:
+                payload[key] = draw(SCALARS)
+        elif isinstance(payload, list) and payload:
+            at = draw(st.integers(0, len(payload) - 1))
+            if edit == "drop":
+                del payload[at]
+            elif edit == "insert":
+                payload.insert(at, draw(ENTRIES))
+            else:
+                payload[at] = draw(ENTRIES)
+    if draw(st.integers(0, 9)) == 0:
+        doc = draw(WRONG_PAYLOADS)  # not even an object
+    return n, doc
+
+
+@pytest.fixture(scope="module")
+def companions(tmp_path_factory):
+    """Valid files of every kind for n=1..6, to pair with an edited one."""
+    root = tmp_path_factory.mktemp("companions")
+    out = {}
+    for n in range(1, 7):
+        for kind in PAYLOADS:
+            path = root / f"{kind}{n}.json"
+            jsonio.dump(valid_doc(kind, n), path)
+            out[kind, n] = str(path)
+    out["doc"] = str(root / "doc.json")
+    return out
+
+
+def fuzz_argv(kind, path, n, companions):
+    if kind == "capacity":
+        return ["--assert", "check", "monotone", "--capacity", path]
+    if kind == "function":
+        capacity = companions["capacity", n]
+        return ["integrate", "choquet", "--capacity", capacity, "--function", path]
+    measure = path if kind == "measure" else companions["measure", n]
+    partition = path if kind == "partition" else companions["partition", n]
+    return ["check", "dense", "--measure", measure, "--partition", partition]
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOADS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arbitrary_json_ends_in_a_defined_exit(kind, companions, data):
+    n, doc = data.draw(edited_docs(kind))
+    path = companions["doc"]
+    Path(path).write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(fuzz_argv(kind, path, n, companions))
+    assert code in (0, 1, 2), (doc, err.getvalue())
+    assert not err.getvalue().startswith("Traceback")
+    assert (code == 2) == (out.getvalue() == "")

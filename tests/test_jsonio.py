@@ -2,9 +2,12 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonadd import (
     StateSpace,
@@ -50,10 +53,24 @@ def test_capacity_rejects_bad_keys_and_values():
         jsonio.capacity_from_obj({"values": {"0": "0"}})
     # keys must be the decimal mask strings capacity_to_obj writes:
     # int() would read "1_0" as mask 10 and " +1" as mask 1
-    for n, key, spelled in ((4, "10", "1_0"), (1, "1", " +1"), (2, "2", "+2")):
+    for n, key, spelled in (
+        (4, "10", "1_0"),
+        (1, "1", " +1"),
+        (2, "2", "+2"),
+        (2, "0", "-0"),
+        (3, "7", "007"),
+    ):
         obj = jsonio.capacity_to_obj(random_capacity(n, 0, "general"))
         obj["values"][spelled] = obj["values"].pop(key)
-        with pytest.raises(FormatError, match="bad subset key"):
+        message = re.escape(f"bad subset key {spelled!r}")
+        with pytest.raises(FormatError, match=message):
+            jsonio.capacity_from_obj(obj)
+    # a canonical spelling outside 0..2**n-1 is out of range
+    for n, key, spelled in ((1, "1", "2"), (2, "3", "-1"), (3, "5", "8")):
+        obj = jsonio.capacity_to_obj(random_capacity(n, 0, "general"))
+        obj["values"][spelled] = obj["values"].pop(key)
+        message = re.escape(f"subset key {spelled!r} out of range")
+        with pytest.raises(FormatError, match=message):
             jsonio.capacity_from_obj(obj)
 
 
@@ -126,3 +143,28 @@ def test_fraction_strings():
     assert jsonio.frac_to_str(F(6, 4)) == "3/2"
     with pytest.raises(FormatError):
         jsonio.frac_from_str("1/0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    profile=st.sampled_from(("general", "convex", "null-additive", "induced")),
+)
+def test_every_writer_round_trips_through_its_reader(n, seed, profile):
+    rng = random.Random(seed)
+    space = StateSpace(n)
+    v = random_capacity(n, seed, profile)
+    P = random_probability(space, rng)
+    f = random_simple_function(space, rng)
+    p = random_partition(space, rng)
+    for x, write, read in (
+        (v, jsonio.capacity_to_obj, jsonio.capacity_from_obj),
+        (P, jsonio.measure_to_obj, jsonio.measure_from_obj),
+        (f, jsonio.function_to_obj, jsonio.function_from_obj),
+        (p, jsonio.partition_to_obj, jsonio.partition_from_obj),
+    ):
+        obj = write(x)
+        again = read(json.loads(json.dumps(obj)))
+        assert write(again) == obj
+        assert again == x
