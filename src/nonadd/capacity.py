@@ -24,12 +24,12 @@ from operator import gt
 from typing import Callable, Mapping, Sequence
 
 from .sets import (
-    AlgebraView,
     MaskLike,
+    Partition,
     SpaceMismatchError,
     StateSpace,
     mask_bits,
-    max_member_bits,
+    max_member_table,
     subset_sums,
 )
 
@@ -380,31 +380,27 @@ def check_P_null_additive(v: Capacity, P: ProbabilityMeasure) -> PropertyReport:
     return PropertyReport(True)
 
 
-def check_dense(alg: AlgebraView, P: ProbabilityMeasure) -> PropertyReport:
+def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     """Is every event approximable from inside by an algebra member?
 
-    Density of the algebra: for every ``F`` there is a member ``A``
-    contained in ``F`` with ``P(F - A) = 0``.  Since members are closed
-    under union it suffices to look at the maximal member below ``F``.
-    The witness is the event with the largest mass gap.
+    Density of the algebra the partition generates: for every ``F`` there
+    is a member ``A`` contained in ``F`` with ``P(F - A) = 0``.  Since
+    members are closed under union it suffices to look at the largest
+    member inside ``F``, read from :func:`~nonadd.sets.max_member_table`.
+    The witness ``(F, A_F)`` is the first event with the largest mass gap.
     """
-    if alg.space != P.space:
-        raise SpaceMismatchError("algebra and measure on different spaces")
-    table = subset_sums(_scale(P.weights))
-    atoms = [a.bits for a in alg.atoms]
-    worst_gap = 0
-    worst: tuple[int, int] | None = None
-    for f in range(P.space.num_subsets):
-        a = max_member_bits(atoms, f)
-        gap = table[f & ~a]
-        if gap > worst_gap:
-            worst_gap = gap
-            worst = (f, a)
-    if worst is None:
+    if partition.space != P.space:
+        raise SpaceMismatchError("partition and measure on different spaces")
+    mass = subset_sums(_scale(P.weights))
+    below = max_member_table(partition)
+    gaps = [mass[f & ~a] for f, a in enumerate(below)]
+    worst_gap = max(gaps)
+    if not worst_gap:
         return PropertyReport(True)
-    f, a = worst
+    f = gaps.index(worst_gap)
+    a = below[f]
     return PropertyReport(
-        False, worst, f"P(F - A_F) = {P.mass(f & ~a)} at F = {f}"
+        False, (f, a), f"P(F - A_F) = {P.mass(f & ~a)} at F = {f}"
     )
 
 

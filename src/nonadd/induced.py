@@ -32,9 +32,8 @@ from .sets import (
     SpaceMismatchError,
     StateSpace,
     SubsetMask,
-    generated_algebra,
     mask_bits,
-    max_member_bits,
+    max_member_table,
 )
 
 
@@ -43,8 +42,9 @@ class InducedCapacity:
     """Induced capacity with its argmax witnesses and provenance.
 
     ``witness_map[mask]`` is the maximal algebra member inside the event
-    ``mask``; the capacity value there is exactly the measure of that
-    member.  Convexity is verified at construction.
+    ``mask``, the partition's :func:`~nonadd.sets.max_member_table`; the
+    capacity value there is exactly the measure of that member.
+    Convexity is verified at construction.
     """
 
     base: Capacity
@@ -70,11 +70,9 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     """
     if P.space != partition.space:
         raise SpaceMismatchError("measure and partition on different spaces")
-    space = P.space
-    block_bits = [b.bits for b in partition.blocks]
-    witness = tuple(max_member_bits(block_bits, f) for f in space.all_masks())
+    witness = tuple(max_member_table(partition))
     mass = P.mass_table
-    base = Capacity(space, tuple(mass[acc] for acc in witness))
+    base = Capacity(P.space, tuple(mass[acc] for acc in witness))
     convexity = check_convex(base)
     if not convexity.holds:  # structural guarantee; failing means a bug here
         raise RuntimeError(f"induced capacity not convex: {convexity.detail}")
@@ -171,9 +169,7 @@ def check_weak_ae_equivalence(
     from . import convergence  # deferred: convergence uses this module's induce
 
     ic = induce(P, partition)
-    algebra = generated_algebra(partition)
-
-    dense = check_dense(algebra, P)
+    dense = check_dense(partition, P)
     null_additive = check_null_additive(ic.base)
 
     rng = random.Random(f"{seed}|weak-ae-equivalence")

@@ -1,10 +1,10 @@
 """Canonical JSON encodings of the finite model objects: capacities,
 measures, functions, function families and partitions.
 
-Rationals are ``"p/q"`` strings (plain integers allowed), subsets are the
-decimal strings of their masks, and capacity tables must list all ``2**n``
-keys.  Round-trips are exact: whatever this module writes it reads back
-to an equal object.
+Rationals are ``"p/q"`` strings (integers and decimals allowed, exponents
+not), subsets are the decimal strings of their masks, and capacity tables
+must list all ``2**n`` keys.  Round-trips are exact: whatever this module
+writes it reads back to an equal object.
 """
 
 from __future__ import annotations
@@ -29,8 +29,16 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s: Any) -> Fraction:
+    """An exact rational from a ``"p/q"``, integer or decimal spelling.
+
+    An exponent marker (``"1e3"``) is refused: ``Fraction`` expands the
+    exponent in full, in time and memory that grow with its value.
+    """
     try:
-        return Fraction(str(s))
+        text = str(s)
+        if "e" in text or "E" in text:
+            raise ValueError("exponent")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational: {s!r}") from exc
 

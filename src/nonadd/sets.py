@@ -13,7 +13,7 @@ workers are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 DEFAULT_MAX_STATES = 20
@@ -95,19 +95,6 @@ class StateSpace:
 def mask_bits(event: MaskLike) -> int:
     """Raw mask integer of an event, whichever representation was passed."""
     return event.bits if isinstance(event, SubsetMask) else int(event)
-
-
-def max_member_bits(atoms: Iterable[int], bits: int) -> int:
-    """Union of the atoms (disjoint masks) contained in the event ``bits``.
-
-    This is the inclusion-maximal union of atoms inside the event: every
-    other such union is a subset of it.
-    """
-    acc = 0
-    for a in atoms:
-        if a & ~bits == 0:
-            acc |= a
-    return acc
 
 
 def subset_sums(weights: Sequence) -> list:
@@ -247,26 +234,37 @@ class Partition:
         return cls(tuple(space.subset(g) for g in groups))
 
 
+def max_member_table(partition: Partition) -> list[int]:
+    """The union of the blocks inside each event, indexed by mask.
+
+    That union is the largest member of the partition's algebra inside
+    the event.  With ``x`` the lowest state of ``F``, ``w(F)`` is
+    ``w(F - {x})`` joined with ``block(x)`` when that block lies in ``F``.
+    """
+    block_of = [0] * partition.space.n
+    for block in partition.blocks:
+        for k in block:
+            block_of[k] = block.bits
+    table = [0] * partition.space.num_subsets
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        block = block_of[low.bit_length() - 1]
+        table[mask] = table[mask ^ low] | (0 if block & ~mask else block)
+    return table
+
+
 @dataclass(frozen=True)
 class AlgebraView:
     """All unions of the atoms of a partition.
 
     A sub-algebra of the powerset: contains the empty set and the whole
     space, and is closed under complement and union.  ``atoms`` keeps the
-    generating blocks so that the maximal member below an event can be
-    found by a block scan instead of a member scan.
+    generating blocks; the largest member inside an event is read from
+    :func:`max_member_table` of the partition, not from this view.
     """
 
     members: tuple[SubsetMask, ...]
     atoms: tuple[SubsetMask, ...]
-    _member_bits: frozenset[int] = field(
-        init=False, repr=False, compare=False, default=frozenset()
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_member_bits", frozenset(m.bits for m in self.members)
-        )
 
     @property
     def space(self) -> StateSpace:
@@ -278,33 +276,15 @@ class AlgebraView:
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
 
-    def __contains__(self, event: MaskLike) -> bool:
-        return mask_bits(event) in self._member_bits
-
-    def max_member_below(self, event: MaskLike) -> SubsetMask:
-        """The inclusion-maximal member contained in ``event``.
-
-        This is the union of all atoms inside the event; every other
-        member below the event is a subset of it.
-        """
-        atoms = (a.bits for a in self.atoms)
-        return SubsetMask(max_member_bits(atoms, mask_bits(event)), self.space)
-
 
 def generated_algebra(partition: Partition) -> AlgebraView:
     """All ``2**k`` unions of the ``k`` partition blocks, sorted by mask.
 
-    Distinct block selections give distinct unions (blocks are disjoint
-    and nonempty), so the result always has exactly ``2**k`` members.
+    The blocks are disjoint, so the sum of some block masks is their
+    union, and nonempty, so distinct selections give distinct unions: the
+    result always has exactly ``2**k`` members.
     """
-    blocks = partition.blocks
     space = partition.space
-    masks = []
-    for pick in range(1 << len(blocks)):
-        bits = 0
-        for i, b in enumerate(blocks):
-            if pick >> i & 1:
-                bits |= b.bits
-        masks.append(bits)
-    members = tuple(SubsetMask(b, space) for b in sorted(set(masks)))
-    return AlgebraView(members, blocks)
+    unions = sorted(subset_sums([b.bits for b in partition.blocks]))
+    members = tuple(SubsetMask(bits, space) for bits in unions)
+    return AlgebraView(members, partition.blocks)

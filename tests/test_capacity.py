@@ -25,6 +25,7 @@ from nonadd import (
     Partition,
     ProbabilityMeasure,
     PropertyReport,
+    SpaceMismatchError,
     StateSpace,
     check_continuity_along_chain,
     check_convex,
@@ -43,6 +44,7 @@ from nonadd.capacity import (
     replay_convexity_violation,
     replay_null_additivity_violation,
 )
+from nonadd.sets import max_member_table
 
 
 def cap2(v0, v1, vx):
@@ -254,24 +256,23 @@ class TestDense:
     def test_full_powerset_is_dense(self):
         space = StateSpace(3)
         P = random_probability(space, random.Random(1))
-        alg = generated_algebra(Partition.singletons(space))
-        assert check_dense(alg, P).holds
+        assert check_dense(Partition.singletons(space), P).holds
 
     def test_trivial_algebra_fails_for_positive_measure(self):
         space = StateSpace(3)
         P = ProbabilityMeasure.uniform(space)
-        report = check_dense(generated_algebra(Partition.trivial(space)), P)
+        report = check_dense(Partition.trivial(space), P)
         assert not report.holds
 
     def test_two_block_uniform_fails_at_half_block(self):
         space = StateSpace(4)
         P = ProbabilityMeasure.uniform(space)
-        alg = generated_algebra(Partition.from_blocks(space, [[0, 1], [2, 3]]))
-        report = check_dense(alg, P)
+        partition = Partition.from_blocks(space, [[0, 1], [2, 3]])
+        report = check_dense(partition, P)
         assert not report.holds
         f, a = report.witness
         assert P.mass(f & ~a) > 0
-        assert alg.max_member_below(0b0001).bits == 0  # {0} has only the empty set below
+        assert max_member_table(partition)[0b0001] == 0  # {0} has only the empty set below
 
     def test_matches_member_scan(self):
         rng = random.Random(9)
@@ -279,10 +280,15 @@ class TestDense:
             space = StateSpace(n)
             for _ in range(20):
                 P = random_probability(space, rng, strictly_positive=False)
-                alg = generated_algebra(random_partition(space, rng))
-                assert check_dense(alg, P).holds == dense_by_member_scan(
-                    alg.members, P
+                partition = random_partition(space, rng)
+                assert check_dense(partition, P).holds == dense_by_member_scan(
+                    generated_algebra(partition).members, P
                 )
+
+    def test_partition_on_another_space_is_rejected(self):
+        P = ProbabilityMeasure.uniform(StateSpace(3))
+        with pytest.raises(SpaceMismatchError):
+            check_dense(Partition.singletons(StateSpace(4)), P)
 
 
 class TestContinuityAlongChain:
@@ -430,7 +436,7 @@ def assert_kernel_matches_reference(n, values, weights, groups):
     assert check_P_null_additive(v, P) == ref_P_null_additive(values, weights)
     partition = Partition.from_blocks(space, groups)
     blocks = [b.bits for b in partition.blocks]
-    assert check_dense(generated_algebra(partition), P) == ref_dense(blocks, weights)
+    assert check_dense(partition, P) == ref_dense(blocks, weights)
 
 
 @st.composite

@@ -187,6 +187,27 @@ def test_check_weak_ae_equivalence_shift_pairs(capsys, files):
     assert report["results"]["agree"] is True
 
 
+def test_check_dense_on_the_largest_space(capsys, tmp_path):
+    space = StateSpace(20)  # the largest StateSpace accepts by default
+    measure, partition = tmp_path / "m.json", tmp_path / "p.json"
+    jsonio.dump(jsonio.measure_to_obj(ProbabilityMeasure.uniform(space)), measure)
+    jsonio.dump(jsonio.partition_to_obj(Partition.singletons(space)), partition)
+    code, report, _ = run_cli(
+        capsys, "check", "dense", "--measure", str(measure), "--partition", str(partition)
+    )
+    assert code == 0
+    assert report["results"]["holds"] is True
+
+
+def test_exponent_in_a_value_exits_2(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    jsonio.dump({"n": 1, "values": {"0": "0", "1": "1e2000000"}}, path)
+    code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(path))
+    assert code == 2
+    assert report is None
+    assert "not a rational" in err
+
+
 def test_cover_additive_is_fixed_point(capsys, tmp_path):
     space = StateSpace(3)
     P = ProbabilityMeasure.uniform(space)
@@ -659,6 +680,7 @@ PAYLOADS = {
     "measure": "weights",
     "function": "values",
     "partition": "blocks",
+    "family": "functions",
 }
 
 
@@ -672,6 +694,9 @@ def valid_doc(kind, n):
     if kind == "function":
         values = tuple(F(k, 2) for k in range(n))
         return jsonio.function_to_obj(SimpleFunction(space, values))
+    if kind == "family":
+        rows = [["1"] * n, [str(k % 2) for k in range(n)]]
+        return {"n": n, "functions": rows}
     blocks = [list(range(0, n, 2)), list(range(1, n, 2))]
     return jsonio.partition_to_obj(Partition.from_blocks(space, filter(None, blocks)))
 
@@ -729,6 +754,10 @@ def fuzz_argv(kind, path, n, companions):
     if kind == "function":
         capacity = companions["capacity", n]
         return ["integrate", "choquet", "--capacity", capacity, "--function", path]
+    if kind == "family":
+        measure, function = companions["measure", n], companions["function", n]
+        return ["integrate", "psp", "--measure", measure, "--function", function,
+                "--family", path]
     measure = path if kind == "measure" else companions["measure", n]
     partition = path if kind == "partition" else companions["partition", n]
     return ["check", "dense", "--measure", measure, "--partition", partition]

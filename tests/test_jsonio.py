@@ -143,6 +143,14 @@ def test_fraction_strings():
     assert jsonio.frac_to_str(F(6, 4)) == "3/2"
     with pytest.raises(FormatError):
         jsonio.frac_from_str("1/0")
+    assert jsonio.frac_from_str("0.25") == F(1, 4)
+
+
+@pytest.mark.parametrize("text", ["1e3", "2E-1", "1/2e5", "1e10000000"])
+def test_exponents_are_refused(text):
+    # Fraction("1e10000000") would build a ten-million-digit integer
+    with pytest.raises(FormatError):
+        jsonio.frac_from_str(text)
 
 
 @settings(max_examples=60, deadline=None)

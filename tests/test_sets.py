@@ -12,6 +12,7 @@ from nonadd import (
     SubsetMask,
     generated_algebra,
 )
+from nonadd.sets import max_member_table
 
 
 def test_singleton_partition_generates_full_powerset():
@@ -48,19 +49,27 @@ def test_algebra_size_and_closure_for_every_partition(n):
                 assert a | b in bits
 
 
-def test_max_member_below_is_maximal():
+def test_max_member_table_hand_cases():
     space = StateSpace(4)
-    alg = generated_algebra(Partition.from_blocks(space, [[0, 1], [2], [3]]))
-    below = alg.max_member_below(0b0111)
-    assert below.bits == 0b0111  # {0,1} | {2}
-    assert alg.max_member_below(0b0001).bits == 0  # half a block
-    for f in space.all_masks():
-        a = alg.max_member_below(f)
-        assert a.bits in {m.bits for m in alg.members}
-        assert a.bits & ~f == 0
-        for m in alg.members:
-            if m.bits & ~f == 0:
-                assert m.bits & ~a.bits == 0
+    table = max_member_table(Partition.from_blocks(space, [[0, 1], [2], [3]]))
+    assert table[0b0111] == 0b0111  # {0,1} | {2}
+    assert table[0b0001] == 0  # half a block
+    assert table[0b1010] == 0b1000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_max_member_table_is_the_largest_member_inside(n):
+    space = StateSpace(n)
+    for groups in all_set_partitions(range(n)):
+        partition = Partition.from_blocks(space, groups)
+        members = [m.bits for m in generated_algebra(partition).members]
+        table = max_member_table(partition)
+        assert len(table) == space.num_subsets
+        for f in space.all_masks():
+            inside = [m for m in members if m & ~f == 0]
+            largest = max(inside, key=int.bit_count)
+            assert all(m & ~largest == 0 for m in inside)
+            assert table[f] == largest
 
 
 @settings(max_examples=200)
