@@ -38,6 +38,7 @@ from .sets import (
     SpaceMismatchError,
     StateSpace,
     mask_bits,
+    submasks,
     subset_sums,
 )
 from .simplex import solve_max
@@ -282,12 +283,15 @@ def balanced_cover(v: Capacity) -> Capacity:
 
     The cover dominates ``v`` pointwise, is itself a capacity, and leaves
     every concave integral unchanged; applying it twice is the same as
-    applying it once.
+    applying it once.  The LP for ``A`` offers only the subsets of ``A``
+    as columns: every state outside ``A`` has right-hand side 0, so any
+    weight on a subset that meets such a state is forced to 0, and the
+    optimal value is the one the LP over all subsets reaches.
     """
     table = [ZERO] * v.space.num_subsets
     for bits in range(1, v.space.num_subsets):
-        table[bits] = concave_integral(
-            SimpleFunction.indicator(v.space, bits), v
+        table[bits] = _best_decomposition(
+            SimpleFunction.indicator(v.space, bits), v, submasks(bits)
         ).value
     return Capacity(v.space, tuple(table))
 
@@ -349,16 +353,24 @@ def induced_psp_capacity(
     Tabulates the known-expectations integral of every event's indicator.
     The result is validated as a capacity; unlike the partition case it
     need not be convex, so the Choquet and concave integrals against it
-    can differ.
+    can differ.  The LP for ``A`` keeps only the members that vanish
+    outside ``A``: every state outside ``A`` has right-hand side 0 and
+    every member is nonnegative, so the weight of a member positive there
+    is forced to 0.  With no member kept the value is 0.
     """
     family = tuple(family)
     if not family:
         raise ValueError("the known-function family must be nonempty")
+    for g in family:
+        _require_same_space(P.space, g.space)
+    supports = [sum(1 << k for k, x in enumerate(g.values) if x) for g in family]
     table = [ZERO] * P.space.num_subsets
     for bits in range(1, P.space.num_subsets):
-        table[bits] = psp_integral(
-            SimpleFunction.indicator(P.space, bits), P, family
-        ).value
+        kept = [g for g, s in zip(family, supports) if not s & ~bits]
+        if kept:
+            table[bits] = psp_integral(
+                SimpleFunction.indicator(P.space, bits), P, kept
+            ).value
     return Capacity(P.space, tuple(table))
 
 

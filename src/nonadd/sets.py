@@ -106,6 +106,15 @@ def subset_sums(weights: Sequence) -> list:
     return table
 
 
+def submasks(bits: int) -> list[int]:
+    """The nonempty submasks of ``bits``, ascending."""
+    out, t = [], bits & -bits
+    while t:
+        out.append(t)
+        t = (t - bits) & bits
+    return out
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """An event: an immutable subset of a :class:`StateSpace`.

@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import lebesgue, survival_scan_choquet
 from nonadd import (
@@ -12,6 +14,7 @@ from nonadd import (
     Partition,
     ProbabilityMeasure,
     SimpleFunction,
+    SpaceMismatchError,
     StateSpace,
     balanced_cover,
     brute_force_cav_oracle,
@@ -30,6 +33,8 @@ from nonadd import (
     random_simple_function,
     verify_dual_certificate,
 )
+from nonadd import integrals
+from nonadd.convergence import PROFILES
 
 NONCONVEX2 = Capacity(StateSpace(2), (F(0), F(6, 10), F(6, 10), F(1)))
 
@@ -215,6 +220,20 @@ class TestBalancedCover:
             cover = balanced_cover(v)
             assert balanced_cover(cover).values == cover.values
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 10**6),
+        profile=st.sampled_from(PROFILES),
+    )
+    def test_equals_the_all_columns_reference(self, n, seed, profile):
+        v = random_capacity(n, seed, profile)
+        reference = [F(0)] + [
+            concave_integral(SimpleFunction.indicator(v.space, bits), v).value
+            for bits in range(1, v.space.num_subsets)
+        ]
+        assert list(balanced_cover(v).values) == reference
+
 
 class TestPSA:
     def test_worked_example(self):
@@ -354,6 +373,88 @@ class TestPSP:
                 nonconvex += 1
         assert trials > 0
         assert 0 <= nonconvex <= trials
+
+    def test_member_on_a_larger_space_is_rejected(self):
+        space = StateSpace(2)
+        P = ProbabilityMeasure.uniform(space)
+        family = [
+            SimpleFunction.constant(space, 1),
+            SimpleFunction.constant(StateSpace(3), 1),
+        ]
+        with pytest.raises(SpaceMismatchError):
+            induced_psp_capacity(P, family)
+
+    def test_measure_on_another_space_is_rejected(self):
+        P = ProbabilityMeasure.uniform(StateSpace(3))
+        with pytest.raises(SpaceMismatchError):
+            induced_psp_capacity(P, [SimpleFunction.constant(StateSpace(2), 1)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_induced_psp_equals_the_all_members_reference(self, data):
+        n = data.draw(st.integers(1, 6))
+        space = StateSpace(n)
+        raw = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        raw[0] += not any(raw)
+        P = ProbabilityMeasure(space, tuple(F(r, sum(raw)) for r in raw))
+        value = st.one_of(
+            st.just(F(0)), st.builds(F, st.integers(1, 8), st.sampled_from([1, 2, 3]))
+        )
+        member = st.one_of(
+            st.lists(value, min_size=n, max_size=n).map(
+                lambda xs: SimpleFunction(space, tuple(xs))
+            ),
+            st.just(SimpleFunction.zero(space)),
+            st.builds(
+                lambda k, c: SimpleFunction.indicator(space, 1 << k).scale(c),
+                st.integers(0, n - 1),
+                value,
+            ),
+        )
+        family = data.draw(st.lists(member, min_size=1, max_size=4))
+        if data.draw(st.booleans()):
+            family.append(data.draw(st.sampled_from(family)))
+        reference = [F(0)] + [
+            psp_integral(SimpleFunction.indicator(space, bits), P, family).value
+            for bits in range(1, space.num_subsets)
+        ]
+        assert list(induced_psp_capacity(P, family).values) == reference
+
+
+@pytest.fixture
+def lp_columns(monkeypatch):
+    """Column count of every LP solved through ``integrals.solve_max``."""
+    columns = []
+    solve_max = integrals.solve_max
+
+    def counting(objective, rows, rhs):
+        columns.append(len(objective))
+        return solve_max(objective, rows, rhs)
+
+    monkeypatch.setattr(integrals, "solve_max", counting)
+    return columns
+
+
+class TestColumnCounts:
+    def test_cover_solves_each_event_over_its_subsets(self, lp_columns):
+        balanced_cover(random_capacity(5, 0, "general"))
+        assert len(lp_columns) == 31
+        assert sum(lp_columns) == 3**5 - 2**5
+
+    def test_induced_psp_with_full_supports_solves_once(self, lp_columns):
+        space = StateSpace(4)
+        P = ProbabilityMeasure.uniform(space)
+        family = [
+            SimpleFunction.constant(space, 1),
+            SimpleFunction(space, (F(1), F(2), F(3), F(1, 2))),
+        ]
+        induced_psp_capacity(P, family)
+        assert lp_columns == [2]
+
+    def test_concave_integral_keeps_every_column(self, lp_columns):
+        v = random_capacity(5, 0, "general")
+        concave_integral(SimpleFunction.indicator(v.space, 0b00101), v)
+        assert lp_columns == [31]
 
 
 class TestBruteForceOracle:

@@ -12,7 +12,7 @@ from nonadd import (
     SubsetMask,
     generated_algebra,
 )
-from nonadd.sets import max_member_table
+from nonadd.sets import max_member_table, submasks
 
 
 def test_singleton_partition_generates_full_powerset():
@@ -47,6 +47,17 @@ def test_algebra_size_and_closure_for_every_partition(n):
             assert space.full_bits & ~a in bits
             for b in bits:
                 assert a | b in bits
+
+
+def test_submasks_hand_cases():
+    assert submasks(0) == []
+    assert submasks(0b1) == [0b1]
+    assert submasks(0b1010) == [0b0010, 0b1000, 0b1010]
+
+
+def test_submasks_are_every_nonempty_subset_ascending():
+    for bits in range(1 << 7):
+        assert submasks(bits) == [t for t in range(1, bits + 1) if t & ~bits == 0]
 
 
 def test_max_member_table_hand_cases():
