@@ -55,13 +55,14 @@ class CapacityError(ValueError):
 SCALE_BITS = 64
 
 
-def _scale(values: tuple[Fraction, ...]) -> tuple:
-    """``values`` times their least common denominator, as ints.
+def _scale(values: tuple[Fraction, ...]) -> tuple[tuple, int]:
+    """``values`` times their least common denominator, as ints, and that factor.
 
     Scaling by one positive factor keeps every ``<``, ``==`` and sum
     comparison, so a scan over the result decides what it would decide
     over ``values``.  Past ``SCALE_BITS`` the Fractions come back as they
-    are; the scans only add and compare, so they take either.
+    are, with factor 1; the scans only add and compare, so they take
+    either.
     """
     ratios = list(map(Fraction.as_integer_ratio, values))
     dens = {d for _, d in ratios}
@@ -69,9 +70,9 @@ def _scale(values: tuple[Fraction, ...]) -> tuple:
     for d in dens:
         common = math.lcm(common, d)
         if common.bit_length() > SCALE_BITS:
-            return values
+            return values, 1
     factor = {d: common // d for d in dens}
-    return tuple([p * factor[d] for p, d in ratios])
+    return tuple([p * factor[d] for p, d in ratios]), common
 
 
 def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
@@ -145,7 +146,7 @@ class Capacity:
             raise CapacityError(
                 f"need {1 << n} values for n={n}, got {len(values)}"
             )
-        scaled = _scale(values)
+        scaled, _ = _scale(values)
         object.__setattr__(self, "_scaled", scaled)
         if scaled[0] != 0:
             raise CapacityError("capacity of the empty set must be 0", (0,))
@@ -391,7 +392,7 @@ def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     """
     if partition.space != P.space:
         raise SpaceMismatchError("partition and measure on different spaces")
-    mass = subset_sums(_scale(P.weights))
+    mass = subset_sums(_scale(P.weights)[0])
     below = max_member_table(partition)
     gaps = [mass[f & ~a] for f, a in enumerate(below)]
     worst_gap = max(gaps)

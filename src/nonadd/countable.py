@@ -15,9 +15,12 @@ need infinitely many states.  This module realizes them exactly:
   ``{K+1, K+2, ...}``.  The blocks meeting any finite window can thus be
   listed with their exact masses;
 * functions and test events are eventually constant, so each integral
-  under partition-limited information is a finite sum: blocks meeting the
-  window contribute their exact infimum times their mass, and everything
-  beyond contributes the tail constant times the leftover mass.
+  is a finite sum: blocks meeting the window contribute their exact
+  infimum times their mass, and everything beyond contributes the tail
+  constant times the leftover mass.  Every block mass is a difference of
+  tails, so summed by parts each integral (ordinary, partition-limited,
+  induced value) is one exact sum ``sum_k w_k * T(k)`` with small weights,
+  read one tail per block boundary.
 
 Whether such a model satisfies monotone convergence turns on a single
 structural question: are all blocks finite?  The checks below pair each
@@ -30,9 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from math import gcd
+from operator import sub
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .capacity import PropertyReport, _as_fraction
+from .capacity import PropertyReport, _as_fraction, _scale
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -207,6 +213,26 @@ class CountablePartition:
         """First state of the canonical infinite block, if there is one."""
         return None if self._width else len(self._block_of) + 1
 
+    def _blocks_meeting(
+        self, horizon: int
+    ) -> Iterator[tuple[Sequence[int], bool]]:
+        """``(members, infinite)`` for each block meeting ``{1..horizon}``.
+
+        Head blocks come as their stored tuples and tail blocks as
+        ``range``s; the infinite block comes as the ``range`` of its
+        members up to the horizon, the rest being beyond it.
+        """
+        for b in self._head:
+            if b[0] <= horizon:
+                yield b, False
+        top = len(self._block_of)
+        if self._width is None:
+            if horizon > top:
+                yield range(top + 1, horizon + 1), True
+        else:
+            for start in range(top + 1, horizon + 1, self._width):
+                yield range(start, start + self._width), False
+
     def cover(
         self, measure: CountableMeasure, horizon: int
     ) -> tuple[list[CoveredBlock], Fraction]:
@@ -216,28 +242,88 @@ class CountablePartition:
         eventually-constant function its infimum is the tail constant;
         the caller folds all of those into ``remainder`` at once.
         """
-
-        def mass(b: tuple[int, ...]) -> Fraction:
-            # a run of consecutive states weighs tail(first - 1) - tail(last),
-            # in O(1) however long the run
-            if b[-1] - b[0] == len(b) - 1:
-                return measure.tail(b[0] - 1) - measure.tail(b[-1])
-            return measure.mass_of(b)
-
-        blocks = [
-            CoveredBlock(b, False, mass(b)) for b in self._head if b[0] <= horizon
-        ]
-        top = len(self._block_of)
-        if self._width is None:
-            if horizon > top:
-                members = tuple(range(top + 1, horizon + 1))
-                blocks.append(CoveredBlock(members, True, measure.tail(top)))
-        else:
-            for start in range(top + 1, horizon + 1, self._width):
-                members = tuple(range(start, start + self._width))
-                blocks.append(CoveredBlock(members, False, mass(members)))
+        blocks = []
+        for members, infinite in self._blocks_meeting(horizon):
+            weights: dict[int, int] = {}
+            _add_mass(weights, _runs(members, infinite), 1)
+            mass = _tail_sum(weights, measure)
+            blocks.append(CoveredBlock(tuple(members), infinite, mass))
         remainder = ONE - sum((b.mass for b in blocks), ZERO)
         return blocks, remainder
+
+
+def _runs(
+    members: Sequence[int], infinite: bool
+) -> Sequence[tuple[int, int | None]]:
+    """A block's maximal runs of consecutive states, as ``(first, last)``.
+
+    The infinite block is one run with ``last`` ``None``.
+    """
+    first = members[0]
+    if infinite:
+        return ((first, None),)
+    if members[-1] - first == len(members) - 1:
+        return ((first, members[-1]),)
+    runs = []
+    prev = first
+    for k in members[1:]:
+        if k != prev + 1:
+            runs.append((first, prev))
+            first = k
+        prev = k
+    runs.append((first, prev))
+    return runs
+
+
+def _add_mass(
+    weights: dict[int, int | Fraction],
+    runs: Iterable[tuple[int, int | None]],
+    a: int | Fraction,
+) -> None:
+    """Add ``a`` times the mass of a block, given by its runs, to ``weights``.
+
+    ``weights`` maps a tail index ``k`` to the weight of ``tail(k)``: a
+    run ``[s, e]`` weighs ``tail(s-1) - tail(e)``, and the infinite run
+    from ``s`` weighs ``tail(s-1)``.
+    """
+    get = weights.get
+    for s, e in runs:
+        weights[s - 1] = get(s - 1, 0) + a
+        if e is not None:
+            weights[e] = get(e, 0) - a
+
+
+def _tail_sum(
+    weights: Mapping[int, int | Fraction], measure: CountableMeasure
+) -> Fraction:
+    """``sum(w * measure.tail(k) for k, w in weights.items())``, exactly.
+
+    Each nonzero weight reads its tail once.  The terms stay unreduced
+    ``(numerator, denominator)`` pairs, added in a balanced tree whose
+    denominators combine through their gcd, so each sum's denominator is
+    the lcm of its terms' and operands of one level are of similar size;
+    only the final ``Fraction`` normalizes.  Weights may be ints or
+    ``Fraction``s.
+    """
+    terms = []
+    for k, w in weights.items():
+        if w:
+            p, q = measure.tail(k).as_integer_ratio()
+            wp, wq = w.as_integer_ratio()
+            terms.append((wp * p, wq * q))
+    if not terms:
+        return ZERO
+    while len(terms) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = gcd(b, d)
+            b //= g
+            merged.append((a * (d // g) + c * b, b * d))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    p, q = terms[0]
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -262,6 +348,16 @@ class EventuallyConstantFunction:
         if k < 1:
             raise ValueError("states are numbered from 1")
         return self.values[k - 1] if k <= self.horizon else self.tail
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple, int]:
+        """The values, then the tail constant, over one common denominator.
+
+        ``(scaled, common)`` as :func:`~nonadd.capacity._scale` gives them:
+        ints with their factor, or past its budget the Fractions with 1.
+        Made on first use.
+        """
+        return _scale(self.values + (self.tail,))
 
     @classmethod
     def constant(cls, c: Fraction | int | str) -> EventuallyConstantFunction:
@@ -334,12 +430,16 @@ class CountableModel:
 def countable_lebesgue(
     f: EventuallyConstantFunction, measure: CountableMeasure
 ) -> Fraction:
-    """Ordinary integral: explicit part plus tail constant times tail mass."""
-    total = sum(
-        (f.values[k - 1] * measure.weight(k) for k in range(1, f.horizon + 1)),
-        ZERO,
-    )
-    return total + f.tail * measure.tail(f.horizon)
+    """Ordinary integral, as one weighted sum of tails.
+
+    With ``H`` the horizon and ``c`` the tail constant, the integral is
+    ``sum_{k<=H} (f_k - c) * (tail(k-1) - tail(k)) + c``; summed by parts,
+    ``tail(0)`` weighs ``f_1``, ``tail(k)`` weighs ``f_{k+1} - f_k`` and
+    ``tail(H)`` weighs ``c - f_H`` (``c`` alone when ``H`` is 0).
+    """
+    scaled, common = f._scaled
+    weights = dict(enumerate(map(sub, scaled, (0,) + scaled)))
+    return _tail_sum(weights, measure) / common
 
 
 def countable_psa_integral(
@@ -347,19 +447,26 @@ def countable_psa_integral(
 ) -> Fraction:
     """Partition-limited integral: each block's infimum times its mass.
 
-    Blocks meeting the function's horizon are evaluated explicitly (for an
-    infinite block the unlisted members sit beyond the horizon, where
-    ``f`` equals its tail constant); all blocks beyond contribute the tail
-    constant times the remaining mass.  Exact.
+    With ``c`` the tail constant and the block masses summing to 1, the
+    integral is ``c + sum_b (inf_b - c) * mass_b``.  Blocks entirely
+    beyond the horizon have infimum ``c`` and drop out, so the sum runs
+    over the blocks meeting it (for an infinite block the unlisted members
+    sit beyond the horizon, where ``f`` equals ``c``).  Each mass is a
+    signed sum of tails, so the whole integral is one exact weighted sum
+    of tails, with infima taken over the scaled values.
     """
-    blocks, remainder = model.partition.cover(model.measure, f.horizon)
-    total = ZERO
-    for b in blocks:
-        inf = min(f(k) for k in b.members)
-        if b.infinite and f.tail < inf:
-            inf = f.tail
-        total += inf * b.mass
-    return total + f.tail * remainder
+    scaled, common = f._scaled
+    horizon = f.horizon
+    c = scaled[horizon]
+    weights = {0: c}
+    for members, infinite in model.partition._blocks_meeting(horizon):
+        runs = _runs(members, infinite)
+        # scaled[horizon] is c: a run reaching past the horizon, or lying
+        # wholly beyond it, takes c into its minimum
+        a = min(min(scaled[min(s - 1, horizon) : e]) for s, e in runs) - c
+        if a:
+            _add_mass(weights, runs, a)
+    return _tail_sum(weights, model.measure) / common
 
 
 def countable_induced_value(
@@ -369,18 +476,19 @@ def countable_induced_value(
 
     A finite block is inside iff all its members are; an infinite block
     additionally needs the event to contain the whole tail.  Blocks beyond
-    the event's horizon are inside exactly when the tail is.
+    the event's horizon are inside exactly when the tail is, so with the
+    block masses summing to 1 the value is
+    ``[tail_in] + sum_b ([b inside] - [tail_in]) * mass_b`` over the
+    blocks meeting the horizon: one exact weighted sum of tails.
     """
-    blocks, remainder = model.partition.cover(model.measure, event.horizon)
-    total = ZERO
-    for b in blocks:
-        if b.infinite and not event.tail_in:
-            continue
-        if all(k in event for k in b.members):
-            total += b.mass
-    if event.tail_in:
-        total += remainder
-    return total
+    tail_in = int(event.tail_in)
+    weights = {0: tail_in}
+    for members, infinite in model.partition._blocks_meeting(event.horizon):
+        inside = (tail_in or not infinite) and all(k in event for k in members)
+        a = inside - tail_in
+        if a:
+            _add_mass(weights, _runs(members, infinite), a)
+    return _tail_sum(weights, model.measure)
 
 
 @dataclass(frozen=True)

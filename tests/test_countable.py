@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonadd import (
     CountableFunctionSequence,
@@ -33,7 +35,7 @@ from nonadd import (
     uniform_finite_measure,
     unit_prefix_sequence,
 )
-from nonadd.countable import random_eventually_constant_function
+from nonadd.countable import CountableMeasure, random_eventually_constant_function
 
 
 class TestMeasures:
@@ -582,3 +584,217 @@ class TestEventuallyConstantSet:
     def test_members_must_fit_horizon(self):
         with pytest.raises(ValueError):
             EventuallyConstantSet(2, (3,), False)
+
+
+# -- reference per-block loops ---------------------------------------------
+#
+# The integrals and ``cover`` sum tails with integer weights; these
+# references list each block from ``block_key`` alone and add its infimum
+# times its mass, one Fraction at a time.
+
+
+def ref_cover(partition, measure, horizon):
+    """``[(members, infinite, mass)]`` and the remainder, from block keys."""
+    head = partition.prefix_len + sum(map(len, partition.explicit_blocks))
+    reach = horizon + head + 2
+    start = partition.infinite_atom_start()
+    groups = {}
+    for k in range(1, reach + 1):
+        groups.setdefault(partition.block_key(k), []).append(k)
+    blocks = []
+    for key in sorted(groups):
+        members = groups[key]
+        if members[0] > horizon:
+            continue
+        if start is not None and key == partition.block_key(start):
+            members = tuple(range(start, horizon + 1))
+            blocks.append((members, True, measure.tail(start - 1)))
+        else:
+            blocks.append((tuple(members), False, measure.mass_of(members)))
+    remainder = 1 - sum((mass for _, _, mass in blocks), F(0))
+    return blocks, remainder
+
+
+def ref_psa(f, model):
+    blocks, remainder = ref_cover(model.partition, model.measure, f.horizon)
+    total = F(0)
+    for members, infinite, mass in blocks:
+        inf = min(f(k) for k in members)
+        if infinite and f.tail < inf:
+            inf = f.tail
+        total += inf * mass
+    return total + f.tail * remainder
+
+
+def ref_induced(event, model):
+    blocks, remainder = ref_cover(model.partition, model.measure, event.horizon)
+    total = F(0)
+    for members, infinite, mass in blocks:
+        if infinite and not event.tail_in:
+            continue
+        if all(k in event for k in members):
+            total += mass
+    if event.tail_in:
+        total += remainder
+    return total
+
+
+def ref_lebesgue(f, measure):
+    total = sum((f(k) * measure.weight(k) for k in range(1, f.horizon + 1)), F(0))
+    return total + f.tail * measure.tail(f.horizon)
+
+
+@st.composite
+def countable_measures(draw):
+    kind = draw(st.sampled_from(["telescoping", "finite", "uniform"]))
+    if kind == "telescoping":
+        return telescoping_measure()
+    if kind == "uniform":
+        return uniform_finite_measure(draw(st.integers(1, 12)))
+    raw = draw(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    raw[draw(st.integers(0, len(raw) - 1))] += 1  # some weight is positive
+    return finite_measure([F(x, sum(raw)) for x in raw])
+
+
+@st.composite
+def countable_partitions(draw):
+    family = draw(
+        st.sampled_from(["singletons", "trivial", "pairs", "prefix", "blocks"])
+    )
+    if family in ("singletons", "trivial", "pairs"):
+        return CountablePartition(family)
+    tail_mode = draw(st.sampled_from(["singletons", "lump"]))
+    if family == "prefix":
+        prefix_len = draw(st.integers(1, 12))
+        return CountablePartition("prefix", prefix_len=prefix_len, tail_mode=tail_mode)
+    # states 1..K labelled at random: blocks of equal labels, often not runs
+    labels = draw(st.lists(st.integers(0, 3), max_size=12))
+    blocks = {}
+    for k, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(k)
+    return CountablePartition(
+        "blocks",
+        explicit_blocks=tuple(map(tuple, blocks.values())),
+        tail_mode=tail_mode,
+    )
+
+
+# small denominators scale to ints; two large primes push the common
+# denominator past 64 bits, where the scaled values stay Fractions
+DENOMS = [1, 2, 3, 8, 2**61 - 1, 2**31 - 1]
+
+
+@st.composite
+def countable_functions(draw):
+    horizon = draw(st.integers(0, 40))
+    values = st.builds(F, st.integers(0, 4), st.sampled_from(DENOMS))
+    return EventuallyConstantFunction(
+        horizon,
+        tuple(draw(st.lists(values, min_size=horizon, max_size=horizon))),
+        draw(values),
+    )
+
+
+@st.composite
+def countable_events(draw):
+    horizon = draw(st.integers(0, 40))
+    inside = draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
+    members = tuple(k for k, x in enumerate(inside, start=1) if x)
+    return EventuallyConstantSet(horizon, members, draw(st.booleans()))
+
+
+class TestTailSumsMatchBlockLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(countable_partitions(), countable_measures(), st.integers(0, 40))
+    def test_cover(self, partition, measure, horizon):
+        blocks, remainder = partition.cover(measure, horizon)
+        want, want_remainder = ref_cover(partition, measure, horizon)
+        assert [(b.members, b.infinite, b.mass) for b in blocks] == want
+        assert remainder == want_remainder
+        assert all(type(b.mass) is F for b in blocks) and type(remainder) is F
+
+    @settings(max_examples=200, deadline=None)
+    @given(countable_functions(), countable_partitions(), countable_measures())
+    def test_psa_and_lebesgue(self, f, partition, measure):
+        model = CountableModel(measure, partition)
+        psa = countable_psa_integral(f, model)
+        lebesgue = countable_lebesgue(f, measure)
+        assert psa == ref_psa(f, model) and type(psa) is F
+        assert lebesgue == ref_lebesgue(f, measure) and type(lebesgue) is F
+
+    @settings(max_examples=200, deadline=None)
+    @given(countable_events(), countable_partitions(), countable_measures())
+    def test_induced_value(self, event, partition, measure):
+        model = CountableModel(measure, partition)
+        value = countable_induced_value(event, model)
+        assert value == ref_induced(event, model) and type(value) is F
+
+    def test_values_past_the_scaling_budget(self):
+        # denominators whose lcm passes 64 bits: the scaled values stay
+        # Fractions with factor 1, and the sums still match
+        f = EventuallyConstantFunction(
+            5,
+            (F(1, 2**61 - 1), F(3, 2**31 - 1), F(1, 2), F(0), F(2, 3)),
+            F(1, 2**61 - 1),
+        )
+        scaled, common = f._scaled
+        assert common == 1 and scaled[:-1] == f.values
+        partition = CountablePartition("blocks", explicit_blocks=((1, 4), (2,), (3, 5)))
+        for model in (
+            CountableModel(telescoping_measure(), partition),
+            pairs_model(),
+            trivial_model(),
+        ):
+            assert countable_psa_integral(f, model) == ref_psa(f, model)
+        assert countable_lebesgue(f, telescoping_measure()) == ref_lebesgue(
+            f, telescoping_measure()
+        )
+
+    @pytest.mark.parametrize(
+        "event, model, want",
+        [
+            # meets no block: the tail alone, tail(0)
+            (EventuallyConstantSet(0, (), True), pairs_model(), 1),
+            # every block weight cancels
+            (EventuallyConstantSet(3, (), False), pairs_model(), 0),
+            (EventuallyConstantSet(0, (), False), trivial_model(), 0),
+        ],
+    )
+    def test_edge_branches_return_fractions(self, event, model, want):
+        value = countable_induced_value(event, model)
+        assert value == want and type(value) is F
+        f = EventuallyConstantFunction.constant(0)
+        for value in (
+            countable_psa_integral(f, model),
+            countable_lebesgue(f, model.measure),
+        ):
+            assert value == 0 and type(value) is F
+
+
+class TestTailSumWork:
+    def test_pairs_read_one_tail_per_block_boundary(self):
+        reads = []
+
+        def tail(n):
+            reads.append(n)
+            return F(1, n + 1)
+
+        measure = CountableMeasure("counted", tail)
+        model = CountableModel(measure, CountablePartition("pairs"))
+        f = random_eventually_constant_function(random.Random(0), 20_000)
+        reads.clear()
+        countable_psa_integral(f, model)
+        # one read per boundary 0, 2, ..., 20000 at most, each read once
+        assert len(reads) <= 10_001 and len(set(reads)) == len(reads)
+
+    def test_integrals_do_not_call_cover(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("cover called")
+
+        monkeypatch.setattr(CountablePartition, "cover", boom)
+        f = random_eventually_constant_function(random.Random(1), 30)
+        event = EventuallyConstantSet(30, tuple(range(1, 30, 3)), True)
+        for model in (pairs_model(), trivial_model(), singletons_model()):
+            countable_psa_integral(f, model)
+            countable_induced_value(event, model)
+            countable_lebesgue(f, model.measure)
