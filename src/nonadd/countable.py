@@ -4,23 +4,25 @@ On a finite space every capacity is continuous from below (increasing
 chains stabilize), so the interesting failures of monotone convergence
 need infinitely many states.  This module realizes them exactly:
 
-* a measure is its closed-form tail ``T(N) = sum_{k > N} p_k``, each
-  weight being ``T(k-1) - T(k)``, so no value is ever truncated or
-  rounded;
+* a measure is one of two closed tail families, finite suffix sums or
+  the telescoping tail ``T(N) = 1/(N+1)``, each weight being
+  ``T(k-1) - T(k)``; both are decided from their parameters, so no value
+  is ever truncated, rounded or taken on trust;
 * partitions come from canonical families (singletons, one infinite
   block, consecutive pairs, a finite prefix block with singleton or
   lumped tail, explicit finite blocks), each translated at construction
   into one layout: finite head blocks covering ``{1..K}``, then either
   consecutive tail blocks of a fixed width or one infinite block
   ``{K+1, K+2, ...}``.  The blocks meeting any finite window can thus be
-  listed with their exact masses;
-* functions and test events are eventually constant, so each integral
-  is a finite sum: blocks meeting the window contribute their exact
-  infimum times their mass, and everything beyond contributes the tail
-  constant times the leftover mass.  Every block mass is a difference of
-  tails, so summed by parts each integral (ordinary, partition-limited,
-  induced value) is one exact sum ``sum_k w_k * T(k)`` with small weights,
-  read one tail per block boundary.
+  listed, each as its maximal runs of consecutive states;
+* functions are eventually constant and events are maximal runs, the
+  last one infinite when the event holds the tail, so each integral is a
+  finite sum: blocks meeting the window contribute their exact infimum
+  times their mass, and everything beyond contributes the tail constant
+  times the leftover mass.  Every run's mass is a difference of tails, so
+  summed by parts each integral (ordinary, partition-limited, induced
+  value) and each event's mass is one exact sum ``sum_k w_k * T(k)`` with
+  small weights, read one tail per run boundary.
 
 Whether such a model satisfies monotone convergence turns on a single
 structural question: are all blocks finite?  The checks below pair each
@@ -31,11 +33,13 @@ whose values stay at zero while the block itself carries positive mass).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
-from operator import sub
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .capacity import PropertyReport, _as_fraction, _scale
@@ -44,42 +48,55 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 TAIL_MODES = ("singletons", "lump")
+_FIRST = itemgetter(0)
+# a run of consecutive states ``(first, last)``; ``last`` None: no end
+_Run = tuple[int, int | None]
 
 
 @dataclass(frozen=True)
 class CountableMeasure:
-    """Summable weights on ``{1, 2, ...}``, given by one exact tail rule.
+    """Summable weights on ``{1, 2, ...}`` from one of two closed tail families.
 
-    ``tail(N)`` is the total mass beyond state ``N``, with ``tail(0) ==
-    1``, and ``weight(k)`` is ``tail(k-1) - tail(k)``: weights, tails and
-    block masses come from the one rule, so they agree at every ``N``.  A
-    rising tail would be a negative weight; construction checks that the
-    tail never rises on states ``1..8``, and the rule is trusted beyond
-    that prefix, which is what makes infinite-tail arithmetic exact.
+    ``tail(N)`` is the total mass beyond state ``N`` and ``weight(k)`` is
+    ``tail(k-1) - tail(k)``, so weights, tails and block masses agree at
+    every ``N``.  Family ``telescoping`` has ``tail(N) = 1/(N+1)``; family
+    ``finite`` puts ``weights`` on ``{1..K}``, its tail their suffix sums.
+    Construction decides that the tail starts at 1, never rises and reaches
+    or tends to 0, which is what makes infinite-tail arithmetic exact.
     """
 
-    name: str
-    tail_rule: Callable[[int], Fraction]
+    family: str
+    weights: tuple[Fraction, ...] = ()
+    _suffix: tuple[Fraction, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.tail_rule(0) != 1:
-            raise ValueError("total mass must be exactly 1")
-        for k in range(1, 9):
-            if self.weight(k) < 0:
-                raise ValueError(f"tail rule rises at N={k}: negative weight")
+        suffix = None
+        if self.family == "finite":
+            ws = tuple(_as_fraction(w) for w in self.weights)
+            if any(w < 0 for w in ws):
+                raise ValueError("weights must be nonnegative")
+            suffix = tuple(accumulate(reversed(ws), initial=ZERO))[::-1]
+            if suffix[0] != 1:
+                raise ValueError("total mass must be exactly 1")
+            object.__setattr__(self, "weights", ws)
+        elif self.family != "telescoping":
+            raise ValueError(f"unknown measure family {self.family!r}")
+        elif self.weights:
+            raise ValueError("family 'telescoping' does not take weights")
+        object.__setattr__(self, "_suffix", suffix)
 
     def weight(self, k: int) -> Fraction:
         if k < 1:
             raise ValueError("states are numbered from 1")
-        return self.tail_rule(k - 1) - self.tail_rule(k)
+        return self.tail(k - 1) - self.tail(k)
 
     def tail(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("tail index must be nonnegative")
-        return self.tail_rule(n)
-
-    def mass_of(self, states: Iterable[int]) -> Fraction:
-        return sum((self.weight(k) for k in states), ZERO)
+        suffix = self._suffix
+        if suffix is None:
+            return Fraction(1, n + 1)
+        return suffix[min(n, len(suffix) - 1)]
 
 
 def telescoping_measure() -> CountableMeasure:
@@ -88,38 +105,18 @@ def telescoping_measure() -> CountableMeasure:
     An exactly summable stand-in for weights of order ``1/k^2``: the
     partial sums telescope, so every prefix and tail is a small rational.
     """
-    return CountableMeasure("telescoping", lambda n: Fraction(1, n + 1))
+    return CountableMeasure("telescoping")
 
 
 def finite_measure(weights: Sequence[Fraction | int | str]) -> CountableMeasure:
-    """All mass on ``{1..len(weights)}``; the tail rule is a finite suffix sum."""
-    ws = tuple(_as_fraction(w) for w in weights)
-    if any(w < 0 for w in ws):
-        raise ValueError("weights must be nonnegative")
-    suffix = [ZERO] * (len(ws) + 1)
-    for i in range(len(ws) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + ws[i]
-    return CountableMeasure(
-        f"finite[{len(ws)}]", lambda n: suffix[min(n, len(ws))]
-    )
+    """All mass on ``{1..len(weights)}``; the tail is a finite suffix sum."""
+    return CountableMeasure("finite", tuple(weights))
 
 
 def uniform_finite_measure(size: int) -> CountableMeasure:
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     return finite_measure([Fraction(1, size)] * size)
-
-
-@dataclass(frozen=True)
-class CoveredBlock:
-    """One block meeting a finite window.
-
-    ``members`` is the complete member list for a finite block; for an
-    infinite block it lists the members up to at least the window, the
-    rest being implicitly beyond it.  ``mass`` is exact either way.
-    """
-
-    members: tuple[int, ...]
-    infinite: bool
-    mass: Fraction
 
 
 @dataclass(frozen=True)
@@ -140,16 +137,16 @@ class CountablePartition:
     blocks covering ``{1..K}`` (none for the first three families), then
     either consecutive tail blocks of ``width`` states (1 for singletons,
     2 for pairs) or, with ``width`` ``None``, one infinite block
-    ``{K+1, K+2, ...}``.  Blocks are numbered head first; the queries
-    below read only this layout.  A field the family does not read must
-    keep its default.
+    ``{K+1, K+2, ...}``.  Blocks are numbered head first, head blocks kept
+    as their runs; the queries below read only this layout.  A field the
+    family does not read must keep its default.
     """
 
     family: str
     prefix_len: int = 0
     tail_mode: str = "singletons"
     explicit_blocks: tuple[tuple[int, ...], ...] = ()
-    _head: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _head: tuple[tuple[_Run, ...], ...] = field(init=False, repr=False, compare=False)
     _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _width: int | None = field(init=False, repr=False, compare=False)
 
@@ -189,7 +186,7 @@ class CountablePartition:
             width = 1 if self.tail_mode == "singletons" else None
         else:
             width = {"singletons": 1, "pairs": 2, "trivial": None}[family]
-        object.__setattr__(self, "_head", blocks)
+        object.__setattr__(self, "_head", tuple(map(_runs, blocks)))
         object.__setattr__(self, "_block_of", tuple(block_of))
         object.__setattr__(self, "_width", width)
 
@@ -213,55 +210,26 @@ class CountablePartition:
         """First state of the canonical infinite block, if there is one."""
         return None if self._width else len(self._block_of) + 1
 
-    def _blocks_meeting(
-        self, horizon: int
-    ) -> Iterator[tuple[Sequence[int], bool]]:
-        """``(members, infinite)`` for each block meeting ``{1..horizon}``.
-
-        Head blocks come as their stored tuples and tail blocks as
-        ``range``s; the infinite block comes as the ``range`` of its
-        members up to the horizon, the rest being beyond it.
-        """
-        for b in self._head:
-            if b[0] <= horizon:
-                yield b, False
+    def _blocks_meeting(self, horizon: int) -> Iterator[tuple[_Run, ...]]:
+        """The runs of each block meeting ``{1..horizon}``, as :func:`_runs`
+        gives them; the infinite block is the one run ``(K+1, None)``."""
+        for runs in self._head:
+            if runs[0][0] <= horizon:
+                yield runs
         top = len(self._block_of)
-        if self._width is None:
+        width = self._width
+        if width is None:
             if horizon > top:
-                yield range(top + 1, horizon + 1), True
+                yield ((top + 1, None),)
         else:
-            for start in range(top + 1, horizon + 1, self._width):
-                yield range(start, start + self._width), False
-
-    def cover(
-        self, measure: CountableMeasure, horizon: int
-    ) -> tuple[list[CoveredBlock], Fraction]:
-        """Blocks meeting ``{1..horizon}`` plus the leftover mass beyond.
-
-        Every block not listed lies entirely beyond the horizon, so on an
-        eventually-constant function its infimum is the tail constant;
-        the caller folds all of those into ``remainder`` at once.
-        """
-        blocks = []
-        for members, infinite in self._blocks_meeting(horizon):
-            weights: dict[int, int] = {}
-            _add_mass(weights, _runs(members, infinite), 1)
-            mass = _tail_sum(weights, measure)
-            blocks.append(CoveredBlock(tuple(members), infinite, mass))
-        remainder = ONE - sum((b.mass for b in blocks), ZERO)
-        return blocks, remainder
+            for start in range(top + 1, horizon + 1, width):
+                yield ((start, start + width - 1),)
 
 
-def _runs(
-    members: Sequence[int], infinite: bool
-) -> Sequence[tuple[int, int | None]]:
-    """A block's maximal runs of consecutive states, as ``(first, last)``.
-
-    The infinite block is one run with ``last`` ``None``.
-    """
+def _runs(members: Sequence[int]) -> tuple[_Run, ...]:
+    """Maximal runs of consecutive states in sorted ``members``, as
+    ``(first, last)``."""
     first = members[0]
-    if infinite:
-        return ((first, None),)
     if members[-1] - first == len(members) - 1:
         return ((first, members[-1]),)
     runs = []
@@ -272,15 +240,13 @@ def _runs(
             first = k
         prev = k
     runs.append((first, prev))
-    return runs
+    return tuple(runs)
 
 
 def _add_mass(
-    weights: dict[int, int | Fraction],
-    runs: Iterable[tuple[int, int | None]],
-    a: int | Fraction,
+    weights: dict[int, int | Fraction], runs: Iterable[_Run], a: int | Fraction
 ) -> None:
-    """Add ``a`` times the mass of a block, given by its runs, to ``weights``.
+    """Add ``a`` times the mass of the union of ``runs`` to ``weights``.
 
     ``weights`` maps a tail index ``k`` to the weight of ``tail(k)``: a
     run ``[s, e]`` weighs ``tail(s-1) - tail(e)``, and the infinite run
@@ -372,37 +338,62 @@ class EventuallyConstantFunction:
 @dataclass(frozen=True)
 class EventuallyConstantSet:
     """Event on ``{1, 2, ...}``: explicit members up to a horizon, then
-    either everything or nothing."""
+    either everything or nothing.
+
+    Kept as ``runs``, its sorted maximal runs as :func:`_runs` gives them,
+    ending in ``(first, None)`` when ``tail_in``.  A ``range`` of members
+    is read as one run, so ``prefix(n)`` takes constant time.
+    """
 
     horizon: int
-    members: tuple[int, ...]
+    members: InitVar[Iterable[int]]
     tail_in: bool
+    runs: tuple[_Run, ...] = field(init=False)
 
-    def __post_init__(self) -> None:
-        members = tuple(sorted(set(int(k) for k in self.members)))
-        object.__setattr__(self, "members", members)
+    def __post_init__(self, members: Iterable[int]) -> None:
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
+        if not (isinstance(members, range) and members.step == 1):
+            members = sorted(set(int(k) for k in members))
         if members and (members[0] < 1 or members[-1] > self.horizon):
             raise ValueError("explicit members must lie in 1..horizon")
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.members if k <= self.horizon else self.tail_in
-
-    def __le__(self, other: EventuallyConstantSet) -> bool:
-        if any(k not in other for k in self.members):
-            return False
+        runs = list(_runs(members)) if members else []
         if self.tail_in:
-            if not other.tail_in:
+            if runs and runs[-1][1] == self.horizon:
+                runs[-1] = (runs[-1][0], None)
+            else:
+                runs.append((self.horizon + 1, None))
+        object.__setattr__(self, "runs", tuple(runs))
+
+    def __repr__(self) -> str:
+        h = self.horizon
+        members = tuple(k for s, e in self.runs for k in range(s, (e or h) + 1))
+        tail_in = self.tail_in
+        return f"EventuallyConstantSet(horizon={h}, members={members}, {tail_in=})"
+
+    def _holds(self, runs: Iterable[_Run]) -> bool:
+        """Does the event hold every state of ``runs``?  Its own runs are
+        maximal, so each must lie in one of them: one bisect per run."""
+        own = self.runs
+        for first, last in runs:
+            i = bisect_right(own, first, key=_FIRST)
+            if not i:
                 return False
-            for k in range(self.horizon + 1, other.horizon + 1):
-                if k not in other:
-                    return False
+            end = own[i - 1][1]
+            if end is not None and (last is None or last > end):
+                return False
         return True
 
+    def __contains__(self, k: int) -> bool:
+        return self._holds(((k, k),))
+
+    def __le__(self, other: EventuallyConstantSet) -> bool:
+        return other._holds(self.runs)
+
     def mass(self, measure: CountableMeasure) -> Fraction:
-        total = measure.mass_of(self.members)
-        if self.tail_in:
-            total += measure.tail(self.horizon)
-        return total
+        weights: dict[int, int | Fraction] = {}
+        _add_mass(weights, self.runs, 1)
+        return _tail_sum(weights, measure)
 
     @classmethod
     def whole(cls) -> EventuallyConstantSet:
@@ -410,13 +401,12 @@ class EventuallyConstantSet:
 
     @classmethod
     def prefix(cls, n: int) -> EventuallyConstantSet:
-        return cls(n, tuple(range(1, n + 1)), False)
+        return cls(n, range(1, n + 1), False)
 
     @classmethod
     def finite(cls, states: Iterable[int]) -> EventuallyConstantSet:
-        members = tuple(sorted(set(int(k) for k in states)))
-        top = members[-1] if members else 0
-        return cls(top, members, False)
+        members = sorted(set(int(k) for k in states))
+        return cls(members[-1] if members else 0, members, False)
 
 
 @dataclass(frozen=True)
@@ -459,8 +449,7 @@ def countable_psa_integral(
     horizon = f.horizon
     c = scaled[horizon]
     weights = {0: c}
-    for members, infinite in model.partition._blocks_meeting(horizon):
-        runs = _runs(members, infinite)
+    for runs in model.partition._blocks_meeting(horizon):
         # scaled[horizon] is c: a run reaching past the horizon, or lying
         # wholly beyond it, takes c into its minimum
         a = min(min(scaled[min(s - 1, horizon) : e]) for s, e in runs) - c
@@ -474,20 +463,23 @@ def countable_induced_value(
 ) -> Fraction:
     """Value of the induced capacity at an event: mass of the blocks inside.
 
-    A finite block is inside iff all its members are; an infinite block
-    additionally needs the event to contain the whole tail.  Blocks beyond
-    the event's horizon are inside exactly when the tail is, so with the
-    block masses summing to 1 the value is
+    A block is inside iff each of its runs lies inside one run of the
+    event; for an infinite block that needs the event's tail.  Blocks
+    beyond the event's horizon are inside exactly when the tail is, so
+    with the block masses summing to 1 the value is
     ``[tail_in] + sum_b ([b inside] - [tail_in]) * mass_b`` over the
     blocks meeting the horizon: one exact weighted sum of tails.
     """
-    tail_in = int(event.tail_in)
-    weights = {0: tail_in}
-    for members, infinite in model.partition._blocks_meeting(event.horizon):
-        inside = (tail_in or not infinite) and all(k in event for k in members)
-        a = inside - tail_in
-        if a:
-            _add_mass(weights, _runs(members, infinite), a)
+    tail_in = event.tail_in
+    # a block weighs [inside] - [tail_in]: every nonzero weight is the same
+    runs = [
+        run
+        for block in model.partition._blocks_meeting(event.horizon)
+        if event._holds(block) != tail_in
+        for run in block
+    ]
+    weights = {0: int(tail_in)}
+    _add_mass(weights, runs, -1 if tail_in else 1)
     return _tail_sum(weights, model.measure)
 
 
@@ -517,6 +509,8 @@ def continuity_from_below_countable(
     vanish); that degenerate case is reported as holding.  A failing
     report's witness is a :class:`ChainWitness`.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     start = model.partition.infinite_atom_start()
     if start is None:
         return PropertyReport(True, detail="all blocks finite")
@@ -601,6 +595,8 @@ def monotone_convergence_countable(
     of integrals is at most the target minus
     ``(inf_A(limit) - min(inf_A(limit), tail_limit)) * mass(A)``.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     terms = [seq.term(n) for n in range(1, depth + 1)]
     window = max([t.horizon for t in terms] + [seq.limit.horizon]) + 1
     for a, b in zip(terms, terms[1:]):

@@ -1,7 +1,8 @@
-"""Countable models: exact tails, block covers, convergence structure."""
+"""Countable models: exact tails, block runs, convergence structure."""
 
 import random
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,38 @@ from nonadd import (
     uniform_finite_measure,
     unit_prefix_sequence,
 )
-from nonadd.countable import CountableMeasure, random_eventually_constant_function
+from nonadd.countable import (
+    CountableMeasure,
+    _add_mass,
+    _tail_sum,
+    random_eventually_constant_function,
+)
+
+
+def weight_sum(measure, states):
+    return sum((measure.weight(k) for k in states), F(0))
+
+
+class Block(NamedTuple):
+    members: tuple
+    infinite: bool
+    mass: F
+
+
+def cover(partition, measure, horizon):
+    """Blocks meeting ``{1..horizon}`` and the leftover mass beyond.
+
+    One loop over ``_blocks_meeting``: each block's mass is read as the
+    integrals read it, one signed sum of tails over its runs.  An infinite
+    block lists its members up to the horizon.
+    """
+    blocks = []
+    for runs in partition._blocks_meeting(horizon):
+        weights = {}
+        _add_mass(weights, runs, 1)
+        members = tuple(k for s, e in runs for k in range(s, (e or horizon) + 1))
+        blocks.append(Block(members, runs[-1][1] is None, _tail_sum(weights, measure)))
+    return blocks, 1 - sum((b.mass for b in blocks), F(0))
 
 
 class TestMeasures:
@@ -56,12 +88,9 @@ class TestMeasures:
         assert m.weight(7) == 0
 
     def test_rising_tail_rejected(self):
-        from nonadd.countable import CountableMeasure
-
         # a rising tail is a negative weight, here at state 3
-        rising = {0: F(1), 1: F(1, 2), 2: F(1, 4), 3: F(1, 3)}
-        with pytest.raises(ValueError, match="N=3"):
-            CountableMeasure("rising", lambda n: rising.get(n, F(1, 2**n)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            finite_measure([F(1, 2), F(1, 4), F(-1, 12), F(1, 3)])
 
     @pytest.mark.parametrize(
         "measure",
@@ -77,43 +106,71 @@ class TestMeasures:
             assert measure.weight(k) == measure.tail(k - 1) - measure.tail(k)
 
     def test_pair_masses_match_weights_past_a_kink(self):
-        from nonadd.countable import CountableMeasure
-
-        # a valid tail rule that changes formula at N=20: pair masses read
-        # through the tail must still equal their summed weights there
-        def tail(n):
-            return F(1, n + 1) if n < 20 else F(1, 21) * F(2, n - 18)
-
-        m = CountableMeasure("kinked", tail)
-        blocks, remainder = CountablePartition("pairs").cover(m, 24)
+        # weights 1/(k(k+1)) up to state 20, then falling linearly to 0 at
+        # state 31: pair masses read through the tail must still equal
+        # their summed weights across the change of shape
+        weights = [F(1, k * (k + 1)) for k in range(1, 21)]
+        weights += [F(31 - k, 21 * 55) for k in range(21, 31)]
+        m = finite_measure(weights)
+        blocks, remainder = cover(CountablePartition("pairs"), m, 24)
         assert [b.members for b in blocks][-3:] == [(19, 20), (21, 22), (23, 24)]
         for b in blocks:
-            assert b.mass == m.mass_of(b.members)
-        assert remainder == m.tail(24)
+            assert b.mass == weight_sum(m, b.members)
+        assert remainder == m.tail(24) == weight_sum(m, range(25, 31))
 
     def test_finite_measure_validation(self):
         with pytest.raises(ValueError):
             finite_measure([F(1, 2), F(1, 4)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: uniform_finite_measure(0),
+        lambda: finite_measure([]),
+        lambda: CountableMeasure("telescoping", (F(1),)),
+        # a tail rule is no family: tail(0) = 1, then 1/2 for ever, so its
+        # weights would sum to 1/2
+        lambda: CountableMeasure(lambda n: F(1) if n == 0 else F(1, 2)),
+        lambda: EventuallyConstantSet(-3, (), True),
+        lambda: EventuallyConstantSet(-3, (), False),
+        lambda: EventuallyConstantSet.prefix(-1),
+        lambda: EventuallyConstantSet(2, (0,), False),
+    ],
+    ids=[
+        "uniform-0",
+        "finite-empty",
+        "telescoping-weights",
+        "tail-rule",
+        "event-horizon-neg-tail",
+        "event-horizon-neg",
+        "prefix-neg",
+        "event-state-0",
+    ],
+)
+def test_out_of_range_parameters_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestPartitionCovers:
     def test_pairs_cover_straddles_odd_horizon(self):
         m = telescoping_measure()
-        blocks, remainder = CountablePartition("pairs").cover(m, 3)
+        blocks, remainder = cover(CountablePartition("pairs"), m, 3)
         assert [b.members for b in blocks] == [(1, 2), (3, 4)]
         assert remainder == m.tail(4)
         assert sum((b.mass for b in blocks), remainder) == 1
 
     def test_trivial_cover(self):
         m = telescoping_measure()
-        blocks, remainder = CountablePartition("trivial").cover(m, 5)
+        blocks, remainder = cover(CountablePartition("trivial"), m, 5)
         assert len(blocks) == 1 and blocks[0].infinite and blocks[0].mass == 1
         assert remainder == 0
 
     def test_prefix_lump_cover(self):
         m = telescoping_measure()
         p = CountablePartition("prefix", prefix_len=3, tail_mode="lump")
-        blocks, remainder = p.cover(m, 6)
+        blocks, remainder = cover(p, m, 6)
         assert [b.infinite for b in blocks] == [False, True]
         assert blocks[0].members == (1, 2, 3)
         assert blocks[1].mass == m.tail(3)
@@ -169,7 +226,7 @@ class TestPartitionCovers:
         m = telescoping_measure()
         infinite_starts = set()
         for horizon in range(13):
-            blocks, remainder = partition.cover(m, horizon)
+            blocks, remainder = cover(partition, m, horizon)
             where = {}
             for i, b in enumerate(blocks):
                 assert b.members[0] <= horizon  # every listed block meets the window
@@ -181,7 +238,7 @@ class TestPartitionCovers:
                     assert b.mass == m.tail(b.members[0] - 1)
                     infinite_starts.add(b.members[0])
                 else:
-                    assert b.mass == m.mass_of(b.members)
+                    assert b.mass == weight_sum(m, b.members)
             assert set(range(1, horizon + 1)) <= set(where)
             assert sum((b.mass for b in blocks), remainder) == 1
             for j in where:
@@ -333,6 +390,13 @@ class TestContinuityFromBelow:
         assert report.witness.atom_mass == F(1, 5)
         assert all(x == 0 for x in report.witness.prefix_values)
 
+    @pytest.mark.parametrize(
+        "model", [trivial_model(), pairs_model()], ids=["trivial", "pairs"]
+    )
+    def test_depth_below_one_rejected(self, model):
+        with pytest.raises(ValueError, match="depth"):
+            continuity_from_below_countable(model, depth=0)
+
     def test_massless_infinite_atom_is_harmless(self):
         model = CountableModel(
             finite_measure([F(1, 2), F(1, 2)]),
@@ -392,6 +456,12 @@ class TestMonotoneConvergenceCountable:
         assert report.converges is False
         assert report.integral_trace[-1] == F(1, 3)
         assert report.limit_integral == 1
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            monotone_convergence_countable(
+                pairs_model(), unit_prefix_sequence(), depth=0
+            )
 
     def test_non_increasing_sequence_rejected(self):
         def term(n):
@@ -585,6 +655,23 @@ class TestEventuallyConstantSet:
         with pytest.raises(ValueError):
             EventuallyConstantSet(2, (3,), False)
 
+    @pytest.mark.parametrize(
+        "event, runs",
+        [
+            (EventuallyConstantSet(3, (1, 3), True), ((1, 1), (3, None))),
+            # the members up to the horizon run on into the tail
+            (EventuallyConstantSet(4, (2, 3, 4), True), ((2, None),)),
+            (EventuallyConstantSet(4, (2, 3), True), ((2, 3), (5, None))),
+            (EventuallyConstantSet.finite([5, 2, 3, 3, 9]), ((2, 3), (5, 5), (9, 9))),
+            (EventuallyConstantSet.whole(), ((1, None),)),
+            (EventuallyConstantSet(7, (), False), ()),
+            # a range of members is one run, never listed
+            (EventuallyConstantSet.prefix(10**6), ((1, 10**6),)),
+        ],
+    )
+    def test_stored_as_maximal_runs(self, event, runs):
+        assert event.runs == runs
+
 
 # -- reference per-block loops ---------------------------------------------
 #
@@ -610,7 +697,7 @@ def ref_cover(partition, measure, horizon):
             members = tuple(range(start, horizon + 1))
             blocks.append((members, True, measure.tail(start - 1)))
         else:
-            blocks.append((tuple(members), False, measure.mass_of(members)))
+            blocks.append((tuple(members), False, weight_sum(measure, members)))
     remainder = 1 - sum((mass for _, _, mass in blocks), F(0))
     return blocks, remainder
 
@@ -626,17 +713,28 @@ def ref_psa(f, model):
     return total + f.tail * remainder
 
 
-def ref_induced(event, model):
-    blocks, remainder = ref_cover(model.partition, model.measure, event.horizon)
+def ref_holds(horizon, members, tail_in):
+    """Membership of the event drawn as ``(horizon, members, tail_in)``."""
+    inside = set(members)
+    return lambda k: k in inside if k <= horizon else tail_in
+
+
+def ref_induced(horizon, members, tail_in, model):
+    holds = ref_holds(horizon, members, tail_in)
+    blocks, remainder = ref_cover(model.partition, model.measure, horizon)
     total = F(0)
     for members, infinite, mass in blocks:
-        if infinite and not event.tail_in:
+        if infinite and not tail_in:
             continue
-        if all(k in event for k in members):
+        if all(holds(k) for k in members):
             total += mass
-    if event.tail_in:
+    if tail_in:
         total += remainder
     return total
+
+
+def ref_mass(horizon, members, tail_in, measure):
+    return weight_sum(measure, members) + (measure.tail(horizon) if tail_in else 0)
 
 
 def ref_lebesgue(f, measure):
@@ -697,19 +795,20 @@ def countable_functions(draw):
 
 @st.composite
 def countable_events(draw):
+    """An event as ``(horizon, members, tail_in)``, the members in order."""
     horizon = draw(st.integers(0, 40))
     inside = draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))
     members = tuple(k for k, x in enumerate(inside, start=1) if x)
-    return EventuallyConstantSet(horizon, members, draw(st.booleans()))
+    return horizon, members, draw(st.booleans())
 
 
 class TestTailSumsMatchBlockLoops:
     @settings(max_examples=150, deadline=None)
     @given(countable_partitions(), countable_measures(), st.integers(0, 40))
     def test_cover(self, partition, measure, horizon):
-        blocks, remainder = partition.cover(measure, horizon)
+        blocks, remainder = cover(partition, measure, horizon)
         want, want_remainder = ref_cover(partition, measure, horizon)
-        assert [(b.members, b.infinite, b.mass) for b in blocks] == want
+        assert [tuple(b) for b in blocks] == want
         assert remainder == want_remainder
         assert all(type(b.mass) is F for b in blocks) and type(remainder) is F
 
@@ -724,10 +823,22 @@ class TestTailSumsMatchBlockLoops:
 
     @settings(max_examples=200, deadline=None)
     @given(countable_events(), countable_partitions(), countable_measures())
-    def test_induced_value(self, event, partition, measure):
+    def test_induced_value(self, drawn, partition, measure):
         model = CountableModel(measure, partition)
-        value = countable_induced_value(event, model)
-        assert value == ref_induced(event, model) and type(value) is F
+        value = countable_induced_value(EventuallyConstantSet(*drawn), model)
+        assert value == ref_induced(*drawn, model) and type(value) is F
+
+    @settings(max_examples=200, deadline=None)
+    @given(countable_events(), countable_events(), countable_measures())
+    def test_membership_mass_and_inclusion(self, drawn, other, measure):
+        a, b = EventuallyConstantSet(*drawn), EventuallyConstantSet(*other)
+        holds_a, holds_b = ref_holds(*drawn), ref_holds(*other)
+        # beyond both horizons membership is constant
+        states = range(-1, max(a.horizon, b.horizon) + 3)
+        assert all((k in a) == holds_a(k) for k in states)
+        assert (a <= b) == all(holds_b(k) for k in states if holds_a(k))
+        mass = a.mass(measure)
+        assert mass == ref_mass(*drawn, measure) and type(mass) is F
 
     def test_values_past_the_scaling_budget(self):
         # denominators whose lcm passes 64 bits: the scaled values stay
@@ -771,30 +882,44 @@ class TestTailSumsMatchBlockLoops:
             assert value == 0 and type(value) is F
 
 
+@pytest.fixture
+def tail_reads(monkeypatch):
+    """The tail indices read through ``CountableMeasure.tail``, in order."""
+    reads = []
+    tail = CountableMeasure.tail
+
+    def counted(measure, n):
+        reads.append(n)
+        return tail(measure, n)
+
+    monkeypatch.setattr(CountableMeasure, "tail", counted)
+    return reads
+
+
 class TestTailSumWork:
-    def test_pairs_read_one_tail_per_block_boundary(self):
-        reads = []
-
-        def tail(n):
-            reads.append(n)
-            return F(1, n + 1)
-
-        measure = CountableMeasure("counted", tail)
-        model = CountableModel(measure, CountablePartition("pairs"))
+    def test_pairs_read_one_tail_per_block_boundary(self, tail_reads):
         f = random_eventually_constant_function(random.Random(0), 20_000)
-        reads.clear()
-        countable_psa_integral(f, model)
+        countable_psa_integral(f, pairs_model())
         # one read per boundary 0, 2, ..., 20000 at most, each read once
-        assert len(reads) <= 10_001 and len(set(reads)) == len(reads)
+        assert len(tail_reads) <= 10_001 and len(set(tail_reads)) == len(tail_reads)
 
-    def test_integrals_do_not_call_cover(self, monkeypatch):
+    @pytest.mark.parametrize("n", [0, 1, 16_000])
+    def test_prefix_mass_reads_two_tails(self, tail_reads, n):
+        m = telescoping_measure()
+        assert EventuallyConstantSet.prefix(n).mass(m) == 1 - F(1, n + 1)
+        assert len(tail_reads) <= 2
+
+    def test_induced_value_and_mass_do_not_test_membership(self, monkeypatch):
         def boom(*args):
-            raise AssertionError("cover called")
+            raise AssertionError("__contains__ called")
 
-        monkeypatch.setattr(CountablePartition, "cover", boom)
-        f = random_eventually_constant_function(random.Random(1), 30)
-        event = EventuallyConstantSet(30, tuple(range(1, 30, 3)), True)
+        monkeypatch.setattr(EventuallyConstantSet, "__contains__", boom)
+        events = [
+            EventuallyConstantSet(30, tuple(range(1, 30, 3)), True),
+            EventuallyConstantSet(30, tuple(range(1, 30, 3)), False),
+            EventuallyConstantSet.prefix(30),
+        ]
         for model in (pairs_model(), trivial_model(), singletons_model()):
-            countable_psa_integral(f, model)
-            countable_induced_value(event, model)
-            countable_lebesgue(f, model.measure)
+            for event in events:
+                countable_induced_value(event, model)
+                event.mass(model.measure)
