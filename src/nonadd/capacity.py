@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import gt
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .sets import (
     MaskLike,
@@ -158,24 +158,6 @@ class Capacity:
             below, mask = pair
             raise CapacityError(f"not monotone: v({below}) > v({mask})", pair)
 
-    @classmethod
-    def from_mapping(
-        cls, space: StateSpace, table: Mapping[MaskLike, Fraction | int | str]
-    ) -> Capacity:
-        values = [ZERO] * space.num_subsets
-        seen = set()
-        for key, x in table.items():
-            bits = mask_bits(key)
-            if not 0 <= bits < space.num_subsets:
-                raise CapacityError(f"mask {bits} out of range for n={space.n}")
-            values[bits] = _as_fraction(x)
-            seen.add(bits)
-        if len(seen) != space.num_subsets:
-            raise CapacityError(
-                f"table must cover all {space.num_subsets} subsets, got {len(seen)}"
-            )
-        return cls(space, tuple(values))
-
     def value(self, event: MaskLike) -> Fraction:
         return self.values[mask_bits(event)]
 
@@ -218,10 +200,6 @@ class ProbabilityMeasure:
     def mass_table(self) -> tuple[Fraction, ...]:
         """``P`` evaluated on every subset, indexed by mask."""
         return tuple(subset_sums(self.weights))
-
-    def as_capacity(self) -> Capacity:
-        """The measure viewed as an (additive, hence convex) capacity."""
-        return Capacity(self.space, self.mass_table)
 
     def is_strictly_positive(self) -> bool:
         return all(w > 0 for w in self.weights)

@@ -266,20 +266,20 @@ def _cmd_converge(args, results: dict) -> bool:
         )
         results.update(_trace_obj(trace))
         _maybe_decimal(results, "limit_integral", report.limit_integral, args.decimal)
-        results["convergent"] = bool(report.converges)
+        results["convergent"] = report.converges
         results["basis"] = report.basis
-        return bool(report.converges)
+        return report.converges
     if args.preset == "trivial-field":
         model = countable.trivial_model()
         seq = countable.unit_prefix_sequence()
         report = countable.monotone_convergence_countable(model, seq, depth=depth)
         results.update(_trace_obj(report.integral_trace))
         _maybe_decimal(results, "limit_integral", report.limit_integral, args.decimal)
-        results["convergent"] = bool(report.converges)
+        results["convergent"] = report.converges
         results["basis"] = report.basis
         if report.divergence_bound is not None:
             results["divergence_bound"] = _frac(report.divergence_bound)
-        return bool(report.converges)
+        return report.converges
     if args.preset == "dyadic":
         m = args.m if args.m is not None else 4
         rng = random.Random(f"{args.seed}|dyadic")

@@ -72,12 +72,6 @@ class FunctionSequence:
     def space(self) -> StateSpace:
         return self.limit.space
 
-    def at(self, n: int) -> SimpleFunction:
-        """The n-th term (1-indexed), constant beyond the stored prefix."""
-        if n < 1:
-            raise ValueError("terms are indexed from 1")
-        return self.terms[min(n, len(self.terms)) - 1]
-
     def stable(self) -> SimpleFunction:
         """The eventual (pointwise-limit) function."""
         return self.terms[-1]

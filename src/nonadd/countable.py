@@ -22,12 +22,17 @@ need infinitely many states.  This module realizes them exactly:
   times the leftover mass.  Every run's mass is a difference of tails, so
   summed by parts each integral (ordinary, partition-limited, induced
   value) and each event's mass is one exact sum ``sum_k w_k * T(k)`` with
-  small weights, read one tail per run boundary.
+  small weights, read one tail per run boundary;
+* an increasing sequence of functions is one of two closed forms, the
+  unit prefixes ``1_{1..n}`` rising to the constant 1, or a constant
+  sequence below a declared limit, so every convergence verdict is
+  decided exactly, whatever the traced depth.
 
 Whether such a model satisfies monotone convergence turns on a single
-structural question: are all blocks finite?  The checks below pair each
-verdict with the explicit witness chain (prefixes of an infinite block
-whose values stay at zero while the block itself carries positive mass).
+structural question: does an infinite block carry positive mass?  The
+checks below pair each verdict with the explicit witness chain (prefixes
+of an infinite block whose values stay at zero while the block itself
+carries positive mass).
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ import random
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import gcd
 from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .capacity import PropertyReport, _as_fraction, _scale
 
@@ -531,48 +536,60 @@ def continuity_from_below_countable(
 
 @dataclass(frozen=True)
 class CountableFunctionSequence:
-    """Rule-defined sequence of eventually-constant functions.
+    """Increasing sequence of eventually-constant functions, one of two forms.
 
-    ``term(n)`` gives the n-th function (``n >= 1``); terms must be
-    pointwise nondecreasing and below ``limit``.  ``pointwise`` declares
-    that every state eventually reaches the limit (validated only on a
-    finite window; the declaration is the caller's certificate).
-    ``tail_limit``, when known, is the supremum of the terms' tail
-    constants and powers an exact divergence bound.  ``stable_after``
-    declares that the terms repeat from that index on, making the limit
-    of integrals exactly computable.
+    Family ``unit-prefix`` (:func:`unit_prefix_sequence`): the n-th term is
+    the indicator of ``{1..n}``, rising at every state to ``limit``, the
+    constant 1; it takes no ``f`` and no other limit.  Family ``constant``:
+    every term is ``f`` and ``limit`` is declared; construction decides
+    ``f <= limit`` at every state, from the values up to the larger horizon
+    and the two tail constants.
     """
 
-    term: Callable[[int], EventuallyConstantFunction]
-    limit: EventuallyConstantFunction
-    pointwise: bool = True
-    tail_limit: Fraction | None = None
-    stable_after: int | None = None
+    family: str
+    f: EventuallyConstantFunction | None = None
+    limit: EventuallyConstantFunction = EventuallyConstantFunction.constant(1)
+
+    def __post_init__(self) -> None:
+        f, g = self.f, self.limit
+        if self.family == "unit-prefix":
+            if f is not None or g != EventuallyConstantFunction.constant(1):
+                raise ValueError("unit prefixes take no f and rise to the constant 1")
+        elif self.family != "constant":
+            raise ValueError(f"unknown sequence family {self.family!r}")
+        elif f is None:
+            raise ValueError("family 'constant' needs f")
+        elif f.tail > g.tail or any(
+            f(k) > g(k) for k in range(1, max(f.horizon, g.horizon) + 1)
+        ):
+            raise ValueError("f exceeds the declared limit")
 
 
 def unit_prefix_sequence() -> CountableFunctionSequence:
     """Indicators of ``{1..n}`` increasing pointwise to the constant 1."""
-    return CountableFunctionSequence(
-        term=EventuallyConstantFunction.unit_prefix,
-        limit=EventuallyConstantFunction.constant(1),
-        pointwise=True,
-        tail_limit=ZERO,
-    )
+    return CountableFunctionSequence("unit-prefix")
 
 
 @dataclass(frozen=True)
 class CountableConvergenceReport:
     """Outcome of a countable monotone-convergence experiment.
 
-    ``converges`` is ``None`` when the trace neither reached the target
-    nor admitted a structural verdict at the probed depth.  ``basis``
-    names what decided it: ``"stabilized"`` (declared-constant tail of the
-    sequence), ``"exact"`` (trace reached the target), ``"finite-atoms"``
-    (structural theorem), or ``"divergence-bound"`` (certified ceiling
-    below the target).
+    ``integral_trace`` holds the first ``depth`` partition integrals and
+    ``basis`` names what decided ``converges``:
+
+    * ``"stabilized"``: a constant sequence, whose integrals all equal the
+      first, so it converges iff that equals the limit's integral;
+    * ``"exact"``: unit prefixes whose trace reached the target;
+    * ``"finite-atoms"``: unit prefixes with every block finite, each of
+      which the prefixes eventually contain (criterion 10's theorem);
+    * ``"massless-block"``: unit prefixes whose one infinite block carries
+      no mass, so the finite blocks alone reach the target;
+    * ``"divergence-bound"``: unit prefixes whose infinite block ``A`` has
+      positive mass; no prefix contains ``A``, so the integrals rise only
+      to ``divergence_bound``, the target minus ``mass(A)``.
     """
 
-    converges: bool | None
+    converges: bool
     basis: str
     integral_trace: tuple[Fraction, ...]
     limit_integral: Fraction
@@ -588,62 +605,39 @@ def monotone_convergence_countable(
 ) -> CountableConvergenceReport:
     """Do the partition-limited integrals converge to the limit's integral?
 
-    Validates monotonicity on a finite window, then decides along the
-    ladder described on :class:`CountableConvergenceReport`.  The
-    divergence bound uses the model's single infinite block ``A``: every
-    term's infimum over ``A`` is at most its tail constant, so the limit
-    of integrals is at most the target minus
-    ``(inf_A(limit) - min(inf_A(limit), tail_limit)) * mass(A)``.
+    Traces the first ``depth`` terms and decides along the ladder described
+    on :class:`CountableConvergenceReport`; the verdict never depends on
+    ``depth``.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    terms = [seq.term(n) for n in range(1, depth + 1)]
-    window = max([t.horizon for t in terms] + [seq.limit.horizon]) + 1
-    for a, b in zip(terms, terms[1:]):
-        for k in range(1, window + 1):
-            if a(k) > b(k):
-                raise ValueError(f"sequence not increasing at state {k}")
-    for t in terms:
-        for k in range(1, window + 1):
-            if t(k) > seq.limit(k):
-                raise ValueError(f"term exceeds the declared limit at state {k}")
-
-    trace = tuple(countable_psa_integral(t, model) for t in terms)
-    target = countable_psa_integral(seq.limit, model)
-    gap = target - trace[-1]
     finite_atoms = model.partition.all_atoms_finite()
-
-    if seq.stable_after is not None and seq.stable_after <= depth:
-        settled = trace[min(seq.stable_after, depth) - 1]
+    target = countable_psa_integral(seq.limit, model)
+    if seq.family == "constant":
+        value = countable_psa_integral(seq.f, model)
         return CountableConvergenceReport(
-            settled == target, "stabilized", trace, target, gap, finite_atoms
+            value == target, "stabilized", (value,) * depth, target,
+            target - value, finite_atoms,
         )
-    if trace[-1] == target:
-        return CountableConvergenceReport(
-            True, "exact", trace, target, gap, finite_atoms
-        )
-    if seq.pointwise and finite_atoms:
-        return CountableConvergenceReport(
-            True, "finite-atoms", trace, target, gap, finite_atoms
-        )
-    start = model.partition.infinite_atom_start()
-    if start is not None and seq.tail_limit is not None:
-        mass = model.measure.tail(start - 1)
-        inf_limit = min(seq.limit.values[start - 1 :] + (seq.limit.tail,))
-        deficit = (inf_limit - min(inf_limit, seq.tail_limit)) * mass
-        if deficit > 0:
-            return CountableConvergenceReport(
-                False,
-                "divergence-bound",
-                trace,
-                target,
-                gap,
-                finite_atoms,
-                divergence_bound=target - deficit,
-            )
-    return CountableConvergenceReport(
-        None, "undetermined", trace, target, gap, finite_atoms
+    trace = tuple(
+        countable_psa_integral(EventuallyConstantFunction.unit_prefix(n), model)
+        for n in range(1, depth + 1)
     )
+    report = partial(
+        CountableConvergenceReport,
+        integral_trace=trace,
+        limit_integral=target,
+        gap_at_depth=target - trace[-1],
+        finite_atoms=finite_atoms,
+    )
+    if trace[-1] == target:
+        return report(True, "exact")
+    if finite_atoms:
+        return report(True, "finite-atoms")
+    mass = model.measure.tail(model.partition.infinite_atom_start() - 1)
+    if mass == 0:
+        return report(True, "massless-block")
+    return report(False, "divergence-bound", divergence_bound=target - mass)
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +681,12 @@ def default_test_sets(window: int = 32) -> tuple[EventuallyConstantSet, ...]:
 def check_increases_continuously(
     partitions: Sequence[CountablePartition],
     measure: CountableMeasure,
-    test_sets: Sequence[EventuallyConstantSet] | None = None,
     *,
     window: int = 64,
 ) -> PropertyReport:
     """Do the induced values climb all the way to the measure on each event?
 
-    For each test event the per-partition values are nondecreasing and
+    For each event of :func:`default_test_sets` the per-partition values are nondecreasing and
     bounded by the event's mass.  The last partition is declared to
     persist, so the limit is the last value and the verdict is exact both
     ways.  Refinement is checked on states ``1..window`` first; a
@@ -702,8 +695,7 @@ def check_increases_continuously(
     if not partitions:
         raise ValueError("need at least one partition")
     _check_refining(partitions, window)
-    sets = tuple(test_sets) if test_sets is not None else default_test_sets()
-    for event in sets:
+    for event in default_test_sets():
         values = [
             countable_induced_value(event, CountableModel(measure, p))
             for p in partitions
@@ -744,7 +736,6 @@ def increasing_information_run(
     f: EventuallyConstantFunction,
     *,
     window: int = 64,
-    test_sets: Sequence[EventuallyConstantSet] | None = None,
 ) -> IncreasingInfoReport:
     """Integrate ``f`` under each information stage and compare to the target.
 
@@ -757,9 +748,7 @@ def increasing_information_run(
     which also rejects a non-refining sequence before any integral is
     taken.
     """
-    continuity = check_increases_continuously(
-        partitions, measure, test_sets, window=window
-    )
+    continuity = check_increases_continuously(partitions, measure, window=window)
     trace = tuple(
         countable_psa_integral(f, CountableModel(measure, p)) for p in partitions
     )

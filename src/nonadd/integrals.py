@@ -112,9 +112,6 @@ class SimpleFunction:
             raise SpaceMismatchError("function and measure on different spaces")
         return sum((x * w for x, w in zip(self.values, P.weights)), ZERO)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.values)
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -31,17 +31,15 @@ class StateSpace:
 
     n: int
     labels: tuple[str, ...] | None = None
-    max_states: int = DEFAULT_MAX_STATES
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one state, got n={self.n}")
-        if self.n > self.max_states:
+        if self.n > DEFAULT_MAX_STATES:
             # Tables downstream carry 2**n entries; the cap is a guard rail
             # against accidental blow-ups, not an algorithmic limit.
             raise ValueError(
-                f"n={self.n} exceeds max_states={self.max_states}; "
-                "pass a larger max_states deliberately if you mean it"
+                f"n={self.n} exceeds the limit of {DEFAULT_MAX_STATES} states"
             )
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
@@ -59,10 +57,6 @@ class StateSpace:
 
     def states(self) -> range:
         return range(self.n)
-
-    def all_masks(self) -> range:
-        """All subsets as raw mask integers, ascending."""
-        return range(1 << self.n)
 
     def label(self, state: int) -> str:
         return self.labels[state] if self.labels else str(state)

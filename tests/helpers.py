@@ -43,8 +43,8 @@ def survival_scan_choquet(f: SimpleFunction, v: Capacity) -> Fraction:
 
 def convex_by_all_pairs(v: Capacity) -> tuple[bool, tuple[int, int] | None]:
     """Literal supermodularity sweep over all O(4^n) event pairs."""
-    for e in v.space.all_masks():
-        for g in v.space.all_masks():
+    for e in range(v.space.num_subsets):
+        for g in range(v.space.num_subsets):
             if v.values[e] + v.values[g] > v.values[e | g] + v.values[e & g]:
                 return False, (e, g)
     return True, None
@@ -52,10 +52,10 @@ def convex_by_all_pairs(v: Capacity) -> tuple[bool, tuple[int, int] | None]:
 
 def null_additive_by_all_pairs(v: Capacity) -> tuple[bool, tuple[int, int] | None]:
     """Literal null-additivity sweep over all null sets and all events."""
-    for e in v.space.all_masks():
+    for e in range(v.space.num_subsets):
         if v.values[e] != 0:
             continue
-        for g in v.space.all_masks():
+        for g in range(v.space.num_subsets):
             if v.values[e | g] != v.values[g]:
                 return False, (e, g)
     return True, None
@@ -65,7 +65,7 @@ def p_null_additive_by_all_pairs(
     v: Capacity, P: ProbabilityMeasure
 ) -> tuple[bool, tuple[int, int] | None]:
     """Literal sweep over all nested pairs with a P-null difference."""
-    for f in v.space.all_masks():
+    for f in range(v.space.num_subsets):
         g = f
         while True:  # all subsets of f
             if P.mass(f & ~g) == 0 and v.values[g] != v.values[f]:
@@ -79,7 +79,7 @@ def p_null_additive_by_all_pairs(
 def dense_by_member_scan(members, P: ProbabilityMeasure) -> bool:
     """Literal density check scanning every algebra member per event."""
     member_bits = [m.bits for m in members]
-    for f in P.space.all_masks():
+    for f in range(P.space.num_subsets):
         if not any(a & ~f == 0 and P.mass(f & ~a) == 0 for a in member_bits):
             return False
     return True

@@ -75,17 +75,6 @@ class TestConstruction:
             v = random_capacity(4, seed, "general")
             assert check_monotone(v).holds
 
-    def test_from_mapping_round_trip(self):
-        space = StateSpace(2)
-        v = Capacity.from_mapping(space, {0: 0, 1: "1/2", 2: "1/4", 3: 1})
-        assert v.value(space.subset([0])) == F(1, 2)
-        with pytest.raises(CapacityError):
-            Capacity.from_mapping(space, {0: 0, 3: 1})
-        # a mask outside 0..2**n-1 is an error, not an alias or an IndexError
-        for table in ({0: 0, -1: 1}, {0: 0, 1: 1, 5: 1}):
-            with pytest.raises(CapacityError, match="out of range"):
-                Capacity.from_mapping(StateSpace(1), table)
-
     def test_values_become_a_tuple_of_fractions(self):
         space = StateSpace(2)
         expected = (F(0), F(1, 2), F(1, 4), F(1))
@@ -128,7 +117,7 @@ class TestMeasure:
         P = ProbabilityMeasure(StateSpace(3), (F(1, 2), F(1, 3), F(1, 6)))
         assert P.mass(0b011) == F(5, 6)
         assert P.mass_table[0b101] == F(2, 3)
-        assert P.as_capacity().values[0b111] == 1
+        assert Capacity(P.space, P.mass_table).values[0b111] == 1
 
     def test_null_states(self):
         P = ProbabilityMeasure(StateSpace(3), (F(1, 2), F(1, 2), F(0)))
@@ -139,7 +128,7 @@ class TestMeasure:
 class TestMonotone:
     def test_additive_measure_is_monotone(self):
         P = random_probability(StateSpace(4), random.Random(0))
-        assert check_monotone(P.as_capacity()).holds
+        assert check_monotone(Capacity(P.space, P.mass_table)).holds
 
     def test_single_state(self):
         assert check_monotone(Capacity(StateSpace(1), (F(0), F(1)))).holds
@@ -148,10 +137,10 @@ class TestMonotone:
 class TestConvex:
     def test_additive_is_convex_with_equality(self):
         P = ProbabilityMeasure(StateSpace(3), (F(1, 2), F(1, 3), F(1, 6)))
-        v = P.as_capacity()
+        v = Capacity(P.space, P.mass_table)
         assert check_convex(v).holds
-        for e in v.space.all_masks():
-            for g in v.space.all_masks():
+        for e in range(v.space.num_subsets):
+            for g in range(v.space.num_subsets):
                 assert v.values[e] + v.values[g] == v.values[e | g] + v.values[e & g]
 
     def test_worked_failure(self):
@@ -178,7 +167,7 @@ class TestConvex:
 class TestNullAdditive:
     def test_strictly_positive_additive_holds(self):
         P = ProbabilityMeasure(StateSpace(3), (F(1, 2), F(1, 4), F(1, 4)))
-        assert check_null_additive(P.as_capacity()).holds
+        assert check_null_additive(Capacity(P.space, P.mass_table)).holds
 
     def test_worked_failure(self):
         v = cap2("1/2", 0, 1)
@@ -218,7 +207,7 @@ class TestPNullAdditive:
     def test_induced_from_singletons_with_null_state(self):
         space = StateSpace(3)
         P = ProbabilityMeasure(space, (F(1, 2), F(1, 2), F(0)))
-        v = P.as_capacity()  # singleton information: value = mass
+        v = Capacity(P.space, P.mass_table)  # singleton information: value = mass
         report = check_P_null_additive(v, P)
         assert report.holds
         assert v.values[0b011] == v.values[0b111] == 1
@@ -227,7 +216,7 @@ class TestPNullAdditive:
         space = StateSpace(3)
         P = ProbabilityMeasure(space, (F(1, 2), F(1, 2), F(0)))
         # monotone, capped below the top except at the full set
-        values = [min(P.mass_table[m], F(1, 2)) for m in space.all_masks()]
+        values = [min(P.mass_table[m], F(1, 2)) for m in range(space.num_subsets)]
         values[0b111] = F(1)
         v = Capacity(space, tuple(values))
         report = check_P_null_additive(v, P)

@@ -212,7 +212,7 @@ def test_cover_additive_is_fixed_point(capsys, tmp_path):
     space = StateSpace(3)
     P = ProbabilityMeasure.uniform(space)
     path = tmp_path / "additive.json"
-    jsonio.dump(jsonio.capacity_to_obj(P.as_capacity()), path)
+    jsonio.dump(jsonio.capacity_to_obj(Capacity(P.space, P.mass_table)), path)
     code, report, _ = run_cli(capsys, "cover", "--capacity", str(path))
     assert code == 0
     assert report["results"]["equals_original"] is True
@@ -407,7 +407,7 @@ def test_assert_flag_on_passing_check(capsys, tmp_path):
     space = StateSpace(2)
     P = ProbabilityMeasure.uniform(space)
     path = tmp_path / "p.json"
-    jsonio.dump(jsonio.capacity_to_obj(P.as_capacity()), path)
+    jsonio.dump(jsonio.capacity_to_obj(Capacity(P.space, P.mass_table)), path)
     code, _, _ = run_cli(
         capsys, "--assert", "check", "convex", "--capacity", str(path)
     )
@@ -430,10 +430,8 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
     assert report is None
     assert "malformed" in err
     cap = tmp_path / "v.json"
-    jsonio.dump(
-        jsonio.capacity_to_obj(ProbabilityMeasure.uniform(StateSpace(2)).as_capacity()),
-        cap,
-    )
+    P = ProbabilityMeasure.uniform(StateSpace(2))
+    jsonio.dump(jsonio.capacity_to_obj(Capacity(P.space, P.mass_table)), cap)
     for seq in (
         [],
         {"kind": "ramp", "target": ["1", "1"], "steps": None},
@@ -511,10 +509,8 @@ def test_dimension_mismatch_is_diagnosed(capsys, tmp_path):
     space2, space3 = StateSpace(2), StateSpace(3)
     cap = tmp_path / "c.json"
     fun = tmp_path / "f.json"
-    jsonio.dump(
-        jsonio.capacity_to_obj(ProbabilityMeasure.uniform(space2).as_capacity()),
-        cap,
-    )
+    P = ProbabilityMeasure.uniform(space2)
+    jsonio.dump(jsonio.capacity_to_obj(Capacity(P.space, P.mass_table)), cap)
     jsonio.dump(jsonio.function_to_obj(SimpleFunction.zero(space3)), fun)
     code, _, err = run_cli(
         capsys,

@@ -219,7 +219,7 @@ class TestCounterexampleConstruction:
 
     def test_rejects_valid_capacity(self):
         P = ProbabilityMeasure.uniform(StateSpace(2))
-        v = P.as_capacity()
+        v = Capacity(P.space, P.mass_table)
         with pytest.raises(ValueError):
             counterexample_null_additivity(v, 0b01, 0b10)  # E not null
         w = cap2(0, "1/2", "1/2")

@@ -423,18 +423,14 @@ class TestMonotoneConvergenceCountable:
 
     def test_constant_sequence_on_trivial_field_converges(self):
         f = EventuallyConstantFunction.constant(1)
-        seq = CountableFunctionSequence(
-            term=lambda n: f, limit=f, stable_after=1
-        )
+        seq = CountableFunctionSequence("constant", f, f)
         report = monotone_convergence_countable(trivial_model(), seq)
         assert report.converges is True
         assert report.basis == "stabilized"
 
     def test_constant_sequence_on_singletons_converges(self):
         f = EventuallyConstantFunction(2, (F(3), F(1)), F(1, 2))
-        seq = CountableFunctionSequence(
-            term=lambda n: f, limit=f, stable_after=1
-        )
+        seq = CountableFunctionSequence("constant", f, f)
         report = monotone_convergence_countable(singletons_model(), seq)
         assert report.converges is True
         assert report.integral_trace[-1] == report.limit_integral
@@ -445,16 +441,13 @@ class TestMonotoneConvergenceCountable:
         model = pairs_model()
         stuck = EventuallyConstantFunction(2, (F(1), F(0)), F(1))
         seq = CountableFunctionSequence(
-            term=lambda n: stuck,
-            limit=EventuallyConstantFunction.constant(1),
-            pointwise=False,
-            stable_after=1,
+            "constant", stuck, EventuallyConstantFunction.constant(1)
         )
         halted = EventuallyConstantSet.finite([2])
         assert countable_induced_value(halted, model) == 0  # weak-a.e. w.r.t. it
         report = monotone_convergence_countable(model, seq)
-        assert report.converges is False
-        assert report.integral_trace[-1] == F(1, 3)
+        assert report.converges is False and report.basis == "stabilized"
+        assert report.integral_trace == (F(1, 3),) * 12
         assert report.limit_integral == 1
 
     def test_depth_below_one_rejected(self):
@@ -463,15 +456,39 @@ class TestMonotoneConvergenceCountable:
                 pairs_model(), unit_prefix_sequence(), depth=0
             )
 
-    def test_non_increasing_sequence_rejected(self):
-        def term(n):
-            return EventuallyConstantFunction.unit_prefix(max(1, 5 - n))
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            # f(2) = 2 > g(2) = 1: past f's horizon, inside g's
+            (
+                EventuallyConstantFunction(1, (F(0),), F(2)),
+                EventuallyConstantFunction(3, (F(1),) * 3, F(2)),
+            ),
+            # values below the limit's, only the tail constant above it
+            (
+                EventuallyConstantFunction(2, (F(0), F(0)), F(2)),
+                EventuallyConstantFunction(2, (F(1), F(1)), F(1)),
+            ),
+        ],
+        ids=["past-f-horizon", "tail-constant"],
+    )
+    def test_term_above_limit_rejected(self, f, g):
+        with pytest.raises(ValueError, match="exceeds"):
+            CountableFunctionSequence("constant", f, g)
 
-        seq = CountableFunctionSequence(
-            term=term, limit=EventuallyConstantFunction.constant(1)
-        )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"family": "unit-prefix", "f": EventuallyConstantFunction.constant(0)},
+            {"family": "unit-prefix", "limit": EventuallyConstantFunction.constant(2)},
+            {"family": "constant"},
+            {"family": "ramp"},
+        ],
+        ids=["prefix-f", "prefix-limit", "constant-no-f", "unknown"],
+    )
+    def test_family_fields_checked(self, kwargs):
         with pytest.raises(ValueError):
-            monotone_convergence_countable(pairs_model(), seq)
+            CountableFunctionSequence(**kwargs)
 
     def test_trace_matches_incremental_partial_sums(self):
         trace = pairs_partial_sum_trace(30)
@@ -547,13 +564,13 @@ class TestIncreasingInformation:
         assert report.holds
 
     def test_full_space_always_reaches_its_mass(self):
-        partitions = [CountablePartition("trivial")] * 2
+        whole = EventuallyConstantSet.whole()
+        model = CountableModel(telescoping_measure(), CountablePartition("trivial"))
+        assert countable_induced_value(whole, model) == whole.mass(model.measure)
         report = check_increases_continuously(
-            partitions,
-            telescoping_measure(),
-            [EventuallyConstantSet.whole()],
+            [model.partition] * 2, model.measure
         )
-        assert report.holds
+        assert not report.holds and report.witness[0] != whole
 
 
 class TestChainContinuityViaSharedEvaluator:
@@ -617,10 +634,7 @@ class TestNonSingletonBlocksBreakWeakConvergence:
         model = CountableModel(telescoping_measure(), partition)
         stuck = EventuallyConstantFunction(2, (F(1), F(0)), F(1))
         seq = CountableFunctionSequence(
-            term=lambda n: stuck,
-            limit=EventuallyConstantFunction.constant(1),
-            pointwise=False,
-            stable_after=1,
+            "constant", stuck, EventuallyConstantFunction.constant(1)
         )
         halted = EventuallyConstantSet.finite([2])
         assert countable_induced_value(halted, model) == 0
@@ -923,3 +937,87 @@ class TestTailSumWork:
             for event in events:
                 countable_induced_value(event, model)
                 event.mass(model.measure)
+
+
+class TestSequenceVerdicts:
+    """Both sequence forms are decided exactly, whatever the depth."""
+
+    def test_unit_prefixes_on_pairs_converge_at_every_depth(self):
+        # unit prefixes never repeat, so no index can be declared stable
+        with pytest.raises(TypeError):
+            CountableFunctionSequence("unit-prefix", stable_after=3)
+        for depth in (1, 2, 3, 12):
+            report = monotone_convergence_countable(
+                pairs_model(), unit_prefix_sequence(), depth
+            )
+            assert report.converges is True and report.basis == "finite-atoms"
+
+    def test_massless_infinite_block_converges_before_the_trace_does(self):
+        model = CountableModel(
+            uniform_finite_measure(20),
+            CountablePartition("prefix", prefix_len=20, tail_mode="lump"),
+        )
+        report = monotone_convergence_countable(model, unit_prefix_sequence())
+        assert report.converges is True and report.basis == "massless-block"
+        assert report.integral_trace == (F(0),) * 12
+        assert report.divergence_bound is None
+        deep = monotone_convergence_countable(model, unit_prefix_sequence(), 20)
+        assert deep.converges is True and deep.basis == "exact"
+        assert deep.integral_trace[-2:] == (F(0), F(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        countable_functions(),
+        st.one_of(st.just(EventuallyConstantFunction.constant(0)), countable_functions()),
+        countable_partitions(),
+        countable_measures(),
+        st.integers(1, 5),
+    )
+    def test_constant_verdict_compares_the_two_integrals(
+        self, f, excess, partition, measure, depth
+    ):
+        h = max(f.horizon, excess.horizon)
+        g = EventuallyConstantFunction(
+            h, tuple(f(k) + excess(k) for k in range(1, h + 1)), f.tail + excess.tail
+        )
+        model = CountableModel(measure, partition)
+        report = monotone_convergence_countable(
+            model, CountableFunctionSequence("constant", f, g), depth
+        )
+        value, target = ref_psa(f, model), ref_psa(g, model)
+        assert report.converges is (value == target)
+        assert report.integral_trace == (value,) * depth
+        assert report.limit_integral == target and report.basis == "stabilized"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        countable_partitions(),
+        st.one_of(
+            countable_measures(),
+            # weights on 1..K, then explicit zeros up to state 20
+            st.lists(st.integers(0, 4), min_size=1, max_size=12)
+            .filter(any)
+            .map(lambda raw: finite_measure(
+                [F(x, sum(raw)) for x in raw] + [F(0)] * (20 - len(raw))
+            )),
+        ),
+        st.integers(1, 30),
+    )
+    def test_unit_prefix_verdict_is_no_heavy_infinite_block(
+        self, partition, measure, depth
+    ):
+        model = CountableModel(measure, partition)
+        report = monotone_convergence_countable(model, unit_prefix_sequence(), depth)
+        # every head ends by state 12, so at horizon 40 an infinite block
+        # is listed, with the mass its members carry
+        blocks, _ = ref_cover(partition, measure, 40)
+        heavy = any(infinite and mass > 0 for _, infinite, mass in blocks)
+        assert report.converges is (not heavy)
+        unit = EventuallyConstantFunction.unit_prefix
+        assert report.integral_trace == tuple(
+            ref_psa(unit(n), model) for n in range(1, depth + 1)
+        )
+        if measure.family == "finite":
+            # every state of positive weight lies below 21, so the trace
+            # has reached its limit by state 40
+            assert report.converges is (ref_psa(unit(40), model) == 1)
