@@ -33,10 +33,10 @@ run = increasing_information_run(
 print("dyadic trace:", [str(x) for x in run.integral_trace])
 print("expectation: ", run.target)
 print("reached at stage:", run.stabilized_at, "of", m + 1)
-print("values climb to the measure on every test event:", run.continuity.holds)
+print("values climb to the measure on every event:", run.continuity.holds)
 
 # No refinement, no convergence: the trivial field repeated forever.
-stalled = [CountablePartition("trivial")] * 4
+stalled = [CountablePartition(width=None)] * 4
 run = increasing_information_run(
     stalled, telescoping_measure(), EventuallyConstantFunction.unit_prefix(4)
 )

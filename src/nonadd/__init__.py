@@ -12,7 +12,6 @@ from .capacity import (
     CapacityError,
     ProbabilityMeasure,
     PropertyReport,
-    check_continuity_along_chain,
     check_convex,
     check_dense,
     check_monotone,

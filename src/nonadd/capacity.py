@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import gt
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .sets import (
     MaskLike,
@@ -380,48 +380,6 @@ def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     a = below[f]
     return PropertyReport(
         False, (f, a), f"P(F - A_F) = {P.mass(f & ~a)} at F = {f}"
-    )
-
-
-class NonMonotoneChainError(ValueError):
-    """The given subset sequence is not monotone under inclusion."""
-
-
-def check_continuity_along_chain(
-    evaluate: Callable[[object], Fraction],
-    chain: Sequence,
-    limit: object | None = None,
-) -> PropertyReport:
-    """Does the evaluator commute with the limit of a monotone chain?
-
-    ``chain`` must be monotone under inclusion (items need ``<=``); a
-    finite list stands for the eventually-constant sequence that stays at
-    its last element, so the observed limit of values is the value at the
-    last element.  ``limit`` defaults to that element: on a finite space
-    chains stabilize and the check then holds for any capacity.  Passing
-    an explicit ``limit`` (e.g. the full countable space above a chain of
-    prefixes) makes this the genuine continuity test; the caller is
-    responsible for the chain being deep enough that its values have
-    stabilized.
-    """
-    items = list(chain)
-    if not items:
-        raise ValueError("empty chain")
-    increasing = all(a <= b for a, b in zip(items, items[1:]))
-    decreasing = all(b <= a for a, b in zip(items, items[1:]))
-    if not (increasing or decreasing):
-        raise NonMonotoneChainError("chain is not monotone under inclusion")
-    if limit is None:
-        limit = items[-1]
-    tail_value = evaluate(items[-1])
-    limit_value = evaluate(limit)
-    if tail_value == limit_value:
-        return PropertyReport(True, detail=f"limit value {limit_value}")
-    return PropertyReport(
-        False,
-        (items[-1], limit),
-        f"values along the chain reach {tail_value}, "
-        f"but the limit set has value {limit_value}",
     )
 
 

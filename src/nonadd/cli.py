@@ -117,6 +117,8 @@ def _sequence_from_json(obj, capacity) -> FunctionSequence:
     if kind == "ramp":
         target = function(obj.get("target", []))
         steps = integer("steps", 3)
+        if not 1 <= steps <= MAX_DEPTH:
+            raise FormatError(f"ramp 'steps' must be in 1..{MAX_DEPTH}, got {steps}")
         terms = tuple(
             target.scale(Fraction(s, steps)) for s in range(1, steps + 1)
         )
@@ -245,8 +247,9 @@ def _trace_obj(trace, limit: int = 100) -> dict:
 
 # Largest --m and --depth accepted, so that every preset ends in bounded
 # time and memory: dyadic --m builds 2**m states, and pair-blocks --depth
-# a trace of that many fractions.  trivial-field's time grows with the
-# square of its depth, so it has its own, lower bound.
+# a trace of that many fractions, as a ramp sequence's 'steps' builds that
+# many terms.  trivial-field's time grows with the square of its depth, so
+# it has its own, lower bound.
 MAX_M = 16
 MAX_DEPTH = 100_000
 MAX_TRIVIAL_DEPTH = 64

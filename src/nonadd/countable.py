@@ -8,11 +8,8 @@ need infinitely many states.  This module realizes them exactly:
   the telescoping tail ``T(N) = 1/(N+1)``, each weight being
   ``T(k-1) - T(k)``; both are decided from their parameters, so no value
   is ever truncated, rounded or taken on trust;
-* partitions come from canonical families (singletons, one infinite
-  block, consecutive pairs, a finite prefix block with singleton or
-  lumped tail, explicit finite blocks), each translated at construction
-  into one layout: finite head blocks covering ``{1..K}``, then either
-  consecutive tail blocks of a fixed width or one infinite block
+* a partition is its layout: finite head blocks partitioning ``{1..K}``,
+  then consecutive tail blocks of width 1 or 2, or one infinite block
   ``{K+1, K+2, ...}``.  The blocks meeting any finite window can thus be
   listed, each as its maximal runs of consecutive states;
 * functions are eventually constant and events are maximal runs, the
@@ -52,7 +49,6 @@ from .capacity import PropertyReport, _as_fraction, _scale
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-TAIL_MODES = ("singletons", "lump")
 _FIRST = itemgetter(0)
 # a run of consecutive states ``(first, last)``; ``last`` None: no end
 _Run = tuple[int, int | None]
@@ -126,74 +122,40 @@ def uniform_finite_measure(size: int) -> CountableMeasure:
 
 @dataclass(frozen=True)
 class CountablePartition:
-    """Block structure on ``{1, 2, ...}`` from a canonical family.
+    """Block structure on ``{1, 2, ...}``, given as its layout.
 
-    Families:
-
-    * ``singletons``: every state its own block (full information);
-    * ``trivial``:    one infinite block, nothing is known but the total;
-    * ``pairs``:      blocks ``{2k-1, 2k}``;
-    * ``prefix``:     one block ``{1..prefix_len}``, then per
-      ``tail_mode`` either singletons or a single infinite block;
-    * ``blocks``:     explicit finite blocks partitioning ``{1..K}``,
-      then per ``tail_mode`` singletons or one infinite block.
-
-    Construction translates every family into one layout: finite head
-    blocks covering ``{1..K}`` (none for the first three families), then
-    either consecutive tail blocks of ``width`` states (1 for singletons,
-    2 for pairs) or, with ``width`` ``None``, one infinite block
-    ``{K+1, K+2, ...}``.  Blocks are numbered head first, head blocks kept
-    as their runs; the queries below read only this layout.  A field the
-    family does not read must keep its default.
+    ``head`` lists finite blocks partitioning ``{1..K}``, numbered in the
+    given order, each kept with its members sorted.  Beyond ``K`` come
+    consecutive blocks of ``width`` states (1 singletons, 2 pairs) or, with
+    ``width`` ``None``, one infinite block ``{K+1, K+2, ...}``.  So full
+    information is ``CountablePartition()``, pairs ``width=2`` and the
+    trivial field ``width=None``; equal layouts compare equal.  Head
+    blocks are also kept as their runs; the queries below read only these.
     """
 
-    family: str
-    prefix_len: int = 0
-    tail_mode: str = "singletons"
-    explicit_blocks: tuple[tuple[int, ...], ...] = ()
+    head: tuple[tuple[int, ...], ...] = ()
+    width: int | None = 1
     _head: tuple[tuple[_Run, ...], ...] = field(init=False, repr=False, compare=False)
     _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _width: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        family = self.family
-        if family not in ("singletons", "trivial", "pairs", "prefix", "blocks"):
-            raise ValueError(f"unknown partition family {family!r}")
-        if self.tail_mode not in TAIL_MODES:
-            raise ValueError(f"unknown tail mode {self.tail_mode!r}")
-        blocks = tuple(tuple(sorted(int(k) for k in b)) for b in self.explicit_blocks)
-        object.__setattr__(self, "explicit_blocks", blocks)
-        reads = {
-            "prefix": ("prefix_len", "tail_mode"),
-            "blocks": ("explicit_blocks", "tail_mode"),
-        }.get(family, ())
-        for name, default in (
-            ("prefix_len", 0), ("tail_mode", "singletons"), ("explicit_blocks", ())
-        ):
-            if name not in reads and getattr(self, name) != default:
-                raise ValueError(f"family {family!r} does not take {name}")
-        if family == "prefix":
-            if self.prefix_len < 1:
-                raise ValueError("prefix family needs prefix_len >= 1")
-            blocks = (tuple(range(1, self.prefix_len + 1)),)
-        top = sum(len(b) for b in blocks)
+        if self.width not in (1, 2, None):
+            raise ValueError(f"tail width must be 1, 2 or None, got {self.width!r}")
+        blocks = tuple(tuple(sorted(int(k) for k in b)) for b in self.head)
+        object.__setattr__(self, "head", blocks)
+        top = sum(map(len, blocks))
         block_of = [-1] * top
         for i, b in enumerate(blocks):
             if not b:
-                raise ValueError("empty explicit block")
+                raise ValueError("empty head block")
             for k in b:
                 if not 1 <= k <= top:
-                    raise ValueError("explicit blocks must partition 1..K")
+                    raise ValueError("head blocks must partition 1..K")
                 if block_of[k - 1] >= 0:
-                    raise ValueError("explicit blocks overlap")
+                    raise ValueError("head blocks overlap")
                 block_of[k - 1] = i
-        if family in ("prefix", "blocks"):
-            width = 1 if self.tail_mode == "singletons" else None
-        else:
-            width = {"singletons": 1, "pairs": 2, "trivial": None}[family]
         object.__setattr__(self, "_head", tuple(map(_runs, blocks)))
         object.__setattr__(self, "_block_of", tuple(block_of))
-        object.__setattr__(self, "_width", width)
 
     # -- structure ---------------------------------------------------------
 
@@ -204,16 +166,16 @@ class CountablePartition:
         top = len(self._block_of)
         if k <= top:
             return self._block_of[k - 1]
-        if self._width is None:
+        if self.width is None:
             return len(self._head)
-        return len(self._head) + (k - top - 1) // self._width
+        return len(self._head) + (k - top - 1) // self.width
 
     def all_atoms_finite(self) -> bool:
-        return self._width is not None
+        return self.width is not None
 
     def infinite_atom_start(self) -> int | None:
-        """First state of the canonical infinite block, if there is one."""
-        return None if self._width else len(self._block_of) + 1
+        """First state of the infinite block, if there is one."""
+        return None if self.width else len(self._block_of) + 1
 
     def _blocks_meeting(self, horizon: int) -> Iterator[tuple[_Run, ...]]:
         """The runs of each block meeting ``{1..horizon}``, as :func:`_runs`
@@ -222,7 +184,7 @@ class CountablePartition:
             if runs[0][0] <= horizon:
                 yield runs
         top = len(self._block_of)
-        width = self._width
+        width = self.width
         if width is None:
             if horizon > top:
                 yield ((top + 1, None),)
@@ -662,56 +624,58 @@ def _check_refining(
             seen[fk] = ck
 
 
-def default_test_sets(window: int = 32) -> tuple[EventuallyConstantSet, ...]:
-    """A deterministic family of evaluable events for continuity checks."""
-    sets = [EventuallyConstantSet.whole()]
-    size = 1
-    while size <= window:
-        sets.append(EventuallyConstantSet.prefix(size))
-        size *= 2
-    sets.append(EventuallyConstantSet.finite([1]))
-    sets.append(EventuallyConstantSet.finite([2]))
-    sets.append(
-        EventuallyConstantSet.finite(range(1, window + 1, 2))
-    )
-    sets.append(EventuallyConstantSet(window, tuple(range(2, window + 1, 2)), True))
-    return tuple(sets)
-
-
 def check_increases_continuously(
     partitions: Sequence[CountablePartition],
     measure: CountableMeasure,
     *,
     window: int = 64,
 ) -> PropertyReport:
-    """Do the induced values climb all the way to the measure on each event?
+    """Do the induced values climb all the way to the measure on every event?
 
-    For each event of :func:`default_test_sets` the per-partition values are nondecreasing and
-    bounded by the event's mass.  The last partition is declared to
-    persist, so the limit is the last value and the verdict is exact both
-    ways.  Refinement is checked on states ``1..window`` first; a
+    The last partition is declared to persist, so each event's limit value
+    is its value there: the mass of the blocks inside it, at most its own
+    mass.  That reaches the mass for every event iff every state of
+    positive weight is a block of its own; else the lowest state ``k`` of
+    positive weight in a larger block fails, as ``{k}`` holds no block.
+    The layout gives ``k``: a head block of two or more states, or past
+    the head a tail of pairs or one infinite block with ``tail(K) > 0``.
+    The witness is ``({k}, values per partition, its mass)``, the values
+    nondecreasing.  Refinement is checked on states ``1..window`` first; a
     non-refining sequence raises ``ValueError``.
     """
     if not partitions:
         raise ValueError("need at least one partition")
     _check_refining(partitions, window)
-    for event in default_test_sets():
-        values = [
-            countable_induced_value(event, CountableModel(measure, p))
-            for p in partitions
-        ]
-        for a, b in zip(values, values[1:]):
-            if a > b:
-                raise RuntimeError("induced values decreased along a refinement")
-        target = event.mass(measure)
-        if values[-1] == target:
-            continue
-        return PropertyReport(
-            False,
-            (event, tuple(values), target),
-            f"values reach {values[-1]} but the event has mass {target}",
-        )
-    return PropertyReport(True)
+    last = partitions[-1]
+    top = len(last._block_of)
+    k = next(
+        (
+            k
+            for k, i in enumerate(last._block_of, start=1)
+            if len(last.head[i]) > 1 and measure.weight(k)
+        ),
+        None,
+    )
+    if k is None and last.width != 1 and measure.tail(top):
+        k = top + 1
+        while not measure.weight(k):
+            k += 1
+    if k is None:
+        return PropertyReport(True)
+    event = EventuallyConstantSet.finite([k])
+    values = [
+        countable_induced_value(event, CountableModel(measure, p))
+        for p in partitions
+    ]
+    for a, b in zip(values, values[1:]):
+        if a > b:
+            raise RuntimeError("induced values decreased along a refinement")
+    target = event.mass(measure)
+    return PropertyReport(
+        False,
+        (event, tuple(values), target),
+        f"values reach {values[-1]} but the event has mass {target}",
+    )
 
 
 @dataclass(frozen=True)
@@ -771,16 +735,16 @@ def increasing_information_run(
 
 def pairs_model() -> CountableModel:
     """Telescoping measure with pair blocks: the convergent showcase."""
-    return CountableModel(telescoping_measure(), CountablePartition("pairs"))
+    return CountableModel(telescoping_measure(), CountablePartition(width=2))
 
 
 def trivial_model() -> CountableModel:
     """Telescoping measure with one infinite block: the divergent showcase."""
-    return CountableModel(telescoping_measure(), CountablePartition("trivial"))
+    return CountableModel(telescoping_measure(), CountablePartition(width=None))
 
 
 def singletons_model() -> CountableModel:
-    return CountableModel(telescoping_measure(), CountablePartition("singletons"))
+    return CountableModel(telescoping_measure(), CountablePartition())
 
 
 def pairs_partial_sum_trace(depth: int) -> list[Fraction]:
@@ -814,7 +778,7 @@ def dyadic_partitions(m: int) -> list[CountablePartition]:
             tuple(range(start, start + width))
             for start in range(1, size + 1, width)
         )
-        stages.append(CountablePartition("blocks", explicit_blocks=blocks))
+        stages.append(CountablePartition(blocks))
     return stages
 
 

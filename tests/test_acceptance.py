@@ -234,17 +234,13 @@ def test_criterion_10_finite_atoms_equivalence():
     with criterion(10, "finite atoms = continuity from below = monotone convergence"):
         measure = telescoping_measure()
         families = [
-            CountablePartition("pairs"),
-            CountablePartition("singletons"),
-            CountablePartition("trivial"),
-            CountablePartition("prefix", prefix_len=3, tail_mode="singletons"),
-            CountablePartition("prefix", prefix_len=3, tail_mode="lump"),
-            CountablePartition(
-                "blocks", explicit_blocks=((1, 2, 3), (4,)), tail_mode="singletons"
-            ),
-            CountablePartition(
-                "blocks", explicit_blocks=((1,), (2, 3)), tail_mode="lump"
-            ),
+            CountablePartition(width=2),
+            CountablePartition(),
+            CountablePartition(width=None),
+            CountablePartition(((1, 2, 3),)),
+            CountablePartition(((1, 2, 3),), width=None),
+            CountablePartition(((1, 2, 3), (4,))),
+            CountablePartition(((1,), (2, 3)), width=None),
         ]
         verdicts = set()
         for partition in families:
@@ -283,7 +279,7 @@ def test_criterion_11_dyadic_refinement():
             for a, b in zip(trace, trace[1:]):
                 assert a <= b
 
-        constant = [CountablePartition("trivial")] * 4
+        constant = [CountablePartition(width=None)] * 4
         report = check_increases_continuously(constant, telescoping_measure())
         assert not report.holds
         event, values, target = report.witness

@@ -27,7 +27,6 @@ from nonadd import (
     PropertyReport,
     SpaceMismatchError,
     StateSpace,
-    check_continuity_along_chain,
     check_convex,
     check_dense,
     check_monotone,
@@ -40,7 +39,6 @@ from nonadd import (
     random_probability,
 )
 from nonadd.capacity import (
-    NonMonotoneChainError,
     replay_convexity_violation,
     replay_null_additivity_violation,
 )
@@ -278,44 +276,6 @@ class TestDense:
         P = ProbabilityMeasure.uniform(StateSpace(3))
         with pytest.raises(SpaceMismatchError):
             check_dense(Partition.singletons(StateSpace(4)), P)
-
-
-class TestContinuityAlongChain:
-    def test_constant_chain_holds(self):
-        v = cap2("1/2", "1/4", 1)
-        chain = [v.space.subset([0])] * 3
-        assert check_continuity_along_chain(v.value, chain).holds
-
-    def test_any_finite_chain_holds(self):
-        # chains on a finite space stabilize, so continuity is automatic
-        rng = random.Random(3)
-        for seed in range(10):
-            v = random_capacity(4, seed, "general")
-            space = v.space
-            order = list(range(4))
-            rng.shuffle(order)
-            chain = []
-            acc = space.empty()
-            for k in order:
-                acc = acc | space.singleton(k)
-                chain.append(acc)
-            assert check_continuity_along_chain(v.value, chain).holds
-
-    def test_explicit_limit_can_fail(self):
-        # an evaluator that drops mass at the declared limit set
-        def evaluate(event):
-            return F(0) if len(event) < 4 else F(1)
-
-        space = StateSpace(4)
-        chain = [space.subset([0]), space.subset([0, 1]), space.subset([0, 1, 2])]
-        report = check_continuity_along_chain(evaluate, chain, limit=space.full())
-        assert not report.holds
-
-    def test_non_monotone_chain_raises(self):
-        space = StateSpace(3)
-        chain = [space.subset([0]), space.subset([1])]
-        with pytest.raises(NonMonotoneChainError):
-            check_continuity_along_chain(lambda e: F(0), chain)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,8 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
     for seq in (
         [],
         {"kind": "ramp", "target": ["1", "1"], "steps": None},
+        # bounded before any term is built
+        {"kind": "ramp", "target": ["1", "1"], "steps": 10**9},
         {"kind": "null-counterexample", "E": None, "F": "1"},
         {"kind": "null-counterexample", "E": "9", "F": "1"},
         {"kind": "custom", "terms": None, "limit": ["1", "1"]},

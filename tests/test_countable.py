@@ -112,7 +112,7 @@ class TestMeasures:
         weights = [F(1, k * (k + 1)) for k in range(1, 21)]
         weights += [F(31 - k, 21 * 55) for k in range(21, 31)]
         m = finite_measure(weights)
-        blocks, remainder = cover(CountablePartition("pairs"), m, 24)
+        blocks, remainder = cover(CountablePartition(width=2), m, 24)
         assert [b.members for b in blocks][-3:] == [(19, 20), (21, 22), (23, 24)]
         for b in blocks:
             assert b.mass == weight_sum(m, b.members)
@@ -156,46 +156,45 @@ def test_out_of_range_parameters_rejected(build):
 class TestPartitionCovers:
     def test_pairs_cover_straddles_odd_horizon(self):
         m = telescoping_measure()
-        blocks, remainder = cover(CountablePartition("pairs"), m, 3)
+        blocks, remainder = cover(CountablePartition(width=2), m, 3)
         assert [b.members for b in blocks] == [(1, 2), (3, 4)]
         assert remainder == m.tail(4)
         assert sum((b.mass for b in blocks), remainder) == 1
 
     def test_trivial_cover(self):
         m = telescoping_measure()
-        blocks, remainder = cover(CountablePartition("trivial"), m, 5)
+        blocks, remainder = cover(CountablePartition(width=None), m, 5)
         assert len(blocks) == 1 and blocks[0].infinite and blocks[0].mass == 1
         assert remainder == 0
 
     def test_prefix_lump_cover(self):
         m = telescoping_measure()
-        p = CountablePartition("prefix", prefix_len=3, tail_mode="lump")
+        p = CountablePartition(((1, 2, 3),), width=None)
         blocks, remainder = cover(p, m, 6)
         assert [b.infinite for b in blocks] == [False, True]
         assert blocks[0].members == (1, 2, 3)
         assert blocks[1].mass == m.tail(3)
         assert remainder == 0
 
-    def test_explicit_blocks_validation(self):
-        with pytest.raises(ValueError):
-            CountablePartition("blocks", explicit_blocks=((1, 2), (2, 3)))
-        with pytest.raises(ValueError):
-            CountablePartition("blocks", explicit_blocks=((1, 2), (4,)))
-        with pytest.raises(ValueError):
-            CountablePartition("pairs", tail_mode="lump")
-        with pytest.raises(ValueError):
-            CountablePartition("trivial", tail_mode="lump")
-        with pytest.raises(ValueError):
-            CountablePartition("singletons", prefix_len=5)
-        with pytest.raises(ValueError):
-            CountablePartition(
-                "prefix", prefix_len=3, explicit_blocks=((1,), (2, 3))
-            )
-        with pytest.raises(ValueError):
-            CountablePartition("blocks", prefix_len=1, explicit_blocks=((1,),))
+    def test_layout_validation(self):
+        for head, width in [
+            (((1, 2), (2, 3)), 1),  # overlap
+            (((1, 2), (4,)), 1),  # gap
+            (((1,), ()), 1),  # empty block
+            ((), 3),
+            ((), 0),
+        ]:
+            with pytest.raises(ValueError):
+                CountablePartition(head, width)
+
+    def test_equal_layouts_compare_equal(self):
+        assert CountablePartition(((3, 1), (2,))) == CountablePartition(((1, 3), (2,)))
+        assert CountablePartition(((1, 3), (2,))) != CountablePartition(((2,), (1, 3)))
+        assert trivial_model().partition == CountablePartition(width=None)
+        assert CountablePartition(width=None) != CountablePartition()
 
     def test_block_keys_partition_states(self):
-        p = CountablePartition("prefix", prefix_len=2, tail_mode="singletons")
+        p = CountablePartition(((1, 2),))
         assert p.block_key(1) == p.block_key(2)
         assert p.block_key(3) != p.block_key(4)
 
@@ -203,23 +202,17 @@ class TestPartitionCovers:
         "partition",
         [
             # the seven partitions of acceptance criterion 10
-            CountablePartition("pairs"),
-            CountablePartition("singletons"),
-            CountablePartition("trivial"),
-            CountablePartition("prefix", prefix_len=3, tail_mode="singletons"),
-            CountablePartition("prefix", prefix_len=3, tail_mode="lump"),
-            CountablePartition(
-                "blocks", explicit_blocks=((1, 2, 3), (4,)), tail_mode="singletons"
-            ),
-            CountablePartition(
-                "blocks", explicit_blocks=((1,), (2, 3)), tail_mode="lump"
-            ),
-            # interleaved explicit blocks, and no explicit blocks at all
-            CountablePartition(
-                "blocks", explicit_blocks=((2, 5), (1,), (3, 4)), tail_mode="lump"
-            ),
-            CountablePartition("blocks"),
-            CountablePartition("prefix", prefix_len=1, tail_mode="lump"),
+            CountablePartition(width=2),
+            CountablePartition(),
+            CountablePartition(width=None),
+            CountablePartition(((1, 2, 3),)),
+            CountablePartition(((1, 2, 3),), width=None),
+            CountablePartition(((1, 2, 3), (4,))),
+            CountablePartition(((1,), (2, 3)), width=None),
+            # interleaved head blocks, and a head before pair blocks
+            CountablePartition(((2, 5), (1,), (3, 4)), width=None),
+            CountablePartition(((1, 2),), width=2),
+            CountablePartition(((1,),), width=None),
         ],
     )
     def test_cover_keys_and_atoms_agree(self, partition):
@@ -309,9 +302,7 @@ class TestCountableIntegral:
                 width = rng.randint(1, n - start + 1)
                 blocks.append(tuple(range(start, start + width)))
                 start += width
-            partition = CountablePartition(
-                "blocks", explicit_blocks=tuple(blocks)
-            )
+            partition = CountablePartition(tuple(blocks))
             model = CountableModel(finite_measure(weights), partition)
             values = tuple(F(rng.randint(0, 8), 4) for _ in range(n))
             f = EventuallyConstantFunction(n, values, F(0))
@@ -354,15 +345,12 @@ class TestInducedValues:
 
 class TestFiniteAtoms:
     def test_families(self):
-        assert CountablePartition("pairs").all_atoms_finite()
-        assert CountablePartition("singletons").all_atoms_finite()
-        assert not CountablePartition("trivial").all_atoms_finite()
-        assert CountablePartition(
-            "prefix", prefix_len=3, tail_mode="singletons"
-        ).all_atoms_finite()
-        assert not CountablePartition(
-            "prefix", prefix_len=3, tail_mode="lump"
-        ).all_atoms_finite()
+        assert CountablePartition(width=2).all_atoms_finite()
+        assert CountablePartition().all_atoms_finite()
+        assert not CountablePartition(width=None).all_atoms_finite()
+        assert CountablePartition(((1, 2, 3),)).all_atoms_finite()
+        assert CountablePartition(((1, 2, 3),), width=2).all_atoms_finite()
+        assert not CountablePartition(((1, 2, 3),), width=None).all_atoms_finite()
 
 
 class TestContinuityFromBelow:
@@ -383,7 +371,7 @@ class TestContinuityFromBelow:
     def test_lump_fails_with_tail_mass(self):
         model = CountableModel(
             telescoping_measure(),
-            CountablePartition("prefix", prefix_len=4, tail_mode="lump"),
+            CountablePartition(((1, 2, 3, 4),), width=None),
         )
         report = continuity_from_below_countable(model)
         assert not report.holds
@@ -400,7 +388,7 @@ class TestContinuityFromBelow:
     def test_massless_infinite_atom_is_harmless(self):
         model = CountableModel(
             finite_measure([F(1, 2), F(1, 2)]),
-            CountablePartition("prefix", prefix_len=2, tail_mode="lump"),
+            CountablePartition(((1, 2),), width=None),
         )
         report = continuity_from_below_countable(model)
         assert report.holds
@@ -517,7 +505,7 @@ class TestIncreasingInformation:
             assert run.continuity.holds
 
     def test_constant_trivial_sequence_fails(self):
-        partitions = [CountablePartition("trivial")] * 4
+        partitions = [CountablePartition(width=None)] * 4
         run = increasing_information_run(
             partitions,
             telescoping_measure(),
@@ -531,7 +519,7 @@ class TestIncreasingInformation:
         assert target > 0
 
     def test_constant_function_trivially_converges(self):
-        partitions = [CountablePartition("trivial")] * 3
+        partitions = [CountablePartition(width=None)] * 3
         run = increasing_information_run(
             partitions,
             telescoping_measure(),
@@ -542,8 +530,8 @@ class TestIncreasingInformation:
 
     def test_non_refining_sequence_rejected(self):
         partitions = [
-            CountablePartition("singletons"),
-            CountablePartition("pairs"),
+            CountablePartition(),
+            CountablePartition(width=2),
         ]
         with pytest.raises(ValueError):
             increasing_information_run(
@@ -554,9 +542,9 @@ class TestIncreasingInformation:
 
     def test_refinement_to_singletons_is_dense(self):
         partitions = [
-            CountablePartition("trivial"),
-            CountablePartition("prefix", prefix_len=2, tail_mode="singletons"),
-            CountablePartition("singletons"),
+            CountablePartition(width=None),
+            CountablePartition(((1, 2),)),
+            CountablePartition(),
         ]
         report = check_increases_continuously(
             partitions, telescoping_measure()
@@ -565,66 +553,34 @@ class TestIncreasingInformation:
 
     def test_full_space_always_reaches_its_mass(self):
         whole = EventuallyConstantSet.whole()
-        model = CountableModel(telescoping_measure(), CountablePartition("trivial"))
+        model = CountableModel(telescoping_measure(), CountablePartition(width=None))
         assert countable_induced_value(whole, model) == whole.mass(model.measure)
         report = check_increases_continuously(
             [model.partition] * 2, model.measure
         )
         assert not report.holds and report.witness[0] != whole
 
-
-class TestChainContinuityViaSharedEvaluator:
-    def test_trivial_field_prefix_chain_fails_at_the_whole_space(self):
-        # the finite-space chain checker drives the countable evaluator:
-        # prefixes of the one infinite block stay at value 0 while the
-        # block itself carries value 1
-        from nonadd import check_continuity_along_chain
-
-        model = trivial_model()
-        chain = [EventuallyConstantSet.prefix(m) for m in range(1, 9)]
-        report = check_continuity_along_chain(
-            lambda event: countable_induced_value(event, model),
-            chain,
-            limit=EventuallyConstantSet.whole(),
-        )
-        assert not report.holds
-
-    def test_pairs_prefix_chain_still_fails_short_of_the_limit(self):
-        # with pair blocks the prefix values climb but no finite depth
-        # reaches the limit value; the checker reports the exact gap
-        from nonadd import check_continuity_along_chain
-
-        model = pairs_model()
-        chain = [EventuallyConstantSet.prefix(2 * m) for m in range(1, 6)]
-        report = check_continuity_along_chain(
-            lambda event: countable_induced_value(event, model),
-            chain,
-            limit=EventuallyConstantSet.whole(),
-        )
-        assert not report.holds  # stabilization never certified at depth 5
-
-    def test_non_monotone_countable_chain_rejected(self):
-        from nonadd import check_continuity_along_chain
-        from nonadd.capacity import NonMonotoneChainError
-
-        model = pairs_model()
-        chain = [
-            EventuallyConstantSet.finite([1, 2]),
-            EventuallyConstantSet.finite([3]),
+    def test_heavy_state_beyond_a_long_singleton_head_fails(self):
+        # singleton head blocks 1..100, then one infinite block: the event
+        # {101} holds no block, yet carries mass 1/(101 * 102)
+        partitions = [
+            CountablePartition(width=None),
+            CountablePartition(tuple((k,) for k in range(1, 101)), width=None),
         ]
-        with pytest.raises(NonMonotoneChainError):
-            check_continuity_along_chain(
-                lambda event: countable_induced_value(event, model), chain
-            )
+        report = check_increases_continuously(partitions, telescoping_measure())
+        assert not report.holds
+        assert report.witness == (
+            EventuallyConstantSet.finite([101]), (F(0), F(0)), F(1, 10302)
+        )
 
 
 class TestNonSingletonBlocksBreakWeakConvergence:
     @pytest.mark.parametrize(
         "partition",
         [
-            CountablePartition("pairs"),
-            CountablePartition("prefix", prefix_len=3, tail_mode="singletons"),
-            CountablePartition("trivial"),
+            CountablePartition(width=2),
+            CountablePartition(((1, 2, 3),)),
+            CountablePartition(width=None),
         ],
     )
     def test_halting_inside_a_block_stalls_the_integrals(self, partition):
@@ -696,7 +652,7 @@ class TestEventuallyConstantSet:
 
 def ref_cover(partition, measure, horizon):
     """``[(members, infinite, mass)]`` and the remainder, from block keys."""
-    head = partition.prefix_len + sum(map(len, partition.explicit_blocks))
+    head = sum(map(len, partition.head))
     reach = horizon + head + 2
     start = partition.infinite_atom_start()
     groups = {}
@@ -769,26 +725,15 @@ def countable_measures(draw):
 
 
 @st.composite
-def countable_partitions(draw):
-    family = draw(
-        st.sampled_from(["singletons", "trivial", "pairs", "prefix", "blocks"])
-    )
-    if family in ("singletons", "trivial", "pairs"):
-        return CountablePartition(family)
-    tail_mode = draw(st.sampled_from(["singletons", "lump"]))
-    if family == "prefix":
-        prefix_len = draw(st.integers(1, 12))
-        return CountablePartition("prefix", prefix_len=prefix_len, tail_mode=tail_mode)
-    # states 1..K labelled at random: blocks of equal labels, often not runs
-    labels = draw(st.lists(st.integers(0, 3), max_size=12))
+def countable_partitions(draw, max_head=12):
+    """A layout: states ``1..K`` labelled at random, blocks of equal labels
+    (often not runs), then a tail of width 1 or 2 or one infinite block."""
+    labels = draw(st.lists(st.integers(0, 3), max_size=max_head))
     blocks = {}
     for k, label in enumerate(labels, start=1):
         blocks.setdefault(label, []).append(k)
-    return CountablePartition(
-        "blocks",
-        explicit_blocks=tuple(map(tuple, blocks.values())),
-        tail_mode=tail_mode,
-    )
+    width = draw(st.sampled_from([1, 2, None]))
+    return CountablePartition(tuple(map(tuple, blocks.values())), width)
 
 
 # small denominators scale to ints; two large primes push the common
@@ -864,7 +809,7 @@ class TestTailSumsMatchBlockLoops:
         )
         scaled, common = f._scaled
         assert common == 1 and scaled[:-1] == f.values
-        partition = CountablePartition("blocks", explicit_blocks=((1, 4), (2,), (3, 5)))
+        partition = CountablePartition(((1, 4), (2,), (3, 5)))
         for model in (
             CountableModel(telescoping_measure(), partition),
             pairs_model(),
@@ -955,7 +900,7 @@ class TestSequenceVerdicts:
     def test_massless_infinite_block_converges_before_the_trace_does(self):
         model = CountableModel(
             uniform_finite_measure(20),
-            CountablePartition("prefix", prefix_len=20, tail_mode="lump"),
+            CountablePartition((tuple(range(1, 21)),), width=None),
         )
         report = monotone_convergence_countable(model, unit_prefix_sequence())
         assert report.converges is True and report.basis == "massless-block"
@@ -1021,3 +966,46 @@ class TestSequenceVerdicts:
             # every state of positive weight lies below 21, so the trace
             # has reached its limit by state 40
             assert report.converges is (ref_psa(unit(40), model) == 1)
+
+
+class TestIncreasesContinuouslyVerdict:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        countable_partitions(max_head=6),
+        st.one_of(
+            st.just(telescoping_measure()),
+            st.lists(st.integers(0, 3), min_size=1, max_size=6)
+            .filter(any)
+            .map(lambda raw: finite_measure([F(x, sum(raw)) for x in raw])),
+        ),
+    )
+    def test_verdict_matches_a_scan_of_every_event(self, partition, measure):
+        # beyond N every state is in the scanned tail, and each state of
+        # positive weight in a larger block lies in 1..N, so the scan over
+        # every event of 1..N, with and without the tail, is complete
+        n = max(sum(map(len, partition.head)) + 3, len(measure.weights) + 1)
+        model = CountableModel(measure, partition)
+
+        def reaches(event):
+            return countable_induced_value(event, model) == event.mass(measure)
+
+        holds = all(
+            reaches(EventuallyConstantSet(n, members, tail_in))
+            for mask in range(1 << n)
+            for members in [[k for k in range(1, n + 1) if mask >> (k - 1) & 1]]
+            for tail_in in (False, True)
+        )
+        report = check_increases_continuously(
+            [CountablePartition(width=None), partition], measure
+        )
+        assert report.holds is holds
+        if not holds:
+            lowest = next(
+                k for k in range(1, n + 1)
+                if not reaches(EventuallyConstantSet.finite([k]))
+            )
+            event, values, mass = report.witness
+            assert event == EventuallyConstantSet.finite([lowest])
+            assert values == (F(0), F(0))
+            assert countable_induced_value(event, model) == 0 < mass
+            assert mass == event.mass(measure)
