@@ -6,7 +6,7 @@ every check below is an exact decision; there are no tolerances, because
 the characterizations this package verifies are exact iff-statements and
 floating error would corrupt them.  The scans over all ``2**n`` subsets
 compare the values scaled to one common denominator, as plain ints; the
-verdicts, witnesses and details they report are those of the Fractions.
+verdicts and witnesses they report are those of the Fractions.
 
 Each ``check_*`` function returns a :class:`PropertyReport`.  When a
 property fails, the report carries a witness that replays the defining
@@ -225,7 +225,6 @@ class PropertyReport:
 
     holds: bool
     witness: object | None = None
-    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.holds
@@ -240,15 +239,7 @@ def check_monotone(v: Capacity) -> PropertyReport:
     invariant.
     """
     pair = _monotonicity_violation(v._scaled)
-    if pair is None:
-        return PropertyReport(True)
-    values = v.values
-    below, mask = pair
-    return PropertyReport(
-        False,
-        pair,
-        f"v({below}) = {values[below]} > {values[mask]} = v({mask})",
-    )
+    return PropertyReport(pair is None, pair)
 
 
 def check_convex(v: Capacity) -> PropertyReport:
@@ -273,15 +264,7 @@ def check_convex(v: Capacity) -> PropertyReport:
             xe = values[e]
             for bj in free[i + 1 :]:
                 if values[e | bj] + x < xe + values[base | bj]:
-                    f = base | bj
-                    vals = v.values
-                    lhs = vals[e | f] + vals[base]
-                    rhs = vals[e] + vals[f]
-                    return PropertyReport(
-                        False,
-                        (e, f),
-                        f"v({e}) + v({f}) = {rhs} > {lhs} = v(union) + v(intersection)",
-                    )
+                    return PropertyReport(False, (e, base | bj))
     return PropertyReport(True)
 
 
@@ -324,12 +307,7 @@ def check_null_additive(v: Capacity) -> PropertyReport:
             continue
         for f in range(v.space.num_subsets):
             if values[e | f] != values[f]:
-                vals = v.values
-                return PropertyReport(
-                    False,
-                    (e, f),
-                    f"v(E) = 0 but v(E|F) = {vals[e | f]} != {vals[f]} = v(F)",
-                )
+                return PropertyReport(False, (e, f))
     return PropertyReport(True)
 
 
@@ -345,17 +323,12 @@ def check_P_null_additive(v: Capacity, P: ProbabilityMeasure) -> PropertyReport:
         raise SpaceMismatchError("capacity and measure on different spaces")
     null_bits = P.null_states_bits()
     if null_bits == 0:
-        return PropertyReport(True, detail="P strictly positive: vacuous")
+        return PropertyReport(True)
     values = v._scaled
     for f in range(v.space.num_subsets):
         g = f & ~null_bits
         if values[g] != values[f]:
-            vals = v.values
-            return PropertyReport(
-                False,
-                (g, f),
-                f"P(F-G) = 0 but v(G) = {vals[g]} != {vals[f]} = v(F)",
-            )
+            return PropertyReport(False, (g, f))
     return PropertyReport(True)
 
 
@@ -377,10 +350,7 @@ def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     if not worst_gap:
         return PropertyReport(True)
     f = gaps.index(worst_gap)
-    a = below[f]
-    return PropertyReport(
-        False, (f, a), f"P(F - A_F) = {P.mass(f & ~a)} at F = {f}"
-    )
+    return PropertyReport(False, (f, below[f]))
 
 
 def replay_convexity_violation(v: Capacity, e: MaskLike, f: MaskLike) -> bool:

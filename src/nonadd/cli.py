@@ -1,13 +1,14 @@
 """Command-line front door.
 
-Subcommands: ``integrate`` (choquet | cav | psa | psp), ``check``
-(monotone | convex | null-additive | p-null-additive | dense |
-weak-ae-equivalence), ``cover``, ``converge`` (presets or a capacity +
-sequence file), and ``gen`` (seeded random capacities to a file).
+Subcommands: ``integrate`` and ``check`` (one library call per ``which``,
+listed in ``_INTEGRALS`` and ``_CHECKS``), ``cover``, ``converge`` (presets
+or a capacity + sequence file), and ``gen`` (seeded random capacities to a
+file).
 
-All values print as exact ``p/q`` strings (``--decimal K`` adds rounded
-companions for display only).  A completed run exits 0 regardless of the
-verdict; ``--assert`` flips false verdicts to exit 1 for CI use.
+All values print as exact ``p/q`` strings (``--decimal K`` adds companions
+rounded half to even from the exact value, for display only).  A completed
+run exits 0 regardless of the verdict; ``--assert`` flips false verdicts to
+exit 1 for CI use.
 Malformed input exits 2 with a diagnostic on stderr; a broken internal
 invariant exits 3 with ``internal error: ...`` on stderr.
 """
@@ -59,22 +60,24 @@ def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
+def _decimal(x: Fraction, places: int) -> str:
+    """``x`` to ``places`` digits after the point, rounded half to even."""
+    scaled = round(x * 10**places)
+    whole, digits = divmod(abs(scaled), 10**places)
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{whole}.{digits:0{places}d}" if places else f"{sign}{whole}"
 
 
 def _maybe_decimal(results: dict, key: str, x: Fraction, places: int | None) -> None:
-    results[key] = _frac(x)
+    results[key] = str(x)
     if places is not None:
-        results[key + "_decimal"] = f"{float(x):.{places}f}"
+        results[key + "_decimal"] = _decimal(x, places)
 
 
 def _witness_obj(witness) -> list:
     out = []
     for item in witness or ():
-        if isinstance(item, Fraction):
-            out.append(_frac(item))
-        elif isinstance(item, (int, str, bool)):
+        if isinstance(item, (Fraction, int, str, bool)):
             out.append(str(item))
         elif isinstance(item, tuple):
             out.append(_witness_obj(item))
@@ -90,14 +93,10 @@ def _decomposition_obj(witness) -> list | None:
     out = []
     for w, target in terms:
         if isinstance(target, int):
-            out.append([_frac(w), str(target)])
+            out.append([str(w), str(target)])
         else:  # a function member of a known family
-            out.append([_frac(w), [_frac(x) for x in target.values]])
+            out.append([str(w), [str(x) for x in target.values]])
     return out
-
-
-def _report_obj(report) -> dict:
-    return {"holds": report.holds, "witness": _witness_obj(report.witness)}
 
 
 def _sequence_from_json(obj, capacity) -> FunctionSequence:
@@ -137,87 +136,87 @@ def _sequence_from_json(obj, capacity) -> FunctionSequence:
     raise FormatError(f"unknown sequence kind {kind!r}")
 
 
-def _need(args, *names: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n, None) is None]
+# The reader of each input file, by flag name.
+_LOADERS = {
+    "function": jsonio.function_from_obj,
+    "capacity": jsonio.capacity_from_obj,
+    "measure": jsonio.measure_from_obj,
+    "partition": jsonio.partition_from_obj,
+    "family": jsonio.family_from_obj,
+}
+
+# Each ``which`` of ``integrate`` and ``check``: its library call and the
+# input files it takes, in call order.
+_INTEGRALS = {
+    "choquet": (choquet_integral, ("function", "capacity")),
+    "cav": (concave_integral, ("function", "capacity")),
+    "psa": (psa_integral, ("function", "measure", "partition")),
+    "psp": (psp_integral, ("function", "measure", "family")),
+}
+_CHECKS = {
+    "monotone": (check_monotone, ("capacity",)),
+    "convex": (check_convex, ("capacity",)),
+    "null-additive": (check_null_additive, ("capacity",)),
+    "p-null-additive": (check_P_null_additive, ("capacity", "measure")),
+    "dense": (check_dense, ("partition", "measure")),
+    "weak-ae-equivalence": (check_weak_ae_equivalence, ("measure", "partition")),
+}
+
+
+def _current(f):
+    """``f`` as its module binds it now.
+
+    The tables above hold the functions bound at import; a wrapper set on
+    the module later (a tracer's or a profiler's) is called only through
+    this lookup, as it is for a call by name.
+    """
+    return getattr(sys.modules[f.__module__], f.__name__)
+
+
+def _load_inputs(args, names: tuple[str, ...]) -> list:
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise FormatError(
             f"{args.command} {args.which}: missing {', '.join(missing)}"
         )
+    return [_current(_LOADERS[n])(jsonio.load(getattr(args, n))) for n in names]
 
 
 def _cmd_integrate(args, results: dict) -> bool:
-    if args.which in ("choquet", "cav"):
-        _need(args, "capacity")
-    elif args.which == "psa":
-        _need(args, "measure", "partition")
-    else:
-        _need(args, "measure", "family")
-    f = jsonio.function_from_obj(jsonio.load(args.function))
-    if args.which in ("choquet", "cav"):
-        v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
-        compute = choquet_integral if args.which == "choquet" else concave_integral
-        res = compute(f, v)
-    elif args.which == "psa":
-        P = jsonio.measure_from_obj(jsonio.load(args.measure))
-        p = jsonio.partition_from_obj(jsonio.load(args.partition))
-        res = psa_integral(f, P, p)
-    else:  # psp
-        P = jsonio.measure_from_obj(jsonio.load(args.measure))
-        family = jsonio.family_from_obj(jsonio.load(args.family))
-        res = psp_integral(f, P, family)
+    compute, names = _INTEGRALS[args.which]
+    res = _current(compute)(*_load_inputs(args, names))
     _maybe_decimal(results, "value", res.value, args.decimal)
     results["witness"] = _decomposition_obj(res.witness)
     if res.dual_witness is not None:
-        results["dual_witness"] = [_frac(y) for y in res.dual_witness]
+        results["dual_witness"] = [str(y) for y in res.dual_witness]
     return True
 
 
 def _cmd_check(args, results: dict) -> bool:
-    if args.which in ("monotone", "convex", "null-additive"):
-        _need(args, "capacity")
-        try:
-            v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
-        except CapacityError as exc:
-            # loading runs the monotonicity scan: a covering-pair witness
-            # is that check's verdict, any other failure is bad input
-            if args.which != "monotone" or len(exc.witness) != 2:
-                raise
-            report = PropertyReport(False, exc.witness)
-        else:
-            checker = {
-                "monotone": check_monotone,
-                "convex": check_convex,
-                "null-additive": check_null_additive,
-            }[args.which]
-            report = checker(v)
-    elif args.which == "p-null-additive":
-        _need(args, "capacity", "measure")
-        v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
-        P = jsonio.measure_from_obj(jsonio.load(args.measure))
-        report = check_P_null_additive(v, P)
-    elif args.which == "dense":
-        _need(args, "measure", "partition")
-        P = jsonio.measure_from_obj(jsonio.load(args.measure))
-        p = jsonio.partition_from_obj(jsonio.load(args.partition))
-        report = check_dense(p, P)
-    else:  # weak-ae-equivalence
-        _need(args, "measure", "partition")
-        P = jsonio.measure_from_obj(jsonio.load(args.measure))
-        p = jsonio.partition_from_obj(jsonio.load(args.partition))
-        full = check_weak_ae_equivalence(P, p, seed=args.seed)
-        results["conditions"] = full.verdicts()
-        results["agree"] = full.agree
-        results["strictly_positive"] = full.strictly_positive
-        for name, rep in (
-            ("dense", full.dense),
-            ("lebesgue", full.lebesgue),
-            ("monotone_convergence", full.monotone_convergence),
-            ("null_additive", full.null_additive),
-        ):
-            if not rep.holds:
-                results[f"{name}_witness"] = _witness_obj(rep.witness)
-        return full.agree
-    results.update(_report_obj(report))
+    checker, names = _CHECKS[args.which]
+    checker = _current(checker)
+    try:
+        inputs = _load_inputs(args, names)
+    except CapacityError as exc:
+        # loading runs the monotonicity scan: a covering-pair witness
+        # is that check's verdict, any other failure is bad input
+        if args.which != "monotone" or len(exc.witness) != 2:
+            raise
+        report = PropertyReport(False, exc.witness)
+    else:
+        if args.which == "weak-ae-equivalence":
+            full = checker(*inputs, seed=args.seed)
+            results["conditions"] = full.verdicts()
+            results["agree"] = full.agree
+            results["strictly_positive"] = full.strictly_positive
+            for name, holds in results["conditions"].items():
+                if not holds:
+                    witness = getattr(full, name).witness
+                    results[f"{name}_witness"] = _witness_obj(witness)
+            return full.agree
+        report = checker(*inputs)
+    results["holds"] = report.holds
+    results["witness"] = _witness_obj(report.witness)
     return report.holds
 
 
@@ -235,7 +234,7 @@ def _cmd_cover(args, results: dict) -> bool:
 
 
 def _trace_obj(trace, limit: int = 100) -> dict:
-    values = [_frac(x) for x in trace]
+    values = [str(x) for x in trace]
     if len(values) <= limit:
         return {"trace": values}
     return {
@@ -249,10 +248,11 @@ def _trace_obj(trace, limit: int = 100) -> dict:
 # time and memory: dyadic --m builds 2**m states, and pair-blocks --depth
 # a trace of that many fractions, as a ramp sequence's 'steps' builds that
 # many terms.  trivial-field's time grows with the square of its depth, so
-# it has its own, lower bound.
+# it has its own, lower bound.  --decimal K renders K digits per value.
 MAX_M = 16
 MAX_DEPTH = 100_000
 MAX_TRIVIAL_DEPTH = 64
+MAX_DECIMAL = 1000
 
 
 def _cmd_converge(args, results: dict) -> bool:
@@ -281,7 +281,7 @@ def _cmd_converge(args, results: dict) -> bool:
         results["convergent"] = report.converges
         results["basis"] = report.basis
         if report.divergence_bound is not None:
-            results["divergence_bound"] = _frac(report.divergence_bound)
+            results["divergence_bound"] = str(report.divergence_bound)
         return report.converges
     if args.preset == "dyadic":
         m = args.m if args.m is not None else 4
@@ -371,33 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_int = sub.add_parser(
-        "integrate", help="compute an integral", parents=[common]
-    )
-    p_int.add_argument("which", choices=("choquet", "cav", "psa", "psp"))
-    p_int.add_argument("--function", required=True)
-    p_int.add_argument("--capacity")
-    p_int.add_argument("--measure")
-    p_int.add_argument("--partition")
-    p_int.add_argument("--family")
-
-    p_chk = sub.add_parser(
-        "check", help="check a structural property", parents=[common]
-    )
-    p_chk.add_argument(
-        "which",
-        choices=(
-            "monotone",
-            "convex",
-            "null-additive",
-            "p-null-additive",
-            "dense",
-            "weak-ae-equivalence",
-        ),
-    )
-    p_chk.add_argument("--capacity")
-    p_chk.add_argument("--measure")
-    p_chk.add_argument("--partition")
+    for command, table, about in (
+        ("integrate", _INTEGRALS, "compute an integral"),
+        ("check", _CHECKS, "check a structural property"),
+    ):
+        p_cmd = sub.add_parser(command, help=about, parents=[common])
+        p_cmd.add_argument("which", choices=tuple(table))
+        # one flag per input file any ``which`` reads, in first-use order;
+        # every integral reads --function
+        for name in dict.fromkeys(n for _, names in table.values() for n in names):
+            p_cmd.add_argument(f"--{name}", required=name == "function")
 
     p_cov = sub.add_parser(
         "cover", help="totally balanced cover of a capacity", parents=[common]
@@ -439,7 +422,7 @@ _HANDLERS = {
     "gen": _cmd_gen,
 }
 
-_INPUT_ARGS = ("capacity", "measure", "partition", "function", "family", "sequence")
+_INPUT_ARGS = (*_LOADERS, "sequence")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -448,6 +431,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     results: dict = {}
     try:
+        if args.decimal is not None and not 0 <= args.decimal <= MAX_DECIMAL:
+            raise FormatError(
+                f"--decimal must be in 0..{MAX_DECIMAL}, got {args.decimal}"
+            )
         verdict = _HANDLERS[args.command](args, results)
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -89,7 +89,6 @@ class FunctionSequence:
 class ConvergenceReport:
     """Verdict of a convergence-mode test or integral-convergence experiment."""
 
-    mode: str
     holds: bool
     witness: tuple | None = None
     integral_trace: tuple[Fraction, ...] | None = None
@@ -102,7 +101,7 @@ class ConvergenceReport:
 def converges_pointwise(seq: FunctionSequence) -> ConvergenceReport:
     """Does every state reach the declared limit?"""
     d = seq.divergence_bits()
-    return ConvergenceReport("pointwise", d == 0, None if d == 0 else (d,))
+    return ConvergenceReport(d == 0, None if d == 0 else (d,))
 
 
 def converges_weak_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport:
@@ -111,9 +110,7 @@ def converges_weak_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport:
         raise SpaceMismatchError("sequence and capacity on different spaces")
     d = seq.divergence_bits()
     holds = v.values[d] == 0
-    return ConvergenceReport(
-        "weak-v-ae", holds, None if holds else (d, v.values[d])
-    )
+    return ConvergenceReport(holds, None if holds else (d, v.values[d]))
 
 
 def converges_strong_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport:
@@ -128,10 +125,8 @@ def converges_strong_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport
     conv = seq.space.full_bits & ~seq.divergence_bits()
     for f in range(seq.space.num_subsets):
         if v.values[f & conv] != v.values[f]:
-            return ConvergenceReport(
-                "strong-v-ae", False, (f, v.values[f & conv], v.values[f])
-            )
-    return ConvergenceReport("strong-v-ae", True)
+            return ConvergenceReport(False, (f, v.values[f & conv], v.values[f]))
+    return ConvergenceReport(True)
 
 
 def converges_P_ae(seq: FunctionSequence, P: ProbabilityMeasure) -> ConvergenceReport:
@@ -141,7 +136,7 @@ def converges_P_ae(seq: FunctionSequence, P: ProbabilityMeasure) -> ConvergenceR
     d = seq.divergence_bits()
     mass = P.mass(d)
     holds = mass == 0
-    return ConvergenceReport("P-ae", holds, None if holds else (d, mass))
+    return ConvergenceReport(holds, None if holds else (d, mass))
 
 
 def monotone_convergence_experiment(
@@ -163,7 +158,6 @@ def monotone_convergence_experiment(
     target = compute(seq.limit, v).value
     holds = trace[-1] == target
     return ConvergenceReport(
-        f"monotone-convergence-{integral}",
         holds,
         None if holds else (trace[-1], target),
         integral_trace=trace,

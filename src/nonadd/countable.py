@@ -480,20 +480,16 @@ def continuity_from_below_countable(
         raise ValueError(f"depth must be at least 1, got {depth}")
     start = model.partition.infinite_atom_start()
     if start is None:
-        return PropertyReport(True, detail="all blocks finite")
+        return PropertyReport(True)
     atom_mass = model.measure.tail(start - 1)
     if atom_mass == 0:
-        return PropertyReport(True, detail="infinite block carries no mass")
+        return PropertyReport(True)
     members = tuple(range(start, start + depth))
     values = []
     for d in range(1, depth + 1):
         prefix = EventuallyConstantSet.finite(members[:d])
         values.append(countable_induced_value(prefix, model))
-    return PropertyReport(
-        False,
-        ChainWitness(members, tuple(values), atom_mass),
-        f"prefix values stay at {max(values)} while the block has mass {atom_mass}",
-    )
+    return PropertyReport(False, ChainWitness(members, tuple(values), atom_mass))
 
 
 @dataclass(frozen=True)
@@ -670,12 +666,7 @@ def check_increases_continuously(
     for a, b in zip(values, values[1:]):
         if a > b:
             raise RuntimeError("induced values decreased along a refinement")
-    target = event.mass(measure)
-    return PropertyReport(
-        False,
-        (event, tuple(values), target),
-        f"values reach {values[-1]} but the event has mass {target}",
-    )
+    return PropertyReport(False, (event, tuple(values), event.mass(measure)))
 
 
 @dataclass(frozen=True)

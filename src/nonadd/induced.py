@@ -75,7 +75,7 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     base = Capacity(P.space, tuple(mass[acc] for acc in witness))
     convexity = check_convex(base)
     if not convexity.holds:  # structural guarantee; failing means a bug here
-        raise RuntimeError(f"induced capacity not convex: {convexity.detail}")
+        raise RuntimeError(f"induced capacity not convex at {convexity.witness}")
     return InducedCapacity(base, witness, P, partition)
 
 
@@ -106,12 +106,7 @@ def check_continuity_from_above(ic: InducedCapacity) -> PropertyReport:
             rest ^= low
             g = f ^ low
             if w[g] & ~w[f]:
-                return PropertyReport(
-                    False,
-                    (g, w[g], w[f] & w[g]),
-                    "witness of the intersection differs from the "
-                    "intersection of witnesses",
-                )
+                return PropertyReport(False, (g, w[g], w[f] & w[g]))
     return PropertyReport(True)
 
 
@@ -179,11 +174,7 @@ def check_weak_ae_equivalence(
         lhs = psa_integral(f, P, partition).value
         rhs = f.expectation(P)
         if lhs != rhs:
-            lebesgue = PropertyReport(
-                False,
-                (f.values, lhs, rhs),
-                f"partial-information integral {lhs} != expectation {rhs}",
-            )
+            lebesgue = PropertyReport(False, (f.values, lhs, rhs))
             break
 
     monotone = PropertyReport(True)
@@ -196,7 +187,6 @@ def check_weak_ae_equivalence(
             monotone = PropertyReport(
                 False,
                 (seq.divergence_bits(), exp.integral_trace, exp.limit_integral),
-                "a weakly-a.e. convergent sequence has non-convergent integrals",
             )
             break
 

@@ -126,20 +126,30 @@ def test_integrate_cav_worked_example(capsys, files):
     assert report["results"]["dual_witness"] == ["3/5", "3/5"]
 
 
-def test_integrate_with_decimal(capsys, files):
-    code, report, _ = run_cli(
-        capsys,
-        "--decimal",
-        "3",
-        "integrate",
-        "cav",
-        "--capacity",
-        files["nonconvex2.json"],
-        "--function",
-        files["ones2.json"],
-    )
-    assert code == 0
-    assert report["results"]["value_decimal"] == "1.200"
+def test_integrate_with_decimal(capsys, files, tmp_path):
+    path = tmp_path / "top.json"
+    for which, top, places, expected in (
+        ("cav", "1", "3", "1.200"),
+        # rendered from the exact value: no float digits, no float overflow
+        ("cav", "1", "40", "1.2" + "0" * 39),
+        ("cav", "1", "1000", "1.2" + "0" * 999),
+        ("choquet", "1" + "0" * 400, "3", "1" + "0" * 400 + ".000"),
+    ):
+        values = {"0": "0", "1": "3/5", "2": "3/5", "3": top}
+        jsonio.dump({"n": 2, "values": values}, path)
+        code, report, _ = run_cli(
+            capsys,
+            "--decimal",
+            places,
+            "integrate",
+            which,
+            "--capacity",
+            str(path),
+            "--function",
+            files["ones2.json"],
+        )
+        assert code == 0
+        assert report["results"]["value_decimal"] == expected
 
 
 def test_check_null_additive_shift_pairs(capsys, files, tmp_path):
@@ -403,6 +413,17 @@ def test_check_monotone_reports_failure(capsys, files, tmp_path):
         assert "error:" in err
 
 
+def test_check_convex_past_the_int_str_digit_limit(capsys, tmp_path):
+    # a valid capacity whose violated sums have over 4,300 digits
+    big = 10**2500
+    values = {"0": "0", "1": f"{big}/{big + 1}", "2": f"{big + 2}/{big + 3}", "3": "1"}
+    path = tmp_path / "huge.json"
+    jsonio.dump({"n": 2, "values": values}, path)
+    code, report, _ = run_cli(capsys, "check", "convex", "--capacity", str(path))
+    assert code == 0
+    assert report["results"] == {"holds": False, "witness": ["1", "2"]}
+
+
 def test_assert_flag_on_passing_check(capsys, tmp_path):
     space = StateSpace(2)
     P = ProbabilityMeasure.uniform(space)
@@ -551,6 +572,16 @@ def test_missing_required_inputs_are_diagnosed(capsys, files):
         assert code == 2
         assert report is None
         assert flag in err
+    capacity, ones = files["nonconvex2.json"], files["ones2.json"]
+    for argv in (
+        ("--decimal", "-1", "integrate", "cav", "--capacity", capacity, "--function", ones),
+        ("check", "convex", "--capacity", capacity, "--decimal", "-1"),
+        ("--decimal", "1001", "converge", "--preset", "dyadic"),
+    ):
+        code, report, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert report is None
+        assert "--decimal" in err
 
 
 def test_internal_error_exits_3(capsys, files, monkeypatch):
@@ -570,6 +601,23 @@ def test_internal_error_exits_3(capsys, files, monkeypatch):
     assert code == 3
     assert report is None
     assert err.startswith("internal error: pivot limit exceeded")
+
+
+def test_dispatch_tables_call_a_wrapper_set_on_the_module(capsys, files, monkeypatch):
+    # bench/tracing.py wraps module attributes after import; the reader and
+    # the check that the tables name must be called through those wrappers
+    seen = []
+    for module, name in (("nonadd.jsonio", "capacity_from_obj"), ("nonadd.capacity", "check_convex")):
+        orig = getattr(sys.modules[module], name)
+
+        def wrapper(*args, orig=orig, name=name):
+            seen.append(name)
+            return orig(*args)
+
+        monkeypatch.setattr(sys.modules[module], name, wrapper)
+    code, _, _ = run_cli(capsys, "check", "convex", "--capacity", files["nonconvex2.json"])
+    assert code == 0
+    assert seen == ["capacity_from_obj", "check_convex"]
 
 
 def test_report_echoes_inputs_with_digests(capsys, files):
@@ -646,8 +694,9 @@ def test_parser_reuse_leaks_no_state(capsys, files, tmp_path):
 # ---------------------------------------------------------------------------
 #
 # Each example starts from a valid document of one file kind and applies up
-# to four edits: a new "n", a payload of the wrong type, or a dropped,
-# inserted, respelled or replaced entry; one in ten documents is then
+# to four edits: a new "n" (which a sequence, sized by its capacity,
+# ignores), a payload of the wrong type, or a dropped, inserted,
+# respelled or replaced entry; one in ten documents is then
 # replaced by a scalar, list or bare table.  Whatever comes out, the CLI
 # must end in a defined exit code, never in a traceback.
 
@@ -679,6 +728,7 @@ PAYLOADS = {
     "function": "values",
     "partition": "blocks",
     "family": "functions",
+    "sequence": "terms",
 }
 
 
@@ -695,6 +745,9 @@ def valid_doc(kind, n):
     if kind == "family":
         rows = [["1"] * n, [str(k % 2) for k in range(n)]]
         return {"n": n, "functions": rows}
+    if kind == "sequence":
+        rows = [["0"] * n, [str(k % 2) for k in range(n)]]
+        return {"kind": "custom", "terms": rows, "limit": ["1"] * n}
     blocks = [list(range(0, n, 2)), list(range(1, n, 2))]
     return jsonio.partition_to_obj(Partition.from_blocks(space, filter(None, blocks)))
 
@@ -756,6 +809,8 @@ def fuzz_argv(kind, path, n, companions):
         measure, function = companions["measure", n], companions["function", n]
         return ["integrate", "psp", "--measure", measure, "--function", function,
                 "--family", path]
+    if kind == "sequence":
+        return ["converge", "--capacity", companions["capacity", n], "--sequence", path]
     measure = path if kind == "measure" else companions["measure", n]
     partition = path if kind == "partition" else companions["partition", n]
     return ["check", "dense", "--measure", measure, "--partition", partition]

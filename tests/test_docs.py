@@ -1,12 +1,15 @@
-"""The README's quick tour and the demo scripts run as documented."""
+"""The README's quick tour, command lines and the demo scripts run as documented."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nonadd.cli import _CHECKS, _INTEGRALS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +32,26 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def command_line_section() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    block = re.search(r"```bash\n(.*?)```", command_line_section(), re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("nonadd ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_names_every_integral_and_check():
+    # whole words only: "convex" must not count inside "nonconvex2.json"
+    words = set(re.findall(r"[\w-]+", command_line_section()))
+    assert set(_INTEGRALS) | set(_CHECKS) <= words
