@@ -35,7 +35,7 @@ half_low = space.subset(range(4))
 half_high = space.subset(range(4, 8))
 print("value of the lower half:", ic.value(half_low))
 print("value of the upper half:", ic.value(half_high))
-print("value of everything:   ", ic.value(space.full()))
+print("value of everything:   ", ic.value(space.full_bits))
 
 print("\nwitness for {0,1,2,4,5}:", argmax_witness(ic, space.subset([0, 1, 2, 4, 5])))
 

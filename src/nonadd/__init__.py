@@ -53,7 +53,6 @@ from .countable import (
     monotone_convergence_countable,
     pairs_model,
     pairs_partial_sum_trace,
-    singletons_model,
     telescoping_measure,
     trivial_model,
     uniform_finite_measure,

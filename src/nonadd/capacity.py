@@ -226,9 +226,6 @@ class PropertyReport:
     holds: bool
     witness: object | None = None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_monotone(v: Capacity) -> PropertyReport:
     """Is ``v(F) <= v(E)`` whenever ``F`` is contained in ``E``?

@@ -5,7 +5,8 @@ listed in ``_INTEGRALS`` and ``_CHECKS``), ``cover``, ``converge`` (presets
 or a capacity + sequence file), and ``gen`` (seeded random capacities to a
 file).
 
-All values print as exact ``p/q`` strings (``--decimal K`` adds companions
+All values print as exact ``p/q`` strings of any length, through
+``jsonio.frac_to_str`` (``--decimal K`` adds companions
 rounded half to even from the exact value, for display only).  A completed
 run exits 0 regardless of the verdict; ``--assert`` flips false verdicts to
 exit 1 for CI use.
@@ -64,12 +65,12 @@ def _decimal(x: Fraction, places: int) -> str:
     """``x`` to ``places`` digits after the point, rounded half to even."""
     scaled = round(x * 10**places)
     whole, digits = divmod(abs(scaled), 10**places)
-    sign = "-" if scaled < 0 else ""
-    return f"{sign}{whole}.{digits:0{places}d}" if places else f"{sign}{whole}"
+    text = ("-" if scaled < 0 else "") + jsonio.frac_to_str(whole)
+    return f"{text}.{jsonio.frac_to_str(digits).zfill(places)}" if places else text
 
 
 def _maybe_decimal(results: dict, key: str, x: Fraction, places: int | None) -> None:
-    results[key] = str(x)
+    results[key] = jsonio.frac_to_str(x)
     if places is not None:
         results[key + "_decimal"] = _decimal(x, places)
 
@@ -77,8 +78,8 @@ def _maybe_decimal(results: dict, key: str, x: Fraction, places: int | None) -> 
 def _witness_obj(witness) -> list:
     out = []
     for item in witness or ():
-        if isinstance(item, (Fraction, int, str, bool)):
-            out.append(str(item))
+        if isinstance(item, (Fraction, int, str)):
+            out.append(jsonio.frac_to_str(item))
         elif isinstance(item, tuple):
             out.append(_witness_obj(item))
         else:
@@ -93,9 +94,10 @@ def _decomposition_obj(witness) -> list | None:
     out = []
     for w, target in terms:
         if isinstance(target, int):
-            out.append([str(w), str(target)])
+            item = jsonio.frac_to_str(target)
         else:  # a function member of a known family
-            out.append([str(w), [str(x) for x in target.values]])
+            item = [jsonio.frac_to_str(x) for x in target.values]
+        out.append([jsonio.frac_to_str(w), item])
     return out
 
 
@@ -188,7 +190,7 @@ def _cmd_integrate(args, results: dict) -> bool:
     _maybe_decimal(results, "value", res.value, args.decimal)
     results["witness"] = _decomposition_obj(res.witness)
     if res.dual_witness is not None:
-        results["dual_witness"] = [str(y) for y in res.dual_witness]
+        results["dual_witness"] = [jsonio.frac_to_str(y) for y in res.dual_witness]
     return True
 
 
@@ -234,7 +236,7 @@ def _cmd_cover(args, results: dict) -> bool:
 
 
 def _trace_obj(trace, limit: int = 100) -> dict:
-    values = [str(x) for x in trace]
+    values = [jsonio.frac_to_str(x) for x in trace]
     if len(values) <= limit:
         return {"trace": values}
     return {
@@ -281,7 +283,7 @@ def _cmd_converge(args, results: dict) -> bool:
         results["convergent"] = report.converges
         results["basis"] = report.basis
         if report.divergence_bound is not None:
-            results["divergence_bound"] = str(report.divergence_bound)
+            results["divergence_bound"] = jsonio.frac_to_str(report.divergence_bound)
         return report.converges
     if args.preset == "dyadic":
         m = args.m if args.m is not None else 4
@@ -307,7 +309,8 @@ def _cmd_converge(args, results: dict) -> bool:
         raise FormatError("need --preset, or --capacity with --sequence")
     v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
     seq = _sequence_from_json(jsonio.load(args.sequence), v)
-    exp = monotone_convergence_experiment(seq, v, integral=args.integral)
+    integral = _current(_INTEGRALS[args.integral][0])
+    exp = monotone_convergence_experiment(seq, v, integral)
     results["modes"] = {
         "pointwise": converges_pointwise(seq).holds,
         "weak_v_ae": converges_weak_ae(seq, v).holds,

@@ -94,9 +94,6 @@ class ConvergenceReport:
     integral_trace: tuple[Fraction, ...] | None = None
     limit_integral: Fraction | None = None
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def converges_pointwise(seq: FunctionSequence) -> ConvergenceReport:
     """Does every state reach the declared limit?"""
@@ -140,22 +137,20 @@ def converges_P_ae(seq: FunctionSequence, P: ProbabilityMeasure) -> ConvergenceR
 
 
 def monotone_convergence_experiment(
-    seq: FunctionSequence, v: Capacity, integral: str = "choquet"
+    seq: FunctionSequence, v: Capacity, integral=None
 ) -> ConvergenceReport:
     """Do the integrals of the terms converge to the integral of the limit?
 
-    The integral sequence stabilizes with the terms, so the limit of
-    integrals is the integral of the stable term, compared exactly
-    against the integral of the declared limit.
+    ``integral`` is the integral function, such as :func:`concave_integral`;
+    ``None`` is :func:`choquet_integral`, looked up when called, so that a
+    wrapper set on this module later (a tracer's or a profiler's) sees the
+    calls.  The integral sequence stabilizes with the terms, so the limit of
+    integrals is the integral of the stable term, compared exactly against
+    the integral of the declared limit.
     """
-    if integral == "choquet":
-        compute = choquet_integral
-    elif integral == "cav":
-        compute = concave_integral
-    else:
-        raise ValueError(f"unknown integral {integral!r}")
-    trace = tuple(compute(f, v).value for f in seq.terms)
-    target = compute(seq.limit, v).value
+    integral = integral or choquet_integral
+    trace = tuple(integral(f, v).value for f in seq.terms)
+    target = integral(seq.limit, v).value
     holds = trace[-1] == target
     return ConvergenceReport(
         holds,

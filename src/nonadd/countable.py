@@ -363,10 +363,6 @@ class EventuallyConstantSet:
         return _tail_sum(weights, measure)
 
     @classmethod
-    def whole(cls) -> EventuallyConstantSet:
-        return cls(0, (), True)
-
-    @classmethod
     def prefix(cls, n: int) -> EventuallyConstantSet:
         return cls(n, range(1, n + 1), False)
 
@@ -734,10 +730,6 @@ def trivial_model() -> CountableModel:
     return CountableModel(telescoping_measure(), CountablePartition(width=None))
 
 
-def singletons_model() -> CountableModel:
-    return CountableModel(telescoping_measure(), CountablePartition())
-
-
 def pairs_partial_sum_trace(depth: int) -> list[Fraction]:
     """Exact trace of the prefix-indicator integrals on the pairs model.
 
@@ -774,10 +766,8 @@ def dyadic_partitions(m: int) -> list[CountablePartition]:
 
 
 def random_eventually_constant_function(
-    rng: random.Random, horizon: int, denom: int = 8, top: int = 24
+    rng: random.Random, horizon: int
 ) -> EventuallyConstantFunction:
-    values = tuple(
-        Fraction(rng.randint(0, top), denom) for _ in range(horizon)
-    )
-    tail = Fraction(rng.randint(0, top), denom)
-    return EventuallyConstantFunction(horizon, values, tail)
+    """Values and tail drawn from ``0, 1/8, ..., 3``."""
+    values = tuple(Fraction(rng.randint(0, 24), 8) for _ in range(horizon))
+    return EventuallyConstantFunction(horizon, values, Fraction(rng.randint(0, 24), 8))

@@ -73,10 +73,6 @@ class SimpleFunction:
         c = _as_fraction(c)
         return cls(space, tuple(c for _ in space.states()))
 
-    @classmethod
-    def zero(cls, space: StateSpace) -> SimpleFunction:
-        return cls.constant(space, 0)
-
     def __call__(self, state: int) -> Fraction:
         return self.values[state]
 

@@ -1,16 +1,18 @@
 """Canonical JSON encodings of the finite model objects: capacities,
 measures, functions, function families and partitions.
 
-Rationals are ``"p/q"`` strings (integers and decimals allowed, exponents
-not), subsets are the decimal strings of their masks, and capacity tables
+Rationals are JSON strings spelled ``"p/q"``, ``"p"`` or ``"p.d"``,
+subsets are the decimal strings of their masks, and capacity tables
 must list all ``2**n`` keys.  Round-trips are exact: whatever this module
-writes it reads back to an equal object.
+writes it reads back to an equal object, as long as no integer in it passes
+the 4,300 digits that reading accepts.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -24,21 +26,37 @@ class FormatError(ValueError):
     """The JSON document does not match the expected schema."""
 
 
-def frac_to_str(x: Fraction) -> str:
-    return str(x)
+def frac_to_str(x: Fraction | int) -> str:
+    """``x`` as ``"p/q"``, or ``"p"`` when whole, with any number of digits.
+
+    ``str`` stops at Python's int-to-text digit cap (4,300 digits by
+    default); past it each part is rendered through ``Decimal``, which has
+    no such cap, and the process-wide setting is left alone.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        x = Fraction(x)
+        text = str(Decimal(x.numerator))
+        return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def frac_from_str(s: Any) -> Fraction:
-    """An exact rational from a ``"p/q"``, integer or decimal spelling.
+    """An exact rational from a JSON string ``"p/q"``, ``"p"`` or ``"p.d"``.
 
-    An exponent marker (``"1e3"``) is refused: ``Fraction`` expands the
-    exponent in full, in time and memory that grow with its value.
+    ASCII digits and a leading ``-`` only: a JSON number arrives rounded
+    through a float, an exponent would be expanded in full, and the other
+    spellings ``Fraction`` takes (``"+2"``, ``" 3 "``, ``"1_000"``) are not
+    in the file formats.  Each integer keeps Python's int-from-text digit
+    cap, which bounds a hostile file's parse time.
     """
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise FormatError(f"not a rational: {s!r}")
     try:
-        text = str(s)
-        if "e" in text or "E" in text:
-            raise ValueError("exponent")
-        return Fraction(text)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational: {s!r}") from exc
 
@@ -105,8 +123,9 @@ def capacity_from_obj(obj: dict) -> Capacity:
         if mask is None:
             raise _key_error(key)
         if type(val) is not str:
-            values[mask] = frac_from_str(val)
-        elif val in parsed:
+            # refused here, ahead of the cache a list value cannot key
+            raise FormatError(f"not a rational: {val!r}")
+        if val in parsed:
             values[mask] = parsed[val]
         else:
             values[mask] = parsed[val] = frac_from_str(val)

@@ -61,12 +61,8 @@ class StateSpace:
     def label(self, state: int) -> str:
         return self.labels[state] if self.labels else str(state)
 
-    def subset(self, source: MaskLike | Iterable[int]) -> SubsetMask:
+    def subset(self, source: int | Iterable[int]) -> SubsetMask:
         """Build a subset from a mask integer or an iterable of states."""
-        if isinstance(source, SubsetMask):
-            if source.space != self:
-                raise SpaceMismatchError("subset belongs to a different space")
-            return source
         if isinstance(source, int):
             return SubsetMask(source, self)
         bits = 0
@@ -75,15 +71,6 @@ class StateSpace:
                 raise ValueError(f"state {k} outside 0..{self.n - 1}")
             bits |= 1 << int(k)
         return SubsetMask(bits, self)
-
-    def empty(self) -> SubsetMask:
-        return SubsetMask(0, self)
-
-    def full(self) -> SubsetMask:
-        return SubsetMask(self.full_bits, self)
-
-    def singleton(self, state: int) -> SubsetMask:
-        return self.subset([state])
 
 
 def mask_bits(event: MaskLike) -> int:
@@ -111,12 +98,12 @@ def submasks(bits: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SubsetMask:
-    """An event: an immutable subset of a :class:`StateSpace`.
+    """A mask labelled with its :class:`StateSpace`, for blocks and witnesses.
 
-    Supports the usual set algebra through operators: ``|`` union, ``&``
-    intersection, ``-`` difference, ``~`` complement within the space, and
-    ``<=`` inclusion.  Mixing events from different spaces raises
-    :class:`SpaceMismatchError`.
+    The mask is the event; set algebra on events is plain int arithmetic
+    on masks (``|``, ``&``, ``& ~``).  This view adds only the range check
+    against the space, iteration over the member states in ascending
+    order, and a repr through the space's labels.
     """
 
     bits: int
@@ -128,59 +115,12 @@ class SubsetMask:
                 f"mask {self.bits} out of range for a {self.space.n}-state space"
             )
 
-    def _require_same_space(self, other: SubsetMask) -> None:
-        if not isinstance(other, SubsetMask):
-            raise TypeError(f"expected SubsetMask, got {type(other).__name__}")
-        if self.space != other.space:
-            raise SpaceMismatchError("operands live on different state spaces")
-
-    def union(self, other: SubsetMask) -> SubsetMask:
-        self._require_same_space(other)
-        return SubsetMask(self.bits | other.bits, self.space)
-
-    def intersection(self, other: SubsetMask) -> SubsetMask:
-        self._require_same_space(other)
-        return SubsetMask(self.bits & other.bits, self.space)
-
-    def difference(self, other: SubsetMask) -> SubsetMask:
-        self._require_same_space(other)
-        return SubsetMask(self.bits & ~other.bits, self.space)
-
-    def complement(self) -> SubsetMask:
-        return SubsetMask(self.space.full_bits & ~self.bits, self.space)
-
-    def is_subset_of(self, other: SubsetMask) -> bool:
-        self._require_same_space(other)
-        return self.bits & ~other.bits == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def __invert__(self) -> SubsetMask:
-        return self.complement()
-
-    def __le__(self, other: SubsetMask) -> bool:
-        return self.is_subset_of(other)
-
-    def __lt__(self, other: SubsetMask) -> bool:
-        return self.bits != other.bits and self.is_subset_of(other)
-
-    def __contains__(self, state: int) -> bool:
-        return bool(self.bits >> state & 1)
-
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
         while bits:
             low = bits & -bits
             yield low.bit_length() - 1
             bits ^= low
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
 
     def __repr__(self) -> str:
         inner = ", ".join(self.space.label(k) for k in self)
@@ -219,16 +159,13 @@ class Partition:
     def space(self) -> StateSpace:
         return self.blocks[0].space
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     @classmethod
     def singletons(cls, space: StateSpace) -> Partition:
-        return cls(tuple(space.singleton(k) for k in space.states()))
+        return cls.from_blocks(space, ([k] for k in space.states()))
 
     @classmethod
     def trivial(cls, space: StateSpace) -> Partition:
-        return cls((space.full(),))
+        return cls((space.subset(space.full_bits),))
 
     @classmethod
     def from_blocks(

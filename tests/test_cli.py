@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def files(tmp_path):
         ),
     )
     write("ones2.json", jsonio.function_to_obj(SimpleFunction.constant(space2, 1)))
-    write("zero2.json", jsonio.function_to_obj(SimpleFunction.zero(space2)))
+    write("zero2.json", jsonio.function_to_obj(SimpleFunction.constant(space2, 0)))
     space8 = StateSpace(8)
     write(
         "u8.json", jsonio.measure_to_obj(ProbabilityMeasure.uniform(space8))
@@ -211,11 +212,19 @@ def test_check_dense_on_the_largest_space(capsys, tmp_path):
 
 def test_exponent_in_a_value_exits_2(capsys, tmp_path):
     path = tmp_path / "v.json"
-    jsonio.dump({"n": 1, "values": {"0": "0", "1": "1e2000000"}}, path)
-    code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(path))
-    assert code == 2
-    assert report is None
-    assert "not a rational" in err
+    # and every other spelling the file formats do not list: JSON numbers
+    # (the first arrives rounded through a float), then strings that
+    # Fraction would take
+    for value in (
+        "1e2000000", 0.33333333333333333333, 2,
+        "1_000", "\u0661\u0662", " 3 ", ".5", "5.", "+2",
+    ):
+        jsonio.dump({"n": 1, "values": {"0": "0", "1": value}}, path)
+        code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(path))
+        assert code == 2
+        assert report is None
+        read = json.loads(path.read_text())["values"]["1"]
+        assert f"error: not a rational: {read!r}" in err
 
 
 def test_cover_additive_is_fixed_point(capsys, tmp_path):
@@ -424,6 +433,50 @@ def test_check_convex_past_the_int_str_digit_limit(capsys, tmp_path):
     assert report["results"] == {"holds": False, "witness": ["1", "2"]}
 
 
+def _exact(text: str) -> F:
+    """A printed ``p/q`` read back past the int-from-text digit cap."""
+    p, _, q = text.partition("/")
+    return F(int(Decimal(p)), int(Decimal(q or "1")))
+
+
+def test_values_past_the_int_str_digit_limit(capsys, tmp_path):
+    # each input is under the 4,300-digit cap, the value they make is not
+    big = 10**4000
+    cap, fun = tmp_path / "cap.json", tmp_path / "f.json"
+    jsonio.dump({"n": 1, "values": {"0": "0", "1": f"{big - 1}/{big}"}}, cap)
+    jsonio.dump({"n": 1, "values": [f"{big + 1}/{big + 3}"]}, fun)
+    value = F(big - 1, big) * F(big + 1, big + 3)
+    for argv in (
+        ["integrate", "choquet"],
+        ["integrate", "cav"],
+        ["--decimal", "5", "integrate", "choquet"],
+    ):
+        code, report, err = run_cli(
+            capsys, *argv, "--capacity", str(cap), "--function", str(fun)
+        )
+        assert code == 0, err
+        assert _exact(report["results"]["value"]) == value
+    assert report["results"]["value_decimal"] == "1.00000"
+
+
+def test_cover_out_past_the_int_str_digit_limit(capsys, tmp_path):
+    # v({0}) + v({1}) beats v({0,1}) = 1, so the cover's top value is that
+    # sum, whose denominator has over 4,300 digits
+    big = 10**2500
+    top = F(big, big + 1) + F(big + 2, big + 3)
+    values = {"0": "0", "1": f"{big}/{big + 1}", "2": f"{big + 2}/{big + 3}", "3": "1"}
+    path, out = tmp_path / "huge.json", tmp_path / "cover.json"
+    jsonio.dump({"n": 2, "values": values}, path)
+    code, report, err = run_cli(
+        capsys, "cover", "--capacity", str(path), "--out", str(out)
+    )
+    assert code == 0, err
+    assert _exact(report["results"]["total"]) == top
+    written = json.loads(out.read_text())
+    assert written == report["results"]["cover"]
+    assert _exact(written["values"]["3"]) == top
+
+
 def test_assert_flag_on_passing_check(capsys, tmp_path):
     space = StateSpace(2)
     P = ProbabilityMeasure.uniform(space)
@@ -472,7 +525,7 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
     space = StateSpace(2)
     measure, function = tmp_path / "m.json", tmp_path / "f.json"
     jsonio.dump(jsonio.measure_to_obj(ProbabilityMeasure.uniform(space)), measure)
-    jsonio.dump(jsonio.function_to_obj(SimpleFunction.zero(space)), function)
+    jsonio.dump(jsonio.function_to_obj(SimpleFunction.constant(space, 0)), function)
     jsonio.dump({"n": 2, "blocks": [[[0]], [1]]}, bad)
     code, report, err = run_cli(
         capsys,
@@ -534,7 +587,7 @@ def test_dimension_mismatch_is_diagnosed(capsys, tmp_path):
     fun = tmp_path / "f.json"
     P = ProbabilityMeasure.uniform(space2)
     jsonio.dump(jsonio.capacity_to_obj(Capacity(P.space, P.mass_table)), cap)
-    jsonio.dump(jsonio.function_to_obj(SimpleFunction.zero(space3)), fun)
+    jsonio.dump(jsonio.function_to_obj(SimpleFunction.constant(space3, 0)), fun)
     code, _, err = run_cli(
         capsys,
         "integrate",

@@ -158,7 +158,7 @@ class TestMonotoneConvergenceExperiment:
     def test_concave_route(self):
         v = cap2("1/2", 0, 1)
         seq = counterexample_null_additivity(v, 0b10, 0b01)
-        report = monotone_convergence_experiment(seq, v, integral="cav")
+        report = monotone_convergence_experiment(seq, v, concave_integral)
         assert not report.holds
 
     def test_null_additive_weak_sequences_converge(self):
@@ -167,12 +167,6 @@ class TestMonotoneConvergenceExperiment:
             for seq in generate_sequences(v, seed=seed, count=5):
                 if converges_weak_ae(seq, v).holds:
                     assert monotone_convergence_experiment(seq, v).holds
-
-    def test_unknown_integral_rejected(self):
-        v = cap2("1/2", "1/4", 1)
-        f = SimpleFunction(v.space, (F(1), F(2)))
-        with pytest.raises(ValueError):
-            monotone_convergence_experiment(constant_sequence(f), v, integral="riemann")
 
     def test_strong_ae_sequences_always_converge_on_finite_spaces(self):
         # finite spaces are continuous from below, so strong-a.e.
@@ -185,7 +179,7 @@ class TestMonotoneConvergenceExperiment:
                     continue
                 checked += 1
                 assert monotone_convergence_experiment(seq, v).holds
-                assert monotone_convergence_experiment(seq, v, integral="cav").holds
+                assert monotone_convergence_experiment(seq, v, concave_integral).holds
         assert checked > 20
 
     def test_pointwise_sequences_always_converge_on_finite_spaces(self):
@@ -302,7 +296,7 @@ class TestCoverConvergenceTheorems:
             for seq in sequences:
                 if not converges_weak_ae(seq, v).holds:
                     continue
-                if not monotone_convergence_experiment(seq, v, integral="cav").holds:
+                if not monotone_convergence_experiment(seq, v, concave_integral).holds:
                     separated = True
             if cover_report.holds:
                 null_additive_seen += 1

@@ -30,7 +30,6 @@ from nonadd import (
     pairs_model,
     pairs_partial_sum_trace,
     psa_integral,
-    singletons_model,
     telescoping_measure,
     trivial_model,
     uniform_finite_measure,
@@ -42,6 +41,9 @@ from nonadd.countable import (
     _tail_sum,
     random_eventually_constant_function,
 )
+
+# the telescoping measure under singleton blocks
+SINGLETONS = CountableModel(telescoping_measure(), CountablePartition())
 
 
 def weight_sum(measure, states):
@@ -246,7 +248,7 @@ class TestPartitionCovers:
 class TestCountableIntegral:
     def test_constant_one_integrates_to_one_everywhere(self):
         one = EventuallyConstantFunction.constant(1)
-        for model in (pairs_model(), trivial_model(), singletons_model()):
+        for model in (pairs_model(), trivial_model(), SINGLETONS):
             assert countable_psa_integral(one, model) == 1
 
     def test_pairs_prefix_indicators_telescoping(self):
@@ -263,7 +265,7 @@ class TestCountableIntegral:
 
     def test_singletons_give_ordinary_integral(self):
         rng = random.Random(0)
-        model = singletons_model()
+        model = SINGLETONS
         for _ in range(10):
             f = random_eventually_constant_function(rng, rng.randint(0, 6))
             assert countable_psa_integral(f, model) == countable_lebesgue(
@@ -333,7 +335,7 @@ class TestInducedValues:
     def test_whole_space(self):
         for model in (pairs_model(), trivial_model()):
             assert (
-                countable_induced_value(EventuallyConstantSet.whole(), model) == 1
+                countable_induced_value(EventuallyConstantSet(0, (), True), model) == 1
             )
 
     def test_trivial_field_sees_nothing_proper(self):
@@ -358,7 +360,7 @@ class TestContinuityFromBelow:
         assert continuity_from_below_countable(pairs_model()).holds
 
     def test_singletons_holds(self):
-        assert continuity_from_below_countable(singletons_model()).holds
+        assert continuity_from_below_countable(SINGLETONS).holds
 
     def test_trivial_fails_with_witness_chain(self):
         report = continuity_from_below_countable(trivial_model(), depth=8)
@@ -419,7 +421,7 @@ class TestMonotoneConvergenceCountable:
     def test_constant_sequence_on_singletons_converges(self):
         f = EventuallyConstantFunction(2, (F(3), F(1)), F(1, 2))
         seq = CountableFunctionSequence("constant", f, f)
-        report = monotone_convergence_countable(singletons_model(), seq)
+        report = monotone_convergence_countable(SINGLETONS, seq)
         assert report.converges is True
         assert report.integral_trace[-1] == report.limit_integral
 
@@ -552,7 +554,7 @@ class TestIncreasingInformation:
         assert report.holds
 
     def test_full_space_always_reaches_its_mass(self):
-        whole = EventuallyConstantSet.whole()
+        whole = EventuallyConstantSet(0, (), True)
         model = CountableModel(telescoping_measure(), CountablePartition(width=None))
         assert countable_induced_value(whole, model) == whole.mass(model.measure)
         report = check_increases_continuously(
@@ -601,7 +603,7 @@ class TestNonSingletonBlocksBreakWeakConvergence:
     def test_singleton_blocks_do_not_allow_this(self):
         # with full information the halting set always carries its own
         # mass, so the same construction is not weak-a.e. convergent
-        model = singletons_model()
+        model = SINGLETONS
         halted = EventuallyConstantSet.finite([2])
         assert countable_induced_value(halted, model) > 0
 
@@ -616,7 +618,7 @@ class TestEventuallyConstantSet:
     def test_subset_relation(self):
         a = EventuallyConstantSet.finite([1, 2])
         b = EventuallyConstantSet.prefix(3)
-        c = EventuallyConstantSet.whole()
+        c = EventuallyConstantSet(0, (), True)
         assert a <= b <= c
         assert not (c <= b)
         assert not (b <= a)
@@ -633,7 +635,7 @@ class TestEventuallyConstantSet:
             (EventuallyConstantSet(4, (2, 3, 4), True), ((2, None),)),
             (EventuallyConstantSet(4, (2, 3), True), ((2, 3), (5, None))),
             (EventuallyConstantSet.finite([5, 2, 3, 3, 9]), ((2, 3), (5, 5), (9, 9))),
-            (EventuallyConstantSet.whole(), ((1, None),)),
+            (EventuallyConstantSet(0, (), True), ((1, None),)),
             (EventuallyConstantSet(7, (), False), ()),
             # a range of members is one run, never listed
             (EventuallyConstantSet.prefix(10**6), ((1, 10**6),)),
@@ -878,7 +880,7 @@ class TestTailSumWork:
             EventuallyConstantSet(30, tuple(range(1, 30, 3)), False),
             EventuallyConstantSet.prefix(30),
         ]
-        for model in (pairs_model(), trivial_model(), singletons_model()):
+        for model in (pairs_model(), trivial_model(), SINGLETONS):
             for event in events:
                 countable_induced_value(event, model)
                 event.mass(model.measure)

@@ -1,5 +1,7 @@
-"""The README's quick tour, command lines and the demo scripts run as documented."""
+"""The README's quick tour, library map, command lines and demos match the code."""
 
+import functools
+import importlib
 import os
 import re
 import shlex
@@ -55,3 +57,21 @@ def test_readme_names_every_integral_and_check():
     # whole words only: "convex" must not count inside "nonconvex2.json"
     words = set(re.findall(r"[\w-]+", command_line_section()))
     assert set(_INTEGRALS) | set(_CHECKS) <= words
+
+
+def test_readme_library_map_names_exist():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `nonadd\.(\w+)` \| (.*) \|$", section, re.MULTILINE)
+    modules = {p.stem for p in (ROOT / "src" / "nonadd").glob("*.py")} - {"__init__"}
+    assert sorted(name for name, _ in rows) == sorted(modules)
+    for name, contents in rows:
+        module = importlib.import_module(f"nonadd.{name}")
+        for token in re.findall(r"`([^`]+)`", contents):
+            path = token.split("(", 1)[0].split(".")
+            # tokens such as `p/q` or `{1..K}` are notation, not names
+            if all(part.isidentifier() for part in path):
+                try:
+                    functools.reduce(getattr, path, module)
+                except AttributeError:
+                    pytest.fail(f"README maps a missing nonadd.{name}.{'.'.join(path)}")

@@ -60,7 +60,7 @@ class TestChoquet:
 
     def test_zero_function(self):
         v = random_capacity(3, 0, "general")
-        result = choquet_integral(SimpleFunction.zero(v.space), v)
+        result = choquet_integral(SimpleFunction.constant(v.space, 0), v)
         assert result.value == 0
         assert result.witness.terms == ()
 
@@ -135,7 +135,7 @@ class TestConcave:
         assert dict((m, w) for w, m in result.witness.terms) == {1: F(1), 2: F(1)}
 
     def test_zero_function(self):
-        assert concave_integral(SimpleFunction.zero(StateSpace(2)), NONCONVEX2).value == 0
+        assert concave_integral(SimpleFunction.constant(StateSpace(2), 0), NONCONVEX2).value == 0
 
     def test_dual_certificate_replays(self):
         rng = random.Random(19)
@@ -313,13 +313,13 @@ class TestPSP:
         space = StateSpace(3)
         P = ProbabilityMeasure.uniform(space)
         f = SimpleFunction.constant(space, 3)
-        assert psp_integral(f, P, [SimpleFunction.zero(space)]).value == 0
+        assert psp_integral(f, P, [SimpleFunction.constant(space, 0)]).value == 0
 
     def test_empty_family_rejected(self):
         space = StateSpace(2)
         P = ProbabilityMeasure.uniform(space)
         with pytest.raises(ValueError):
-            psp_integral(SimpleFunction.zero(space), P, [])
+            psp_integral(SimpleFunction.constant(space, 0), P, [])
         with pytest.raises(ValueError):
             induced_psp_capacity(P, [])
 
@@ -338,7 +338,7 @@ class TestPSP:
     def test_zero_family_induces_zero_capacity(self):
         space = StateSpace(2)
         P = ProbabilityMeasure.uniform(space)
-        v = induced_psp_capacity(P, [SimpleFunction.zero(space)])
+        v = induced_psp_capacity(P, [SimpleFunction.constant(space, 0)])
         assert all(x == 0 for x in v.values)
 
     def test_known_nonconvex_family(self):
@@ -404,7 +404,7 @@ class TestPSP:
             st.lists(value, min_size=n, max_size=n).map(
                 lambda xs: SimpleFunction(space, tuple(xs))
             ),
-            st.just(SimpleFunction.zero(space)),
+            st.just(SimpleFunction.constant(space, 0)),
             st.builds(
                 lambda k, c: SimpleFunction.indicator(space, 1 << k).scale(c),
                 st.integers(0, n - 1),
@@ -470,7 +470,7 @@ class TestBruteForceOracle:
 
     def test_zero_function(self):
         v = random_capacity(3, 1, "general")
-        assert brute_force_cav_oracle(SimpleFunction.zero(v.space), v) == 0
+        assert brute_force_cav_oracle(SimpleFunction.constant(v.space, 0), v) == 0
 
     def test_matches_simplex(self):
         rng = random.Random(61)
@@ -483,4 +483,4 @@ class TestBruteForceOracle:
     def test_refuses_large_spaces(self):
         v = random_capacity(5, 0, "general")
         with pytest.raises(ValueError):
-            brute_force_cav_oracle(SimpleFunction.zero(v.space), v)
+            brute_force_cav_oracle(SimpleFunction.constant(v.space, 0), v)

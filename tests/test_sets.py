@@ -1,9 +1,6 @@
 """State spaces, subset masks, partitions, and generated algebras."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from helpers import all_set_partitions
 from nonadd import (
     Partition,
@@ -83,34 +80,11 @@ def test_max_member_table_is_the_largest_member_inside(n):
             assert table[f] == largest
 
 
-@settings(max_examples=200)
-@given(a=st.integers(0, 63), b=st.integers(0, 63))
-def test_set_operations(a, b):
-    space = StateSpace(6)
-    sa, sb = space.subset(a), space.subset(b)
-    assert (sa | sb).bits == a | b
-    assert (sa & sb).bits == a & b
-    assert (sa - sb).bits == a & ~b
-    assert (~~sa).bits == a
-    assert (space.empty() | sa) == sa
-    assert (sa <= sb) == (a & ~b == 0)
-    assert len(sa) == bin(a).count("1")
-    assert set(sa) == {k for k in range(6) if a >> k & 1}
-
-
-def test_inclusion_example():
-    space = StateSpace(3)
-    assert space.subset([0]) <= space.subset([0, 1])
-    assert not space.subset([0, 2]) <= space.subset([0, 1])
-
-
 def test_space_mismatch_raises():
-    a = StateSpace(3).subset([0])
-    b = StateSpace(4).subset([0])
+    # blocks built over two different spaces do not make one partition
+    blocks = (StateSpace(2).subset([0]), StateSpace(3).subset([1, 2]))
     with pytest.raises(SpaceMismatchError):
-        a | b
-    with pytest.raises(SpaceMismatchError):
-        a <= b
+        Partition(blocks)
 
 
 def test_subset_from_iterable_and_bounds():
