@@ -33,11 +33,11 @@ ic = induce(P, partition)
 
 half_low = space.subset(range(4))
 half_high = space.subset(range(4, 8))
-print("value of the lower half:", ic.value(half_low))
-print("value of the upper half:", ic.value(half_high))
-print("value of everything:   ", ic.value(space.full_bits))
+print("value of the lower half:", ic.base.values[half_low.bits])
+print("value of the upper half:", ic.base.values[half_high.bits])
+print("value of everything:   ", ic.base.values[space.full_bits])
 
-print("\nwitness for {0,1,2,4,5}:", argmax_witness(ic, space.subset([0, 1, 2, 4, 5])))
+print("\nwitness for {0,1,2,4,5}:", argmax_witness(ic, space.subset([0, 1, 2, 4, 5]).bits))
 
 # Both halves are null yet their union is everything: not null-additive,
 # which is the same thing as the algebra failing to be dense.

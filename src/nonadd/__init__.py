@@ -88,7 +88,6 @@ from .sets import (
     StateSpace,
     SubsetMask,
     generated_algebra,
-    mask_bits,
 )
 
 __version__ = "0.1.0"

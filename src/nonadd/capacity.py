@@ -24,12 +24,10 @@ from operator import gt
 from typing import Sequence
 
 from .sets import (
-    MaskLike,
     Partition,
-    SpaceMismatchError,
     StateSpace,
-    mask_bits,
     max_member_table,
+    same_space,
     subset_sums,
 )
 
@@ -158,12 +156,6 @@ class Capacity:
             below, mask = pair
             raise CapacityError(f"not monotone: v({below}) > v({mask})", pair)
 
-    def value(self, event: MaskLike) -> Fraction:
-        return self.values[mask_bits(event)]
-
-    def total(self) -> Fraction:
-        return self.values[-1]
-
 
 @dataclass(frozen=True)
 class ProbabilityMeasure:
@@ -187,8 +179,7 @@ class ProbabilityMeasure:
     def uniform(cls, space: StateSpace) -> ProbabilityMeasure:
         return cls(space, tuple(Fraction(1, space.n) for _ in space.states()))
 
-    def mass(self, event: MaskLike) -> Fraction:
-        bits = mask_bits(event)
+    def mass(self, bits: int) -> Fraction:
         total = ZERO
         while bits:
             low = bits & -bits
@@ -316,8 +307,7 @@ def check_P_null_additive(v: Capacity, P: ProbabilityMeasure) -> PropertyReport:
     ``F - N``; monotonicity makes that single comparison decide all of
     them.  With strictly positive ``P`` the property holds vacuously.
     """
-    if v.space != P.space:
-        raise SpaceMismatchError("capacity and measure on different spaces")
+    same_space(v, P)
     null_bits = P.null_states_bits()
     if null_bits == 0:
         return PropertyReport(True)
@@ -338,8 +328,7 @@ def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     member inside ``F``, read from :func:`~nonadd.sets.max_member_table`.
     The witness ``(F, A_F)`` is the first event with the largest mass gap.
     """
-    if partition.space != P.space:
-        raise SpaceMismatchError("partition and measure on different spaces")
+    same_space(partition, P)
     mass = subset_sums(_scale(P.weights)[0])
     below = max_member_table(partition)
     gaps = [mass[f & ~a] for f, a in enumerate(below)]
@@ -350,15 +339,11 @@ def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     return PropertyReport(False, (f, below[f]))
 
 
-def replay_convexity_violation(v: Capacity, e: MaskLike, f: MaskLike) -> bool:
+def replay_convexity_violation(v: Capacity, e: int, f: int) -> bool:
     """True iff the pair strictly violates supermodularity (witness replay)."""
-    eb, fb = mask_bits(e), mask_bits(f)
-    return v.values[eb] + v.values[fb] > v.values[eb | fb] + v.values[eb & fb]
+    return v.values[e] + v.values[f] > v.values[e | f] + v.values[e & f]
 
 
-def replay_null_additivity_violation(
-    v: Capacity, e: MaskLike, f: MaskLike
-) -> bool:
+def replay_null_additivity_violation(v: Capacity, e: int, f: int) -> bool:
     """True iff ``v(E) = 0`` yet ``v(E | F) != v(F)`` (witness replay)."""
-    eb, fb = mask_bits(e), mask_bits(f)
-    return v.values[eb] == 0 and v.values[eb | fb] != v.values[fb]
+    return v.values[e] == 0 and v.values[e | f] != v.values[f]

@@ -228,8 +228,13 @@ def _cmd_cover(args, results: dict) -> bool:
     equal = cover.values == v.values
     results["equals_original"] = equal
     results["cover"] = jsonio.capacity_to_obj(cover)
-    _maybe_decimal(results, "total", cover.total(), args.decimal)
+    _maybe_decimal(results, "total", cover.values[-1], args.decimal)
     if args.out:
+        if not all(map(jsonio.readable, cover.values)):
+            raise FormatError(
+                f"the cover has an integer of more than {jsonio.MAX_DIGITS} digits, "
+                f"the most a capacity file may hold; {args.out} not written"
+            )
         jsonio.dump(jsonio.capacity_to_obj(cover), args.out)
         results["written"] = args.out
     return True

@@ -37,7 +37,7 @@ from .integrals import (
     choquet_integral,
     concave_integral,
 )
-from .sets import MaskLike, Partition, SpaceMismatchError, StateSpace, mask_bits
+from .sets import Partition, StateSpace, same_space
 
 ZERO = Fraction(0)
 
@@ -60,10 +60,7 @@ class FunctionSequence:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("need at least one term")
-        space = self.limit.space
-        for f in terms:
-            if f.space != space:
-                raise SpaceMismatchError("sequence terms on different spaces")
+        same_space(self.limit, *terms)
         for a, b in zip(terms, terms[1:]):
             if not a <= b:
                 raise ValueError("sequence must be pointwise nondecreasing")
@@ -103,8 +100,7 @@ def converges_pointwise(seq: FunctionSequence) -> ConvergenceReport:
 
 def converges_weak_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport:
     """Weak almost-everywhere convergence: the divergence set is ``v``-null."""
-    if seq.space != v.space:
-        raise SpaceMismatchError("sequence and capacity on different spaces")
+    same_space(seq, v)
     d = seq.divergence_bits()
     holds = v.values[d] == 0
     return ConvergenceReport(holds, None if holds else (d, v.values[d]))
@@ -117,8 +113,7 @@ def converges_strong_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport
     whole capacity: ``v(F & C) == v(F)`` for the convergence set ``C``.
     The witness is an event where the equality fails.
     """
-    if seq.space != v.space:
-        raise SpaceMismatchError("sequence and capacity on different spaces")
+    same_space(seq, v)
     conv = seq.space.full_bits & ~seq.divergence_bits()
     for f in range(seq.space.num_subsets):
         if v.values[f & conv] != v.values[f]:
@@ -128,8 +123,7 @@ def converges_strong_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport
 
 def converges_P_ae(seq: FunctionSequence, P: ProbabilityMeasure) -> ConvergenceReport:
     """Measure-a.e. convergence: the divergence set has ``P``-mass zero."""
-    if seq.space != P.space:
-        raise SpaceMismatchError("sequence and measure on different spaces")
+    same_space(seq, P)
     d = seq.divergence_bits()
     mass = P.mass(d)
     holds = mass == 0
@@ -160,9 +154,7 @@ def monotone_convergence_experiment(
     )
 
 
-def counterexample_null_additivity(
-    v: Capacity, e: MaskLike, f: MaskLike
-) -> FunctionSequence:
+def counterexample_null_additivity(v: Capacity, e: int, f: int) -> FunctionSequence:
     """The sequence separating weak from strong convergence.
 
     Requires ``v(E) = 0`` and ``v(F | E) > v(F)``.  The constant sequence
@@ -172,19 +164,18 @@ def counterexample_null_additivity(
     only carries ``v(F)``), and its Choquet integrals stay at ``v(F)``
     short of ``v(F | E)``.
     """
-    eb, fb = mask_bits(e), mask_bits(f)
-    if v.values[eb] != 0:
-        raise ValueError(f"E must be null, got v(E) = {v.values[eb]}")
-    if v.values[eb | fb] <= v.values[fb]:
+    if v.values[e] != 0:
+        raise ValueError(f"E must be null, got v(E) = {v.values[e]}")
+    if v.values[e | f] <= v.values[f]:
         raise ValueError("need v(F | E) > v(F) for a counterexample")
     space = v.space
-    term = SimpleFunction.indicator(space, fb)
-    limit = SimpleFunction.indicator(space, eb | fb)
+    term = SimpleFunction.indicator(space, f)
+    limit = SimpleFunction.indicator(space, e | f)
     return FunctionSequence((term,), limit)
 
 
 def convexity_gap_witness(
-    v: Capacity, e: MaskLike, f: MaskLike
+    v: Capacity, e: int, f: int
 ) -> tuple[SimpleFunction, Fraction]:
     """A function on which the concave integral strictly beats the Choquet.
 
@@ -194,15 +185,10 @@ def convexity_gap_witness(
     layer formula gives exactly ``v(E | F) + v(E & F)``, so the gap is at
     least the violation amount.  Returns ``g`` and the exact gap.
     """
-    eb, fb = mask_bits(e), mask_bits(f)
-    violation = (v.values[eb] + v.values[fb]) - (
-        v.values[eb | fb] + v.values[eb & fb]
-    )
+    violation = (v.values[e] + v.values[f]) - (v.values[e | f] + v.values[e & f])
     if violation <= 0:
         raise ValueError("pair does not violate convexity")
-    g = SimpleFunction.indicator(v.space, eb) + SimpleFunction.indicator(
-        v.space, fb
-    )
+    g = SimpleFunction.indicator(v.space, e) + SimpleFunction.indicator(v.space, f)
     gap = concave_integral(g, v).value - choquet_integral(g, v).value
     if gap < violation:
         raise RuntimeError("gap smaller than the convexity violation")

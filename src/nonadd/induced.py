@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .capacity import (
     Capacity,
@@ -27,13 +26,11 @@ from .capacity import (
 )
 from .integrals import psa_integral
 from .sets import (
-    MaskLike,
     Partition,
-    SpaceMismatchError,
     StateSpace,
     SubsetMask,
-    mask_bits,
     max_member_table,
+    same_space,
 )
 
 
@@ -56,9 +53,6 @@ class InducedCapacity:
     def space(self) -> StateSpace:
         return self.base.space
 
-    def value(self, event: MaskLike) -> Fraction:
-        return self.base.values[mask_bits(event)]
-
 
 def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     """Build the capacity induced by knowing ``P`` on the partition's algebra.
@@ -68,8 +62,7 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     measure-dominates every other member below it, so tie-breaking never
     arises.  The value is the measure of the witness.
     """
-    if P.space != partition.space:
-        raise SpaceMismatchError("measure and partition on different spaces")
+    same_space(P, partition)
     witness = tuple(max_member_table(partition))
     mass = P.mass_table
     base = Capacity(P.space, tuple(mass[acc] for acc in witness))
@@ -79,9 +72,9 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     return InducedCapacity(base, witness, P, partition)
 
 
-def argmax_witness(ic: InducedCapacity, event: MaskLike) -> SubsetMask:
+def argmax_witness(ic: InducedCapacity, event: int) -> SubsetMask:
     """The maximal algebra member inside ``event`` realizing the value."""
-    return SubsetMask(ic.witness_map[mask_bits(event)], ic.space)
+    return SubsetMask(ic.witness_map[event], ic.space)
 
 
 def check_continuity_from_above(ic: InducedCapacity) -> PropertyReport:

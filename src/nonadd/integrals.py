@@ -33,11 +33,9 @@ from typing import Iterable, Sequence
 
 from .capacity import Capacity, ProbabilityMeasure, _as_fraction
 from .sets import (
-    MaskLike,
     Partition,
-    SpaceMismatchError,
     StateSpace,
-    mask_bits,
+    same_space,
     submasks,
     subset_sums,
 )
@@ -64,8 +62,7 @@ class SimpleFunction:
                 raise ValueError(f"negative value at state {k}")
 
     @classmethod
-    def indicator(cls, space: StateSpace, event: MaskLike) -> SimpleFunction:
-        bits = mask_bits(event)
+    def indicator(cls, space: StateSpace, bits: int) -> SimpleFunction:
         return cls(space, tuple(ONE if bits >> k & 1 else ZERO for k in space.states()))
 
     @classmethod
@@ -77,8 +74,7 @@ class SimpleFunction:
         return self.values[state]
 
     def __add__(self, other: SimpleFunction) -> SimpleFunction:
-        if self.space != other.space:
-            raise SpaceMismatchError("functions on different spaces")
+        same_space(self, other)
         return SimpleFunction(
             self.space, tuple(a + b for a, b in zip(self.values, other.values))
         )
@@ -90,8 +86,7 @@ class SimpleFunction:
         return SimpleFunction(self.space, tuple(c * x for x in self.values))
 
     def __le__(self, other: SimpleFunction) -> bool:
-        if self.space != other.space:
-            raise SpaceMismatchError("functions on different spaces")
+        same_space(self, other)
         return all(a <= b for a, b in zip(self.values, other.values))
 
     def level_set_bits(self, t: Fraction) -> int:
@@ -104,8 +99,7 @@ class SimpleFunction:
 
     def expectation(self, P: ProbabilityMeasure) -> Fraction:
         """The ordinary (additive) integral against ``P``."""
-        if self.space != P.space:
-            raise SpaceMismatchError("function and measure on different spaces")
+        same_space(self, P)
         return sum((x * w for x, w in zip(self.values, P.weights)), ZERO)
 
 
@@ -114,27 +108,18 @@ class Decomposition:
     """Weighted family of events witnessing an integral value.
 
     ``terms`` is a tuple of ``(weight, mask)`` pairs with positive weights.
-    ``kind`` is ``"chain"`` when consecutive events must be nested
-    (``F_{i+1}`` inside ``F_i``, the layer-cake shape) and ``"free"``
-    otherwise.  Whether the weighted indicator sum stays below a given
-    function is a property of the pair, checked via :meth:`fits_under`.
+    Whether the weighted indicator sum stays below a given function is a
+    property of the pair, checked via :meth:`fits_under`.
     """
 
     terms: tuple[tuple[Fraction, int], ...]
-    kind: str = "free"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("chain", "free"):
-            raise ValueError(f"unknown decomposition kind {self.kind!r}")
         terms = tuple((_as_fraction(w), int(m)) for w, m in self.terms)
         object.__setattr__(self, "terms", terms)
         for w, _ in terms:
             if w <= 0:
                 raise ValueError("weights must be strictly positive")
-        if self.kind == "chain":
-            for (_, a), (_, b) in zip(terms, terms[1:]):
-                if b & ~a:
-                    raise ValueError("chain terms must be nested decreasingly")
 
     def indicator_sum(self, space: StateSpace) -> tuple[Fraction, ...]:
         acc = [ZERO] * space.n
@@ -174,7 +159,7 @@ class FunctionDecomposition:
     def fits_under(self, f: SimpleFunction) -> bool:
         return all(a <= b for a, b in zip(self.combination(f.space), f.values))
 
-    def value_against(self, P: ProbabilityMeasure) -> Fraction:
+    def weight_against(self, P: ProbabilityMeasure) -> Fraction:
         return sum((w * g.expectation(P) for w, g in self.terms), ZERO)
 
 
@@ -193,11 +178,6 @@ class IntegralResult:
     dual_witness: tuple[Fraction, ...] | None = None
 
 
-def _require_same_space(a: StateSpace, b: StateSpace) -> None:
-    if a != b:
-        raise SpaceMismatchError("operands live on different state spaces")
-
-
 def choquet_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
     """Layer-cake integral of ``f`` against ``v``.
 
@@ -207,7 +187,7 @@ def choquet_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
     witness is the nested decomposition with those weights, listed largest
     level set first.
     """
-    _require_same_space(f.space, v.space)
+    same_space(f, v)
     levels = sorted({x for x in f.values if x > 0}, reverse=True)
     total = ZERO
     terms = []
@@ -218,7 +198,7 @@ def choquet_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
         total += w * v.values[bits]
         terms.append((w, bits))
     terms.reverse()  # lowest threshold = largest set first: decreasing chain
-    return IntegralResult(total, Decomposition(tuple(terms), kind="chain"))
+    return IntegralResult(total, Decomposition(tuple(terms)))
 
 
 def concave_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
@@ -238,18 +218,36 @@ def _best_decomposition(
     f: SimpleFunction, v: Capacity, masks: Sequence[int]
 ) -> IntegralResult:
     """``max sum_T w_T v(T)`` under ``sum_{T containing x} w_T <= f(x)``,
-    one LP column per mask; the witness is replayed before returning."""
-    _require_same_space(f.space, v.space)
+    one LP column per mask."""
+    same_space(f, v)
     objective = [v.values[m] for m in masks]
     rows = [
         [ONE if m & bit else ZERO for m in masks]
         for bit in (1 << x for x in range(f.space.n))
     ]
+    return _lp_integral(f, v, objective, rows, masks, Decomposition)
+
+
+def _lp_integral(
+    f: SimpleFunction,
+    known: Capacity | ProbabilityMeasure,
+    objective: list[Fraction],
+    rows: list[list[Fraction]],
+    targets: Sequence,
+    witness_type: type[Decomposition] | type[FunctionDecomposition],
+) -> IntegralResult:
+    """``max objective . w`` under ``rows . w <= f`` and ``w >= 0``, replayed.
+
+    The one LP path of the integrals.  The witness pairs each nonzero
+    weight with its column's target (an event mask, or a known function);
+    it must fit under ``f`` and weigh the optimal value against ``known``
+    (the capacity, or the measure), or the basis is inconsistent.
+    ``solve_max`` is looked up in this module at each call, so a wrapper
+    set on the module later (a tracer's, a test's) sees every solve.
+    """
     sol = solve_max(objective, rows, list(f.values))
-    witness = Decomposition(
-        tuple((w, m) for w, m in zip(sol.x, masks) if w != 0), kind="free"
-    )
-    if not witness.fits_under(f) or witness.weight_against(v) != sol.value:
+    witness = witness_type(tuple((w, t) for w, t in zip(sol.x, targets) if w != 0))
+    if not witness.fits_under(f) or witness.weight_against(known) != sol.value:
         raise RuntimeError("simplex returned an inconsistent optimal basis")
     return IntegralResult(sol.value, witness, dual_witness=sol.duals)
 
@@ -299,8 +297,7 @@ def psa_integral(
     Coincides exactly with both the Choquet and the concave integral taken
     against the capacity induced by ``(P, partition)``.
     """
-    _require_same_space(f.space, P.space)
-    _require_same_space(f.space, partition.space)
+    same_space(f, P, partition)
     total = ZERO
     terms = []
     for block in partition.blocks:
@@ -308,7 +305,7 @@ def psa_integral(
         if m > 0:
             terms.append((m, block.bits))
         total += m * P.mass(block.bits)
-    return IntegralResult(total, Decomposition(tuple(terms), kind="free"))
+    return IntegralResult(total, Decomposition(tuple(terms)))
 
 
 def psp_integral(
@@ -324,18 +321,10 @@ def psp_integral(
     family = tuple(family)
     if not family:
         raise ValueError("the known-function family must be nonempty")
-    _require_same_space(f.space, P.space)
-    for g in family:
-        _require_same_space(f.space, g.space)
+    same_space(f, P, *family)
     objective = [g.expectation(P) for g in family]
     rows = [[g.values[x] for g in family] for x in range(f.space.n)]
-    sol = solve_max(objective, rows, list(f.values))
-    witness = FunctionDecomposition(
-        tuple((w, g) for w, g in zip(sol.x, family) if w != 0)
-    )
-    if not witness.fits_under(f) or witness.value_against(P) != sol.value:
-        raise RuntimeError("simplex returned an inconsistent optimal basis")
-    return IntegralResult(sol.value, witness, dual_witness=sol.duals)
+    return _lp_integral(f, P, objective, rows, family, FunctionDecomposition)
 
 
 def induced_psp_capacity(
@@ -354,8 +343,7 @@ def induced_psp_capacity(
     family = tuple(family)
     if not family:
         raise ValueError("the known-function family must be nonempty")
-    for g in family:
-        _require_same_space(P.space, g.space)
+    same_space(P, *family)
     supports = [sum(1 << k for k, x in enumerate(g.values) if x) for g in family]
     table = [ZERO] * P.space.num_subsets
     for bits in range(1, P.space.num_subsets):
@@ -398,7 +386,7 @@ def brute_force_cav_oracle(f: SimpleFunction, v: Capacity) -> Fraction:
     returns the minimal objective.  Shares no code with the simplex path.
     Refuses ``n > 4``; the enumeration is the point, not the scale.
     """
-    _require_same_space(f.space, v.space)
+    same_space(f, v)
     n = f.space.n
     if n > 4:
         raise ValueError("brute-force oracle is limited to n <= 4")
@@ -434,7 +422,7 @@ def brute_force_cav_oracle(f: SimpleFunction, v: Capacity) -> Fraction:
 
 
 def chain_restricted_value(
-    f: SimpleFunction, v: Capacity, chain: Iterable[MaskLike]
+    f: SimpleFunction, v: Capacity, chain: Iterable[int]
 ) -> Fraction:
     """Best decomposition value over one fixed nested family of events.
 
@@ -442,7 +430,7 @@ def chain_restricted_value(
     over nested decompositions: for any chain the value stays below the
     layer formula, with equality when the chain is the level sets of ``f``.
     """
-    masks = [mask_bits(c) for c in chain]
+    masks = list(chain)
     for a, b in zip(masks, masks[1:]):
         if b & ~a:
             raise ValueError("events must be nested decreasingly")

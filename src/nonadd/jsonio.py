@@ -5,7 +5,7 @@ Rationals are JSON strings spelled ``"p/q"``, ``"p"`` or ``"p.d"``,
 subsets are the decimal strings of their masks, and capacity tables
 must list all ``2**n`` keys.  Round-trips are exact: whatever this module
 writes it reads back to an equal object, as long as no integer in it passes
-the 4,300 digits that reading accepts.
+the ``MAX_DIGITS`` digits that reading accepts (:func:`readable`).
 """
 
 from __future__ import annotations
@@ -24,6 +24,23 @@ from .sets import Partition, StateSpace
 
 class FormatError(ValueError):
     """The JSON document does not match the expected schema."""
+
+
+# Most digits in one integer of a rational read from a file: it bounds a
+# hostile file's parse time, and is Python's default int-from-text cap.
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
+
+
+def readable(x: Fraction) -> bool:
+    """Does :func:`frac_from_str` read ``frac_to_str(x)`` back?"""
+    return abs(x.numerator) < _TOO_LONG and x.denominator < _TOO_LONG
+
+
+def _clip(raw: Any) -> str:
+    """``repr(raw)``, cut to 60 characters for an error message."""
+    text = repr(raw)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
 
 
 def frac_to_str(x: Fraction | int) -> str:
@@ -50,15 +67,18 @@ def frac_from_str(s: Any) -> Fraction:
     ASCII digits and a leading ``-`` only: a JSON number arrives rounded
     through a float, an exponent would be expanded in full, and the other
     spellings ``Fraction`` takes (``"+2"``, ``" 3 "``, ``"1_000"``) are not
-    in the file formats.  Each integer keeps Python's int-from-text digit
-    cap, which bounds a hostile file's parse time.
+    in the file formats.  Each integer has at most ``MAX_DIGITS`` digits.
     """
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise FormatError(f"not a rational: {s!r}")
+        raise FormatError(f"not a rational: {_clip(s)}")
+    if len(s) > MAX_DIGITS and max(map(len, re.split("[-/.]", s))) > MAX_DIGITS:
+        raise FormatError(
+            f"rational {_clip(s)} has an integer of more than {MAX_DIGITS} digits"
+        )
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"not a rational: {s!r}") from exc
+        raise FormatError(f"not a rational: {_clip(s)}") from exc
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")

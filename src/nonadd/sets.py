@@ -14,11 +14,9 @@ workers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_STATES = 20
-
-MaskLike = Union["SubsetMask", int]
 
 
 class SpaceMismatchError(ValueError):
@@ -73,9 +71,12 @@ class StateSpace:
         return SubsetMask(bits, self)
 
 
-def mask_bits(event: MaskLike) -> int:
-    """Raw mask integer of an event, whichever representation was passed."""
-    return event.bits if isinstance(event, SubsetMask) else int(event)
+def same_space(*operands) -> StateSpace:
+    """The ``.space`` all ``operands`` share: the one check that they share it."""
+    space = operands[0].space
+    if any(x.space != space for x in operands):
+        raise SpaceMismatchError("operands live on different state spaces")
+    return space
 
 
 def subset_sums(weights: Sequence) -> list:
@@ -142,11 +143,9 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("a partition needs at least one block")
-        space = blocks[0].space
+        space = same_space(*blocks)
         seen = 0
         for b in blocks:
-            if b.space != space:
-                raise SpaceMismatchError("blocks live on different spaces")
             if b.bits == 0:
                 raise ValueError("partition blocks must be nonempty")
             if seen & b.bits:

@@ -25,7 +25,6 @@ from nonadd import (
     Partition,
     ProbabilityMeasure,
     PropertyReport,
-    SpaceMismatchError,
     StateSpace,
     check_convex,
     check_dense,
@@ -280,11 +279,6 @@ class TestDense:
                 assert check_dense(partition, P).holds == dense_by_member_scan(
                     generated_algebra(partition).members, P
                 )
-
-    def test_partition_on_another_space_is_rejected(self):
-        P = ProbabilityMeasure.uniform(StateSpace(3))
-        with pytest.raises(SpaceMismatchError):
-            check_dense(Partition.singletons(StateSpace(4)), P)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from nonadd import (
     random_capacity,
 )
 from nonadd.cli import main
+from nonadd.simplex import LPSolution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -459,22 +460,58 @@ def test_values_past_the_int_str_digit_limit(capsys, tmp_path):
     assert report["results"]["value_decimal"] == "1.00000"
 
 
-def test_cover_out_past_the_int_str_digit_limit(capsys, tmp_path):
-    # v({0}) + v({1}) beats v({0,1}) = 1, so the cover's top value is that
-    # sum, whose denominator has over 4,300 digits
-    big = 10**2500
-    top = F(big, big + 1) + F(big + 2, big + 3)
+def _two_state_file(path, big: int) -> F:
+    """A capacity file with v({0}) + v({1}) above v({0,1}) = 1; returns that sum.
+
+    The sum is the cover's top value, and its denominator has about twice
+    the digits of ``big``.
+    """
     values = {"0": "0", "1": f"{big}/{big + 1}", "2": f"{big + 2}/{big + 3}", "3": "1"}
-    path, out = tmp_path / "huge.json", tmp_path / "cover.json"
     jsonio.dump({"n": 2, "values": values}, path)
+    return F(big, big + 1) + F(big + 2, big + 3)
+
+
+def test_cover_out_past_the_int_str_digit_limit(capsys, tmp_path):
+    # the cover's top value has over 4,300 digits: more than a capacity
+    # file may hold, so --out refuses before writing, and the cover still
+    # prints without --out
+    path, out = tmp_path / "huge.json", tmp_path / "cover.json"
+    top = _two_state_file(path, 10**2500)
+    code, report, err = run_cli(
+        capsys, "cover", "--capacity", str(path), "--out", str(out)
+    )
+    assert code == 2
+    assert report is None
+    assert f"more than {jsonio.MAX_DIGITS} digits" in err
+    assert not out.exists()
+    code, report, err = run_cli(capsys, "cover", "--capacity", str(path))
+    assert code == 0, err
+    assert _exact(report["results"]["total"]) == top
+
+
+def test_cover_out_under_the_digit_limit_reads_back(capsys, tmp_path):
+    path, out = tmp_path / "big.json", tmp_path / "cover.json"
+    top = _two_state_file(path, 10**1000)
     code, report, err = run_cli(
         capsys, "cover", "--capacity", str(path), "--out", str(out)
     )
     assert code == 0, err
+    assert json.loads(out.read_text()) == report["results"]["cover"]
     assert _exact(report["results"]["total"]) == top
-    written = json.loads(out.read_text())
-    assert written == report["results"]["cover"]
-    assert _exact(written["values"]["3"]) == top
+    code, report, err = run_cli(capsys, "cover", "--capacity", str(out))
+    assert code == 0, err
+    assert report["results"]["equals_original"] is True
+
+
+def test_integer_past_the_read_limit_gets_a_short_message(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    digits = "1" * (jsonio.MAX_DIGITS + 1)
+    jsonio.dump({"n": 1, "values": {"0": "0", "1": digits}}, path)
+    code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(path))
+    assert code == 2
+    assert report is None
+    assert f"more than {jsonio.MAX_DIGITS} digits" in err
+    assert len(err) < 200
 
 
 def test_assert_flag_on_passing_check(capsys, tmp_path):
@@ -654,6 +691,28 @@ def test_internal_error_exits_3(capsys, files, monkeypatch):
     assert code == 3
     assert report is None
     assert err.startswith("internal error: pivot limit exceeded")
+
+
+def test_inconsistent_lp_point_exits_3(capsys, files, monkeypatch):
+    # a point that overshoots the integrand fails the witness replay
+    def overshoot(objective, rows, rhs):
+        x = tuple(F(2) for _ in objective)
+        value = sum((c * w for c, w in zip(objective, x)), F(0))
+        return LPSolution(value, x, tuple(F(0) for _ in rhs), 0)
+
+    monkeypatch.setattr("nonadd.integrals.solve_max", overshoot)
+    code, report, err = run_cli(
+        capsys,
+        "integrate",
+        "cav",
+        "--capacity",
+        files["nonconvex2.json"],
+        "--function",
+        files["ones2.json"],
+    )
+    assert code == 3
+    assert report is None
+    assert err.startswith("internal error: simplex returned an inconsistent")
 
 
 def test_dispatch_tables_call_a_wrapper_set_on_the_module(capsys, files, monkeypatch):

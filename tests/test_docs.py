@@ -1,5 +1,6 @@
 """The README's quick tour, library map, command lines and demos match the code."""
 
+import ast
 import functools
 import importlib
 import os
@@ -75,3 +76,37 @@ def test_readme_library_map_names_exist():
                     functools.reduce(getattr, path, module)
                 except AttributeError:
                     pytest.fail(f"README maps a missing nonadd.{name}.{'.'.join(path)}")
+
+
+def _sites(picked) -> set[tuple[str, str | None]]:
+    """``(module, enclosing function)`` of each ``src/nonadd`` node ``picked`` keeps."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if picked(node):
+            found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((ROOT / "src" / "nonadd").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_each_finite_layer_rule_has_one_site():
+    # the same-space check lives in sets.same_space, and every LP integral
+    # solves and replays through integrals._lp_integral
+    raises = _sites(
+        lambda n: isinstance(n, ast.Raise) and _name(n.exc) == "SpaceMismatchError"
+    )
+    assert raises == {("sets", "same_space")}
+    solves = _sites(lambda n: isinstance(n, ast.Call) and _name(n) == "solve_max")
+    assert solves == {("integrals", "_lp_integral")}

@@ -50,9 +50,9 @@ class TestInduce:
     def test_shift_pairs_values(self):
         P, partition = shift_pairs_model()
         ic = induce(P, partition)
-        assert ic.value(0b00001111) == 0
-        assert ic.value(0b11110000) == 0
-        assert ic.value(0b11111111) == 1
+        assert ic.base.values[0b00001111] == 0
+        assert ic.base.values[0b11110000] == 0
+        assert ic.base.values[0b11111111] == 1
         report = check_null_additive(ic.base)
         assert not report.holds
         # the canonical half-space pair replays the violation too
@@ -63,7 +63,7 @@ class TestInduce:
         P = ProbabilityMeasure.uniform(space)
         partition = Partition.from_blocks(space, [[0, 1], [2, 3]])
         ic = induce(P, partition)
-        assert ic.value(0b0111) == F(1, 2)
+        assert ic.base.values[0b0111] == F(1, 2)
         assert argmax_witness(ic, 0b0111).bits == 0b0011
 
     def test_induced_is_convex(self):
@@ -103,9 +103,9 @@ class TestInduce:
         partition = random_partition(space, rng)
         ic = induce(P, partition)
         for member in generated_algebra(partition).members:
-            assert ic.value(member) == P.mass(member)
+            assert ic.base.values[member.bits] == P.mass(member.bits)
         for f in range(space.num_subsets):
-            assert ic.value(f) <= P.mass(f)
+            assert ic.base.values[f] <= P.mass(f)
 
     def test_witness_map_replays(self):
         rng = random.Random(5)

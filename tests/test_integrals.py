@@ -14,7 +14,6 @@ from nonadd import (
     Partition,
     ProbabilityMeasure,
     SimpleFunction,
-    SpaceMismatchError,
     StateSpace,
     balanced_cover,
     brute_force_cav_oracle,
@@ -34,6 +33,7 @@ from nonadd import (
     verify_dual_certificate,
 )
 from nonadd import integrals
+from nonadd.simplex import LPSolution
 from nonadd.convergence import PROFILES
 
 NONCONVEX2 = Capacity(StateSpace(2), (F(0), F(6, 10), F(6, 10), F(1)))
@@ -86,7 +86,6 @@ class TestChoquet:
             f = random_simple_function(v.space, rng)
             result = choquet_integral(f, v)
             w = result.witness
-            assert w.kind == "chain"
             assert w.fits_under(f)
             assert w.weight_against(v) == result.value
             for (_, a), (_, b) in zip(w.terms, w.terms[1:]):
@@ -374,21 +373,6 @@ class TestPSP:
         assert trials > 0
         assert 0 <= nonconvex <= trials
 
-    def test_member_on_a_larger_space_is_rejected(self):
-        space = StateSpace(2)
-        P = ProbabilityMeasure.uniform(space)
-        family = [
-            SimpleFunction.constant(space, 1),
-            SimpleFunction.constant(StateSpace(3), 1),
-        ]
-        with pytest.raises(SpaceMismatchError):
-            induced_psp_capacity(P, family)
-
-    def test_measure_on_another_space_is_rejected(self):
-        P = ProbabilityMeasure.uniform(StateSpace(3))
-        with pytest.raises(SpaceMismatchError):
-            induced_psp_capacity(P, [SimpleFunction.constant(StateSpace(2), 1)])
-
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_induced_psp_equals_the_all_members_reference(self, data):
@@ -455,6 +439,32 @@ class TestColumnCounts:
         v = random_capacity(5, 0, "general")
         concave_integral(SimpleFunction.indicator(v.space, 0b00101), v)
         assert lp_columns == [31]
+
+
+# Points the simplex might return from a broken basis: one overshoots f
+# at the value its weights would carry, the other fits under f but claims
+# a value its weights do not carry.  Each must fail its own replay.
+BAD_SOLUTIONS = {
+    "overshoot": lambda objective: (F(2), sum(objective, F(0)) * 2),
+    "wrong-value": lambda objective: (F(0), F(1)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SOLUTIONS)
+@pytest.mark.parametrize("integral", ["concave", "psp"])
+def test_lp_witness_replay_refuses_an_inconsistent_point(monkeypatch, integral, bad):
+    def inconsistent(objective, rows, rhs):
+        weight, value = BAD_SOLUTIONS[bad](objective)
+        x = tuple(weight for _ in objective)
+        return LPSolution(value, x, tuple(F(0) for _ in rhs), 0)
+
+    monkeypatch.setattr(integrals, "solve_max", inconsistent)
+    f = SimpleFunction.constant(NONCONVEX2.space, 1)
+    with pytest.raises(RuntimeError, match="inconsistent optimal basis"):
+        if integral == "concave":
+            concave_integral(f, NONCONVEX2)
+        else:
+            psp_integral(f, ProbabilityMeasure.uniform(f.space), [f])
 
 
 class TestBruteForceOracle:

@@ -159,6 +159,16 @@ def test_exponents_are_refused(text):
         jsonio.frac_from_str(text)
 
 
+def test_readable_is_the_read_limit():
+    at = F(-(10**jsonio.MAX_DIGITS - 1), 10**jsonio.MAX_DIGITS - 2)
+    assert jsonio.readable(at)
+    assert jsonio.frac_from_str(jsonio.frac_to_str(at)) == at
+    for past in (F(10**jsonio.MAX_DIGITS), F(1, 10**jsonio.MAX_DIGITS)):
+        assert not jsonio.readable(past)
+        with pytest.raises(FormatError, match=f"more than {jsonio.MAX_DIGITS} digits"):
+            jsonio.frac_from_str(jsonio.frac_to_str(past))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 6),

@@ -3,11 +3,28 @@
 import pytest
 from helpers import all_set_partitions
 from nonadd import (
+    Capacity,
+    FunctionSequence,
     Partition,
+    ProbabilityMeasure,
+    SimpleFunction,
     SpaceMismatchError,
     StateSpace,
     SubsetMask,
+    brute_force_cav_oracle,
+    chain_restricted_value,
+    check_dense,
+    check_P_null_additive,
+    choquet_integral,
+    concave_integral,
+    converges_P_ae,
+    converges_strong_ae,
+    converges_weak_ae,
     generated_algebra,
+    induce,
+    induced_psp_capacity,
+    psa_integral,
+    psp_integral,
 )
 from nonadd.sets import max_member_table, submasks
 
@@ -80,11 +97,43 @@ def test_max_member_table_is_the_largest_member_inside(n):
             assert table[f] == largest
 
 
-def test_space_mismatch_raises():
-    # blocks built over two different spaces do not make one partition
-    blocks = (StateSpace(2).subset([0]), StateSpace(3).subset([1, 2]))
-    with pytest.raises(SpaceMismatchError):
-        Partition(blocks)
+# Every site whose operands must share one state space, fed operands over
+# StateSpace(2) and StateSpace(3); each refuses through sets.same_space.
+S2, S3 = StateSpace(2), StateSpace(3)
+P2, P3 = ProbabilityMeasure.uniform(S2), ProbabilityMeasure.uniform(S3)
+F2, F3 = SimpleFunction.constant(S2, 1), SimpleFunction.constant(S3, 1)
+V2, V3 = Capacity(S2, P2.mass_table), Capacity(S3, P3.mass_table)
+B2, B3 = Partition.trivial(S2), Partition.trivial(S3)
+SEQ2 = FunctionSequence((F2,), F2)
+MISMATCHES = {
+    "Partition": lambda: Partition((S2.subset([0]), S3.subset([1, 2]))),
+    "SimpleFunction.__add__": lambda: F2 + F3,
+    "SimpleFunction.__le__": lambda: F2 <= F3,
+    "SimpleFunction.expectation": lambda: F2.expectation(P3),
+    "FunctionSequence": lambda: FunctionSequence((F3,), F2),
+    "converges_weak_ae": lambda: converges_weak_ae(SEQ2, V3),
+    "converges_strong_ae": lambda: converges_strong_ae(SEQ2, V3),
+    "converges_P_ae": lambda: converges_P_ae(SEQ2, P3),
+    "check_P_null_additive": lambda: check_P_null_additive(V2, P3),
+    "check_dense": lambda: check_dense(B2, P3),
+    "induce": lambda: induce(P2, B3),
+    "choquet_integral": lambda: choquet_integral(F2, V3),
+    "concave_integral": lambda: concave_integral(F2, V3),
+    "chain_restricted_value": lambda: chain_restricted_value(F2, V3, [1]),
+    "brute_force_cav_oracle": lambda: brute_force_cav_oracle(F2, V3),
+    "psa_integral-measure": lambda: psa_integral(F2, P3, B2),
+    "psa_integral-partition": lambda: psa_integral(F2, P2, B3),
+    "psp_integral-measure": lambda: psp_integral(F2, P3, [F2]),
+    "psp_integral-member": lambda: psp_integral(F2, P2, [F2, F3]),
+    "induced_psp_capacity-measure": lambda: induced_psp_capacity(P3, [F2]),
+    "induced_psp_capacity-member": lambda: induced_psp_capacity(P2, [F2, F3]),
+}
+
+
+@pytest.mark.parametrize("site", MISMATCHES)
+def test_every_site_refuses_a_space_mismatch(site):
+    with pytest.raises(SpaceMismatchError, match="^operands live on different"):
+        MISMATCHES[site]()
 
 
 def test_subset_from_iterable_and_bounds():
