@@ -13,7 +13,6 @@ from nonadd import (
     countable_psa_integral,
     monotone_convergence_countable,
     pairs_model,
-    pairs_partial_sum_trace,
     trivial_model,
     unit_prefix_sequence,
 )
@@ -23,10 +22,10 @@ pairs = pairs_model()
 print("integral of 1 on the pair model:", countable_psa_integral(
     EventuallyConstantFunction.constant(1), pairs))
 
-print("\nprefix-indicator trace (first 6):",
-      [str(x) for x in pairs_partial_sum_trace(6)])
-
+# Every second entry of the trace: the m-th integrates the indicator of {1..2m}.
 report = monotone_convergence_countable(pairs, unit_prefix_sequence())
+print("\nprefix-indicator trace (first 6):",
+      [str(x) for x in report.integral_trace[1::2]])
 print("converges?", report.converges, f"({report.basis})")
 print("gap at probe depth:", report.gap_at_depth)
 

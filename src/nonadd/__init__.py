@@ -52,7 +52,6 @@ from .countable import (
     increasing_information_run,
     monotone_convergence_countable,
     pairs_model,
-    pairs_partial_sum_trace,
     telescoping_measure,
     trivial_model,
     uniform_finite_measure,

@@ -252,38 +252,31 @@ def _trace_obj(trace, limit: int = 100) -> dict:
 
 
 # Largest --m and --depth accepted, so that every preset ends in bounded
-# time and memory: dyadic --m builds 2**m states, and pair-blocks --depth
-# a trace of that many fractions, as a ramp sequence's 'steps' builds that
-# many terms.  trivial-field's time grows with the square of its depth, so
-# it has its own, lower bound.  --decimal K renders K digits per value.
+# time and memory: dyadic --m builds 2**m states, and a model preset's
+# --depth a trace of twice that many fractions, read from the layout in
+# linear time, as a ramp sequence's 'steps' builds that many terms.
+# --decimal K renders K digits per value.
 MAX_M = 16
 MAX_DEPTH = 100_000
-MAX_TRIVIAL_DEPTH = 64
 MAX_DECIMAL = 1000
+
+_MODELS = {
+    "pair-blocks": countable.pairs_model,
+    "trivial-field": countable.trivial_model,
+}
 
 
 def _cmd_converge(args, results: dict) -> bool:
-    top = MAX_TRIVIAL_DEPTH if args.preset == "trivial-field" else MAX_DEPTH
-    if args.depth is not None and not 1 <= args.depth <= top:
-        raise FormatError(f"--depth must be in 1..{top}, got {args.depth}")
-    if args.m is not None and not 0 <= args.m <= MAX_M:
+    if not 1 <= args.depth <= MAX_DEPTH:
+        raise FormatError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
+    if not 0 <= args.m <= MAX_M:
         raise FormatError(f"--m must be in 0..{MAX_M}, got {args.m}")
-    depth = 50 if args.depth is None else args.depth
-    if args.preset == "pair-blocks":
-        trace = countable.pairs_partial_sum_trace(depth)
+    if args.preset in _MODELS:
         report = countable.monotone_convergence_countable(
-            countable.pairs_model(), countable.unit_prefix_sequence(), depth=12
+            _MODELS[args.preset](), countable.unit_prefix_sequence(), 2 * args.depth
         )
-        results.update(_trace_obj(trace))
-        _maybe_decimal(results, "limit_integral", report.limit_integral, args.decimal)
-        results["convergent"] = report.converges
-        results["basis"] = report.basis
-        return report.converges
-    if args.preset == "trivial-field":
-        model = countable.trivial_model()
-        seq = countable.unit_prefix_sequence()
-        report = countable.monotone_convergence_countable(model, seq, depth=depth)
-        results.update(_trace_obj(report.integral_trace))
+        # entry m integrates the indicator of the first 2m states
+        results.update(_trace_obj(report.integral_trace[1::2]))
         _maybe_decimal(results, "limit_integral", report.limit_integral, args.decimal)
         results["convergent"] = report.converges
         results["basis"] = report.basis
@@ -291,13 +284,12 @@ def _cmd_converge(args, results: dict) -> bool:
             results["divergence_bound"] = jsonio.frac_to_str(report.divergence_bound)
         return report.converges
     if args.preset == "dyadic":
-        m = args.m if args.m is not None else 4
         rng = random.Random(f"{args.seed}|dyadic")
-        size = 1 << m
+        size = 1 << args.m
         f = countable.random_eventually_constant_function(rng, size)
         f = countable.EventuallyConstantFunction(size, f.values, Fraction(0))
         run = countable.increasing_information_run(
-            countable.dyadic_partitions(m),
+            countable.dyadic_partitions(args.m),
             countable.uniform_finite_measure(size),
             f,
         )
@@ -399,11 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_con = sub.add_parser(
         "converge", help="monotone-convergence experiments", parents=[common]
     )
-    p_con.add_argument(
-        "--preset", choices=("pair-blocks", "trivial-field", "dyadic")
-    )
-    p_con.add_argument("--depth", type=int)
-    p_con.add_argument("--m", type=int, help="dyadic window exponent")
+    p_con.add_argument("--preset", choices=(*_MODELS, "dyadic"))
+    p_con.add_argument("--depth", type=int, default=50)
+    p_con.add_argument("--m", type=int, default=4, help="dyadic window exponent")
     p_con.add_argument("--capacity")
     p_con.add_argument("--sequence")
     p_con.add_argument("--integral", choices=("choquet", "cav"), default="choquet")

@@ -561,7 +561,11 @@ def monotone_convergence_countable(
 
     Traces the first ``depth`` terms and decides along the ladder described
     on :class:`CountableConvergenceReport`; the verdict never depends on
-    ``depth``.
+    ``depth``.  Unit-prefix entry ``n``, the mass of the blocks inside
+    ``{1..n}``, is read from the layout: in the head ``{1..K}`` it rises by
+    each block's mass at its last state; from ``K`` on it is ``1 - tail(t)``,
+    ``t`` the last state of the last complete block (``K`` before an
+    infinite block).  So the trace takes time linear in ``depth + K``.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -573,10 +577,19 @@ def monotone_convergence_countable(
             value == target, "stabilized", (value,) * depth, target,
             target - value, finite_atoms,
         )
-    trace = tuple(
-        countable_psa_integral(EventuallyConstantFunction.unit_prefix(n), model)
-        for n in range(1, depth + 1)
-    )
+    partition, tail = model.partition, model.measure.tail
+    top = len(partition._block_of)
+    rises = [ZERO] * top
+    for runs in partition._head:
+        rises[runs[-1][1] - 1] = sum((tail(s - 1) - tail(e) for s, e in runs), ZERO)
+    # entries n = 0..K-1, then from n = K one run of equal entries per tail block
+    trace = list(accumulate(rises, initial=ZERO))[:top]
+    if partition.width is None:
+        trace += [ONE - tail(top)] * (depth + 1 - top)
+    else:
+        for t in range(top, depth + 1, partition.width):
+            trace += [ONE - tail(t)] * partition.width
+    trace = tuple(trace[1 : depth + 1])
     report = partial(
         CountableConvergenceReport,
         integral_trace=trace,
@@ -588,7 +601,7 @@ def monotone_convergence_countable(
         return report(True, "exact")
     if finite_atoms:
         return report(True, "finite-atoms")
-    mass = model.measure.tail(model.partition.infinite_atom_start() - 1)
+    mass = tail(top)  # the infinite block's
     if mass == 0:
         return report(True, "massless-block")
     return report(False, "divergence-bound", divergence_bound=target - mass)
@@ -599,21 +612,29 @@ def monotone_convergence_countable(
 # ---------------------------------------------------------------------------
 
 
-def _check_refining(
-    partitions: Sequence[CountablePartition], window: int
-) -> None:
+def _check_refining(partitions: Sequence[CountablePartition]) -> None:
+    """Raise ``ValueError`` unless each partition refines the one before.
+
+    States ``1..M+4`` decide it, ``M`` the longer head: past ``M`` each tail
+    repeats with period 1 or 2 or is one infinite block, so a fine pair
+    past ``M`` splits iff the one from ``M+1`` or ``M+2`` does, and a fine
+    infinite block meets two coarse blocks by ``M+4`` unless the coarse
+    tail is infinite.  Heads are read from their tables, ``block_key`` past.
+    """
     for j in range(len(partitions) - 1):
         coarse, fine = partitions[j], partitions[j + 1]
-        seen: dict[object, object] = {}
-        for k in range(1, window + 1):
-            fk = fine.block_key(k)
-            ck = coarse.block_key(k)
-            if fk in seen and seen[fk] != ck:
+        n = max(len(coarse._block_of), len(fine._block_of)) + 4
+        fine_keys, coarse_keys = (
+            p._block_of + tuple(map(p.block_key, range(len(p._block_of) + 1, n + 1)))
+            for p in (fine, coarse)
+        )
+        owner: dict[int, int] = {}
+        for k, (f, c) in enumerate(zip(fine_keys, coarse_keys), 1):
+            if owner.setdefault(f, c) != c:
                 raise ValueError(
                     f"partition {j + 2} does not refine partition {j + 1} "
                     f"(state {k} splits a finer block across coarser ones)"
                 )
-            seen[fk] = ck
 
 
 def check_increases_continuously(
@@ -632,12 +653,13 @@ def check_increases_continuously(
     The layout gives ``k``: a head block of two or more states, or past
     the head a tail of pairs or one infinite block with ``tail(K) > 0``.
     The witness is ``({k}, values per partition, its mass)``, the values
-    nondecreasing.  Refinement is checked on states ``1..window`` first; a
-    non-refining sequence raises ``ValueError``.
+    nondecreasing.  A non-refining sequence raises ``ValueError``, decided
+    exactly from the layouts.  ``window`` is unused; the benchmark's tracer
+    reads it to count the states a call covers.
     """
     if not partitions:
         raise ValueError("need at least one partition")
-    _check_refining(partitions, window)
+    _check_refining(partitions)
     last = partitions[-1]
     top = len(last._block_of)
     k = next(
@@ -697,7 +719,7 @@ def increasing_information_run(
     The density criterion is cross-checked via
     :func:`check_increases_continuously` on the same partition sequence,
     which also rejects a non-refining sequence before any integral is
-    taken.
+    taken.  ``window`` is unused, as there.
     """
     continuity = check_increases_continuously(partitions, measure, window=window)
     trace = tuple(
@@ -728,19 +750,6 @@ def pairs_model() -> CountableModel:
 def trivial_model() -> CountableModel:
     """Telescoping measure with one infinite block: the divergent showcase."""
     return CountableModel(telescoping_measure(), CountablePartition(width=None))
-
-
-def pairs_partial_sum_trace(depth: int) -> list[Fraction]:
-    """Exact trace of the prefix-indicator integrals on the pairs model.
-
-    Under pair blocks, the indicator of ``{1..2m}`` integrates to the mass
-    of ``{1..2m}`` (each complete pair contributes its own mass, nothing
-    straddles an even cutoff, and everything beyond contributes zero), so
-    the m-th entry is ``1 - tail(2m)``, one read of the tail rule at any
-    depth.  Under the telescoping measure it is ``1 - 1/(2m+1)``.
-    """
-    measure = telescoping_measure()
-    return [ONE - measure.tail(2 * m) for m in range(1, depth + 1)]
 
 
 def dyadic_partitions(m: int) -> list[CountablePartition]:

@@ -259,8 +259,9 @@ def verify_dual_certificate(
 
     Checks that ``y`` has one entry per state, ``y >= 0``, ``sum_{x in T}
     y_x >= v(T)`` for every ``T`` (one subset-sum pass), and ``sum_x y_x
-    f(x) == value``.
+    f(x) == value``.  ``f`` and ``v`` must share one state space.
     """
+    same_space(f, v)
     y = result.dual_witness
     if y is None or len(y) != f.space.n or any(c < 0 for c in y):
         return False

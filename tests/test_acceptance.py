@@ -39,7 +39,6 @@ from nonadd import (
     induce,
     monotone_convergence_countable,
     pairs_model,
-    pairs_partial_sum_trace,
     psa_integral,
     random_capacity,
     random_partition,
@@ -212,7 +211,10 @@ def test_criterion_09_countable_preset_traces():
     with criterion(9, "pair-block trace is 1 - 1/(2m+1) up to depth 10^4; trivial trace is 0"):
         started = time.perf_counter()
         depth = 10_000
-        trace = pairs_partial_sum_trace(depth)
+        report = monotone_convergence_countable(
+            pairs_model(), unit_prefix_sequence(), depth=2 * depth
+        )
+        trace = report.integral_trace[1::2]
         for m in range(1, depth + 1):
             assert trace[m - 1] == 1 - F(1, 2 * m + 1)
         model = pairs_model()

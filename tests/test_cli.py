@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
@@ -275,6 +276,19 @@ def test_converge_trivial_field_preset(capsys):
     assert set(report["results"]["trace"]) == {"0"}
     assert report["results"]["convergent"] is False
     assert report["results"]["limit_integral"] == "1"
+
+
+def test_converge_trivial_field_at_the_depth_bound(capsys):
+    started = time.perf_counter()
+    code, report, _ = run_cli(
+        capsys, "converge", "--preset", "trivial-field", "--depth", "100000"
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    results = report["results"]
+    assert results["trace_length"] == 100_000
+    assert set(results["trace_head"]) == set(results["trace_tail"]) == {"0"}
+    assert results["convergent"] is False
 
 
 def test_converge_trivial_field_assert_flag(capsys):
@@ -656,7 +670,7 @@ def test_missing_required_inputs_are_diagnosed(capsys, files):
         ("dyadic", "--m", "-1"),
         ("dyadic", "--m", "17"),
         ("pair-blocks", "--depth", "100001"),
-        ("trivial-field", "--depth", "65"),
+        ("trivial-field", "--depth", "100001"),
     ):
         code, report, err = run_cli(capsys, "converge", "--preset", preset, flag, value)
         assert code == 2

@@ -28,7 +28,6 @@ from nonadd import (
     increasing_information_run,
     monotone_convergence_countable,
     pairs_model,
-    pairs_partial_sum_trace,
     psa_integral,
     telescoping_measure,
     trivial_model,
@@ -481,8 +480,9 @@ class TestMonotoneConvergenceCountable:
             CountableFunctionSequence(**kwargs)
 
     def test_trace_matches_incremental_partial_sums(self):
-        trace = pairs_partial_sum_trace(30)
         model = pairs_model()
+        report = monotone_convergence_countable(model, unit_prefix_sequence(), 60)
+        trace = report.integral_trace[1::2]
         for m in (1, 2, 7, 30):
             f = EventuallyConstantFunction.unit_prefix(2 * m)
             assert trace[m - 1] == countable_psa_integral(f, model)
@@ -541,6 +541,36 @@ class TestIncreasingInformation:
                 telescoping_measure(),
                 EventuallyConstantFunction.constant(1),
             )
+
+    @pytest.mark.parametrize(
+        "coarse, fine, state",
+        [
+            # the infinite block from 101 splits the pairs (101, 102) and
+            # (103, 104), past any fixed window of 64 states
+            (
+                CountablePartition(width=2),
+                CountablePartition(tuple((k,) for k in range(1, 101)), width=None),
+                103,
+            ),
+            (CountablePartition(), CountablePartition(width=2), 2),
+            (CountablePartition(width=2), CountablePartition(width=None), 3),
+        ],
+        ids=["past-a-long-head", "singletons-then-pairs", "pairs-then-infinite"],
+    )
+    def test_refinement_is_decided_past_the_heads(self, coarse, fine, state):
+        with pytest.raises(ValueError, match=f"state {state} splits"):
+            check_increases_continuously([coarse, fine], telescoping_measure())
+
+    @pytest.mark.parametrize(
+        "coarse, fine",
+        [
+            (CountablePartition(width=2), CountablePartition()),
+            (CountablePartition(width=None), CountablePartition(width=2)),
+        ],
+        ids=["pairs-then-singletons", "infinite-then-pairs"],
+    )
+    def test_refining_tails_are_accepted(self, coarse, fine):
+        check_increases_continuously([coarse, fine], telescoping_measure())
 
     def test_refinement_to_singletons_is_dense(self):
         partitions = [
@@ -1011,3 +1041,24 @@ class TestIncreasesContinuouslyVerdict:
             assert values == (F(0), F(0))
             assert countable_induced_value(event, model) == 0 < mass
             assert mass == event.mass(measure)
+
+
+class TestRefinementVerdict:
+    @settings(max_examples=200, deadline=None)
+    @given(countable_partitions(max_head=6), countable_partitions(max_head=6))
+    def test_verdict_matches_a_long_scan(self, coarse, fine):
+        # scan well past both heads, where the tails have long repeated;
+        # the first state whose fine block already met another coarse
+        # block is the one the error names
+        top = max(sum(map(len, coarse.head)), sum(map(len, fine.head)))
+        owner, split = {}, None
+        for k in range(1, 3 * (top + 2) + 11):
+            c = coarse.block_key(k)
+            if owner.setdefault(fine.block_key(k), c) != c:
+                split = k
+                break
+        if split is None:
+            check_increases_continuously([coarse, fine], telescoping_measure())
+        else:
+            with pytest.raises(ValueError, match=f"state {split} splits"):
+                check_increases_continuously([coarse, fine], telescoping_measure())

@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from nonadd.cli import _CHECKS, _INTEGRALS, build_parser
+from nonadd.cli import (
+    _CHECKS,
+    _INTEGRALS,
+    MAX_DECIMAL,
+    MAX_DEPTH,
+    MAX_M,
+    build_parser,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -58,6 +65,21 @@ def test_readme_names_every_integral_and_check():
     # whole words only: "convex" must not count inside "nonconvex2.json"
     words = set(re.findall(r"[\w-]+", command_line_section()))
     assert set(_INTEGRALS) | set(_CHECKS) <= words
+
+
+def test_readme_bounds_match_the_cli():
+    section = command_line_section()
+    bounds = {
+        r"`--m` must be in": (0, MAX_M),
+        r"`--depth` in": (1, MAX_DEPTH),
+        r"K must be in": (0, MAX_DECIMAL),
+    }
+    for prefix, bound in bounds.items():
+        found = re.search(prefix + r" (\d+)\.\.(\d+)", section)
+        assert found and tuple(map(int, found.groups())) == bound, prefix
+    # no other range, such as a deleted bound, lingers in the section
+    ranges = re.findall(r"(\d+)\.\.(\d+)", section)
+    assert sorted((int(a), int(b)) for a, b in ranges) == sorted(bounds.values())
 
 
 def test_readme_library_map_names_exist():

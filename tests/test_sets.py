@@ -25,6 +25,7 @@ from nonadd import (
     induced_psp_capacity,
     psa_integral,
     psp_integral,
+    verify_dual_certificate,
 )
 from nonadd.sets import max_member_table, submasks
 
@@ -127,6 +128,9 @@ MISMATCHES = {
     "psp_integral-member": lambda: psp_integral(F2, P2, [F2, F3]),
     "induced_psp_capacity-measure": lambda: induced_psp_capacity(P3, [F2]),
     "induced_psp_capacity-member": lambda: induced_psp_capacity(P2, [F2, F3]),
+    "verify_dual_certificate": lambda: verify_dual_certificate(
+        concave_integral(F2, V2), F2, V3
+    ),
 }
 
 
