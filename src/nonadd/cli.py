@@ -47,6 +47,8 @@ from .convergence import (
 )
 from .induced import check_weak_ae_equivalence
 from .integrals import (
+    Decomposition,
+    FunctionDecomposition,
     SimpleFunction,
     balanced_cover,
     choquet_integral,
@@ -70,35 +72,22 @@ def _decimal(x: Fraction, places: int) -> str:
 
 
 def _maybe_decimal(results: dict, key: str, x: Fraction, places: int | None) -> None:
-    results[key] = jsonio.frac_to_str(x)
+    results[key] = _obj(x)
     if places is not None:
         results[key + "_decimal"] = _decimal(x, places)
 
 
-def _witness_obj(witness) -> list:
-    out = []
-    for item in witness or ():
-        if isinstance(item, (Fraction, int, str)):
-            out.append(jsonio.frac_to_str(item))
-        elif isinstance(item, tuple):
-            out.append(_witness_obj(item))
-        else:
-            out.append(repr(item))
-    return out
-
-
-def _decomposition_obj(witness) -> list | None:
-    if witness is None:
-        return None
-    terms = getattr(witness, "terms", ())
-    out = []
-    for w, target in terms:
-        if isinstance(target, int):
-            item = jsonio.frac_to_str(target)
-        else:  # a function member of a known family
-            item = [jsonio.frac_to_str(x) for x in target.values]
-        out.append([jsonio.frac_to_str(w), item])
-    return out
+def _obj(x):
+    """``x`` as printed: a rational as its ``p/q`` text, a tuple as a list,
+    a decomposition as its ``[weight, target]`` terms and a function as
+    its values."""
+    if isinstance(x, (Fraction, int)):
+        return jsonio.frac_to_str(x)
+    if isinstance(x, tuple):
+        return [_obj(item) for item in x]
+    if isinstance(x, (Decomposition, FunctionDecomposition)):
+        return [[_obj(w), _obj(target)] for w, target in x.terms]
+    return _obj(x.values)  # a SimpleFunction
 
 
 def _sequence_from_json(obj, capacity) -> FunctionSequence:
@@ -188,9 +177,9 @@ def _cmd_integrate(args, results: dict) -> bool:
     compute, names = _INTEGRALS[args.which]
     res = _current(compute)(*_load_inputs(args, names))
     _maybe_decimal(results, "value", res.value, args.decimal)
-    results["witness"] = _decomposition_obj(res.witness)
+    results["witness"] = _obj(res.witness)
     if res.dual_witness is not None:
-        results["dual_witness"] = [jsonio.frac_to_str(y) for y in res.dual_witness]
+        results["dual_witness"] = _obj(res.dual_witness)
     return True
 
 
@@ -214,11 +203,11 @@ def _cmd_check(args, results: dict) -> bool:
             for name, holds in results["conditions"].items():
                 if not holds:
                     witness = getattr(full, name).witness
-                    results[f"{name}_witness"] = _witness_obj(witness)
+                    results[f"{name}_witness"] = _obj(witness or ())
             return full.agree
         report = checker(*inputs)
     results["holds"] = report.holds
-    results["witness"] = _witness_obj(report.witness)
+    results["witness"] = _obj(report.witness or ())
     return report.holds
 
 
@@ -240,14 +229,14 @@ def _cmd_cover(args, results: dict) -> bool:
     return True
 
 
-def _trace_obj(trace, limit: int = 100) -> dict:
-    values = [jsonio.frac_to_str(x) for x in trace]
-    if len(values) <= limit:
-        return {"trace": values}
+def _trace_obj(trace: tuple, limit: int = 100) -> dict:
+    """The trace, or past ``limit`` entries only its first and last ten."""
+    if len(trace) <= limit:
+        return {"trace": _obj(trace)}
     return {
-        "trace_head": values[:10],
-        "trace_tail": values[-10:],
-        "trace_length": len(values),
+        "trace_head": _obj(trace[:10]),
+        "trace_tail": _obj(trace[-10:]),
+        "trace_length": len(trace),
     }
 
 
@@ -281,7 +270,7 @@ def _cmd_converge(args, results: dict) -> bool:
         results["convergent"] = report.converges
         results["basis"] = report.basis
         if report.divergence_bound is not None:
-            results["divergence_bound"] = jsonio.frac_to_str(report.divergence_bound)
+            results["divergence_bound"] = _obj(report.divergence_bound)
         return report.converges
     if args.preset == "dyadic":
         rng = random.Random(f"{args.seed}|dyadic")

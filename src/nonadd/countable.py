@@ -45,6 +45,7 @@ from operator import itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .capacity import PropertyReport, _as_fraction, _scale
+from .sets import check_states
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -139,9 +140,10 @@ class CountablePartition:
     _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.width not in (1, 2, None):
-            raise ValueError(f"tail width must be 1, 2 or None, got {self.width!r}")
-        blocks = tuple(tuple(sorted(int(k) for k in b)) for b in self.head)
+        width = self.width
+        if not (width is None or type(width) is int and width in (1, 2)):
+            raise ValueError(f"tail width must be 1, 2 or None, got {width!r}")
+        blocks = tuple(tuple(sorted(check_states(b))) for b in self.head)
         object.__setattr__(self, "head", blocks)
         top = sum(map(len, blocks))
         block_of = [-1] * top
@@ -307,9 +309,9 @@ class EventuallyConstantSet:
     """Event on ``{1, 2, ...}``: explicit members up to a horizon, then
     either everything or nothing.
 
-    Kept as ``runs``, its sorted maximal runs as :func:`_runs` gives them,
-    ending in ``(first, None)`` when ``tail_in``.  A ``range`` of members
-    is read as one run, so ``prefix(n)`` takes constant time.
+    Built by this constructor or :meth:`finite`, kept as ``runs``, its
+    sorted maximal runs as :func:`_runs` gives them, ending in
+    ``(first, None)`` when ``tail_in``, and read only through them.
     """
 
     horizon: int
@@ -320,8 +322,7 @@ class EventuallyConstantSet:
     def __post_init__(self, members: Iterable[int]) -> None:
         if self.horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        if not (isinstance(members, range) and members.step == 1):
-            members = sorted(set(int(k) for k in members))
+        members = sorted(set(check_states(members)))
         if members and (members[0] < 1 or members[-1] > self.horizon):
             raise ValueError("explicit members must lie in 1..horizon")
         runs = list(_runs(members)) if members else []
@@ -351,25 +352,15 @@ class EventuallyConstantSet:
                 return False
         return True
 
-    def __contains__(self, k: int) -> bool:
-        return self._holds(((k, k),))
-
-    def __le__(self, other: EventuallyConstantSet) -> bool:
-        return other._holds(self.runs)
-
     def mass(self, measure: CountableMeasure) -> Fraction:
         weights: dict[int, int | Fraction] = {}
         _add_mass(weights, self.runs, 1)
         return _tail_sum(weights, measure)
 
     @classmethod
-    def prefix(cls, n: int) -> EventuallyConstantSet:
-        return cls(n, range(1, n + 1), False)
-
-    @classmethod
     def finite(cls, states: Iterable[int]) -> EventuallyConstantSet:
-        members = sorted(set(int(k) for k in states))
-        return cls(members[-1] if members else 0, members, False)
+        states = check_states(states)
+        return cls(max(states, default=0), states, False)
 
 
 @dataclass(frozen=True)
@@ -441,7 +432,7 @@ def countable_induced_value(
         if event._holds(block) != tail_in
         for run in block
     ]
-    weights = {0: int(tail_in)}
+    weights = {0: 1 if tail_in else 0}
     _add_mass(weights, runs, -1 if tail_in else 1)
     return _tail_sum(weights, model.measure)
 
@@ -466,11 +457,12 @@ def continuity_from_below_countable(
     """Is the induced capacity continuous from below?
 
     Holds when all blocks are finite.  With an infinite block of positive
-    mass it fails, and the report carries the witness chain evaluated
-    exactly at the requested depth.  An infinite block of mass zero does
-    not break continuity (the chain values and the block value all
-    vanish); that degenerate case is reported as holding.  A failing
-    report's witness is a :class:`ChainWitness`.
+    mass it fails, and the report carries the witness chain of the
+    requested depth.  An infinite block of mass zero does not break
+    continuity (the chain values and the block value all vanish); that
+    degenerate case is reported as holding.  A failing report's witness is
+    a :class:`ChainWitness`.  The induced capacity is monotone, so the
+    longest prefix alone is replayed: its value 0 is every shorter one's.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -481,11 +473,9 @@ def continuity_from_below_countable(
     if atom_mass == 0:
         return PropertyReport(True)
     members = tuple(range(start, start + depth))
-    values = []
-    for d in range(1, depth + 1):
-        prefix = EventuallyConstantSet.finite(members[:d])
-        values.append(countable_induced_value(prefix, model))
-    return PropertyReport(False, ChainWitness(members, tuple(values), atom_mass))
+    if countable_induced_value(EventuallyConstantSet.finite(members), model):
+        raise RuntimeError("a finite part of the infinite block holds a block")
+    return PropertyReport(False, ChainWitness(members, (ZERO,) * depth, atom_mass))
 
 
 @dataclass(frozen=True)

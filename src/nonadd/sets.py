@@ -64,11 +64,27 @@ class StateSpace:
         if isinstance(source, int):
             return SubsetMask(source, self)
         bits = 0
-        for k in source:
-            if not 0 <= int(k) < self.n:
+        for k in check_states(source):
+            if not 0 <= k < self.n:
                 raise ValueError(f"state {k} outside 0..{self.n - 1}")
-            bits |= 1 << int(k)
+            bits |= 1 << k
         return SubsetMask(bits, self)
+
+
+def check_states(states: Iterable) -> tuple[int, ...]:
+    """``states`` as a tuple, each an ``int`` and not a ``bool``.
+
+    Anything else, ``2.7`` or ``True`` included, is a ``ValueError``
+    rather than a state truncated to some other one.  The types are read
+    in one pass at C speed, so a block of thousands of states costs about
+    what copying it does.
+    """
+    states = tuple(states)
+    for t in set(map(type, states)):
+        if not issubclass(t, int) or issubclass(t, bool):
+            bad = next(k for k in states if type(k) is t)
+            raise ValueError(f"a state is an int, got {bad!r}")
+    return states
 
 
 def same_space(*operands) -> StateSpace:

@@ -268,6 +268,26 @@ def test_converge_pair_blocks_preset(capsys):
     assert report["results"]["limit_integral"] == "1"
 
 
+def test_long_trace_renders_only_the_entries_it_prints(capsys, monkeypatch):
+    calls = []
+    render = jsonio.frac_to_str
+
+    def counted(x):
+        calls.append(x)
+        return render(x)
+
+    monkeypatch.setattr(jsonio, "frac_to_str", counted)
+    code, report, _ = run_cli(
+        capsys, "converge", "--preset", "pair-blocks", "--depth", "10000"
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["trace_length"] == 10_000
+    assert results["trace_tail"][-1] == "20000/20001"
+    # the first and last ten entries and the limit, not every entry
+    assert len(calls) <= 30
+
+
 def test_converge_trivial_field_preset(capsys):
     code, report, _ = run_cli(
         capsys, "converge", "--preset", "trivial-field", "--depth", "5"

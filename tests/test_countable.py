@@ -1,6 +1,7 @@
 """Countable models: exact tails, block runs, convergence structure."""
 
 import random
+import time
 from fractions import Fraction as F
 from typing import NamedTuple
 
@@ -34,6 +35,7 @@ from nonadd import (
     uniform_finite_measure,
     unit_prefix_sequence,
 )
+from nonadd import countable
 from nonadd.countable import (
     CountableMeasure,
     _add_mass,
@@ -135,7 +137,6 @@ class TestMeasures:
         lambda: CountableMeasure(lambda n: F(1) if n == 0 else F(1, 2)),
         lambda: EventuallyConstantSet(-3, (), True),
         lambda: EventuallyConstantSet(-3, (), False),
-        lambda: EventuallyConstantSet.prefix(-1),
         lambda: EventuallyConstantSet(2, (0,), False),
     ],
     ids=[
@@ -145,7 +146,6 @@ class TestMeasures:
         "tail-rule",
         "event-horizon-neg-tail",
         "event-horizon-neg",
-        "prefix-neg",
         "event-state-0",
     ],
 )
@@ -340,7 +340,8 @@ class TestInducedValues:
     def test_trivial_field_sees_nothing_proper(self):
         model = trivial_model()
         assert (
-            countable_induced_value(EventuallyConstantSet.prefix(100), model) == 0
+            countable_induced_value(EventuallyConstantSet.finite(range(1, 101)), model)
+            == 0
         )
 
 
@@ -638,20 +639,17 @@ class TestNonSingletonBlocksBreakWeakConvergence:
         assert countable_induced_value(halted, model) > 0
 
 
+def holds(event, k):
+    """Is state ``k`` in ``event``?  Read from its runs."""
+    return event._holds(((k, k),))
+
+
 class TestEventuallyConstantSet:
     def test_membership_and_mass(self):
         s = EventuallyConstantSet(3, (1, 3), True)
-        assert 1 in s and 2 not in s and 3 in s and 4 in s and 100 in s
+        assert [holds(s, k) for k in (1, 2, 3, 4, 100)] == [True, False, True, True, True]
         m = telescoping_measure()
         assert s.mass(m) == m.weight(1) + m.weight(3) + m.tail(3)
-
-    def test_subset_relation(self):
-        a = EventuallyConstantSet.finite([1, 2])
-        b = EventuallyConstantSet.prefix(3)
-        c = EventuallyConstantSet(0, (), True)
-        assert a <= b <= c
-        assert not (c <= b)
-        assert not (b <= a)
 
     def test_members_must_fit_horizon(self):
         with pytest.raises(ValueError):
@@ -667,8 +665,6 @@ class TestEventuallyConstantSet:
             (EventuallyConstantSet.finite([5, 2, 3, 3, 9]), ((2, 3), (5, 5), (9, 9))),
             (EventuallyConstantSet(0, (), True), ((1, None),)),
             (EventuallyConstantSet(7, (), False), ()),
-            # a range of members is one run, never listed
-            (EventuallyConstantSet.prefix(10**6), ((1, 10**6),)),
         ],
     )
     def test_stored_as_maximal_runs(self, event, runs):
@@ -757,14 +753,14 @@ def countable_measures(draw):
 
 
 @st.composite
-def countable_partitions(draw, max_head=12):
+def countable_partitions(draw, max_head=12, widths=(1, 2, None)):
     """A layout: states ``1..K`` labelled at random, blocks of equal labels
     (often not runs), then a tail of width 1 or 2 or one infinite block."""
     labels = draw(st.lists(st.integers(0, 3), max_size=max_head))
     blocks = {}
     for k, label in enumerate(labels, start=1):
         blocks.setdefault(label, []).append(k)
-    width = draw(st.sampled_from([1, 2, None]))
+    width = draw(st.sampled_from(widths))
     return CountablePartition(tuple(map(tuple, blocks.values())), width)
 
 
@@ -826,8 +822,8 @@ class TestTailSumsMatchBlockLoops:
         holds_a, holds_b = ref_holds(*drawn), ref_holds(*other)
         # beyond both horizons membership is constant
         states = range(-1, max(a.horizon, b.horizon) + 3)
-        assert all((k in a) == holds_a(k) for k in states)
-        assert (a <= b) == all(holds_b(k) for k in states if holds_a(k))
+        assert all(holds(a, k) == holds_a(k) for k in states)
+        assert b._holds(a.runs) == all(holds_b(k) for k in states if holds_a(k))
         mass = a.mass(measure)
         assert mass == ref_mass(*drawn, measure) and type(mass) is F
 
@@ -873,6 +869,41 @@ class TestTailSumsMatchBlockLoops:
             assert value == 0 and type(value) is F
 
 
+class TestContinuityChain:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        countable_partitions(widths=[None]), countable_measures(), st.integers(1, 20)
+    )
+    def test_every_prefix_of_the_chain_is_worth_zero(self, partition, measure, depth):
+        # the report replays only the longest prefix; replay each one here
+        model = CountableModel(measure, partition)
+        report = continuity_from_below_countable(model, depth)
+        start = partition.infinite_atom_start()
+        assert report.holds is (measure.tail(start - 1) == 0)
+        if not report.holds:
+            w = report.witness
+            assert w.prefix_members == tuple(range(start, start + depth))
+            for d in range(1, depth + 1):
+                prefix = EventuallyConstantSet.finite(w.prefix_members[:d])
+                value = countable_induced_value(prefix, model)
+                assert value == w.prefix_values[d - 1] and type(value) is F
+
+    def test_deep_chain_is_one_replay(self, monkeypatch):
+        calls = []
+        replay = countable.countable_induced_value
+
+        def counted(event, model):
+            calls.append(event.horizon)
+            return replay(event, model)
+
+        monkeypatch.setattr(countable, "countable_induced_value", counted)
+        started = time.perf_counter()
+        report = continuity_from_below_countable(trivial_model(), depth=20_000)
+        assert time.perf_counter() - started < 1.0
+        assert calls == [20_000]
+        assert report.witness.prefix_values == (F(0),) * 20_000
+
+
 @pytest.fixture
 def tail_reads(monkeypatch):
     """The tail indices read through ``CountableMeasure.tail``, in order."""
@@ -897,23 +928,8 @@ class TestTailSumWork:
     @pytest.mark.parametrize("n", [0, 1, 16_000])
     def test_prefix_mass_reads_two_tails(self, tail_reads, n):
         m = telescoping_measure()
-        assert EventuallyConstantSet.prefix(n).mass(m) == 1 - F(1, n + 1)
+        assert EventuallyConstantSet.finite(range(1, n + 1)).mass(m) == 1 - F(1, n + 1)
         assert len(tail_reads) <= 2
-
-    def test_induced_value_and_mass_do_not_test_membership(self, monkeypatch):
-        def boom(*args):
-            raise AssertionError("__contains__ called")
-
-        monkeypatch.setattr(EventuallyConstantSet, "__contains__", boom)
-        events = [
-            EventuallyConstantSet(30, tuple(range(1, 30, 3)), True),
-            EventuallyConstantSet(30, tuple(range(1, 30, 3)), False),
-            EventuallyConstantSet.prefix(30),
-        ]
-        for model in (pairs_model(), trivial_model(), SINGLETONS):
-            for event in events:
-                countable_induced_value(event, model)
-                event.mass(model.measure)
 
 
 class TestSequenceVerdicts:

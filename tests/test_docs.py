@@ -123,6 +123,10 @@ def _name(node) -> str | None:
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
+def _calls(name: str) -> set[tuple[str, str | None]]:
+    return _sites(lambda n: isinstance(n, ast.Call) and _name(n) == name)
+
+
 def test_each_finite_layer_rule_has_one_site():
     # the same-space check lives in sets.same_space, and every LP integral
     # solves and replays through integrals._lp_integral
@@ -130,5 +134,12 @@ def test_each_finite_layer_rule_has_one_site():
         lambda n: isinstance(n, ast.Raise) and _name(n.exc) == "SpaceMismatchError"
     )
     assert raises == {("sets", "same_space")}
-    solves = _sites(lambda n: isinstance(n, ast.Call) and _name(n) == "solve_max")
-    assert solves == {("integrals", "_lp_integral")}
+    assert _calls("solve_max") == {("integrals", "_lp_integral")}
+
+
+def test_each_render_and_state_rule_has_one_site():
+    # the CLI renders a value only through _obj (and _decimal's digits),
+    # and a state is checked by sets.check_states, never cast with int()
+    renders = {f for module, f in _calls("frac_to_str") if module == "cli"}
+    assert renders == {"_obj", "_decimal"}
+    assert not {module for module, _ in _calls("int")} & {"sets", "countable"}

@@ -4,6 +4,8 @@ import pytest
 from helpers import all_set_partitions
 from nonadd import (
     Capacity,
+    CountablePartition,
+    EventuallyConstantSet,
     FunctionSequence,
     Partition,
     ProbabilityMeasure,
@@ -138,6 +140,27 @@ MISMATCHES = {
 def test_every_site_refuses_a_space_mismatch(site):
     with pytest.raises(SpaceMismatchError, match="^operands live on different"):
         MISMATCHES[site]()
+
+
+# a state is an int, not a bool: each site that reads states refuses
+# anything else instead of truncating it to another state
+NON_STATES = {
+    "StateSpace.subset": lambda: StateSpace(3).subset([True]),
+    "Partition.from_blocks": lambda: Partition.from_blocks(
+        StateSpace(2), [[0.5], [1]]
+    ),
+    "CountablePartition-head": lambda: CountablePartition(head=((1.5,),)),
+    "CountablePartition-width-float": lambda: CountablePartition(width=2.0),
+    "CountablePartition-width-bool": lambda: CountablePartition(width=True),
+    "EventuallyConstantSet": lambda: EventuallyConstantSet(3, (2.0,), False),
+    "EventuallyConstantSet.finite": lambda: EventuallyConstantSet.finite([2.7]),
+}
+
+
+@pytest.mark.parametrize("site", NON_STATES)
+def test_every_site_refuses_a_state_that_is_not_an_int(site):
+    with pytest.raises(ValueError, match="^(a state is an int|tail width)"):
+        NON_STATES[site]()
 
 
 def test_subset_from_iterable_and_bounds():
