@@ -359,7 +359,7 @@ class EventuallyConstantSet:
 
     @classmethod
     def finite(cls, states: Iterable[int]) -> EventuallyConstantSet:
-        states = check_states(states)
+        states = tuple(states)
         return cls(max(states, default=0), states, False)
 
 
@@ -432,7 +432,7 @@ def countable_induced_value(
         if event._holds(block) != tail_in
         for run in block
     ]
-    weights = {0: 1 if tail_in else 0}
+    weights = {0: int(tail_in)}
     _add_mass(weights, runs, -1 if tail_in else 1)
     return _tail_sum(weights, model.measure)
 

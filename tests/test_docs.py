@@ -139,7 +139,10 @@ def test_each_finite_layer_rule_has_one_site():
 
 def test_each_render_and_state_rule_has_one_site():
     # the CLI renders a value only through _obj (and _decimal's digits),
-    # and a state is checked by sets.check_states, never cast with int()
+    # and the sites that read states check them with sets.check_states
+    # rather than truncate them with int()
     renders = {f for module, f in _calls("frac_to_str") if module == "cli"}
     assert renders == {"_obj", "_decimal"}
-    assert not {module for module, _ in _calls("int")} & {"sets", "countable"}
+    checks = {("sets", "subset"), ("countable", "__post_init__")}
+    assert _calls("check_states") == checks
+    assert not _calls("int") & (checks | {("countable", "finite")})
