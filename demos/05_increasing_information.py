@@ -46,4 +46,4 @@ print("converges?", run.converges)
 
 report = check_increases_continuously(stalled, telescoping_measure())
 event, values, target = report.witness
-print("failing event:", event, "value stuck at", values[-1], "vs mass", target)
+print("failing state:", event.horizon, "value stuck at", values[-1], "vs mass", target)

@@ -41,10 +41,8 @@ from .countable import (
     CountableMeasure,
     CountablePartition,
     EventuallyConstantFunction,
-    EventuallyConstantSet,
     check_increases_continuously,
     continuity_from_below_countable,
-    countable_induced_value,
     countable_lebesgue,
     countable_psa_integral,
     dyadic_partitions,

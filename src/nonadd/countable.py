@@ -12,14 +12,15 @@ need infinitely many states.  This module realizes them exactly:
   then consecutive tail blocks of width 1 or 2, or one infinite block
   ``{K+1, K+2, ...}``.  The blocks meeting any finite window can thus be
   listed, each as its maximal runs of consecutive states;
-* functions are eventually constant and events are maximal runs, the
-  last one infinite when the event holds the tail, so each integral is a
-  finite sum: blocks meeting the window contribute their exact infimum
-  times their mass, and everything beyond contributes the tail constant
-  times the leftover mass.  Every run's mass is a difference of tails, so
-  summed by parts each integral (ordinary, partition-limited, induced
-  value) and each event's mass is one exact sum ``sum_k w_k * T(k)`` with
-  small weights, read one tail per run boundary;
+* functions are eventually constant, so each integral is a finite sum:
+  blocks meeting the window contribute their exact infimum times their
+  mass, and everything beyond contributes the tail constant times the
+  leftover mass.  Every run's mass is a difference of tails, so summed by
+  parts each integral (ordinary or partition-limited) is one exact sum
+  ``sum_k w_k * T(k)`` with small weights, read one tail per run boundary;
+* an event is its indicator (:meth:`EventuallyConstantFunction.indicator`):
+  its mass is the ordinary integral of it and the induced capacity's value
+  the partition-limited one;
 * an increasing sequence of functions is one of two closed forms, the
   unit prefixes ``1_{1..n}`` rising to the constant 1, or a constant
   sequence below a declared limit, so every convergence verdict is
@@ -35,22 +36,20 @@ carries positive mass).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
 from math import gcd
-from operator import itemgetter, sub
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .capacity import PropertyReport, _as_fraction, _scale
-from .sets import check_states
+from .sets import check_size, check_states
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_FIRST = itemgetter(0)
 # a run of consecutive states ``(first, last)``; ``last`` None: no end
 _Run = tuple[int, int | None]
 
@@ -270,6 +269,7 @@ class EventuallyConstantFunction:
     tail: Fraction
 
     def __post_init__(self) -> None:
+        check_size(self.horizon, "horizon")
         values = tuple(_as_fraction(x) for x in self.values)
         tail = _as_fraction(self.tail)
         object.__setattr__(self, "values", values)
@@ -303,64 +303,18 @@ class EventuallyConstantFunction:
         """Indicator of ``{1..n}``."""
         return cls(n, (ONE,) * n, ZERO)
 
-
-@dataclass(frozen=True)
-class EventuallyConstantSet:
-    """Event on ``{1, 2, ...}``: explicit members up to a horizon, then
-    either everything or nothing.
-
-    Built by this constructor or :meth:`finite`, kept as ``runs``, its
-    sorted maximal runs as :func:`_runs` gives them, ending in
-    ``(first, None)`` when ``tail_in``, and read only through them.
-    """
-
-    horizon: int
-    members: InitVar[Iterable[int]]
-    tail_in: bool
-    runs: tuple[_Run, ...] = field(init=False)
-
-    def __post_init__(self, members: Iterable[int]) -> None:
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        members = sorted(set(check_states(members)))
-        if members and (members[0] < 1 or members[-1] > self.horizon):
-            raise ValueError("explicit members must lie in 1..horizon")
-        runs = list(_runs(members)) if members else []
-        if self.tail_in:
-            if runs and runs[-1][1] == self.horizon:
-                runs[-1] = (runs[-1][0], None)
-            else:
-                runs.append((self.horizon + 1, None))
-        object.__setattr__(self, "runs", tuple(runs))
-
-    def __repr__(self) -> str:
-        h = self.horizon
-        members = tuple(k for s, e in self.runs for k in range(s, (e or h) + 1))
-        tail_in = self.tail_in
-        return f"EventuallyConstantSet(horizon={h}, members={members}, {tail_in=})"
-
-    def _holds(self, runs: Iterable[_Run]) -> bool:
-        """Does the event hold every state of ``runs``?  Its own runs are
-        maximal, so each must lie in one of them: one bisect per run."""
-        own = self.runs
-        for first, last in runs:
-            i = bisect_right(own, first, key=_FIRST)
-            if not i:
-                return False
-            end = own[i - 1][1]
-            if end is not None and (last is None or last > end):
-                return False
-        return True
-
-    def mass(self, measure: CountableMeasure) -> Fraction:
-        weights: dict[int, int | Fraction] = {}
-        _add_mass(weights, self.runs, 1)
-        return _tail_sum(weights, measure)
-
     @classmethod
-    def finite(cls, states: Iterable[int]) -> EventuallyConstantSet:
-        states = tuple(states)
-        return cls(max(states, default=0), states, False)
+    def indicator(
+        cls, horizon: int, members: Iterable[int] = (), tail_in: bool = False
+    ) -> EventuallyConstantFunction:
+        """Indicator of ``members``, each in ``1..horizon``, and of every
+        state past ``horizon`` when ``tail_in``: the one spelling of an event."""
+        values = [ZERO] * check_size(horizon, "horizon")
+        for k in check_states(members):
+            if not 1 <= k <= horizon:
+                raise ValueError(f"state {k} outside 1..{horizon}")
+            values[k - 1] = ONE
+        return cls(horizon, tuple(values), ONE if tail_in else ZERO)
 
 
 @dataclass(frozen=True)
@@ -391,6 +345,9 @@ def countable_psa_integral(
 ) -> Fraction:
     """Partition-limited integral: each block's infimum times its mass.
 
+    At an event's indicator it is the induced capacity's value there: the
+    mass of the blocks inside the event.
+
     With ``c`` the tail constant and the block masses summing to 1, the
     integral is ``c + sum_b (inf_b - c) * mass_b``.  Blocks entirely
     beyond the horizon have infimum ``c`` and drop out, so the sum runs
@@ -410,31 +367,6 @@ def countable_psa_integral(
         if a:
             _add_mass(weights, runs, a)
     return _tail_sum(weights, model.measure) / common
-
-
-def countable_induced_value(
-    event: EventuallyConstantSet, model: CountableModel
-) -> Fraction:
-    """Value of the induced capacity at an event: mass of the blocks inside.
-
-    A block is inside iff each of its runs lies inside one run of the
-    event; for an infinite block that needs the event's tail.  Blocks
-    beyond the event's horizon are inside exactly when the tail is, so
-    with the block masses summing to 1 the value is
-    ``[tail_in] + sum_b ([b inside] - [tail_in]) * mass_b`` over the
-    blocks meeting the horizon: one exact weighted sum of tails.
-    """
-    tail_in = event.tail_in
-    # a block weighs [inside] - [tail_in]: every nonzero weight is the same
-    runs = [
-        run
-        for block in model.partition._blocks_meeting(event.horizon)
-        if event._holds(block) != tail_in
-        for run in block
-    ]
-    weights = {0: int(tail_in)}
-    _add_mass(weights, runs, -1 if tail_in else 1)
-    return _tail_sum(weights, model.measure)
 
 
 @dataclass(frozen=True)
@@ -473,7 +405,8 @@ def continuity_from_below_countable(
     if atom_mass == 0:
         return PropertyReport(True)
     members = tuple(range(start, start + depth))
-    if countable_induced_value(EventuallyConstantSet.finite(members), model):
+    longest = EventuallyConstantFunction.indicator(start + depth - 1, members)
+    if countable_psa_integral(longest, model):
         raise RuntimeError("a finite part of the infinite block holds a block")
     return PropertyReport(False, ChainWitness(members, (ZERO,) * depth, atom_mass))
 
@@ -642,9 +575,9 @@ def check_increases_continuously(
     positive weight in a larger block fails, as ``{k}`` holds no block.
     The layout gives ``k``: a head block of two or more states, or past
     the head a tail of pairs or one infinite block with ``tail(K) > 0``.
-    The witness is ``({k}, values per partition, its mass)``, the values
-    nondecreasing.  A non-refining sequence raises ``ValueError``, decided
-    exactly from the layouts.  ``window`` is unused; the benchmark's tracer
+    The witness is ``(indicator of {k}, values per partition, its mass)``,
+    the values nondecreasing.  A non-refining sequence raises
+    ``ValueError``, decided exactly from the layouts.  ``window`` is unused; the benchmark's tracer
     reads it to count the states a call covers.
     """
     if not partitions:
@@ -666,15 +599,16 @@ def check_increases_continuously(
             k += 1
     if k is None:
         return PropertyReport(True)
-    event = EventuallyConstantSet.finite([k])
+    event = EventuallyConstantFunction.indicator(k, [k])
     values = [
-        countable_induced_value(event, CountableModel(measure, p))
-        for p in partitions
+        countable_psa_integral(event, CountableModel(measure, p)) for p in partitions
     ]
     for a, b in zip(values, values[1:]):
         if a > b:
             raise RuntimeError("induced values decreased along a refinement")
-    return PropertyReport(False, (event, tuple(values), event.mass(measure)))
+    return PropertyReport(
+        False, (event, tuple(values), countable_lebesgue(event, measure))
+    )
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ class StateSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        if check_size(self.n, "n") < 1:
             raise ValueError(f"need at least one state, got n={self.n}")
         if self.n > DEFAULT_MAX_STATES:
             # Tables downstream carry 2**n entries; the cap is a guard rail
@@ -81,10 +81,22 @@ def check_states(states: Iterable) -> tuple[int, ...]:
     """
     states = tuple(states)
     for t in set(map(type, states)):
-        if not issubclass(t, int) or issubclass(t, bool):
+        if not _is_int(t):
             bad = next(k for k in states if type(k) is t)
             raise ValueError(f"a state is an int, got {bad!r}")
     return states
+
+
+def check_size(n, what: str) -> int:
+    """``n`` if it is an ``int`` and not a ``bool``, as :func:`check_states`
+    asks of a state; else a ``ValueError`` naming ``what``."""
+    if not _is_int(type(n)):
+        raise ValueError(f"{what} must be an int, got {n!r}")
+    return n
+
+
+def _is_int(t: type) -> bool:
+    return issubclass(t, int) and not issubclass(t, bool)
 
 
 def same_space(*operands) -> StateSpace:
@@ -127,7 +139,7 @@ class SubsetMask:
     space: StateSpace
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits <= self.space.full_bits:
+        if not 0 <= check_size(self.bits, "mask") <= self.space.full_bits:
             raise ValueError(
                 f"mask {self.bits} out of range for a {self.space.n}-state space"
             )

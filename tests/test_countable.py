@@ -14,14 +14,12 @@ from nonadd import (
     CountableModel,
     CountablePartition,
     EventuallyConstantFunction,
-    EventuallyConstantSet,
     Partition,
     ProbabilityMeasure,
     SimpleFunction,
     StateSpace,
     check_increases_continuously,
     continuity_from_below_countable,
-    countable_induced_value,
     countable_lebesgue,
     countable_psa_integral,
     dyadic_partitions,
@@ -45,6 +43,9 @@ from nonadd.countable import (
 
 # the telescoping measure under singleton blocks
 SINGLETONS = CountableModel(telescoping_measure(), CountablePartition())
+
+# an event is its indicator
+indicator = EventuallyConstantFunction.indicator
 
 
 def weight_sum(measure, states):
@@ -135,9 +136,12 @@ class TestMeasures:
         # a tail rule is no family: tail(0) = 1, then 1/2 for ever, so its
         # weights would sum to 1/2
         lambda: CountableMeasure(lambda n: F(1) if n == 0 else F(1, 2)),
-        lambda: EventuallyConstantSet(-3, (), True),
-        lambda: EventuallyConstantSet(-3, (), False),
-        lambda: EventuallyConstantSet(2, (0,), False),
+        lambda: indicator(-3, (), True),
+        lambda: indicator(-3),
+        lambda: indicator(2, (0,)),
+        lambda: indicator(2, (3,)),
+        lambda: indicator(3, (2.0,)),
+        lambda: indicator(3, (True,)),
     ],
     ids=[
         "uniform-0",
@@ -147,6 +151,9 @@ class TestMeasures:
         "event-horizon-neg-tail",
         "event-horizon-neg",
         "event-state-0",
+        "event-state-past-horizon",
+        "event-state-float",
+        "event-state-bool",
     ],
 )
 def test_out_of_range_parameters_rejected(build):
@@ -320,29 +327,28 @@ class TestCountableIntegral:
 
 
 class TestInducedValues:
+    """The induced capacity's value at an event is the partition integral
+    of its indicator."""
+
     def test_blocks_inside_count_their_mass(self):
         model = pairs_model()
         m = model.measure
-        event = EventuallyConstantSet(4, (1, 2, 3), False)  # {1,2,3}
-        assert countable_induced_value(event, model) == m.weight(1) + m.weight(2)
+        event = indicator(4, (1, 2, 3))  # {1,2,3}
+        assert countable_psa_integral(event, model) == m.weight(1) + m.weight(2)
 
     def test_cofinite_event(self):
         model = pairs_model()
-        event = EventuallyConstantSet(2, (), True)  # {3, 4, ...}
-        assert countable_induced_value(event, model) == model.measure.tail(2)
+        event = indicator(2, (), True)  # {3, 4, ...}
+        assert countable_psa_integral(event, model) == model.measure.tail(2)
 
     def test_whole_space(self):
         for model in (pairs_model(), trivial_model()):
-            assert (
-                countable_induced_value(EventuallyConstantSet(0, (), True), model) == 1
-            )
+            assert countable_psa_integral(indicator(0, (), True), model) == 1
 
     def test_trivial_field_sees_nothing_proper(self):
         model = trivial_model()
-        assert (
-            countable_induced_value(EventuallyConstantSet.finite(range(1, 101)), model)
-            == 0
-        )
+        event = indicator(100, range(1, 101))
+        assert countable_psa_integral(event, model) == 0
 
 
 class TestFiniteAtoms:
@@ -433,8 +439,8 @@ class TestMonotoneConvergenceCountable:
         seq = CountableFunctionSequence(
             "constant", stuck, EventuallyConstantFunction.constant(1)
         )
-        halted = EventuallyConstantSet.finite([2])
-        assert countable_induced_value(halted, model) == 0  # weak-a.e. w.r.t. it
+        halted = indicator(2, [2])
+        assert countable_psa_integral(halted, model) == 0  # weak-a.e. w.r.t. it
         report = monotone_convergence_countable(model, seq)
         assert report.converges is False and report.basis == "stabilized"
         assert report.integral_trace == (F(1, 3),) * 12
@@ -585,9 +591,11 @@ class TestIncreasingInformation:
         assert report.holds
 
     def test_full_space_always_reaches_its_mass(self):
-        whole = EventuallyConstantSet(0, (), True)
+        whole = indicator(0, (), True)
         model = CountableModel(telescoping_measure(), CountablePartition(width=None))
-        assert countable_induced_value(whole, model) == whole.mass(model.measure)
+        assert countable_psa_integral(whole, model) == countable_lebesgue(
+            whole, model.measure
+        )
         report = check_increases_continuously(
             [model.partition] * 2, model.measure
         )
@@ -603,7 +611,7 @@ class TestIncreasingInformation:
         report = check_increases_continuously(partitions, telescoping_measure())
         assert not report.holds
         assert report.witness == (
-            EventuallyConstantSet.finite([101]), (F(0), F(0)), F(1, 10302)
+            indicator(101, [101]), (F(0), F(0)), F(1, 10302)
         )
 
 
@@ -625,8 +633,8 @@ class TestNonSingletonBlocksBreakWeakConvergence:
         seq = CountableFunctionSequence(
             "constant", stuck, EventuallyConstantFunction.constant(1)
         )
-        halted = EventuallyConstantSet.finite([2])
-        assert countable_induced_value(halted, model) == 0
+        halted = indicator(2, [2])
+        assert countable_psa_integral(halted, model) == 0
         report = monotone_convergence_countable(model, seq)
         assert report.converges is False
         assert report.integral_trace[-1] < report.limit_integral
@@ -635,40 +643,20 @@ class TestNonSingletonBlocksBreakWeakConvergence:
         # with full information the halting set always carries its own
         # mass, so the same construction is not weak-a.e. convergent
         model = SINGLETONS
-        halted = EventuallyConstantSet.finite([2])
-        assert countable_induced_value(halted, model) > 0
+        halted = indicator(2, [2])
+        assert countable_psa_integral(halted, model) > 0
 
 
-def holds(event, k):
-    """Is state ``k`` in ``event``?  Read from its runs."""
-    return event._holds(((k, k),))
-
-
-class TestEventuallyConstantSet:
+class TestIndicator:
     def test_membership_and_mass(self):
-        s = EventuallyConstantSet(3, (1, 3), True)
-        assert [holds(s, k) for k in (1, 2, 3, 4, 100)] == [True, False, True, True, True]
+        s = indicator(3, (1, 3), True)
+        assert [s(k) for k in (1, 2, 3, 4, 100)] == [1, 0, 1, 1, 1]
         m = telescoping_measure()
-        assert s.mass(m) == m.weight(1) + m.weight(3) + m.tail(3)
+        assert countable_lebesgue(s, m) == m.weight(1) + m.weight(3) + m.tail(3)
 
     def test_members_must_fit_horizon(self):
-        with pytest.raises(ValueError):
-            EventuallyConstantSet(2, (3,), False)
-
-    @pytest.mark.parametrize(
-        "event, runs",
-        [
-            (EventuallyConstantSet(3, (1, 3), True), ((1, 1), (3, None))),
-            # the members up to the horizon run on into the tail
-            (EventuallyConstantSet(4, (2, 3, 4), True), ((2, None),)),
-            (EventuallyConstantSet(4, (2, 3), True), ((2, 3), (5, None))),
-            (EventuallyConstantSet.finite([5, 2, 3, 3, 9]), ((2, 3), (5, 5), (9, 9))),
-            (EventuallyConstantSet(0, (), True), ((1, None),)),
-            (EventuallyConstantSet(7, (), False), ()),
-        ],
-    )
-    def test_stored_as_maximal_runs(self, event, runs):
-        assert event.runs == runs
+        with pytest.raises(ValueError, match="outside 1..2"):
+            indicator(2, (3,))
 
 
 # -- reference per-block loops ---------------------------------------------
@@ -812,20 +800,32 @@ class TestTailSumsMatchBlockLoops:
     @given(countable_events(), countable_partitions(), countable_measures())
     def test_induced_value(self, drawn, partition, measure):
         model = CountableModel(measure, partition)
-        value = countable_induced_value(EventuallyConstantSet(*drawn), model)
+        value = countable_psa_integral(indicator(*drawn), model)
         assert value == ref_induced(*drawn, model) and type(value) is F
 
     @settings(max_examples=200, deadline=None)
-    @given(countable_events(), countable_events(), countable_measures())
-    def test_membership_mass_and_inclusion(self, drawn, other, measure):
-        a, b = EventuallyConstantSet(*drawn), EventuallyConstantSet(*other)
-        holds_a, holds_b = ref_holds(*drawn), ref_holds(*other)
-        # beyond both horizons membership is constant
-        states = range(-1, max(a.horizon, b.horizon) + 3)
-        assert all(holds(a, k) == holds_a(k) for k in states)
-        assert b._holds(a.runs) == all(holds_b(k) for k in states if holds_a(k))
-        mass = a.mass(measure)
+    @given(
+        countable_events(),
+        countable_events(),
+        countable_partitions(),
+        countable_measures(),
+    )
+    def test_membership_mass_and_inclusion(self, drawn, other, partition, measure):
+        a, holds_a, holds_b = indicator(*drawn), ref_holds(*drawn), ref_holds(*other)
+        # beyond the horizon membership is constant
+        assert all(a(k) == holds_a(k) for k in range(1, a.horizon + 3))
+        mass = countable_lebesgue(a, measure)
         assert mass == ref_mass(*drawn, measure) and type(mass) is F
+        # the union holds the event: its induced value and mass are no smaller
+        top = max(a.horizon, other[0])
+        union = indicator(
+            top,
+            [k for k in range(1, top + 1) if holds_a(k) or holds_b(k)],
+            drawn[2] or other[2],
+        )
+        model = CountableModel(measure, partition)
+        assert countable_psa_integral(a, model) <= countable_psa_integral(union, model)
+        assert mass <= countable_lebesgue(union, measure)
 
     def test_values_past_the_scaling_budget(self):
         # denominators whose lcm passes 64 bits: the scaled values stay
@@ -852,14 +852,14 @@ class TestTailSumsMatchBlockLoops:
         "event, model, want",
         [
             # meets no block: the tail alone, tail(0)
-            (EventuallyConstantSet(0, (), True), pairs_model(), 1),
+            (indicator(0, (), True), pairs_model(), 1),
             # every block weight cancels
-            (EventuallyConstantSet(3, (), False), pairs_model(), 0),
-            (EventuallyConstantSet(0, (), False), trivial_model(), 0),
+            (indicator(3), pairs_model(), 0),
+            (indicator(0), trivial_model(), 0),
         ],
     )
     def test_edge_branches_return_fractions(self, event, model, want):
-        value = countable_induced_value(event, model)
+        value = countable_psa_integral(event, model)
         assert value == want and type(value) is F
         f = EventuallyConstantFunction.constant(0)
         for value in (
@@ -884,19 +884,19 @@ class TestContinuityChain:
             w = report.witness
             assert w.prefix_members == tuple(range(start, start + depth))
             for d in range(1, depth + 1):
-                prefix = EventuallyConstantSet.finite(w.prefix_members[:d])
-                value = countable_induced_value(prefix, model)
+                members = w.prefix_members[:d]
+                value = countable_psa_integral(indicator(members[-1], members), model)
                 assert value == w.prefix_values[d - 1] and type(value) is F
 
     def test_deep_chain_is_one_replay(self, monkeypatch):
         calls = []
-        replay = countable.countable_induced_value
+        replay = countable.countable_psa_integral
 
-        def counted(event, model):
-            calls.append(event.horizon)
-            return replay(event, model)
+        def counted(f, model):
+            calls.append(f.horizon)
+            return replay(f, model)
 
-        monkeypatch.setattr(countable, "countable_induced_value", counted)
+        monkeypatch.setattr(countable, "countable_psa_integral", counted)
         started = time.perf_counter()
         report = continuity_from_below_countable(trivial_model(), depth=20_000)
         assert time.perf_counter() - started < 1.0
@@ -928,7 +928,8 @@ class TestTailSumWork:
     @pytest.mark.parametrize("n", [0, 1, 16_000])
     def test_prefix_mass_reads_two_tails(self, tail_reads, n):
         m = telescoping_measure()
-        assert EventuallyConstantSet.finite(range(1, n + 1)).mass(m) == 1 - F(1, n + 1)
+        prefix = indicator(n, range(1, n + 1))
+        assert countable_lebesgue(prefix, m) == 1 - F(1, n + 1)
         assert len(tail_reads) <= 2
 
 
@@ -1035,10 +1036,12 @@ class TestIncreasesContinuouslyVerdict:
         model = CountableModel(measure, partition)
 
         def reaches(event):
-            return countable_induced_value(event, model) == event.mass(measure)
+            return countable_psa_integral(event, model) == countable_lebesgue(
+                event, measure
+            )
 
         holds = all(
-            reaches(EventuallyConstantSet(n, members, tail_in))
+            reaches(indicator(n, members, tail_in))
             for mask in range(1 << n)
             for members in [[k for k in range(1, n + 1) if mask >> (k - 1) & 1]]
             for tail_in in (False, True)
@@ -1050,13 +1053,13 @@ class TestIncreasesContinuouslyVerdict:
         if not holds:
             lowest = next(
                 k for k in range(1, n + 1)
-                if not reaches(EventuallyConstantSet.finite([k]))
+                if not reaches(indicator(k, [k]))
             )
             event, values, mass = report.witness
-            assert event == EventuallyConstantSet.finite([lowest])
+            assert event == indicator(lowest, [lowest])
             assert values == (F(0), F(0))
-            assert countable_induced_value(event, model) == 0 < mass
-            assert mass == event.mass(measure)
+            assert countable_psa_integral(event, model) == 0 < mass
+            assert mass == countable_lebesgue(event, measure)
 
 
 class TestRefinementVerdict:

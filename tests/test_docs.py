@@ -143,6 +143,17 @@ def test_each_render_and_state_rule_has_one_site():
     # rather than truncate them with int()
     renders = {f for module, f in _calls("frac_to_str") if module == "cli"}
     assert renders == {"_obj", "_decimal"}
-    checks = {("sets", "subset"), ("countable", "__post_init__")}
+    checks = {
+        ("sets", "subset"),
+        ("countable", "__post_init__"),
+        ("countable", "indicator"),
+    }
     assert _calls("check_states") == checks
-    assert not _calls("int") & (checks | {("countable", "finite")})
+    # a size, a horizon or a mask is checked by the same rule, in sets.check_size
+    sizes = {
+        ("sets", "__post_init__"),
+        ("countable", "__post_init__"),
+        ("countable", "indicator"),
+    }
+    assert _calls("check_size") == sizes
+    assert not _calls("int") & (checks | sizes)

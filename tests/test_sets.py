@@ -5,7 +5,7 @@ from helpers import all_set_partitions
 from nonadd import (
     Capacity,
     CountablePartition,
-    EventuallyConstantSet,
+    EventuallyConstantFunction,
     FunctionSequence,
     Partition,
     ProbabilityMeasure,
@@ -152,8 +152,12 @@ NON_STATES = {
     "CountablePartition-head": lambda: CountablePartition(head=((1.5,),)),
     "CountablePartition-width-float": lambda: CountablePartition(width=2.0),
     "CountablePartition-width-bool": lambda: CountablePartition(width=True),
-    "EventuallyConstantSet": lambda: EventuallyConstantSet(3, (2.0,), False),
-    "EventuallyConstantSet.finite": lambda: EventuallyConstantSet.finite([2.7]),
+    "EventuallyConstantFunction.indicator-float": lambda: (
+        EventuallyConstantFunction.indicator(3, (2.0,))
+    ),
+    "EventuallyConstantFunction.indicator-bool": lambda: (
+        EventuallyConstantFunction.indicator(3, [True])
+    ),
 }
 
 
@@ -161,6 +165,30 @@ NON_STATES = {
 def test_every_site_refuses_a_state_that_is_not_an_int(site):
     with pytest.raises(ValueError, match="^(a state is an int|tail width)"):
         NON_STATES[site]()
+
+
+# a size, a horizon or a mask is an int too, by the same rule
+NON_SIZES = {
+    "StateSpace-float": lambda: StateSpace(2.0),
+    "StateSpace-bool": lambda: StateSpace(True),
+    "StateSpace.subset-bool": lambda: StateSpace(3).subset(True),
+    "SubsetMask-float": lambda: SubsetMask(2.0, StateSpace(3)),
+    "EventuallyConstantFunction-float": lambda: EventuallyConstantFunction(
+        2.0, (1, 1), 0
+    ),
+    "EventuallyConstantFunction-bool": lambda: EventuallyConstantFunction(
+        True, (1,), 0
+    ),
+    "EventuallyConstantFunction.indicator": lambda: (
+        EventuallyConstantFunction.indicator(2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", NON_SIZES)
+def test_every_site_refuses_a_size_that_is_not_an_int(site):
+    with pytest.raises(ValueError, match="^(n|mask|horizon) must be an int, got "):
+        NON_SIZES[site]()
 
 
 def test_subset_from_iterable_and_bounds():
