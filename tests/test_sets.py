@@ -152,8 +152,13 @@ NON_STATES = {
     "CountablePartition-head": lambda: CountablePartition(head=((1.5,),)),
     "CountablePartition-width-float": lambda: CountablePartition(width=2.0),
     "CountablePartition-width-bool": lambda: CountablePartition(width=True),
-    "EventuallyConstantFunction.indicator-float": lambda: (
-        EventuallyConstantFunction.indicator(3, (2.0,))
+    # these two rows keep the ids of the former event type and its finite
+    # constructor, which EventuallyConstantFunction.indicator replaced
+    "EventuallyConstantSet": lambda: (
+        EventuallyConstantFunction.indicator(3, (2.0,), False)
+    ),
+    "EventuallyConstantSet.finite": lambda: (
+        EventuallyConstantFunction.indicator(3, [2.7])
     ),
     "EventuallyConstantFunction.indicator-bool": lambda: (
         EventuallyConstantFunction.indicator(3, [True])
