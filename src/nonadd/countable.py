@@ -276,7 +276,8 @@ class EventuallyConstantFunction:
         object.__setattr__(self, "tail", tail)
         if len(values) != self.horizon:
             raise ValueError("explicit values must cover exactly 1..horizon")
-        if tail < 0 or any(x < 0 for x in values):
+        # a Fraction's denominator is positive: its sign is its numerator's
+        if tail < 0 or any(x.numerator < 0 for x in values):
             raise ValueError("function must be nonnegative")
 
     def __call__(self, k: int) -> Fraction:
@@ -301,7 +302,7 @@ class EventuallyConstantFunction:
     @classmethod
     def unit_prefix(cls, n: int) -> EventuallyConstantFunction:
         """Indicator of ``{1..n}``."""
-        return cls(n, (ONE,) * n, ZERO)
+        return cls(n, (ONE,) * check_size(n, "n"), ZERO)
 
     @classmethod
     def indicator(
@@ -396,7 +397,7 @@ def continuity_from_below_countable(
     a :class:`ChainWitness`.  The induced capacity is monotone, so the
     longest prefix alone is replayed: its value 0 is every shorter one's.
     """
-    if depth < 1:
+    if check_size(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     start = model.partition.infinite_atom_start()
     if start is None:
@@ -490,7 +491,7 @@ def monotone_convergence_countable(
     ``t`` the last state of the last complete block (``K`` before an
     infinite block).  So the trace takes time linear in ``depth + K``.
     """
-    if depth < 1:
+    if check_size(depth, "depth") < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     finite_atoms = model.partition.all_atoms_finite()
     target = countable_psa_integral(seq.limit, model)

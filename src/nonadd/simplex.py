@@ -2,10 +2,14 @@
 
 Every integral in this package reduces to such a program with a
 nonnegative right-hand side (the integrand), so the all-slack basis is
-feasible and a single phase suffices.  Arithmetic is pure
-:class:`fractions.Fraction`; Bland's rule keeps the pivot sequence finite,
-and the dual solution read off the slack columns at optimality is an exact
-optimality certificate.
+feasible and a single phase suffices.  The solver is a revised simplex:
+it keeps the m x m basis inverse, the basic values ``B^-1 b`` and the
+duals ``y``, and prices the columns on demand, one at a time in index
+order, as ``c_j - y.A_j``.  A program with few rows and many columns
+(the concave integral has one row per state and one column per event)
+thus never updates a column that does not enter.  Arithmetic is pure
+:class:`fractions.Fraction`; Bland's rule keeps the pivot sequence
+finite, and the duals at optimality are an exact optimality certificate.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class UnboundedProgramError(RuntimeError):
@@ -42,6 +47,11 @@ def solve_max(
     dual vector ``y`` (one multiplier per constraint row), and their common
     objective value; ``sum(y*rhs) == value`` is asserted before returning,
     so a returned solution is certified optimal.
+
+    Bland's rule fixes the pivots: the entering column is the smallest
+    index with a positive reduced cost (the structural columns, then the
+    slack of each row), and the leaving row has the minimum ratio, ties
+    going to the smaller basic variable.
     """
     m = len(rows)
     nv = len(objective)
@@ -50,37 +60,62 @@ def solve_max(
     for i, b in enumerate(rhs):
         if b < 0:
             raise ValueError(f"rhs[{i}] = {b} is negative")
-    ncols = nv + m
+    if any(len(row) != nv for row in rows):
+        raise ValueError("constraint row length mismatch")
 
-    # Dense tableau: one list per constraint, slack identity appended,
-    # rhs in the last position.  `red` is the reduced-cost row.
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = list(rows[i])
-        if len(row) != nv:
-            raise ValueError("constraint row length mismatch")
-        row.extend(Fraction(1) if j == i else ZERO for j in range(m))
-        row.append(rhs[i])
-        tableau.append(row)
-    red = list(objective) + [ZERO] * m
+    # Each column, read once: the rows where it holds 1, and the rows
+    # where it holds another nonzero coefficient.
+    units: list[tuple[int, ...]] = []
+    scaled: list[tuple[tuple[int, Fraction], ...]] = []
+    for column in (zip(*rows) if m else [()] * nv):
+        units.append(tuple(i for i, a in enumerate(column) if a == 1))
+        scaled.append(tuple((i, a) for i, a in enumerate(column) if a and a != 1))
+
+    inverse = [[ONE if k == i else ZERO for k in range(m)] for i in range(m)]
+    beta = list(rhs)  # B^-1 b, the values of the basic variables
+    y = [ZERO] * m  # c_B B^-1, the duals
     basis = list(range(nv, nv + m))
 
-    max_pivots = 50 * (m + ncols) + 10_000  # safety net; Bland terminates
+    max_pivots = 50 * (2 * m + nv) + 10_000  # safety net; Bland terminates
     pivots = 0
     while True:
         entering = -1
-        for j in range(ncols):
-            if red[j] > 0:
+        for j in range(nv):
+            gain = objective[j]
+            for i in units[j]:
+                gain -= y[i]
+            for i, a in scaled[j]:
+                gain -= y[i] * a
+            if gain > 0:
                 entering = j  # Bland: smallest index with positive reduced cost
                 break
+        else:
+            for i in range(m):
+                if y[i] < 0:  # the reduced cost of slack i is -y[i]
+                    entering, gain = nv + i, -y[i]
+                    break
         if entering < 0:
             break
+
+        # d = B^-1 A_e, the entering column in the current basis
+        if entering < nv:
+            d = []
+            for row in inverse:
+                s = ZERO
+                for k in units[entering]:
+                    s += row[k]
+                for k, a in scaled[entering]:
+                    s += row[k] * a
+                d.append(s)
+        else:
+            d = [row[entering - nv] for row in inverse]
+
         leaving = -1
         best_ratio: Fraction | None = None
         for i in range(m):
-            coeff = tableau[i][entering]
+            coeff = d[i]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
+                ratio = beta[i] / coeff
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -91,20 +126,18 @@ def solve_max(
         if leaving < 0:
             raise UnboundedProgramError("no blocking constraint for entering column")
 
-        pivot_row = tableau[leaving]
-        piv = pivot_row[entering]
+        piv = d[leaving]
+        pivot_row = inverse[leaving]
         if piv != 1:
             inv = 1 / piv
-            tableau[leaving] = pivot_row = [x * inv for x in pivot_row]
+            inverse[leaving] = pivot_row = [a * inv for a in pivot_row]
+            beta[leaving] *= inv
         for i in range(m):
-            if i != leaving:
-                factor = tableau[i][entering]
-                if factor:
-                    row = tableau[i]
-                    tableau[i] = [a - factor * b for a, b in zip(row, pivot_row)]
-        factor = red[entering]
-        if factor:
-            red = [a - factor * b for a, b in zip(red, pivot_row)]
+            factor = d[i]
+            if i != leaving and factor:
+                inverse[i] = [a - factor * b for a, b in zip(inverse[i], pivot_row)]
+                beta[i] -= factor * beta[leaving]
+        y = [a + gain * b for a, b in zip(y, pivot_row)]
         basis[leaving] = entering
 
         pivots += 1
@@ -114,10 +147,10 @@ def solve_max(
     x = [ZERO] * nv
     for i, var in enumerate(basis):
         if var < nv:
-            x[var] = tableau[i][-1]
-    duals = tuple(-red[nv + i] for i in range(m))
+            x[var] = beta[i]
+    duals = tuple(y)
     value = sum((c * xi for c, xi in zip(objective, x)), ZERO)
-    dual_value = sum((y * b for y, b in zip(duals, rhs)), ZERO)
+    dual_value = sum((yi * b for yi, b in zip(duals, rhs)), ZERO)
     if value != dual_value:
         raise RuntimeError(
             f"strong duality violated: primal {value} vs dual {dual_value}"

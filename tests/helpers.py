@@ -8,8 +8,10 @@ library paths are checked against independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
+from nonadd.simplex import LPSolution, UnboundedProgramError
 
 ZERO = Fraction(0)
 
@@ -91,3 +93,97 @@ def lebesgue(f: SimpleFunction, P: ProbabilityMeasure) -> Fraction:
 
 def space_of(n: int) -> StateSpace:
     return StateSpace(n)
+
+
+def dense_solve_max(
+    objective: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+) -> LPSolution:
+    """Dense-tableau simplex under Bland's rule: the reference for ``solve_max``.
+
+    Every pivot updates the whole tableau, slack identity and reduced-cost
+    row included, so it shares no pricing or basis code with the revised
+    simplex; both must pick the same pivots and return the same
+    :class:`LPSolution`.
+    """
+    m = len(rows)
+    nv = len(objective)
+    if len(rhs) != m:
+        raise ValueError("one rhs entry per constraint row required")
+    for i, b in enumerate(rhs):
+        if b < 0:
+            raise ValueError(f"rhs[{i}] = {b} is negative")
+    ncols = nv + m
+
+    # Dense tableau: one list per constraint, slack identity appended,
+    # rhs in the last position.  `red` is the reduced-cost row.
+    tableau: list[list[Fraction]] = []
+    for i in range(m):
+        row = list(rows[i])
+        if len(row) != nv:
+            raise ValueError("constraint row length mismatch")
+        row.extend(Fraction(1) if j == i else ZERO for j in range(m))
+        row.append(rhs[i])
+        tableau.append(row)
+    red = list(objective) + [ZERO] * m
+    basis = list(range(nv, nv + m))
+
+    max_pivots = 50 * (m + ncols) + 10_000  # safety net; Bland terminates
+    pivots = 0
+    while True:
+        entering = -1
+        for j in range(ncols):
+            if red[j] > 0:
+                entering = j  # Bland: smallest index with positive reduced cost
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio: Fraction | None = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise UnboundedProgramError("no blocking constraint for entering column")
+
+        pivot_row = tableau[leaving]
+        piv = pivot_row[entering]
+        if piv != 1:
+            inv = 1 / piv
+            tableau[leaving] = pivot_row = [x * inv for x in pivot_row]
+        for i in range(m):
+            if i != leaving:
+                factor = tableau[i][entering]
+                if factor:
+                    row = tableau[i]
+                    tableau[i] = [a - factor * b for a, b in zip(row, pivot_row)]
+        factor = red[entering]
+        if factor:
+            red = [a - factor * b for a, b in zip(red, pivot_row)]
+        basis[leaving] = entering
+
+        pivots += 1
+        if pivots > max_pivots:
+            raise RuntimeError("pivot limit exceeded; anti-cycling rule broken?")
+
+    x = [ZERO] * nv
+    for i, var in enumerate(basis):
+        if var < nv:
+            x[var] = tableau[i][-1]
+    duals = tuple(-red[nv + i] for i in range(m))
+    value = sum((c * xi for c, xi in zip(objective, x)), ZERO)
+    dual_value = sum((y * b for y, b in zip(duals, rhs)), ZERO)
+    if value != dual_value:
+        raise RuntimeError(
+            f"strong duality violated: primal {value} vs dual {dual_value}"
+        )
+    return LPSolution(value, tuple(x), duals, pivots)

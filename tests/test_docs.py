@@ -137,6 +137,23 @@ def test_each_finite_layer_rule_has_one_site():
     assert _calls("solve_max") == {("integrals", "_lp_integral")}
 
 
+def test_one_lp_solver_and_no_tableau():
+    # simplex.py defines one solver, and only it raises the unbounded
+    # error; no module names a tableau, so the dense reference in
+    # tests/helpers.py cannot come back as a second solve path
+    functions = _sites(lambda n: isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    assert {f for module, f in functions if module == "simplex"} == {"solve_max"}
+    unbounded = _sites(
+        lambda n: isinstance(n, ast.Raise) and _name(n.exc) == "UnboundedProgramError"
+    )
+    assert unbounded == {("simplex", "solve_max")}
+    names = ("id", "arg", "attr", "name")
+    tableaus = _sites(
+        lambda n: any("tableau" in str(getattr(n, a, "")).lower() for a in names)
+    )
+    assert not tableaus
+
+
 def test_each_render_and_state_rule_has_one_site():
     # the CLI renders a value only through _obj (and _decimal's digits),
     # and the sites that read states check them with sets.check_states
@@ -149,11 +166,15 @@ def test_each_render_and_state_rule_has_one_site():
         ("countable", "indicator"),
     }
     assert _calls("check_states") == checks
-    # a size, a horizon or a mask is checked by the same rule, in sets.check_size
+    # a size, a horizon, a depth or a mask is checked by the same rule, in
+    # sets.check_size
     sizes = {
         ("sets", "__post_init__"),
         ("countable", "__post_init__"),
         ("countable", "indicator"),
+        ("countable", "unit_prefix"),
+        ("countable", "continuity_from_below_countable"),
+        ("countable", "monotone_convergence_countable"),
     }
     assert _calls("check_size") == sizes
     assert not _calls("int") & (checks | sizes)

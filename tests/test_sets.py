@@ -19,14 +19,18 @@ from nonadd import (
     check_P_null_additive,
     choquet_integral,
     concave_integral,
+    continuity_from_below_countable,
     converges_P_ae,
     converges_strong_ae,
     converges_weak_ae,
     generated_algebra,
     induce,
     induced_psp_capacity,
+    monotone_convergence_countable,
     psa_integral,
     psp_integral,
+    trivial_model,
+    unit_prefix_sequence,
     verify_dual_certificate,
 )
 from nonadd.sets import max_member_table, submasks
@@ -187,12 +191,28 @@ NON_SIZES = {
     "EventuallyConstantFunction.indicator": lambda: (
         EventuallyConstantFunction.indicator(2.0)
     ),
+    "EventuallyConstantFunction.unit_prefix": lambda: (
+        EventuallyConstantFunction.unit_prefix(2.0)
+    ),
+    "continuity_from_below_countable-float": lambda: (
+        continuity_from_below_countable(trivial_model(), depth=2.0)
+    ),
+    "continuity_from_below_countable-bool": lambda: (
+        continuity_from_below_countable(trivial_model(), depth=True)
+    ),
+    "monotone_convergence_countable-float": lambda: monotone_convergence_countable(
+        trivial_model(), unit_prefix_sequence(), 2.0
+    ),
+    "monotone_convergence_countable-bool": lambda: monotone_convergence_countable(
+        trivial_model(), unit_prefix_sequence(), True
+    ),
 }
 
 
 @pytest.mark.parametrize("site", NON_SIZES)
 def test_every_site_refuses_a_size_that_is_not_an_int(site):
-    with pytest.raises(ValueError, match="^(n|mask|horizon) must be an int, got "):
+    message = "^(n|mask|horizon|depth) must be an int, got "
+    with pytest.raises(ValueError, match=message):
         NON_SIZES[site]()
 
 
