@@ -221,22 +221,19 @@ def _best_decomposition(
     one LP column per mask."""
     same_space(f, v)
     objective = [v.values[m] for m in masks]
-    rows = [
-        [ONE if m & bit else ZERO for m in masks]
-        for bit in (1 << x for x in range(f.space.n))
-    ]
-    return _lp_integral(f, v, objective, rows, masks, Decomposition)
+    columns = [(m, ()) for m in masks]
+    return _lp_integral(f, v, objective, columns, masks, Decomposition)
 
 
 def _lp_integral(
     f: SimpleFunction,
     known: Capacity | ProbabilityMeasure,
     objective: list[Fraction],
-    rows: list[list[Fraction]],
+    columns: list[tuple[int, tuple[tuple[int, Fraction], ...]]],
     targets: Sequence,
     witness_type: type[Decomposition] | type[FunctionDecomposition],
 ) -> IntegralResult:
-    """``max objective . w`` under ``rows . w <= f`` and ``w >= 0``, replayed.
+    """``max objective . w`` under ``columns . w <= f`` and ``w >= 0``, replayed.
 
     The one LP path of the integrals.  The witness pairs each nonzero
     weight with its column's target (an event mask, or a known function);
@@ -245,7 +242,7 @@ def _lp_integral(
     ``solve_max`` is looked up in this module at each call, so a wrapper
     set on the module later (a tracer's, a test's) sees every solve.
     """
-    sol = solve_max(objective, rows, list(f.values))
+    sol = solve_max(objective, columns, list(f.values))
     witness = witness_type(tuple((w, t) for w, t in zip(sol.x, targets) if w != 0))
     if not witness.fits_under(f) or witness.weight_against(known) != sol.value:
         raise RuntimeError("simplex returned an inconsistent optimal basis")
@@ -324,8 +321,14 @@ def psp_integral(
         raise ValueError("the known-function family must be nonempty")
     same_space(f, P, *family)
     objective = [g.expectation(P) for g in family]
-    rows = [[g.values[x] for g in family] for x in range(f.space.n)]
-    return _lp_integral(f, P, objective, rows, family, FunctionDecomposition)
+    columns = [
+        (
+            sum(1 << x for x, a in enumerate(g.values) if a == 1),
+            tuple((x, a) for x, a in enumerate(g.values) if a and a != 1),
+        )
+        for g in family
+    ]
+    return _lp_integral(f, P, objective, columns, family, FunctionDecomposition)
 
 
 def induced_psp_capacity(

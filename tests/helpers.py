@@ -95,6 +95,18 @@ def space_of(n: int) -> StateSpace:
     return StateSpace(n)
 
 
+def sparse_columns(
+    rows: Sequence[Sequence[Fraction]], nv: int
+) -> list[tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """The ``nv`` columns of dense ``rows`` in ``solve_max``'s ``(mask, entries)`` form."""
+    columns = []
+    for j in range(nv):
+        column = [row[j] for row in rows]
+        mask = sum(1 << i for i, a in enumerate(column) if a == 1)
+        columns.append((mask, tuple((i, a) for i, a in enumerate(column) if a and a != 1)))
+    return columns
+
+
 def dense_solve_max(
     objective: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]],

@@ -729,7 +729,7 @@ def test_internal_error_exits_3(capsys, files, monkeypatch):
 
 def test_inconsistent_lp_point_exits_3(capsys, files, monkeypatch):
     # a point that overshoots the integrand fails the witness replay
-    def overshoot(objective, rows, rhs):
+    def overshoot(objective, columns, rhs):
         x = tuple(F(2) for _ in objective)
         value = sum((c * w for c, w in zip(objective, x)), F(0))
         return LPSolution(value, x, tuple(F(0) for _ in rhs), 0)

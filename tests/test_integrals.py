@@ -408,15 +408,15 @@ class TestPSP:
 @pytest.fixture
 def lp_columns(monkeypatch):
     """Column count of every LP solved through ``integrals.solve_max``."""
-    columns = []
+    sizes = []
     solve_max = integrals.solve_max
 
-    def counting(objective, rows, rhs):
-        columns.append(len(objective))
-        return solve_max(objective, rows, rhs)
+    def counting(objective, columns, rhs):
+        sizes.append(len(columns))
+        return solve_max(objective, columns, rhs)
 
     monkeypatch.setattr(integrals, "solve_max", counting)
-    return columns
+    return sizes
 
 
 class TestColumnCounts:
@@ -453,7 +453,7 @@ BAD_SOLUTIONS = {
 @pytest.mark.parametrize("bad", BAD_SOLUTIONS)
 @pytest.mark.parametrize("integral", ["concave", "psp"])
 def test_lp_witness_replay_refuses_an_inconsistent_point(monkeypatch, integral, bad):
-    def inconsistent(objective, rows, rhs):
+    def inconsistent(objective, columns, rhs):
         weight, value = BAD_SOLUTIONS[bad](objective)
         x = tuple(weight for _ in objective)
         return LPSolution(value, x, tuple(F(0) for _ in rhs), 0)

@@ -3,7 +3,9 @@
 The revised simplex must reproduce, pivot for pivot, the dense tableau of
 ``helpers.dense_solve_max`` under the same Bland rule, so every test that
 compares the two asserts equality of the whole :class:`LPSolution`:
-value, primal point, duals and pivot count.
+value, primal point, duals and pivot count.  ``solve_max`` takes sparse
+``(mask, entries)`` columns; the reference takes the same program as
+dense rows, and ``helpers.sparse_columns`` converts one to the other.
 """
 
 import random
@@ -13,21 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_solve_max
+from helpers import dense_solve_max, sparse_columns
+from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
 from nonadd.convergence import PROFILES, random_capacity
+from nonadd.integrals import brute_force_cav_oracle, concave_integral, psp_integral
 from nonadd.sets import submasks
 from nonadd.simplex import LPSolution, UnboundedProgramError, solve_max
 
 
 def test_box_optimum():
-    sol = solve_max([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
+    sol = solve_max([F(1), F(1)], [(0b01, ()), (0b10, ())], [F(1), F(2)])
     assert sol.value == 3
     assert sol.x == (F(1), F(2))
     assert sol.duals == (F(1), F(1))
 
 
 def test_single_variable():
-    sol = solve_max([F(3)], [[F(1)]], [F(5, 2)])
+    sol = solve_max([F(3)], [(1, ())], [F(5, 2)])
     assert sol.value == F(15, 2)
     assert sol.duals == (F(3),)
 
@@ -36,7 +40,7 @@ def test_shared_constraint():
     # max 3/5 a + 3/5 b + c  with  a + c <= 1, b + c <= 1
     sol = solve_max(
         [F(3, 5), F(3, 5), F(1)],
-        [[F(1), F(0), F(1)], [F(0), F(1), F(1)]],
+        [(0b01, ()), (0b10, ()), (0b11, ())],
         [F(1), F(1)],
     )
     assert sol.value == F(6, 5)
@@ -44,14 +48,14 @@ def test_shared_constraint():
 
 
 def test_zero_rhs_degenerate():
-    sol = solve_max([F(1), F(1)], [[F(1), F(1)], [F(1), F(2)]], [F(0), F(1)])
+    sol = solve_max([F(1), F(1)], [(0b11, ()), (0b01, ((1, F(2)),))], [F(0), F(1)])
     assert sol.value == 0
 
 
 def test_fractional_data():
     sol = solve_max(
         [F(7, 3), F(1, 2)],
-        [[F(2, 5), F(1)], [F(1), F(1, 7)]],
+        [(0b10, ((0, F(2, 5)),)), (0b01, ((1, F(1, 7)),))],
         [F(3, 4), F(2, 3)],
     )
     # certificate identity is enforced internally; spot-check feasibility
@@ -62,31 +66,45 @@ def test_fractional_data():
 
 def test_unbounded_raises():
     with pytest.raises(UnboundedProgramError):
-        solve_max([F(1), F(1)], [[F(1), F(-1)]], [F(1)])
+        solve_max([F(1), F(1)], [(1, ()), (0, ((0, F(-1)),))], [F(1)])
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
-        solve_max([F(1)], [[F(1)]], [F(-1)])
+        solve_max([F(1)], [(1, ())], [F(-1)])
 
 
 def test_malformed_program_rejected():
-    with pytest.raises(ValueError, match="one rhs entry"):
-        solve_max([F(1)], [[F(1)]], [F(1), F(1)])
-    with pytest.raises(ValueError, match="row length"):
-        solve_max([F(1), F(1)], [[F(1), F(1)], [F(1)]], [F(1), F(1)])
+    # a row past the last rhs entry, by mask bit or by entry
+    with pytest.raises(ValueError, match="row outside"):
+        solve_max([F(1)], [(0b10, ())], [F(1)])
+    with pytest.raises(ValueError, match="row outside"):
+        solve_max([F(1)], [(-1, ())], [F(1)])
+    with pytest.raises(ValueError, match="row outside"):
+        solve_max([F(1)], [(0, ((1, F(2)),))], [F(1)])
+    # one column per objective entry
+    with pytest.raises(ValueError, match="2 columns for 1 objective"):
+        solve_max([F(1)], [(1, ()), (1, ())], [F(1)])
+    with pytest.raises(ValueError, match="1 columns for 2 objective"):
+        solve_max([F(1), F(1)], [(1, ())], [F(1)])
+    # a negative right-hand side
+    with pytest.raises(ValueError, match="is negative"):
+        solve_max([F(1)], [(1, ())], [F(1), F(-1, 2)])
 
 
 def test_no_rows():
-    assert solve_max([F(0), F(-1)], [], []) == LPSolution(F(0), (F(0), F(0)), (), 0)
+    columns = [(0, ()), (0, ())]
+    assert solve_max([F(0), F(-1)], columns, []) == LPSolution(
+        F(0), (F(0), F(0)), (), 0
+    )
     with pytest.raises(UnboundedProgramError):
-        solve_max([F(0), F(1)], [], [])
+        solve_max([F(0), F(1)], columns, [])
 
 
 def test_inactive_constraints_get_zero_duals():
     sol = solve_max(
         [F(1)],
-        [[F(1)], [F(1)]],
+        [(0b11, ())],
         [F(1), F(5)],  # second constraint slack at the optimum
     )
     assert sol.value == 1
@@ -104,7 +122,7 @@ def test_beale_cycling_example():
         [F(0), F(0), F(1), F(0)],
     ]
     rhs = [F(0), F(0), F(1)]
-    sol = solve_max(objective, rows, rhs)
+    sol = solve_max(objective, sparse_columns(rows, 4), rhs)
     assert sol.value == F(1, 20)
     assert sol.x == (F(1, 25), F(0), F(1), F(0))
     assert sol == dense_solve_max(objective, rows, rhs)
@@ -112,13 +130,14 @@ def test_beale_cycling_example():
 
 def assert_same_solution(objective, rows, rhs):
     """Both solvers return the same ``LPSolution``, or both find it unbounded."""
+    columns = sparse_columns(rows, len(objective))
     try:
         want = dense_solve_max(objective, rows, rhs)
     except UnboundedProgramError:
         with pytest.raises(UnboundedProgramError):
-            solve_max(objective, rows, rhs)
+            solve_max(objective, columns, rhs)
         return None
-    got = solve_max(objective, rows, rhs)
+    got = solve_max(objective, columns, rhs)
     assert got == want
     return got
 
@@ -223,3 +242,53 @@ def test_seeded_programs_cover_both_outcomes():
     bounded = [sol for sol in solutions if sol is not None]
     assert len(bounded) > 100 and len(solutions) - len(bounded) > 50
     assert max(sol.pivots for sol in bounded) >= 4
+
+
+def test_entries_only_column():
+    # a column with no unit row: mask 0, every coefficient an entry
+    objective = [F(3), F(1), F(2, 7)]
+    rows = [[F(2, 3), F(1), F(0)], [F(5, 2), F(0), F(1, 3)]]
+    columns = sparse_columns(rows, 3)
+    assert columns[0] == (0, ((0, F(2, 3)), (1, F(5, 2))))
+    sol = assert_same_solution(objective, rows, [F(1), F(2)])
+    assert sol.x[0] > 0
+
+
+def prime_capacity(n: int) -> Capacity:
+    """``v(T) = |T| + 1/p_T``: monotone, one distinct prime denominator per event."""
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    table = [F(0)] + [F(bin(m).count("1")) + F(1, primes[m]) for m in range(1, 1 << n)]
+    return Capacity(StateSpace(n), tuple(table))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_prime_denominator_capacity_matches_dense(n):
+    # no two objective entries share a denominator, so no common one is formed
+    v = prime_capacity(n)
+    rng = random.Random(n)
+    for f in ([F(1)] * n, integrand(n, rng), [F(k + 1, 3) for k in range(n)]):
+        sol = assert_same_solution(*event_program(v.values, f, range(1, 1 << n)))
+        g = SimpleFunction(v.space, tuple(f))
+        result = concave_integral(g, v)
+        assert (result.value, result.dual_witness) == (sol.value, sol.duals)
+        if n <= 4:
+            assert result.value == brute_force_cav_oracle(g, v)
+
+
+def test_psp_duals_with_distinct_denominators():
+    # the duals end as the measure's weights 1/2, 1/3, 1/6
+    space = StateSpace(3)
+    P = ProbabilityMeasure(space, (F(1, 2), F(1, 3), F(1, 6)))
+    family = [
+        SimpleFunction(space, (F(0), F(1), F(1))),
+        SimpleFunction(space, (F(3), F(0), F(0))),
+        SimpleFunction(space, (F(2), F(2, 5), F(2))),
+    ]
+    f = SimpleFunction(space, (F(1, 2), F(1), F(1)))
+    objective = [g.expectation(P) for g in family]
+    rows = [[g.values[x] for g in family] for x in range(3)]
+    sol = assert_same_solution(objective, rows, list(f.values))
+    assert sol.duals == P.weights
+    assert sol.pivots == 3
+    result = psp_integral(f, P, family)
+    assert (result.value, result.dual_witness) == (sol.value, sol.duals)
