@@ -147,11 +147,14 @@ def integrand(n: int, rng: random.Random) -> list[F]:
     return [F(rng.choice([0, 0, 1, 2, 3, 5]), rng.choice([1, 2, 3])) for _ in range(n)]
 
 
+def mask_rows(masks, m):
+    """The ``m`` dense rows of the 0/1 columns ``masks``."""
+    return [[F(mask >> i & 1) for mask in masks] for i in range(m)]
+
+
 def event_program(values, f, masks):
     """``max sum_T w_T v(T)`` under ``sum_{T containing x} w_T <= f(x)``."""
-    objective = [values[m] for m in masks]
-    rows = [[F(1) if m >> x & 1 else F(0) for m in masks] for x in range(len(f))]
-    return objective, rows, f
+    return [values[m] for m in masks], mask_rows(masks, len(f)), f
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,3 +295,105 @@ def test_psp_duals_with_distinct_denominators():
     assert sol.pivots == 3
     result = psp_integral(f, P, family)
     assert (result.value, result.dual_witness) == (sol.value, sol.duals)
+
+
+# The basis is kept as an int adjugate over its determinant, each column
+# scaled to ints by its entry denominator e; the tests below reach the
+# cases where det > 1, e != 1 or the rhs has several denominators.
+
+
+def test_results_are_fractions_for_int_data():
+    sol = solve_max([1], [(1, ())], [2])
+    assert sol == LPSolution(F(2), (F(2),), (F(1),), 1)
+    assert all(type(a) is F for a in (sol.value, *sol.x, *sol.duals))
+
+
+def test_odd_cycle_basis_has_determinant_two():
+    # the three edges of a triangle: the optimal basis matrix has det 2
+    rows = mask_rows([0b011, 0b110, 0b101], 3)
+    sol = assert_same_solution([F(1)] * 3, rows, [F(1)] * 3)
+    assert sol.x == (F(1, 2),) * 3 and sol.duals == (F(1, 2),) * 3
+    assert sol.value == F(3, 2)
+
+
+def test_pivot_through_a_determinant_two_basis():
+    # pivot 6 takes det 1 -> 2 with a zero in d, so that row is rescaled;
+    # pivot 7 takes det 2 -> 1, so every other row is divided by 2
+    masks = [0b1011, 0b1101, 0b0010, 0b1000, 0b0110]
+    objective = [F(2), F(1), F(2), F(1), F(4)]
+    sol = assert_same_solution(objective, mask_rows(masks, 4), [F(2), F(2), F(3), F(2)])
+    assert sol.x == (F(0), F(1), F(0), F(1), F(2)) and sol.pivots == 7
+
+
+positive = st.builds(F, st.integers(1, 4), st.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_zero_one_programs_match_dense(data):
+    # mask columns over 3 to 8 rows: about one program in ten passes
+    # through a basis with det > 1
+    m = data.draw(st.integers(3, 8))
+    nv = data.draw(st.integers(3, 12))
+    masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=nv, max_size=nv))
+    objective = data.draw(st.lists(positive, min_size=nv, max_size=nv))
+    rhs = data.draw(st.lists(positive, min_size=m, max_size=m))
+    assert_same_solution(objective, mask_rows(masks, m), rhs)
+
+
+def test_scaled_columns_enter_and_leave():
+    # column 0 (e = 2) enters first and ends at 0, so it left the basis;
+    # column 1 (e = 35) ends basic with a positive value
+    objective = [F(1), F(2), F(1), F(3)]
+    rows = [
+        [F(1, 2), F(2, 7), F(0), F(0)],
+        [F(1), F(1, 5), F(1), F(1)],
+        [F(3, 2), F(1, 5), F(1), F(0)],
+    ]
+    sol = assert_same_solution(objective, rows, [F(1), F(2), F(2)])
+    assert sol.x == (F(0), F(7, 2), F(0), F(13, 10))
+    assert sol.duals == (F(49, 10), F(3), F(0))
+    assert sol.pivots == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mixed_denominator_columns_match_dense(data):
+    # each column's entries share no denominator with the other columns'
+    m = data.draw(st.integers(1, 5))
+    nv = data.draw(st.integers(1, 5))
+    dens = [2, 3, 5, 7, 11]
+    rows = [
+        [F(data.draw(st.integers(0, 3)), dens[j]) if data.draw(st.booleans()) else F(1)
+         for j in range(nv)]
+        for _ in range(m)
+    ]
+    objective = data.draw(st.lists(entry, min_size=nv, max_size=nv))
+    rhs = data.draw(st.lists(entry.map(abs), min_size=m, max_size=m))
+    assert_same_solution(objective, rows, rhs)
+
+
+def test_rhs_with_distinct_prime_denominators():
+    objective = [F(1), F(2), F(1), F(3, 2)]
+    rows = [
+        [F(1), F(0), F(1), F(2, 3)],
+        [F(1), F(1), F(0), F(0)],
+        [F(0), F(1), F(1), F(1, 5)],
+    ]
+    rhs = [F(1, 2), F(1, 3), F(1, 5)]
+    sol = assert_same_solution(objective, rows, rhs)
+    assert sol.value == sum(b * y for b, y in zip(rhs, sol.duals))
+    assert sol.pivots >= 2 and sum(a > 0 for a in sol.x) >= 2
+
+
+@pytest.mark.parametrize("scaled_first", [True, False])
+def test_degenerate_tie_between_scaled_and_unscaled_columns(scaled_first):
+    # After two pivots the scaled column (e = 2) and the mask column are
+    # basic at 0; column 2 then ties them at ratio 0, and the smaller
+    # basic variable leaves.
+    scaled, unscaled = [F(1, 2), F(0), F(0)], [F(0), F(1), F(0)]
+    first, second = (scaled, unscaled) if scaled_first else (unscaled, scaled)
+    rows = [[a, b, F(1)] for a, b in zip(first, second)]
+    sol = assert_same_solution([F(1), F(1), F(5)], rows, [F(0), F(0), F(1)])
+    assert sol.value == 0 and sol.pivots == 3
+    assert sol.duals == ((F(4), F(1), F(0)) if scaled_first else (F(2), F(3), F(0)))
