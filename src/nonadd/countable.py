@@ -115,7 +115,7 @@ def finite_measure(weights: Sequence[Fraction | int | str]) -> CountableMeasure:
 
 
 def uniform_finite_measure(size: int) -> CountableMeasure:
-    if size < 1:
+    if check_size(size, "size") < 1:
         raise ValueError(f"size must be at least 1, got {size}")
     return finite_measure([Fraction(1, size)] * size)
 
@@ -685,7 +685,7 @@ def dyadic_partitions(m: int) -> list[CountablePartition]:
     for the uniform measure on the window).  Stage ``m`` reaches full
     information on the window.
     """
-    if m < 0:
+    if check_size(m, "m") < 0:
         raise ValueError("m must be nonnegative")
     size = 1 << m
     stages = []

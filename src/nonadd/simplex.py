@@ -9,14 +9,16 @@ other nonzero coefficient.  An event column of the concave integral is
 its mask alone, so the n x (2^n - 1) matrix is never formed.
 
 The solver is a revised simplex that works in ints from reading the
-program to returning its solution.  Each column is scaled by the common
-denominator ``e`` of its entries, so the basis ``B`` is an int matrix;
-the solver keeps its adjugate ``adj`` and its determinant ``det > 0``,
-with ``B^-1 = adj/det`` (Edmonds 1967), and the basic values as ``adj
-(rhs*db)``, where ``db`` is the common denominator of ``rhs``.  A pivot
-on row l with ``d = adj (e*A_e)`` keeps row l and turns every other row
-into ``(d_l*row_i - d_i*row_l) // det``, an exact division (Bareiss
-1968); then ``det = d_l``.  The duals are ``Y/dy``:
+program to checking its solution.  The slack of row i is one more
+column, the unit mask ``1 << i`` at cost 0, so all columns share one
+path.  Each column is scaled by the common denominator ``e`` of its
+entries, so the basis ``B`` is an int matrix; the solver keeps its
+adjugate ``adj`` and its determinant ``det > 0``, with ``B^-1 =
+adj/det`` (Edmonds 1967).  Row i of ``adj`` carries one more entry, row
+i of ``adj (rhs*db)``, where ``db`` is the common denominator of
+``rhs``.  A pivot on row l with ``d = adj (e*A_e)`` keeps row l and
+turns every other row into ``(d_l*row_i - d_i*row_l) // det``, an exact
+division (Bareiss 1968); then ``det = d_l``.  The duals are ``Y/dy``:
 ``c'_j = c_j*e`` is the objective of the scaled column, ``dc`` the
 common denominator of the basic ``c'``, ``Y = (c'_B*dc) adj`` and
 ``dy = dc*det``.
@@ -25,10 +27,10 @@ Columns are priced on demand, one at a time in index order: with ``c_j =
 p_j/q_j``, column j enters when ``p_j*dy > q_j*Y.A_j``, where each
 column's entries are scaled to ints by their own common denominator.
 ``Y`` summed over a mask is that of the mask without its lowest bit,
-priced earlier in the same scan, plus one entry of ``Y``.  The primal
-point and the duals become :class:`fractions.Fraction` once, at the end.
-Bland's rule keeps the pivot sequence finite, and the duals at
-optimality are an exact optimality certificate.
+priced earlier in the same scan, plus one entry of ``Y``.  Bland's rule
+keeps the pivot sequence finite.  At optimality the primal and dual
+values, both times ``dy*db``, must be equal ints, an exact certificate;
+only then are the value, the point and the duals made ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-ZERO = Fraction(0)
 
 
 class UnboundedProgramError(RuntimeError):
@@ -69,7 +69,8 @@ def solve_max(
 
     Returns the optimal ``x``, the dual vector ``y`` (one multiplier per
     row), and their common objective value; ``sum(y*rhs) == value`` is
-    asserted before returning, so a returned solution is certified optimal.
+    checked in ints before any of them is built, so a returned solution is
+    certified optimal.
 
     Bland's rule fixes the pivots: the entering column is the smallest
     index with a positive reduced cost (the structural columns, then the
@@ -100,21 +101,26 @@ def solve_max(
             p, q, _, _ = priced[j]
             e = math.lcm(*(a.denominator for _, a in col))
             priced[j] = (p * e, q, e, tuple((i, int(a * e)) for i, a in col))
+    # The slack of row i is column nv + i: the unit mask 1 << i at cost 0,
+    # so it is priced after every structural column and enters iff Y_i < 0.
+    masks += [1 << i for i in range(m)]
+    priced += [(0, 1, 1, ())] * m
 
     # B^-1 = adj/det, where the basis B holds the columns times their e,
-    # so adj is an int matrix and det > 0; the basic values B^-1 b are
-    # bint/(det*db), with db the common denominator of rhs.
+    # so adj is an int matrix and det > 0.  Each row carries one more
+    # entry, the basic value B^-1 b times det*db, with db the common
+    # denominator of rhs, so one update keeps both exact.
     db = math.lcm(*(b.denominator for b in rhs))
-    bint = [b.numerator * (db // b.denominator) for b in rhs]
-    adj = [[int(k == i) for k in range(m)] for i in range(m)]
-    det = 1
-    big = [0] * m  # Y = y*dy, the duals over their denominator dy
-    dy = 1
+    rb = [b.numerator * (db // b.denominator) for b in rhs]  # rhs*db
+    adj = [[int(k == i) for k in range(m)] + [rb[i]] for i in range(m)]
+    det = dc = 1
+    big = [0] * m  # Y = y*dy, the duals over their denominator dy = dc*det
     basis = list(range(nv, nv + m))
 
     max_pivots = 50 * (2 * m + nv) + 10_000  # safety net; Bland terminates
     pivots = 0
     while True:
+        dy = dc * det
         by_bit = {1 << i: a for i, a in enumerate(big)}
         by_bit[0] = 0  # mask 0 sums to 0
         sums = {0: 0}  # Y summed over each mask priced in this scan
@@ -136,33 +142,25 @@ def solve_max(
             if pe * dy > q * s:
                 entering = j  # Bland: smallest index with positive reduced cost
                 break
-        else:
-            for i in range(m):
-                if big[i] < 0:  # the reduced cost of slack i is -y[i]
-                    entering = nv + i
-                    break
         if entering < 0:
             break
 
         # d = adj A'_e = det B^-1 A'_e, for the entering column A'_e times its e
-        if entering < nv:
-            _, _, e, col = priced[entering]
-            unit = [k for k in range(m) if masks[entering] >> k & 1]
-            d = [
-                e * sum(row[k] for k in unit) + sum(row[k] * a for k, a in col)
-                for row in adj
-            ]
-        else:
-            d = [row[entering - nv] for row in adj]
+        _, _, e, col = priced[entering]
+        unit = [k for k in range(m) if masks[entering] >> k & 1]
+        d = [
+            e * sum(row[k] for k in unit) + sum(row[k] * a for k, a in col)
+            for row in adj
+        ]
 
-        # the minimum ratio bint_i/d_i over d_i > 0, compared crosswise
+        # the minimum ratio row[m]/d_i over d_i > 0, compared crosswise
         leaving = -1
         for i, di in enumerate(d):
             if di > 0:
                 if leaving < 0:
                     leaving = i
                     continue
-                left, right = bint[i] * d[leaving], bint[leaving] * di
+                left, right = adj[i][m] * d[leaving], adj[leaving][m] * di
                 if left < right or (left == right and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
@@ -172,45 +170,42 @@ def solve_max(
         # row is divided exactly by the old det (Bareiss), so a row with
         # d_i = 0 is only rescaled by d_l/det.
         dl = d[leaving]
-        pivot_row, bl = adj[leaving], bint[leaving]
+        pivot_row = adj[leaving]
         for i, di in enumerate(d):
             if i == leaving:
                 continue
             if di:
                 adj[i] = [(dl * a - di * b) // det for a, b in zip(adj[i], pivot_row)]
-                bint[i] = (dl * bint[i] - di * bl) // det
             elif dl != det:
                 adj[i] = [dl * a // det for a in adj[i]]
-                bint[i] = dl * bint[i] // det
         det = dl
         basis[leaving] = entering
 
-        # Y = (c'_B*dc) adj, with dc the common denominator of c'_B; dy = dc*det
-        dc = math.lcm(*(priced[var][1] for var in basis if var < nv))
+        # Y = (c'_B*dc) adj, with dc the common denominator of c'_B
+        dc = math.lcm(*(priced[var][1] for var in basis))
         big = [0] * m
         for var, row in zip(basis, adj):
-            if var < nv:
-                pe, q, _, _ = priced[var]
-                if pe:
-                    w = pe * (dc // q)
-                    big = [a + w * b for a, b in zip(big, row)]
-        dy = dc * det
+            pe, q, _, _ = priced[var]
+            if pe:
+                w = pe * (dc // q)
+                big = [a + w * b for a, b in zip(big, row)]
 
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError("pivot limit exceeded; anti-cycling rule broken?")
 
-    # Non-basic variables are 0, so the primal value sums the basic ones.
-    x = [ZERO] * nv
-    value = ZERO
-    for var, b in zip(basis, bint):
+    # Strong duality in ints: c'_B B^-1 b and Y.b, both times dy*db
+    # (non-basic variables are 0, so the primal value sums the basic ones).
+    primal = sum(
+        priced[var][0] * (dc // priced[var][1]) * row[m]
+        for var, row in zip(basis, adj)
+    )
+    dual = sum(a * b for a, b in zip(big, rb))
+    if primal != dual:
+        raise RuntimeError(f"strong duality violated: primal {primal} vs dual {dual}")
+    x = [Fraction(0)] * nv
+    for var, row in zip(basis, adj):
         if var < nv:
-            x[var] = xv = Fraction(priced[var][2] * b, det * db)
-            value += objective[var] * xv
+            x[var] = Fraction(priced[var][2] * row[m], det * db)
     duals = tuple(Fraction(a, dy) for a in big)
-    dual_value = sum((yi * b for yi, b in zip(duals, rhs)), ZERO)
-    if value != dual_value:
-        raise RuntimeError(
-            f"strong duality violated: primal {value} vs dual {dual_value}"
-        )
-    return LPSolution(value, tuple(x), duals, pivots)
+    return LPSolution(Fraction(primal, dy * db), tuple(x), duals, pivots)

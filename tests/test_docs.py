@@ -154,6 +154,24 @@ def test_one_lp_solver_and_no_tableau():
     assert not tableaus
 
 
+def test_solve_max_builds_no_fraction_while_pivoting():
+    # the pivot loop of solve_max works in ints only; Fractions are built
+    # once, after strong duality is checked
+    tree = ast.parse((ROOT / "src" / "nonadd" / "simplex.py").read_text())
+    (solver,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "solve_max"
+    ]
+    loops = [n for n in ast.walk(solver) if isinstance(n, ast.While)]
+    assert loops
+    built = [
+        n
+        for loop in loops
+        for n in ast.walk(loop)
+        if isinstance(n, ast.Call) and _name(n) == "Fraction"
+    ]
+    assert not built
+
+
 def test_each_render_and_state_rule_has_one_site():
     # the CLI renders a value only through _obj (and _decimal's digits),
     # and the sites that read states check them with sets.check_states
@@ -173,6 +191,8 @@ def test_each_render_and_state_rule_has_one_site():
         ("countable", "__post_init__"),
         ("countable", "indicator"),
         ("countable", "unit_prefix"),
+        ("countable", "uniform_finite_measure"),
+        ("countable", "dyadic_partitions"),
         ("countable", "continuity_from_below_countable"),
         ("countable", "monotone_convergence_countable"),
     }

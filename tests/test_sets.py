@@ -23,6 +23,7 @@ from nonadd import (
     converges_P_ae,
     converges_strong_ae,
     converges_weak_ae,
+    dyadic_partitions,
     generated_algebra,
     induce,
     induced_psp_capacity,
@@ -30,6 +31,7 @@ from nonadd import (
     psa_integral,
     psp_integral,
     trivial_model,
+    uniform_finite_measure,
     unit_prefix_sequence,
     verify_dual_certificate,
 )
@@ -206,12 +208,16 @@ NON_SIZES = {
     "monotone_convergence_countable-bool": lambda: monotone_convergence_countable(
         trivial_model(), unit_prefix_sequence(), True
     ),
+    "uniform_finite_measure-float": lambda: uniform_finite_measure(2.0),
+    "uniform_finite_measure-bool": lambda: uniform_finite_measure(True),
+    "dyadic_partitions-float": lambda: dyadic_partitions(2.0),
+    "dyadic_partitions-bool": lambda: dyadic_partitions(True),
 }
 
 
 @pytest.mark.parametrize("site", NON_SIZES)
 def test_every_site_refuses_a_size_that_is_not_an_int(site):
-    message = "^(n|mask|horizon|depth) must be an int, got "
+    message = "^(n|mask|horizon|depth|size|m) must be an int, got "
     with pytest.raises(ValueError, match=message):
         NON_SIZES[site]()
 
