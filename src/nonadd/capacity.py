@@ -26,6 +26,7 @@ from typing import Sequence
 from .sets import (
     Partition,
     StateSpace,
+    check_values,
     max_member_table,
     same_space,
     subset_sums,
@@ -108,16 +109,6 @@ def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
     return best
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"exact rational required, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class Capacity:
     """Monotone set function with ``v(empty) = 0``, one exact value per subset.
@@ -136,8 +127,10 @@ class Capacity:
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
-        if set(map(type, values)) != {Fraction}:
-            values = tuple(map(_as_fraction, values))
+        try:
+            values = check_values(values, "capacity values")
+        except ValueError:  # a negative value, named below after v(empty)
+            values = tuple(map(Fraction, values))  # (a bad string raises again)
         object.__setattr__(self, "values", values)
         n = self.space.n
         if len(values) != 1 << n:
@@ -165,13 +158,8 @@ class ProbabilityMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(_as_fraction(x) for x in self.weights)
+        weights = check_values(self.weights, "weights", self.space.n)
         object.__setattr__(self, "weights", weights)
-        if len(weights) != self.space.n:
-            raise ValueError("one weight per state required")
-        for k, w in enumerate(weights):
-            if w < 0:
-                raise ValueError(f"negative weight at state {k}")
         if sum(weights) != 1:
             raise ValueError(f"weights sum to {sum(weights)}, expected 1")
 

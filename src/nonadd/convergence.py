@@ -37,7 +37,7 @@ from .integrals import (
     choquet_integral,
     concave_integral,
 )
-from .sets import Partition, StateSpace, same_space
+from .sets import Partition, StateSpace, check_mask, same_space
 
 ZERO = Fraction(0)
 
@@ -164,6 +164,7 @@ def counterexample_null_additivity(v: Capacity, e: int, f: int) -> FunctionSeque
     only carries ``v(F)``), and its Choquet integrals stay at ``v(F)``
     short of ``v(F | E)``.
     """
+    e, f = check_mask(e, v.space), check_mask(f, v.space)
     if v.values[e] != 0:
         raise ValueError(f"E must be null, got v(E) = {v.values[e]}")
     if v.values[e | f] <= v.values[f]:
@@ -185,6 +186,7 @@ def convexity_gap_witness(
     layer formula gives exactly ``v(E | F) + v(E & F)``, so the gap is at
     least the violation amount.  Returns ``g`` and the exact gap.
     """
+    e, f = check_mask(e, v.space), check_mask(f, v.space)
     violation = (v.values[e] + v.values[f]) - (v.values[e | f] + v.values[e & f])
     if violation <= 0:
         raise ValueError("pair does not violate convexity")

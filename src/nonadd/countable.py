@@ -44,8 +44,8 @@ from math import gcd
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .capacity import PropertyReport, _as_fraction, _scale
-from .sets import check_size, check_states
+from .capacity import PropertyReport, _scale
+from .sets import check_size, check_states, check_values
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -73,9 +73,7 @@ class CountableMeasure:
     def __post_init__(self) -> None:
         suffix = None
         if self.family == "finite":
-            ws = tuple(_as_fraction(w) for w in self.weights)
-            if any(w < 0 for w in ws):
-                raise ValueError("weights must be nonnegative")
+            ws = check_values(self.weights, "weights")
             suffix = tuple(accumulate(reversed(ws), initial=ZERO))[::-1]
             if suffix[0] != 1:
                 raise ValueError("total mass must be exactly 1")
@@ -269,16 +267,9 @@ class EventuallyConstantFunction:
     tail: Fraction
 
     def __post_init__(self) -> None:
-        check_size(self.horizon, "horizon")
-        values = tuple(_as_fraction(x) for x in self.values)
-        tail = _as_fraction(self.tail)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tail", tail)
-        if len(values) != self.horizon:
-            raise ValueError("explicit values must cover exactly 1..horizon")
-        # a Fraction's denominator is positive: its sign is its numerator's
-        if tail < 0 or any(x.numerator < 0 for x in values):
-            raise ValueError("function must be nonnegative")
+        horizon = check_size(self.horizon, "horizon")
+        object.__setattr__(self, "values", check_values(self.values, "values", horizon))
+        object.__setattr__(self, "tail", check_values((self.tail,), "the tail")[0])
 
     def __call__(self, k: int) -> Fraction:
         if k < 1:
@@ -297,7 +288,7 @@ class EventuallyConstantFunction:
 
     @classmethod
     def constant(cls, c: Fraction | int | str) -> EventuallyConstantFunction:
-        return cls(0, (), _as_fraction(c))
+        return cls(0, (), c)
 
     @classmethod
     def unit_prefix(cls, n: int) -> EventuallyConstantFunction:

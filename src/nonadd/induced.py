@@ -29,6 +29,7 @@ from .sets import (
     Partition,
     StateSpace,
     SubsetMask,
+    check_mask,
     max_member_table,
     same_space,
 )
@@ -36,7 +37,7 @@ from .sets import (
 
 @dataclass(frozen=True)
 class InducedCapacity:
-    """Induced capacity with its argmax witnesses and provenance.
+    """Induced capacity with its argmax witnesses.
 
     ``witness_map[mask]`` is the maximal algebra member inside the event
     ``mask``, the partition's :func:`~nonadd.sets.max_member_table`; the
@@ -46,8 +47,6 @@ class InducedCapacity:
 
     base: Capacity
     witness_map: tuple[int, ...]
-    measure: ProbabilityMeasure
-    partition: Partition
 
     @property
     def space(self) -> StateSpace:
@@ -69,12 +68,12 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     convexity = check_convex(base)
     if not convexity.holds:  # structural guarantee; failing means a bug here
         raise RuntimeError(f"induced capacity not convex at {convexity.witness}")
-    return InducedCapacity(base, witness, P, partition)
+    return InducedCapacity(base, witness)
 
 
 def argmax_witness(ic: InducedCapacity, event: int) -> SubsetMask:
     """The maximal algebra member inside ``event`` realizing the value."""
-    return SubsetMask(ic.witness_map[event], ic.space)
+    return SubsetMask(ic.witness_map[check_mask(event, ic.space)], ic.space)
 
 
 def check_continuity_from_above(ic: InducedCapacity) -> PropertyReport:

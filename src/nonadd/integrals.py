@@ -31,10 +31,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .capacity import Capacity, ProbabilityMeasure, _as_fraction
+from .capacity import Capacity, ProbabilityMeasure
 from .sets import (
     Partition,
     StateSpace,
+    check_mask,
+    check_size,
+    check_values,
     same_space,
     submasks,
     subset_sums,
@@ -53,22 +56,17 @@ class SimpleFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(_as_fraction(x) for x in self.values)
+        values = check_values(self.values, "values", self.space.n)
         object.__setattr__(self, "values", values)
-        if len(values) != self.space.n:
-            raise ValueError("one value per state required")
-        for k, x in enumerate(values):
-            if x < 0:
-                raise ValueError(f"negative value at state {k}")
 
     @classmethod
     def indicator(cls, space: StateSpace, bits: int) -> SimpleFunction:
+        check_mask(bits, space)
         return cls(space, tuple(ONE if bits >> k & 1 else ZERO for k in space.states()))
 
     @classmethod
     def constant(cls, space: StateSpace, c: Fraction | int | str) -> SimpleFunction:
-        c = _as_fraction(c)
-        return cls(space, tuple(c for _ in space.states()))
+        return cls(space, (c,) * space.n)
 
     def __call__(self, state: int) -> Fraction:
         return self.values[state]
@@ -80,9 +78,7 @@ class SimpleFunction:
         )
 
     def scale(self, c: Fraction | int) -> SimpleFunction:
-        c = _as_fraction(c)
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
+        (c,) = check_values((c,), "a scale factor")
         return SimpleFunction(self.space, tuple(c * x for x in self.values))
 
     def __le__(self, other: SimpleFunction) -> bool:
@@ -115,11 +111,9 @@ class Decomposition:
     terms: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((_as_fraction(w), int(m)) for w, m in self.terms)
-        object.__setattr__(self, "terms", terms)
-        for w, _ in terms:
-            if w <= 0:
-                raise ValueError("weights must be strictly positive")
+        terms = tuple(self.terms)
+        masks = [check_size(m, "mask") for _, m in terms]
+        object.__setattr__(self, "terms", _positive(terms, masks))
 
     def indicator_sum(self, space: StateSpace) -> tuple[Fraction, ...]:
         acc = [ZERO] * space.n
@@ -143,11 +137,8 @@ class FunctionDecomposition:
     terms: tuple[tuple[Fraction, SimpleFunction], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((_as_fraction(w), g) for w, g in self.terms)
-        object.__setattr__(self, "terms", terms)
-        for w, _ in terms:
-            if w <= 0:
-                raise ValueError("weights must be strictly positive")
+        terms = tuple(self.terms)
+        object.__setattr__(self, "terms", _positive(terms, [g for _, g in terms]))
 
     def combination(self, space: StateSpace) -> tuple[Fraction, ...]:
         acc = [ZERO] * space.n
@@ -161,6 +152,14 @@ class FunctionDecomposition:
 
     def weight_against(self, P: ProbabilityMeasure) -> Fraction:
         return sum((w * g.expectation(P) for w, g in self.terms), ZERO)
+
+
+def _positive(terms: tuple[tuple, ...], targets: list) -> tuple[tuple, ...]:
+    """Each term's weight, exact and positive, paired with its checked target."""
+    weights = check_values([w for w, _ in terms], "weights")
+    if not all(weights):
+        raise ValueError("weights must be strictly positive")
+    return tuple(zip(weights, targets))
 
 
 @dataclass(frozen=True)

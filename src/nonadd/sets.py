@@ -14,6 +14,8 @@ workers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MAX_STATES = 20
@@ -99,6 +101,35 @@ def _is_int(t: type) -> bool:
     return issubclass(t, int) and not issubclass(t, bool)
 
 
+def check_mask(mask, space: StateSpace) -> int:
+    """``mask`` if it is an int by :func:`check_size`'s rule and an event
+    of ``space``, in ``0..space.full_bits``; else a ``ValueError``."""
+    if not 0 <= check_size(mask, "mask") <= space.full_bits:
+        raise ValueError(f"mask {mask} out of range for a {space.n}-state space")
+    return mask
+
+
+def check_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ...]:
+    """``values`` as a tuple of ``Fraction``s, each exact and nonnegative.
+
+    A value is a ``Fraction``, a string such as ``"1/3"`` or an int by
+    :func:`check_size`'s rule; anything else (``0.5``, ``True``) is a
+    ``TypeError``.  With ``length`` there must be that many.  The sign is
+    read from the numerators, in one pass.
+    """
+    values = tuple(values)
+    if set(map(type, values)) != {Fraction}:
+        for x in values:
+            if not (isinstance(x, (Fraction, str)) or _is_int(type(x))):
+                raise TypeError(f"exact rational required for {what}, got {x!r}")
+        values = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in values)
+    if length is not None and len(values) != length:
+        raise ValueError(f"need {length} {what}, got {len(values)}")
+    if values and min(map(attrgetter("numerator"), values)) < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return values
+
+
 def same_space(*operands) -> StateSpace:
     """The ``.space`` all ``operands`` share: the one check that they share it."""
     space = operands[0].space
@@ -139,10 +170,7 @@ class SubsetMask:
     space: StateSpace
 
     def __post_init__(self) -> None:
-        if not 0 <= check_size(self.bits, "mask") <= self.space.full_bits:
-            raise ValueError(
-                f"mask {self.bits} out of range for a {self.space.n}-state space"
-            )
+        check_mask(self.bits, self.space)
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits

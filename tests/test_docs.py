@@ -188,6 +188,8 @@ def test_each_render_and_state_rule_has_one_site():
     # sets.check_size
     sizes = {
         ("sets", "__post_init__"),
+        ("sets", "check_mask"),
+        ("integrals", "__post_init__"),
         ("countable", "__post_init__"),
         ("countable", "indicator"),
         ("countable", "unit_prefix"),
@@ -198,3 +200,31 @@ def test_each_render_and_state_rule_has_one_site():
     }
     assert _calls("check_size") == sizes
     assert not _calls("int") & (checks | sizes)
+
+
+def test_each_value_and_mask_rule_has_one_site():
+    # every constructor of an exact nonnegative object (function, weights,
+    # measure, capacity) reads its values through sets.check_values, and
+    # no module keeps a converter of its own
+    values = {
+        ("capacity", "__post_init__"),
+        ("integrals", "__post_init__"),
+        ("integrals", "scale"),
+        ("integrals", "_positive"),
+        ("countable", "__post_init__"),
+    }
+    assert _calls("check_values") == values
+    named = _sites(
+        lambda n: isinstance(n, ast.FunctionDef) and n.name == "_as_fraction"
+    )
+    assert not named
+    # a caller's mask that indexes a 2**n table is range-checked by
+    # sets.check_mask, the rule SubsetMask keeps
+    masks = {
+        ("sets", "__post_init__"),
+        ("integrals", "indicator"),
+        ("induced", "argmax_witness"),
+        ("convergence", "counterexample_null_additivity"),
+        ("convergence", "convexity_gap_witness"),
+    }
+    assert _calls("check_mask") == masks

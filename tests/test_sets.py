@@ -1,11 +1,16 @@
 """State spaces, subset masks, partitions, and generated algebras."""
 
+from fractions import Fraction as F
+
 import pytest
 from helpers import all_set_partitions
 from nonadd import (
     Capacity,
+    CapacityError,
     CountablePartition,
+    Decomposition,
     EventuallyConstantFunction,
+    FunctionDecomposition,
     FunctionSequence,
     Partition,
     ProbabilityMeasure,
@@ -13,6 +18,7 @@ from nonadd import (
     SpaceMismatchError,
     StateSpace,
     SubsetMask,
+    argmax_witness,
     brute_force_cav_oracle,
     chain_restricted_value,
     check_dense,
@@ -23,7 +29,10 @@ from nonadd import (
     converges_P_ae,
     converges_strong_ae,
     converges_weak_ae,
+    convexity_gap_witness,
+    counterexample_null_additivity,
     dyadic_partitions,
+    finite_measure,
     generated_algebra,
     induce,
     induced_psp_capacity,
@@ -220,6 +229,128 @@ def test_every_site_refuses_a_size_that_is_not_an_int(site):
     message = "^(n|mask|horizon|depth|size|m) must be an int, got "
     with pytest.raises(ValueError, match=message):
         NON_SIZES[site]()
+
+
+# a value is exact and nonnegative: each constructor that reads values
+# does so through sets.check_values; each row puts ``x`` at one such site
+NON_VALUES = {
+    "SimpleFunction": lambda x: SimpleFunction(StateSpace(2), (1, x)),
+    "SimpleFunction.constant": lambda x: SimpleFunction.constant(StateSpace(2), x),
+    "SimpleFunction.scale": lambda x: (
+        SimpleFunction.constant(StateSpace(2), 1).scale(x)
+    ),
+    "Decomposition": lambda x: Decomposition(((1, 1), (x, 2))),
+    "FunctionDecomposition": lambda x: FunctionDecomposition(
+        ((x, SimpleFunction.constant(StateSpace(1), 1)),)
+    ),
+    "ProbabilityMeasure": lambda x: ProbabilityMeasure(StateSpace(2), (1, x)),
+    "Capacity": lambda x: Capacity(StateSpace(1), (0, x)),
+    "CountableMeasure": lambda x: finite_measure([1, x]),
+    "EventuallyConstantFunction-values": lambda x: (
+        EventuallyConstantFunction(2, (1, x), 0)
+    ),
+    "EventuallyConstantFunction-tail": lambda x: (
+        EventuallyConstantFunction(1, (1,), x)
+    ),
+    "EventuallyConstantFunction.constant": lambda x: (
+        EventuallyConstantFunction.constant(x)
+    ),
+}
+
+
+@pytest.mark.parametrize("inexact", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("site", NON_VALUES)
+def test_every_site_refuses_a_value_that_is_not_exact(site, inexact):
+    with pytest.raises(TypeError, match="^exact rational required for "):
+        NON_VALUES[site](inexact)
+
+
+@pytest.mark.parametrize("site", NON_VALUES)
+def test_every_site_refuses_a_negative_value(site):
+    # a capacity names the first axiom its table breaks, in the order
+    # tests/test_capacity.py::ref_validate pins
+    if site == "Capacity":
+        with pytest.raises(CapacityError, match="^negative value at mask 1$"):
+            NON_VALUES[site](F(-1, 2))
+        return
+    with pytest.raises(ValueError, match="must be nonnegative$"):
+        NON_VALUES[site](F(-1, 2))
+
+
+# one value per state, one weight per state, one value per state up to the
+# horizon
+SHORT_VALUES = {
+    "SimpleFunction": lambda: SimpleFunction(StateSpace(3), (1, 1)),
+    "ProbabilityMeasure": lambda: ProbabilityMeasure(StateSpace(3), ("1/2", "1/2")),
+    "EventuallyConstantFunction": lambda: EventuallyConstantFunction(3, (1, 1), 0),
+}
+
+
+@pytest.mark.parametrize("site", SHORT_VALUES)
+def test_every_site_refuses_a_wrong_count_of_values(site):
+    with pytest.raises(ValueError, match="^need 3 (values|weights), got 2$"):
+        SHORT_VALUES[site]()
+
+
+def _two_state(*values):
+    return Capacity(StateSpace(2), tuple(map(F, values)))
+
+
+def _full_information(n):
+    space = StateSpace(n)
+    return induce(ProbabilityMeasure.uniform(space), Partition.singletons(space))
+
+
+# a mask a caller hands in indexes a 2**n table: each site range-checks it
+# through sets.check_mask rather than let -1 read the full set's entry
+OUT_OF_SPACE = {
+    "SimpleFunction.indicator-8": lambda: SimpleFunction.indicator(StateSpace(3), 8),
+    "SimpleFunction.indicator-minus-1": lambda: (
+        SimpleFunction.indicator(StateSpace(3), -1)
+    ),
+    "argmax_witness-minus-1": lambda: argmax_witness(_full_information(3), -1),
+    "argmax_witness-8": lambda: argmax_witness(_full_information(3), 8),
+    # v({0}) = 0 and v({0, 1}) > v({1}): E = 1, F = 2 is a valid pair
+    "counterexample_null_additivity-E": lambda: (
+        counterexample_null_additivity(_two_state(0, 0, "1/2", 1), -4, 2)
+    ),
+    "counterexample_null_additivity-F": lambda: (
+        counterexample_null_additivity(_two_state(0, 0, "1/2", 1), 1, 4)
+    ),
+    # v({0}) + v({1}) > v({0, 1}) + v({}): E = 1, F = 2 is a valid pair
+    "convexity_gap_witness-E": lambda: (
+        convexity_gap_witness(_two_state(0, "1/2", "1/2", "1/2"), 4, 2)
+    ),
+    "convexity_gap_witness-F": lambda: (
+        convexity_gap_witness(_two_state(0, "1/2", "1/2", "1/2"), 1, -1)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", OUT_OF_SPACE)
+def test_every_site_refuses_a_mask_outside_the_space(site):
+    message = r"^mask -?\d+ out of range for a \d-state space$"
+    with pytest.raises(ValueError, match=message):
+        OUT_OF_SPACE[site]()
+
+
+def test_valid_pairs_behind_the_mask_rows_are_accepted():
+    seq = counterexample_null_additivity(_two_state(0, 0, "1/2", 1), 1, 2)
+    assert seq.limit.values == (1, 1)
+    g, gap = convexity_gap_witness(_two_state(0, "1/2", "1/2", "1/2"), 1, 2)
+    assert g.values == (1, 1) and gap > 0
+
+
+def test_indicator_refuses_a_bool_mask():
+    with pytest.raises(ValueError, match="^mask must be an int, got True$"):
+        SimpleFunction.indicator(StateSpace(3), True)
+
+
+@pytest.mark.parametrize("mask", [2.5, True], ids=["float", "bool"])
+def test_decomposition_refuses_a_mask_that_is_not_an_int(mask):
+    # int() would read 2.5 as {1} and True as {0}
+    with pytest.raises(ValueError, match="^mask must be an int, got "):
+        Decomposition(((1, mask),))
 
 
 def test_subset_from_iterable_and_bounds():
