@@ -26,6 +26,7 @@ from typing import Sequence
 from .sets import (
     Partition,
     StateSpace,
+    check_mask,
     check_values,
     max_member_table,
     same_space,
@@ -126,11 +127,12 @@ class Capacity:
     _scaled: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        values = tuple(self.values)
+        values, negative = tuple(self.values), False
         try:
             values = check_values(values, "capacity values")
         except ValueError:  # a negative value, named below after v(empty)
             values = tuple(map(Fraction, values))  # (a bad string raises again)
+            negative = True
         object.__setattr__(self, "values", values)
         n = self.space.n
         if len(values) != 1 << n:
@@ -141,7 +143,7 @@ class Capacity:
         object.__setattr__(self, "_scaled", scaled)
         if scaled[0] != 0:
             raise CapacityError("capacity of the empty set must be 0", (0,))
-        if min(scaled) < 0:
+        if negative:
             mask = next(m for m, x in enumerate(scaled) if x < 0)
             raise CapacityError(f"negative value at mask {mask}", (mask,))
         pair = _monotonicity_violation(scaled)
@@ -329,9 +331,11 @@ def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
 
 def replay_convexity_violation(v: Capacity, e: int, f: int) -> bool:
     """True iff the pair strictly violates supermodularity (witness replay)."""
+    e, f = check_mask(e, v.space), check_mask(f, v.space)
     return v.values[e] + v.values[f] > v.values[e | f] + v.values[e & f]
 
 
 def replay_null_additivity_violation(v: Capacity, e: int, f: int) -> bool:
     """True iff ``v(E) = 0`` yet ``v(E | F) != v(F)`` (witness replay)."""
+    e, f = check_mask(e, v.space), check_mask(f, v.space)
     return v.values[e] == 0 and v.values[e | f] != v.values[f]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -68,14 +68,17 @@ class CountableMeasure:
 
     family: str
     weights: tuple[Fraction, ...] = ()
-    _suffix: tuple[Fraction, ...] | None = field(init=False, repr=False, compare=False)
+    _suffix: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        suffix = None
+        suffix, den = None, 1
         if self.family == "finite":
             ws = check_values(self.weights, "weights")
-            suffix = tuple(accumulate(reversed(ws), initial=ZERO))[::-1]
-            if suffix[0] != 1:
+            den = lcm(*(w.denominator for w in ws))
+            scaled = [w.numerator * (den // w.denominator) for w in ws]
+            suffix = tuple(accumulate(reversed(scaled), initial=0))[::-1]
+            if suffix[0] != den:
                 raise ValueError("total mass must be exactly 1")
             object.__setattr__(self, "weights", ws)
         elif self.family != "telescoping":
@@ -83,6 +86,7 @@ class CountableMeasure:
         elif self.weights:
             raise ValueError("family 'telescoping' does not take weights")
         object.__setattr__(self, "_suffix", suffix)
+        object.__setattr__(self, "_den", den)
 
     def weight(self, k: int) -> Fraction:
         if k < 1:
@@ -90,12 +94,18 @@ class CountableMeasure:
         return self.tail(k - 1) - self.tail(k)
 
     def tail(self, n: int) -> Fraction:
+        return Fraction(*self._tail_ratio(n))
+
+    def _tail_ratio(self, n: int) -> tuple[int, int]:
+        """``tail(n)`` as an unreduced int pair ``(p, q)``: the one reader
+        of the tail.  A finite family keeps its suffix sums as ints over
+        the lcm ``_den`` of its weight denominators."""
         if n < 0:
             raise ValueError("tail index must be nonnegative")
         suffix = self._suffix
         if suffix is None:
-            return Fraction(1, n + 1)
-        return suffix[min(n, len(suffix) - 1)]
+            return 1, n + 1
+        return suffix[min(n, len(suffix) - 1)], self._den
 
 
 def telescoping_measure() -> CountableMeasure:
@@ -230,19 +240,30 @@ def _tail_sum(
 ) -> Fraction:
     """``sum(w * measure.tail(k) for k, w in weights.items())``, exactly.
 
-    Each nonzero weight reads its tail once.  The terms stay unreduced
-    ``(numerator, denominator)`` pairs, added in a balanced tree whose
+    No tail is read as a ``Fraction``.  With int weights over a finite
+    family it is one sum over the int suffix, divided once by its
+    denominator.  Otherwise each ``w * tail(k)`` is an unreduced pair
+    ``(numerator, denominator)``, over the telescoping family
+    ``(wp, wq * (k + 1))``; the pairs are added in a balanced tree whose
     denominators combine through their gcd, so each sum's denominator is
     the lcm of its terms' and operands of one level are of similar size;
     only the final ``Fraction`` normalizes.  Weights may be ints or
-    ``Fraction``s.
+    ``Fraction``s (values past the scaling budget of :func:`_scale`).
     """
+    suffix = measure._suffix
+    if suffix is not None and set(map(type, weights.values())) <= {int}:
+        top = len(suffix) - 1  # tail(k) is 0 from k = top on
+        total = sum(w * suffix[k] for k, w in weights.items() if k < top)
+        return Fraction(total, measure._den)
     terms = []
     for k, w in weights.items():
         if w:
-            p, q = measure.tail(k).as_integer_ratio()
             wp, wq = w.as_integer_ratio()
-            terms.append((wp * p, wq * q))
+            if suffix is None:
+                terms.append((wp, wq * (k + 1)))
+            else:
+                p, q = measure._tail_ratio(k)
+                terms.append((wp * p, wq * q))
     if not terms:
         return ZERO
     while len(terms) > 1:
@@ -492,18 +513,21 @@ def monotone_convergence_countable(
             value == target, "stabilized", (value,) * depth, target,
             target - value, finite_atoms,
         )
-    partition, tail = model.partition, model.measure.tail
+    partition, measure = model.partition, model.measure
     top = len(partition._block_of)
     rises = [ZERO] * top
     for runs in partition._head:
-        rises[runs[-1][1] - 1] = sum((tail(s - 1) - tail(e) for s, e in runs), ZERO)
-    # entries n = 0..K-1, then from n = K one run of equal entries per tail block
+        weights: dict[int, int] = {}
+        _add_mass(weights, runs, 1)
+        rises[runs[-1][1] - 1] = _tail_sum(weights, measure)
+    # entries n = 0..K-1, then from n = K one run of equal entries per tail
+    # block (an infinite block: one run to depth), each 1 - tail(t) built
+    # once from the tail's int pair
     trace = list(accumulate(rises, initial=ZERO))[:top]
-    if partition.width is None:
-        trace += [ONE - tail(top)] * (depth + 1 - top)
-    else:
-        for t in range(top, depth + 1, partition.width):
-            trace += [ONE - tail(t)] * partition.width
+    width = partition.width
+    for t in range(top, depth + 1, width or depth + 1):
+        p, q = measure._tail_ratio(t)
+        trace += [Fraction(q - p, q)] * (width or depth + 1 - top)
     trace = tuple(trace[1 : depth + 1])
     report = partial(
         CountableConvergenceReport,
@@ -516,7 +540,7 @@ def monotone_convergence_countable(
         return report(True, "exact")
     if finite_atoms:
         return report(True, "finite-atoms")
-    mass = tail(top)  # the infinite block's
+    mass = measure.tail(top)  # the infinite block's
     if mass == 0:
         return report(True, "massless-block")
     return report(False, "divergence-bound", divergence_bound=target - mass)

@@ -242,7 +242,7 @@ def _lp_integral(
     set on the module later (a tracer's, a test's) sees every solve.
     """
     sol = solve_max(objective, columns, list(f.values))
-    witness = witness_type(tuple((w, t) for w, t in zip(sol.x, targets) if w != 0))
+    witness = witness_type(tuple((w, t) for w, t in zip(sol.x, targets) if w))
     if not witness.fits_under(f) or witness.weight_against(known) != sol.value:
         raise RuntimeError("simplex returned an inconsistent optimal basis")
     return IntegralResult(sol.value, witness, dual_witness=sol.duals)
@@ -433,7 +433,7 @@ def chain_restricted_value(
     over nested decompositions: for any chain the value stays below the
     layer formula, with equality when the chain is the level sets of ``f``.
     """
-    masks = list(chain)
+    masks = [check_mask(m, v.space) for m in chain]
     for a, b in zip(masks, masks[1:]):
         if b & ~a:
             raise ValueError("events must be nested decreasingly")

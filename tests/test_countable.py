@@ -1081,3 +1081,103 @@ class TestRefinementVerdict:
         else:
             with pytest.raises(ValueError, match=f"state {split} splits"):
                 check_increases_continuously([coarse, fine], telescoping_measure())
+
+
+# -- tails as ints ----------------------------------------------------------
+#
+# A tail is read as an int pair: a finite family keeps its suffix sums over
+# the lcm of its weight denominators.  These references read each tail
+# from its Fraction definition.
+
+PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def int_tail_measures(draw):
+    """Telescoping, or finite with one state, with zero weights and mixed
+    denominators (one past 64 bits), or with one distinct prime per weight
+    but the last, which takes the rest."""
+    kind = draw(st.sampled_from(["telescoping", "one-state", "mixed", "primes"]))
+    if kind == "telescoping":
+        return telescoping_measure()
+    if kind == "one-state":
+        return finite_measure([1])
+    if kind == "primes":
+        size = draw(st.integers(1, 20))
+        primes = draw(
+            st.lists(
+                st.sampled_from([p for p in PRIMES if p > 2 * size]),
+                min_size=size - 1, max_size=size - 1, unique=True,
+            )
+        )
+        weights = [F(1, p) for p in primes]
+        return finite_measure(weights + [1 - sum(weights, F(0))])
+    fraction = st.builds(F, st.integers(0, 3), st.sampled_from(DENOMS + [5, 12]))
+    raw = draw(st.lists(fraction, max_size=12))
+    raw.append(draw(fraction.filter(bool)))
+    raw += [F(0)] * draw(st.integers(0, 3))
+    total = sum(raw, F(0))
+    return finite_measure([x / total for x in raw])
+
+
+def ref_tail(measure, n):
+    if measure.family == "telescoping":
+        return F(1, n + 1)
+    return sum(measure.weights[n:], F(0))
+
+
+class TestIntTails:
+    @settings(max_examples=200, deadline=None)
+    @given(int_tail_measures())
+    def test_tail_matches_its_definition(self, measure):
+        top = len(measure.weights) or 20
+        for n in range(top + 4):
+            tail = measure.tail(n)
+            assert tail == ref_tail(measure, n) and type(tail) is F
+        with pytest.raises(ValueError, match="nonnegative"):
+            measure.tail(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        int_tail_measures(),
+        st.dictionaries(
+            st.integers(0, 25),
+            st.one_of(
+                st.integers(-5, 5),
+                st.builds(F, st.integers(-5, 5), st.sampled_from(DENOMS)),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_tail_sum_matches_its_definition(self, measure, weights):
+        total = _tail_sum(weights, measure)
+        want = sum((w * measure.tail(k) for k, w in weights.items()), F(0))
+        assert total == want and type(total) is F
+
+    @settings(max_examples=200, deadline=None)
+    @given(countable_partitions(), int_tail_measures(), st.integers(1, 30))
+    def test_unit_prefix_trace_matches_block_weights(self, partition, measure, depth):
+        # entry n: the summed weights of the blocks held in {1..n}; listing
+        # states to n + K + 2 shows each such block whole and the infinite
+        # block, if any, with a member past n
+        report = monotone_convergence_countable(
+            CountableModel(measure, partition), unit_prefix_sequence(), depth
+        )
+        top = sum(map(len, partition.head))
+        for n in range(1, depth + 1):
+            blocks = {}
+            for k in range(1, n + top + 3):
+                blocks.setdefault(partition.block_key(k), []).append(k)
+            inside = [k for b in blocks.values() if b[-1] <= n for k in b]
+            want = weight_sum(measure, inside)
+            entry = report.integral_trace[n - 1]
+            assert entry == want and type(entry) is F
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[], [F(1, 2)], [F(1, 2), F(1, 3)], [F(2, 3), F(1, 2)], [F(1, 3)] * 4],
+        ids=["empty", "half", "short", "over", "four-thirds"],
+    )
+    def test_total_mass_must_be_one(self, weights):
+        with pytest.raises(ValueError, match="total mass must be exactly 1"):
+            finite_measure(weights)

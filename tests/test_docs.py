@@ -172,6 +172,26 @@ def test_solve_max_builds_no_fraction_while_pivoting():
     assert not built
 
 
+def test_countable_tail_sums_read_tails_as_ints():
+    # a countable tail is an int pair: neither _tail_sum nor the trace
+    # loops of monotone_convergence_countable build a Fraction per tail
+    tree = ast.parse((ROOT / "src" / "nonadd" / "countable.py").read_text())
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    loops = [
+        n
+        for n in ast.walk(functions["monotone_convergence_countable"])
+        if isinstance(n, (ast.For, ast.GeneratorExp, ast.ListComp))
+    ]
+    assert loops
+    reads = [
+        n
+        for root in [functions["_tail_sum"], *loops]
+        for n in ast.walk(root)
+        if isinstance(n, ast.Call) and _name(n) == "tail"
+    ]
+    assert not reads
+
+
 def test_each_render_and_state_rule_has_one_site():
     # the CLI renders a value only through _obj (and _decimal's digits),
     # and the sites that read states check them with sets.check_states
@@ -226,5 +246,8 @@ def test_each_value_and_mask_rule_has_one_site():
         ("induced", "argmax_witness"),
         ("convergence", "counterexample_null_additivity"),
         ("convergence", "convexity_gap_witness"),
+        ("capacity", "replay_convexity_violation"),
+        ("capacity", "replay_null_additivity_violation"),
+        ("integrals", "chain_restricted_value"),
     }
     assert _calls("check_mask") == masks

@@ -39,10 +39,15 @@ from nonadd import (
     monotone_convergence_countable,
     psa_integral,
     psp_integral,
+    random_capacity,
     trivial_model,
     uniform_finite_measure,
     unit_prefix_sequence,
     verify_dual_certificate,
+)
+from nonadd.capacity import (
+    replay_convexity_violation,
+    replay_null_additivity_violation,
 )
 from nonadd.sets import max_member_table, submasks
 
@@ -323,6 +328,19 @@ OUT_OF_SPACE = {
     ),
     "convexity_gap_witness-F": lambda: (
         convexity_gap_witness(_two_state(0, "1/2", "1/2", "1/2"), 1, -1)
+    ),
+    # mask -1 read v(full) and returned False; mask 8 raised IndexError
+    "replay_convexity_violation-minus-1": lambda: (
+        replay_convexity_violation(random_capacity(3, 1), -1, 1)
+    ),
+    "replay_convexity_violation-8": lambda: (
+        replay_convexity_violation(random_capacity(3, 1), 8, 1)
+    ),
+    "replay_null_additivity_violation-F": lambda: (
+        replay_null_additivity_violation(random_capacity(3, 1), 0, 8)
+    ),
+    "chain_restricted_value-8": lambda: chain_restricted_value(
+        SimpleFunction.constant(StateSpace(3), 1), random_capacity(3, 1), [8]
     ),
 }
 
