@@ -10,14 +10,13 @@ need infinitely many states.  This module realizes them exactly:
   is ever truncated, rounded or taken on trust;
 * a partition is its layout: finite head blocks partitioning ``{1..K}``,
   then consecutive tail blocks of width 1 or 2, or one infinite block
-  ``{K+1, K+2, ...}``.  The blocks meeting any finite window can thus be
-  listed, each as its maximal runs of consecutive states;
-* functions are eventually constant, so each integral is a finite sum:
-  blocks meeting the window contribute their exact infimum times their
-  mass, and everything beyond contributes the tail constant times the
-  leftover mass.  Every run's mass is a difference of tails, so summed by
-  parts each integral (ordinary or partition-limited) is one exact sum
-  ``sum_k w_k * T(k)`` with small weights, read one tail per run boundary;
+  ``{K+1, K+2, ...}``;
+* functions are eventually constant, so each integral is a finite sum.
+  The partition-limited integral of ``f`` is the ordinary integral of
+  ``g``, the infimum of ``f`` over each state's block, and ``g`` is
+  eventually constant too.  Summed by parts, the ordinary integral of
+  either is one exact sum ``sum_k w_k * T(k)``, ``w_k`` the step of the
+  values at state ``k + 1``, read one tail per nonzero step;
 * an event is its indicator (:meth:`EventuallyConstantFunction.indicator`):
   its mass is the ordinary integral of it and the induced capacity's value
   the partition-limited one;
@@ -36,23 +35,20 @@ carries positive mass).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .capacity import PropertyReport, _scale
 from .sets import check_size, check_states, check_values
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# a run of consecutive states ``(first, last)``; ``last`` None: no end
-_Run = tuple[int, int | None]
-
 
 @dataclass(frozen=True)
 class CountableMeasure:
@@ -137,13 +133,12 @@ class CountablePartition:
     consecutive blocks of ``width`` states (1 singletons, 2 pairs) or, with
     ``width`` ``None``, one infinite block ``{K+1, K+2, ...}``.  So full
     information is ``CountablePartition()``, pairs ``width=2`` and the
-    trivial field ``width=None``; equal layouts compare equal.  Head
-    blocks are also kept as their runs; the queries below read only these.
+    trivial field ``width=None``; equal layouts compare equal.
+    ``_block_of`` maps each head state to its block's number.
     """
 
     head: tuple[tuple[int, ...], ...] = ()
     width: int | None = 1
-    _head: tuple[tuple[_Run, ...], ...] = field(init=False, repr=False, compare=False)
     _block_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -163,7 +158,6 @@ class CountablePartition:
                 if block_of[k - 1] >= 0:
                     raise ValueError("head blocks overlap")
                 block_of[k - 1] = i
-        object.__setattr__(self, "_head", tuple(map(_runs, blocks)))
         object.__setattr__(self, "_block_of", tuple(block_of))
 
     # -- structure ---------------------------------------------------------
@@ -176,8 +170,8 @@ class CountablePartition:
         if k <= top:
             return self._block_of[k - 1]
         if self.width is None:
-            return len(self._head)
-        return len(self._head) + (k - top - 1) // self.width
+            return len(self.head)
+        return len(self.head) + (k - top - 1) // self.width
 
     def all_atoms_finite(self) -> bool:
         return self.width is not None
@@ -185,54 +179,6 @@ class CountablePartition:
     def infinite_atom_start(self) -> int | None:
         """First state of the infinite block, if there is one."""
         return None if self.width else len(self._block_of) + 1
-
-    def _blocks_meeting(self, horizon: int) -> Iterator[tuple[_Run, ...]]:
-        """The runs of each block meeting ``{1..horizon}``, as :func:`_runs`
-        gives them; the infinite block is the one run ``(K+1, None)``."""
-        for runs in self._head:
-            if runs[0][0] <= horizon:
-                yield runs
-        top = len(self._block_of)
-        width = self.width
-        if width is None:
-            if horizon > top:
-                yield ((top + 1, None),)
-        else:
-            for start in range(top + 1, horizon + 1, width):
-                yield ((start, start + width - 1),)
-
-
-def _runs(members: Sequence[int]) -> tuple[_Run, ...]:
-    """Maximal runs of consecutive states in sorted ``members``, as
-    ``(first, last)``."""
-    first = members[0]
-    if members[-1] - first == len(members) - 1:
-        return ((first, members[-1]),)
-    runs = []
-    prev = first
-    for k in members[1:]:
-        if k != prev + 1:
-            runs.append((first, prev))
-            first = k
-        prev = k
-    runs.append((first, prev))
-    return tuple(runs)
-
-
-def _add_mass(
-    weights: dict[int, int | Fraction], runs: Iterable[_Run], a: int | Fraction
-) -> None:
-    """Add ``a`` times the mass of the union of ``runs`` to ``weights``.
-
-    ``weights`` maps a tail index ``k`` to the weight of ``tail(k)``: a
-    run ``[s, e]`` weighs ``tail(s-1) - tail(e)``, and the infinite run
-    from ``s`` weighs ``tail(s-1)``.
-    """
-    get = weights.get
-    for s, e in runs:
-        weights[s - 1] = get(s - 1, 0) + a
-        if e is not None:
-            weights[e] = get(e, 0) - a
 
 
 def _tail_sum(
@@ -277,6 +223,20 @@ def _tail_sum(
         terms = merged
     p, q = terms[0]
     return Fraction(p, q)
+
+
+def _by_parts(values: Sequence, measure: CountableMeasure) -> Fraction:
+    """Ordinary integral of the function worth ``values[k-1]`` at state
+    ``k`` up to ``len(values) - 1`` and the constant ``values[-1]`` beyond.
+
+    With ``c = values[-1]`` it is ``sum_k (values[k-1] - c) * (tail(k-1)
+    - tail(k)) + c``; summed by parts, ``tail(0)`` weighs ``values[0]`` and
+    ``tail(k)`` weighs ``values[k] - values[k-1]``.  Only the nonzero steps
+    go to :func:`_tail_sum`, so a function constant across a block reads
+    one tail per block boundary.
+    """
+    steps = list(map(sub, values, chain((0,), values)))
+    return _tail_sum(dict(compress(enumerate(steps), steps)), measure)
 
 
 @dataclass(frozen=True)
@@ -344,13 +304,13 @@ def countable_lebesgue(
     """Ordinary integral, as one weighted sum of tails.
 
     With ``H`` the horizon and ``c`` the tail constant, the integral is
-    ``sum_{k<=H} (f_k - c) * (tail(k-1) - tail(k)) + c``; summed by parts,
-    ``tail(0)`` weighs ``f_1``, ``tail(k)`` weighs ``f_{k+1} - f_k`` and
-    ``tail(H)`` weighs ``c - f_H`` (``c`` alone when ``H`` is 0).
+    ``sum_{k<=H} (f_k - c) * (tail(k-1) - tail(k)) + c``; summed by parts
+    (:func:`_by_parts`), ``tail(0)`` weighs ``f_1``, ``tail(k)`` weighs
+    ``f_{k+1} - f_k`` and ``tail(H)`` weighs ``c - f_H`` (``c`` alone when
+    ``H`` is 0).
     """
     scaled, common = f._scaled
-    weights = dict(enumerate(map(sub, scaled, (0,) + scaled)))
-    return _tail_sum(weights, measure) / common
+    return _by_parts(scaled, measure) / common
 
 
 def countable_psa_integral(
@@ -361,25 +321,35 @@ def countable_psa_integral(
     At an event's indicator it is the induced capacity's value there: the
     mass of the blocks inside the event.
 
-    With ``c`` the tail constant and the block masses summing to 1, the
-    integral is ``c + sum_b (inf_b - c) * mass_b``.  Blocks entirely
-    beyond the horizon have infimum ``c`` and drop out, so the sum runs
-    over the blocks meeting it (for an infinite block the unlisted members
-    sit beyond the horizon, where ``f`` equals ``c``).  Each mass is a
-    signed sum of tails, so the whole integral is one exact weighted sum
-    of tails, with infima taken over the scaled values.
+    It is the ordinary integral of ``g``, the infimum of ``f`` over each
+    state's block, and ``g`` is eventually constant: a head block's
+    infimum at each of its states, then past ``K`` the values of ``f``
+    (width 1), each pair's smaller value at both its states (width 2), or
+    the infinite block's infimum as ``g``'s tail constant.  ``f`` is its
+    tail constant ``c`` past its horizon, so ``g`` is ``c`` past the last
+    block meeting the horizon.  The infima are taken over the scaled
+    values, and ``g`` is never built as a function.
     """
     scaled, common = f._scaled
-    horizon = f.horizon
-    c = scaled[horizon]
-    weights = {0: c}
-    for runs in model.partition._blocks_meeting(horizon):
-        # scaled[horizon] is c: a run reaching past the horizon, or lying
-        # wholly beyond it, takes c into its minimum
-        a = min(min(scaled[min(s - 1, horizon) : e]) for s, e in runs) - c
-        if a:
-            _add_mass(weights, runs, a)
-    return _tail_sum(weights, model.measure) / common
+    partition = model.partition
+    top = len(partition._block_of)
+    c = scaled[-1]
+    # vals[k] is f at state k for k up to max(horizon, K) + 1, so a head
+    # block's members index it directly; vals[0] is a placeholder
+    vals = (c,) + scaled + (c,) * (top - f.horizon)
+    mins = [min(map(vals.__getitem__, block)) for block in partition.head]
+    rest = vals[top + 1 :]  # f past K, then c
+    if partition.width is None:
+        rest = (min(rest),)
+    elif partition.width == 2:
+        # the pairs meeting the horizon: one straddling it takes c into
+        # its min, and past one ending on it the lone c is left unpaired
+        pairs = list(map(min, rest[::2], rest[1::2]))
+        rest = [c] * (2 * len(pairs) + 1)
+        rest[:-1:2] = pairs
+        rest[1::2] = pairs
+    g = [*map(mins.__getitem__, partition._block_of), *rest]
+    return _by_parts(g, model.measure) / common
 
 
 @dataclass(frozen=True)
@@ -516,12 +486,13 @@ def monotone_convergence_countable(
     partition, measure = model.partition, model.measure
     top = len(partition._block_of)
     rises = [ZERO] * top
-    for runs in partition._head:
-        weights: dict[int, int] = {}
-        _add_mass(weights, runs, 1)
-        rises[runs[-1][1] - 1] = _tail_sum(weights, measure)
-    # entries n = 0..K-1, then from n = K one run of equal entries per tail
-    # block (an infinite block: one run to depth), each 1 - tail(t) built
+    for block in partition.head:
+        # the block's mass: each member k weighs tail(k-1) - tail(k)
+        weights = Counter([k - 1 for k in block])
+        weights.subtract(block)
+        rises[block[-1] - 1] = _tail_sum(weights, measure)
+    # entries n = 0..K-1, then from n = K equal entries for each tail block
+    # (an infinite block: all of them to depth), each 1 - tail(t) built
     # once from the tail's int pair
     trace = list(accumulate(rises, initial=ZERO))[:top]
     width = partition.width

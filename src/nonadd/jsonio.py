@@ -159,8 +159,8 @@ def measure_to_obj(P: ProbabilityMeasure) -> dict:
 def measure_from_obj(obj: dict) -> ProbabilityMeasure:
     space = _space(obj)
     raw = obj.get("weights")
-    if not isinstance(raw, list) or len(raw) != space.n:
-        raise FormatError("measure needs one weight per state")
+    if not isinstance(raw, list):
+        raise FormatError("measure needs a 'weights' list")
     return ProbabilityMeasure(space, tuple(frac_from_str(w) for w in raw))
 
 
@@ -171,8 +171,8 @@ def function_to_obj(f: SimpleFunction) -> dict:
 def function_from_obj(obj: dict) -> SimpleFunction:
     space = _space(obj)
     raw = obj.get("values")
-    if not isinstance(raw, list) or len(raw) != space.n:
-        raise FormatError("function needs one value per state")
+    if not isinstance(raw, list):
+        raise FormatError("function needs a 'values' list")
     return SimpleFunction(space, tuple(frac_from_str(x) for x in raw))
 
 
@@ -183,8 +183,8 @@ def family_from_obj(obj: dict) -> list[SimpleFunction]:
         raise FormatError("family needs a nonempty 'functions' list")
     out = []
     for row in raw:
-        if not isinstance(row, list) or len(row) != space.n:
-            raise FormatError("each family member needs one value per state")
+        if not isinstance(row, list):
+            raise FormatError("each family member must be a list of values")
         out.append(SimpleFunction(space, tuple(frac_from_str(x) for x in row)))
     return out
 

@@ -1,4 +1,4 @@
-"""Countable models: exact tails, block runs, convergence structure."""
+"""Countable models: exact tails, block layouts, convergence structure."""
 
 import random
 import time
@@ -36,7 +36,6 @@ from nonadd import (
 from nonadd import countable
 from nonadd.countable import (
     CountableMeasure,
-    _add_mass,
     _tail_sum,
     random_eventually_constant_function,
 )
@@ -61,16 +60,15 @@ class Block(NamedTuple):
 def cover(partition, measure, horizon):
     """Blocks meeting ``{1..horizon}`` and the leftover mass beyond.
 
-    One loop over ``_blocks_meeting``: each block's mass is read as the
-    integrals read it, one signed sum of tails over its runs.  An infinite
-    block lists its members up to the horizon.
+    The blocks are :func:`ref_cover`'s, listed from ``block_key``; each
+    mass is ``countable_lebesgue`` of the block's indicator, the by-parts
+    sum both integrals end in.  An infinite block lists its members up to
+    the horizon, and its indicator holds every state past them.
     """
     blocks = []
-    for runs in partition._blocks_meeting(horizon):
-        weights = {}
-        _add_mass(weights, runs, 1)
-        members = tuple(k for s, e in runs for k in range(s, (e or horizon) + 1))
-        blocks.append(Block(members, runs[-1][1] is None, _tail_sum(weights, measure)))
+    for members, infinite, _ in ref_cover(partition, measure, horizon)[0]:
+        event = indicator(members[-1], members, infinite)
+        blocks.append(Block(members, infinite, countable_lebesgue(event, measure)))
     return blocks, 1 - sum((b.mass for b in blocks), F(0))
 
 
@@ -661,9 +659,9 @@ class TestIndicator:
 
 # -- reference per-block loops ---------------------------------------------
 #
-# The integrals and ``cover`` sum tails with integer weights; these
-# references list each block from ``block_key`` alone and add its infimum
-# times its mass, one Fraction at a time.
+# The integrals sum tails with integer weights; these references list
+# each block from ``block_key`` alone and add its infimum times its mass,
+# one Fraction at a time.
 
 
 def ref_cover(partition, measure, horizon):
@@ -906,15 +904,16 @@ class TestContinuityChain:
 
 @pytest.fixture
 def tail_reads(monkeypatch):
-    """The tail indices read through ``CountableMeasure.tail``, in order."""
+    """The tail indices of the nonzero weights handed to ``_tail_sum``, in
+    order: each is one tail the sum reads."""
     reads = []
-    tail = CountableMeasure.tail
+    tail_sum = countable._tail_sum
 
-    def counted(measure, n):
-        reads.append(n)
-        return tail(measure, n)
+    def counted(weights, measure):
+        reads.extend(k for k, w in weights.items() if w)
+        return tail_sum(weights, measure)
 
-    monkeypatch.setattr(CountableMeasure, "tail", counted)
+    monkeypatch.setattr(countable, "_tail_sum", counted)
     return reads
 
 
@@ -923,6 +922,7 @@ class TestTailSumWork:
         f = random_eventually_constant_function(random.Random(0), 20_000)
         countable_psa_integral(f, pairs_model())
         # one read per boundary 0, 2, ..., 20000 at most, each read once
+        assert tail_reads
         assert len(tail_reads) <= 10_001 and len(set(tail_reads)) == len(tail_reads)
 
     @pytest.mark.parametrize("n", [0, 1, 16_000])
@@ -930,7 +930,7 @@ class TestTailSumWork:
         m = telescoping_measure()
         prefix = indicator(n, range(1, n + 1))
         assert countable_lebesgue(prefix, m) == 1 - F(1, n + 1)
-        assert len(tail_reads) <= 2
+        assert len(tail_reads) == min(n, 1) * 2
 
 
 class TestSequenceVerdicts:

@@ -192,6 +192,20 @@ def test_countable_tail_sums_read_tails_as_ints():
     assert not reads
 
 
+def test_countable_integrals_share_one_by_parts_sum():
+    # both countable integrals end in countable._by_parts, and _tail_sum
+    # is read only there and for the head-block masses of the unit-prefix
+    # trace, so no second mass machinery sums tails beside it
+    assert _calls("_by_parts") == {
+        ("countable", "countable_lebesgue"),
+        ("countable", "countable_psa_integral"),
+    }
+    assert _calls("_tail_sum") == {
+        ("countable", "_by_parts"),
+        ("countable", "monotone_convergence_countable"),
+    }
+
+
 def test_each_render_and_state_rule_has_one_site():
     # the CLI renders a value only through _obj (and _decimal's digits),
     # and the sites that read states check them with sets.check_states

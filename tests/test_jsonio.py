@@ -79,8 +79,11 @@ def test_measure_round_trip_and_validation():
     P = random_probability(StateSpace(5), rng)
     again = jsonio.measure_from_obj(jsonio.measure_to_obj(P))
     assert again.weights == P.weights
-    with pytest.raises(FormatError):
+    # the count is checked once, by the constructor through sets.check_values
+    with pytest.raises(ValueError, match="^need 2 weights, got 1$"):
         jsonio.measure_from_obj({"n": 2, "weights": ["1/2"]})
+    with pytest.raises(FormatError):
+        jsonio.measure_from_obj({"n": 2, "weights": {"0": "1/2"}})
 
 
 def test_function_round_trip():
