@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .capacity import Capacity, ProbabilityMeasure
+from .capacity import Capacity, ProbabilityMeasure, check_convex
 from .sets import (
     Partition,
     StateSpace,
@@ -235,14 +235,15 @@ def _lp_integral(
     """``max objective . w`` under ``columns . w <= f`` and ``w >= 0``, replayed.
 
     The one LP path of the integrals.  The witness pairs each nonzero
-    weight with its column's target (an event mask, or a known function);
-    it must fit under ``f`` and weigh the optimal value against ``known``
-    (the capacity, or the measure), or the basis is inconsistent.
+    weight, read from the solution's support alone, with its column's
+    target (an event mask, or a known function); it must fit under ``f``
+    and weigh the optimal value against ``known`` (the capacity, or the
+    measure), or the basis is inconsistent.
     ``solve_max`` is looked up in this module at each call, so a wrapper
     set on the module later (a tracer's, a test's) sees every solve.
     """
     sol = solve_max(objective, columns, list(f.values))
-    witness = witness_type(tuple((w, t) for w, t in zip(sol.x, targets) if w))
+    witness = witness_type(tuple((sol.x[j], targets[j]) for j in sol.support))
     if not witness.fits_under(f) or witness.weight_against(known) != sol.value:
         raise RuntimeError("simplex returned an inconsistent optimal basis")
     return IntegralResult(sol.value, witness, dual_witness=sol.duals)
@@ -271,11 +272,15 @@ def balanced_cover(v: Capacity) -> Capacity:
 
     The cover dominates ``v`` pointwise, is itself a capacity, and leaves
     every concave integral unchanged; applying it twice is the same as
-    applying it once.  The LP for ``A`` offers only the subsets of ``A``
-    as columns: every state outside ``A`` has right-hand side 0, so any
+    applying it once.  A convex ``v`` is its own cover, since a convex
+    game is totally balanced (Shapley 1971), so it is returned unsolved.
+    Otherwise the LP for ``A`` offers only the subsets of ``A`` as
+    columns: every state outside ``A`` has right-hand side 0, so any
     weight on a subset that meets such a state is forced to 0, and the
     optimal value is the one the LP over all subsets reaches.
     """
+    if check_convex(v).holds:
+        return v
     table = [ZERO] * v.space.num_subsets
     for bits in range(1, v.space.num_subsets):
         table[bits] = _best_decomposition(

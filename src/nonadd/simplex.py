@@ -21,7 +21,13 @@ turns every other row into ``(d_l*row_i - d_i*row_l) // det``, an exact
 division (Bareiss 1968); then ``det = d_l``.  The duals are ``Y/dy``:
 ``c'_j = c_j*e`` is the objective of the scaled column, ``dc`` the
 common denominator of the basic ``c'``, ``Y = (c'_B*dc) adj`` and
-``dy = dc*det``.
+``dy = dc*det``.  The same pivot updates ``Y`` in O(m) from the entering
+column's price ``s = Y.(e*A_e)``, which the scan already holds: as
+``sum_i c'_i*dc*d_i = s``, ``Y`` becomes ``(d_l*Y - s*row_l) // det +
+c'_e*dc*row_l``.  The update is taken over ``L = lcm(dc, q_e)``, with
+``q_e`` the entering cost's denominator, so that ``c'_e*L`` is an int;
+``Y`` is then divided exactly by ``L // dc'``, ``dc'`` being the common
+denominator of the new basic ``c'``.
 
 Columns are priced on demand, one at a time in index order: with ``c_j =
 p_j/q_j``, column j enters when ``p_j*dy > q_j*Y.A_j``, where each
@@ -31,6 +37,8 @@ priced earlier in the same scan, plus one entry of ``Y``.  Bland's rule
 keeps the pivot sequence finite.  At optimality the primal and dual
 values, both times ``dy*db``, must be equal ints, an exact certificate;
 only then are the value, the point and the duals made ``Fraction``s.
+The solution also names its support, the structural columns basic at a
+nonzero value, so a caller reads at most m entries of ``x``.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Sequence
 
 
@@ -47,12 +57,17 @@ class UnboundedProgramError(RuntimeError):
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Optimal primal point, exact dual certificate, and the shared value."""
+    """Optimal primal point, exact dual certificate, and the shared value.
+
+    ``support`` lists the indices ``j`` with ``x[j] != 0`` in ascending
+    order; they are basic, so there are at most one per row.
+    """
 
     value: Fraction
     x: tuple[Fraction, ...]
     duals: tuple[Fraction, ...]
     pivots: int
+    support: tuple[int, ...]
 
 
 def solve_max(
@@ -81,30 +96,38 @@ def solve_max(
     nv = len(objective)
     if len(columns) != nv:
         raise ValueError(f"{len(columns)} columns for {nv} objective entries")
-    for i, b in enumerate(rhs):
-        if b < 0:
-            raise ValueError(f"rhs[{i}] = {b} is negative")
+    if m and min(rhs) < 0:
+        i = next(i for i, b in enumerate(rhs) if b < 0)
+        raise ValueError(f"rhs[{i}] = {rhs[i]} is negative")
 
-    # Each column, read once: its mask and, for pricing and the basis,
-    # c_j = p/q with the entries times their common denominator e, as
-    # (p*e, q, e, int entries); a mask alone has e = 1 and no entries.
+    # The program, read once into parallel lists: each column's mask and,
+    # for pricing and the basis, c_j = p/q with the entries times their
+    # common denominator e, as p*e, q, e and (rows, int entries); a mask
+    # alone has e = 1 and no entries.
     masks = [mask for mask, _ in columns]
-    for j, mask in enumerate(masks):
-        if mask < 0 or mask >> m:
-            raise ValueError(f"column {j} has a row outside 0..{m - 1}")
-    priced = [(*c.as_integer_ratio(), 1, ()) for c in objective]
-    for j, (_, col) in enumerate(columns):
-        if col:
-            col = tuple((i, a) for i, a in col if a)
-            if any(not 0 <= i < m for i, _ in col):
-                raise ValueError(f"column {j} has a row outside 0..{m - 1}")
-            p, q, _, _ = priced[j]
-            e = math.lcm(*(a.denominator for _, a in col))
-            priced[j] = (p * e, q, e, tuple((i, int(a * e)) for i, a in col))
+    if masks and (min(masks) < 0 or max(masks) >> m):
+        j = next(j for j, mask in enumerate(masks) if mask < 0 or mask >> m)
+        raise ValueError(f"column {j} has a row outside 0..{m - 1}")
+    entries = [col for _, col in columns]
+    ratios = [c.as_integer_ratio() for c in objective]
     # The slack of row i is column nv + i: the unit mask 1 << i at cost 0,
     # so it is priced after every structural column and enters iff Y_i < 0.
     masks += [1 << i for i in range(m)]
-    priced += [(0, 1, 1, ())] * m
+    P = [p for p, _ in ratios] + [0] * m
+    Q = [q for _, q in ratios] + [1] * m
+    E = [1] * (nv + m)
+    ints = [()] * (nv + m)
+    for j in compress(range(nv), entries):
+        col = [(i, a.as_integer_ratio()) for i, a in entries[j] if a]
+        if not col:
+            continue
+        rows, coefs = zip(*col)
+        if min(rows) < 0 or max(rows) >= m:
+            raise ValueError(f"column {j} has a row outside 0..{m - 1}")
+        e = math.lcm(*(q for _, q in coefs))
+        P[j] *= e
+        E[j] = e
+        ints[j] = (rows, tuple(p * (e // q) for p, q in coefs))
 
     # B^-1 = adj/det, where the basis B holds the columns times their e,
     # so adj is an int matrix and det > 0.  Each row carries one more
@@ -112,7 +135,9 @@ def solve_max(
     # denominator of rhs, so one update keeps both exact.
     db = math.lcm(*(b.denominator for b in rhs))
     rb = [b.numerator * (db // b.denominator) for b in rhs]  # rhs*db
-    adj = [[int(k == i) for k in range(m)] + [rb[i]] for i in range(m)]
+    adj = [[0] * m + [b] for b in rb]
+    for i, row in enumerate(adj):
+        row[i] = 1
     det = dc = 1
     big = [0] * m  # Y = y*dy, the duals over their denominator dy = dc*det
     basis = list(range(nv, nv + m))
@@ -136,22 +161,27 @@ def solve_max(
                     bits ^= low
             s += by_bit[mask ^ rest]
             sums[mask] = s
-            pe, q, e, col = priced[j]
+            col = ints[j]
             if col:
-                s = s * e + sum(big[i] * a for i, a in col)
-            if pe * dy > q * s:
+                s = s * E[j] + sum(map(mul, map(big.__getitem__, col[0]), col[1]))
+            if P[j] * dy > Q[j] * s:
                 entering = j  # Bland: smallest index with positive reduced cost
                 break
         if entering < 0:
             break
 
-        # d = adj A'_e = det B^-1 A'_e, for the entering column A'_e times its e
-        _, _, e, col = priced[entering]
-        unit = [k for k in range(m) if masks[entering] >> k & 1]
-        d = [
-            e * sum(row[k] for k in unit) + sum(row[k] * a for k, a in col)
-            for row in adj
-        ]
+        # d = adj A'_e = det B^-1 A'_e, for the entering column A'_e times
+        # its e; s = Y.A'_e is the entering column's price from the scan
+        mask = masks[entering]
+        unit = [k for k in range(m) if mask >> k & 1]
+        d = [sum(map(row.__getitem__, unit)) for row in adj]
+        col = ints[entering]
+        if col:
+            e, (rows, coefs) = E[entering], col
+            d = [
+                e * a + sum(map(mul, map(row.__getitem__, rows), coefs))
+                for a, row in zip(d, adj)
+            ]
 
         # the minimum ratio row[m]/d_i over d_i > 0, compared crosswise
         leaving = -1
@@ -178,17 +208,20 @@ def solve_max(
                 adj[i] = [(dl * a - di * b) // det for a, b in zip(adj[i], pivot_row)]
             elif dl != det:
                 adj[i] = [dl * a // det for a in adj[i]]
+
+        # The same update for Y, over L = lcm(dc, q_e): sum_i c'_i*dc*d_i
+        # is s, so the old basic columns give (d_l*Y - s*row_l) // det, and
+        # the entering one c'_e*L*row_l.  Then Y is divided exactly by
+        # L // dc', with dc' the common denominator of the new basic c'.
+        L = math.lcm(dc, Q[entering])
+        up, w = L // dc, P[entering] * (L // Q[entering])
+        big = [(dl * a - s * b) // det * up + w * b for a, b in zip(big, pivot_row)]
         det = dl
         basis[leaving] = entering
-
-        # Y = (c'_B*dc) adj, with dc the common denominator of c'_B
-        dc = math.lcm(*(priced[var][1] for var in basis))
-        big = [0] * m
-        for var, row in zip(basis, adj):
-            pe, q, _, _ = priced[var]
-            if pe:
-                w = pe * (dc // q)
-                big = [a + w * b for a, b in zip(big, row)]
+        dc = math.lcm(*map(Q.__getitem__, basis))
+        if dc != L:
+            down = L // dc
+            big = [a // down for a in big]
 
         pivots += 1
         if pivots > max_pivots:
@@ -196,16 +229,14 @@ def solve_max(
 
     # Strong duality in ints: c'_B B^-1 b and Y.b, both times dy*db
     # (non-basic variables are 0, so the primal value sums the basic ones).
-    primal = sum(
-        priced[var][0] * (dc // priced[var][1]) * row[m]
-        for var, row in zip(basis, adj)
-    )
-    dual = sum(a * b for a, b in zip(big, rb))
+    primal = sum(P[var] * (dc // Q[var]) * row[m] for var, row in zip(basis, adj))
+    dual = sum(map(mul, big, rb))
     if primal != dual:
         raise RuntimeError(f"strong duality violated: primal {primal} vs dual {dual}")
+    support = sorted(var for var, row in zip(basis, adj) if var < nv and row[m])
     x = [Fraction(0)] * nv
     for var, row in zip(basis, adj):
         if var < nv:
-            x[var] = Fraction(priced[var][2] * row[m], det * db)
+            x[var] = Fraction(E[var] * row[m], det * db)
     duals = tuple(Fraction(a, dy) for a in big)
-    return LPSolution(Fraction(primal, dy * db), tuple(x), duals, pivots)
+    return LPSolution(Fraction(primal, dy * db), tuple(x), duals, pivots, tuple(support))

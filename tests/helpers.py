@@ -198,4 +198,5 @@ def dense_solve_max(
         raise RuntimeError(
             f"strong duality violated: primal {value} vs dual {dual_value}"
         )
-    return LPSolution(value, tuple(x), duals, pivots)
+    support = tuple(j for j, w in enumerate(x) if w)
+    return LPSolution(value, tuple(x), duals, pivots, support)

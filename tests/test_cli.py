@@ -732,7 +732,7 @@ def test_inconsistent_lp_point_exits_3(capsys, files, monkeypatch):
     def overshoot(objective, columns, rhs):
         x = tuple(F(2) for _ in objective)
         value = sum((c * w for c, w in zip(objective, x)), F(0))
-        return LPSolution(value, x, tuple(F(0) for _ in rhs), 0)
+        return LPSolution(value, x, tuple(F(0) for _ in rhs), 0, tuple(range(len(x))))
 
     monkeypatch.setattr("nonadd.integrals.solve_max", overshoot)
     code, report, err = run_cli(

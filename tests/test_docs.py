@@ -172,6 +172,20 @@ def test_solve_max_builds_no_fraction_while_pivoting():
     assert not built
 
 
+def test_lp_witness_reads_x_only_at_the_support():
+    # _lp_integral builds the witness from sol.support, the nonzero
+    # structural indices, and never iterates the whole of sol.x
+    tree = ast.parse((ROOT / "src" / "nonadd" / "integrals.py").read_text())
+    (lp,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_lp_integral"
+    ]
+    reads = [n for n in ast.walk(lp) if isinstance(n, ast.Attribute) and n.attr == "x"]
+    indexed = [n.value for n in ast.walk(lp) if isinstance(n, ast.Subscript)]
+    assert reads and all(any(r is i for i in indexed) for r in reads)
+    loops = [n.iter for n in ast.walk(lp) if isinstance(n, ast.comprehension)]
+    assert [_name(i) for i in loops] == ["support"]
+
+
 def test_countable_tail_sums_read_tails_as_ints():
     # a countable tail is an int pair: neither _tail_sum nor the trace
     # loops of monotone_convergence_countable build a Fraction per tail

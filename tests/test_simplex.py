@@ -95,7 +95,7 @@ def test_malformed_program_rejected():
 def test_no_rows():
     columns = [(0, ()), (0, ())]
     assert solve_max([F(0), F(-1)], columns, []) == LPSolution(
-        F(0), (F(0), F(0)), (), 0
+        F(0), (F(0), F(0)), (), 0, ()
     )
     with pytest.raises(UnboundedProgramError):
         solve_max([F(0), F(1)], columns, [])
@@ -304,7 +304,7 @@ def test_psp_duals_with_distinct_denominators():
 
 def test_results_are_fractions_for_int_data():
     sol = solve_max([1], [(1, ())], [2])
-    assert sol == LPSolution(F(2), (F(2),), (F(1),), 1)
+    assert sol == LPSolution(F(2), (F(2),), (F(1),), 1, (0,))
     assert all(type(a) is F for a in (sol.value, *sol.x, *sol.duals))
 
 
@@ -397,3 +397,45 @@ def test_degenerate_tie_between_scaled_and_unscaled_columns(scaled_first):
     sol = assert_same_solution([F(1), F(1), F(5)], rows, [F(0), F(0), F(1)])
     assert sol.value == 0 and sol.pivots == 3
     assert sol.duals == ((F(4), F(1), F(0)) if scaled_first else (F(2), F(3), F(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_support_names_the_nonzero_entries_of_x(data):
+    m = data.draw(st.integers(1, 6))
+    nv = data.draw(st.integers(1, 8))
+    objective = data.draw(st.lists(entry, min_size=nv, max_size=nv))
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=nv, max_size=nv), min_size=m, max_size=m)
+    )
+    rhs = data.draw(st.lists(entry.map(abs), min_size=m, max_size=m))
+    try:
+        sol = solve_max(objective, sparse_columns(rows, nv), rhs)
+    except UnboundedProgramError:
+        return
+    assert sol.support == tuple(j for j, w in enumerate(sol.x) if w)
+
+
+# The duals are updated at each pivot from the entering column's price,
+# over L = lcm(dc, q_e) for the entering cost p_e/q_e, and then divided by
+# L // dc' for the new basis's dc'.  The two programs below reach L > dc
+# with dc > 1, and dc' < L.
+
+
+def test_entering_cost_denominator_outside_dc():
+    # the triangle again, at costs 1/2, 2/3, 3/5: pivot 2 brings q = 3 to
+    # dc = 2 and pivot 3 brings q = 5 to dc = 6, so the updates run over
+    # L = 6 and L = 30; the last basis has det 2
+    rows = mask_rows([0b011, 0b110, 0b101], 3)
+    sol = assert_same_solution([F(1, 2), F(2, 3), F(3, 5)], rows, [F(1)] * 3)
+    assert sol.x == (F(1, 2),) * 3 and sol.pivots == 3
+    assert sol.duals == (F(13, 60), F(17, 60), F(23, 60))
+
+
+def test_leaving_column_takes_the_only_copy_of_a_denominator():
+    # pivot 2 makes dc = 6; at pivot 3 column 1, the only cost over 3,
+    # leaves for column 2, so dc shrinks to 2 and Y is divided by 3
+    rows = mask_rows([0b01, 0b10, 0b10], 2)
+    sol = assert_same_solution([F(1, 2), F(1, 3), F(1)], rows, [F(1), F(1)])
+    assert sol.x == (F(1), F(0), F(1)) and sol.pivots == 3
+    assert sol.duals == (F(1, 2), F(1)) and sol.support == (0, 2)
