@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .capacity import Capacity, ProbabilityMeasure, check_convex
+from .capacity import Capacity, ProbabilityMeasure
 from .sets import (
     Partition,
     StateSpace,
@@ -272,15 +272,11 @@ def balanced_cover(v: Capacity) -> Capacity:
 
     The cover dominates ``v`` pointwise, is itself a capacity, and leaves
     every concave integral unchanged; applying it twice is the same as
-    applying it once.  A convex ``v`` is its own cover, since a convex
-    game is totally balanced (Shapley 1971), so it is returned unsolved.
-    Otherwise the LP for ``A`` offers only the subsets of ``A`` as
-    columns: every state outside ``A`` has right-hand side 0, so any
+    applying it once.  The LP for ``A`` offers only the subsets of ``A``
+    as columns: every state outside ``A`` has right-hand side 0, so any
     weight on a subset that meets such a state is forced to 0, and the
     optimal value is the one the LP over all subsets reaches.
     """
-    if check_convex(v).holds:
-        return v
     table = [ZERO] * v.space.num_subsets
     for bits in range(1, v.space.num_subsets):
         table[bits] = _best_decomposition(

@@ -35,7 +35,6 @@ from nonadd import (
 from nonadd import integrals
 from nonadd.simplex import LPSolution
 from nonadd.convergence import PROFILES
-from nonadd.sets import submasks
 
 NONCONVEX2 = Capacity(StateSpace(2), (F(0), F(6, 10), F(6, 10), F(1)))
 
@@ -203,27 +202,6 @@ class TestBalancedCover:
         for seed in range(8):
             v = random_capacity(3, seed, "convex")
             assert balanced_cover(v).values == v.values
-
-    def test_convex_tables_equal_the_lp_path(self):
-        # a convex table is returned as its own cover; solving each event's
-        # LP over its subsets, as a table that is not convex is covered,
-        # gives the same values
-        convex = [
-            v
-            for n in range(1, 8)
-            for profile in PROFILES
-            for seed in range(6)
-            if check_convex(v := random_capacity(n, seed, profile)).holds
-        ]
-        assert len(convex) > 90 and max(v.space.n for v in convex) == 7
-        for v in convex:
-            reference = [F(0)] + [
-                integrals._best_decomposition(
-                    SimpleFunction.indicator(v.space, bits), v, submasks(bits)
-                ).value
-                for bits in range(1, v.space.num_subsets)
-            ]
-            assert list(balanced_cover(v).values) == reference
 
     def test_dominates_and_preserves_concave_integrals(self):
         rng = random.Random(31)
@@ -446,11 +424,6 @@ class TestColumnCounts:
         balanced_cover(random_capacity(5, 0, "general"))
         assert len(lp_columns) == 31
         assert sum(lp_columns) == 3**5 - 2**5
-
-    def test_convex_cover_makes_no_solve(self, lp_columns):
-        v = random_capacity(5, 0, "convex")
-        assert balanced_cover(v) is v
-        assert lp_columns == []
 
     def test_induced_psp_with_full_supports_solves_once(self, lp_columns):
         space = StateSpace(4)

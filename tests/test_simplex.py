@@ -217,8 +217,8 @@ entry = st.builds(F, st.integers(-3, 4), st.sampled_from([1, 2, 3, 5]))
 @given(data=st.data())
 def test_random_programs_match_dense(data):
     # negative and fractional entries; unbounded programs must raise in both
-    m = data.draw(st.integers(1, 4))
-    nv = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 6))
+    nv = data.draw(st.integers(1, 8))
     objective = data.draw(st.lists(entry, min_size=nv, max_size=nv))
     rows = data.draw(
         st.lists(st.lists(entry, min_size=nv, max_size=nv), min_size=m, max_size=m)
@@ -397,23 +397,6 @@ def test_degenerate_tie_between_scaled_and_unscaled_columns(scaled_first):
     sol = assert_same_solution([F(1), F(1), F(5)], rows, [F(0), F(0), F(1)])
     assert sol.value == 0 and sol.pivots == 3
     assert sol.duals == ((F(4), F(1), F(0)) if scaled_first else (F(2), F(3), F(0)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_support_names_the_nonzero_entries_of_x(data):
-    m = data.draw(st.integers(1, 6))
-    nv = data.draw(st.integers(1, 8))
-    objective = data.draw(st.lists(entry, min_size=nv, max_size=nv))
-    rows = data.draw(
-        st.lists(st.lists(entry, min_size=nv, max_size=nv), min_size=m, max_size=m)
-    )
-    rhs = data.draw(st.lists(entry.map(abs), min_size=m, max_size=m))
-    try:
-        sol = solve_max(objective, sparse_columns(rows, nv), rhs)
-    except UnboundedProgramError:
-        return
-    assert sol.support == tuple(j for j, w in enumerate(sol.x) if w)
 
 
 # The duals are updated at each pivot from the entering column's price,
