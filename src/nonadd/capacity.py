@@ -170,6 +170,7 @@ class ProbabilityMeasure:
         return cls(space, tuple(Fraction(1, space.n) for _ in space.states()))
 
     def mass(self, bits: int) -> Fraction:
+        check_mask(bits, self.space)
         total = ZERO
         while bits:
             low = bits & -bits

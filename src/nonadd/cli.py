@@ -58,6 +58,7 @@ from .integrals import (
     psp_integral,
 )
 from .jsonio import FormatError
+from .sets import check_size
 
 
 def _digest(path: str) -> str:
@@ -107,9 +108,7 @@ def _sequence_from_json(obj, capacity) -> FunctionSequence:
 
     if kind == "ramp":
         target = function(obj.get("target", []))
-        steps = integer("steps", 3)
-        if not 1 <= steps <= MAX_DEPTH:
-            raise FormatError(f"ramp 'steps' must be in 1..{MAX_DEPTH}, got {steps}")
+        steps = check_size(integer("steps", 3), "ramp 'steps'", 1, MAX_DEPTH)
         terms = tuple(
             target.scale(Fraction(s, steps)) for s in range(1, steps + 1)
         )
@@ -254,10 +253,8 @@ _MODELS = {
 
 
 def _cmd_converge(args, results: dict) -> bool:
-    if not 1 <= args.depth <= MAX_DEPTH:
-        raise FormatError(f"--depth must be in 1..{MAX_DEPTH}, got {args.depth}")
-    if not 0 <= args.m <= MAX_M:
-        raise FormatError(f"--m must be in 0..{MAX_M}, got {args.m}")
+    check_size(args.depth, "--depth", 1, MAX_DEPTH)
+    check_size(args.m, "--m", 0, MAX_M)
     if args.preset in _MODELS:
         report = countable.monotone_convergence_countable(
             _MODELS[args.preset](), countable.unit_prefix_sequence(), 2 * args.depth
@@ -410,10 +407,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     results: dict = {}
     try:
-        if args.decimal is not None and not 0 <= args.decimal <= MAX_DECIMAL:
-            raise FormatError(
-                f"--decimal must be in 0..{MAX_DECIMAL}, got {args.decimal}"
-            )
+        if args.decimal is not None:
+            check_size(args.decimal, "--decimal", 0, MAX_DECIMAL)
         verdict = _HANDLERS[args.command](args, results)
     except (FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,19 +85,16 @@ class CountableMeasure:
         object.__setattr__(self, "_den", den)
 
     def weight(self, k: int) -> Fraction:
-        if k < 1:
-            raise ValueError("states are numbered from 1")
+        check_size(k, "state", 1)
         return self.tail(k - 1) - self.tail(k)
 
     def tail(self, n: int) -> Fraction:
-        return Fraction(*self._tail_ratio(n))
+        return Fraction(*self._tail_ratio(check_size(n, "tail index", 0)))
 
     def _tail_ratio(self, n: int) -> tuple[int, int]:
-        """``tail(n)`` as an unreduced int pair ``(p, q)``: the one reader
-        of the tail.  A finite family keeps its suffix sums as ints over
-        the lcm ``_den`` of its weight denominators."""
-        if n < 0:
-            raise ValueError("tail index must be nonnegative")
+        """``tail(n)`` as an unreduced int pair ``(p, q)``, ``n`` unchecked:
+        the one reader of the tail.  A finite family keeps its suffix sums
+        as ints over the lcm ``_den`` of its weight denominators."""
         suffix = self._suffix
         if suffix is None:
             return 1, n + 1
@@ -119,8 +116,7 @@ def finite_measure(weights: Sequence[Fraction | int | str]) -> CountableMeasure:
 
 
 def uniform_finite_measure(size: int) -> CountableMeasure:
-    if check_size(size, "size") < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+    check_size(size, "size", 1)
     return finite_measure([Fraction(1, size)] * size)
 
 
@@ -164,8 +160,7 @@ class CountablePartition:
 
     def block_key(self, k: int) -> int:
         """Number of the block containing state ``k`` (head blocks first)."""
-        if k < 1:
-            raise ValueError("states are numbered from 1")
+        check_size(k, "state", 1)
         top = len(self._block_of)
         if k <= top:
             return self._block_of[k - 1]
@@ -248,13 +243,12 @@ class EventuallyConstantFunction:
     tail: Fraction
 
     def __post_init__(self) -> None:
-        horizon = check_size(self.horizon, "horizon")
+        horizon = check_size(self.horizon, "horizon", 0)
         object.__setattr__(self, "values", check_values(self.values, "values", horizon))
         object.__setattr__(self, "tail", check_values((self.tail,), "the tail")[0])
 
     def __call__(self, k: int) -> Fraction:
-        if k < 1:
-            raise ValueError("states are numbered from 1")
+        check_size(k, "state", 1)
         return self.values[k - 1] if k <= self.horizon else self.tail
 
     @cached_property
@@ -274,7 +268,7 @@ class EventuallyConstantFunction:
     @classmethod
     def unit_prefix(cls, n: int) -> EventuallyConstantFunction:
         """Indicator of ``{1..n}``."""
-        return cls(n, (ONE,) * check_size(n, "n"), ZERO)
+        return cls(n, (ONE,) * check_size(n, "n", 0), ZERO)
 
     @classmethod
     def indicator(
@@ -282,10 +276,8 @@ class EventuallyConstantFunction:
     ) -> EventuallyConstantFunction:
         """Indicator of ``members``, each in ``1..horizon``, and of every
         state past ``horizon`` when ``tail_in``: the one spelling of an event."""
-        values = [ZERO] * check_size(horizon, "horizon")
-        for k in check_states(members):
-            if not 1 <= k <= horizon:
-                raise ValueError(f"state {k} outside 1..{horizon}")
+        values = [ZERO] * check_size(horizon, "horizon", 0)
+        for k in check_states(members, 1, horizon):
             values[k - 1] = ONE
         return cls(horizon, tuple(values), ONE if tail_in else ZERO)
 
@@ -379,8 +371,7 @@ def continuity_from_below_countable(
     a :class:`ChainWitness`.  The induced capacity is monotone, so the
     longest prefix alone is replayed: its value 0 is every shorter one's.
     """
-    if check_size(depth, "depth") < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+    check_size(depth, "depth", 1)
     start = model.partition.infinite_atom_start()
     if start is None:
         return PropertyReport(True)
@@ -473,8 +464,7 @@ def monotone_convergence_countable(
     ``t`` the last state of the last complete block (``K`` before an
     infinite block).  So the trace takes time linear in ``depth + K``.
     """
-    if check_size(depth, "depth") < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+    check_size(depth, "depth", 1)
     finite_atoms = model.partition.all_atoms_finite()
     target = countable_psa_integral(seq.limit, model)
     if seq.family == "constant":
@@ -671,9 +661,7 @@ def dyadic_partitions(m: int) -> list[CountablePartition]:
     for the uniform measure on the window).  Stage ``m`` reaches full
     information on the window.
     """
-    if check_size(m, "m") < 0:
-        raise ValueError("m must be nonnegative")
-    size = 1 << m
+    size = 1 << check_size(m, "m", 0)
     stages = []
     for j in range(m + 1):
         width = size >> j

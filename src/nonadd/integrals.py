@@ -69,7 +69,7 @@ class SimpleFunction:
         return cls(space, (c,) * space.n)
 
     def __call__(self, state: int) -> Fraction:
-        return self.values[state]
+        return self.values[check_size(state, "state", 0, self.space.n - 1)]
 
     def __add__(self, other: SimpleFunction) -> SimpleFunction:
         same_space(self, other)
@@ -112,10 +112,11 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
-        masks = [check_size(m, "mask") for _, m in terms]
+        masks = [check_size(m, "mask", 0) for _, m in terms]
         object.__setattr__(self, "terms", _positive(terms, masks))
 
     def indicator_sum(self, space: StateSpace) -> tuple[Fraction, ...]:
+        check_mask(max((m for _, m in self.terms), default=0), space)
         acc = [ZERO] * space.n
         for w, m in self.terms:
             for k in range(space.n):
@@ -127,6 +128,7 @@ class Decomposition:
         return all(a <= b for a, b in zip(self.indicator_sum(f.space), f.values))
 
     def weight_against(self, v: Capacity) -> Fraction:
+        check_mask(max((m for _, m in self.terms), default=0), v.space)
         return sum((w * v.values[m] for w, m in self.terms), ZERO)
 
 

@@ -33,14 +33,9 @@ class StateSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if check_size(self.n, "n") < 1:
-            raise ValueError(f"need at least one state, got n={self.n}")
-        if self.n > DEFAULT_MAX_STATES:
-            # Tables downstream carry 2**n entries; the cap is a guard rail
-            # against accidental blow-ups, not an algorithmic limit.
-            raise ValueError(
-                f"n={self.n} exceeds the limit of {DEFAULT_MAX_STATES} states"
-            )
+        # Tables downstream carry 2**n entries; the cap is a guard rail
+        # against accidental blow-ups, not an algorithmic limit.
+        check_size(self.n, "n", 1, DEFAULT_MAX_STATES)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != self.n:
@@ -59,6 +54,7 @@ class StateSpace:
         return range(self.n)
 
     def label(self, state: int) -> str:
+        check_size(state, "state", 0, self.n - 1)
         return self.labels[state] if self.labels else str(state)
 
     def subset(self, source: int | Iterable[int]) -> SubsetMask:
@@ -66,35 +62,43 @@ class StateSpace:
         if isinstance(source, int):
             return SubsetMask(source, self)
         bits = 0
-        for k in check_states(source):
-            if not 0 <= k < self.n:
-                raise ValueError(f"state {k} outside 0..{self.n - 1}")
+        for k in check_states(source, 0, self.n - 1):
             bits |= 1 << k
         return SubsetMask(bits, self)
 
 
-def check_states(states: Iterable) -> tuple[int, ...]:
-    """``states`` as a tuple, each an ``int`` and not a ``bool``.
+def check_states(states: Iterable, low=None, high=None) -> tuple[int, ...]:
+    """``states`` as a tuple, each an ``int`` and not a ``bool``, and with
+    the bounds given, each in ``low..high``.
 
     Anything else, ``2.7`` or ``True`` included, is a ``ValueError``
     rather than a state truncated to some other one.  The types are read
-    in one pass at C speed, so a block of thousands of states costs about
-    what copying it does.
+    in one pass at C speed and the bounds in one ``min`` and one ``max``,
+    so a block of thousands of states costs about what copying it does.
     """
     states = tuple(states)
     for t in set(map(type, states)):
         if not _is_int(t):
             bad = next(k for k in states if type(k) is t)
             raise ValueError(f"a state is an int, got {bad!r}")
+    if low is not None and states and not low <= min(states) <= max(states) <= high:
+        bad = next(k for k in states if not low <= k <= high)
+        raise ValueError(f"state {bad} outside {low}..{high}")
     return states
 
 
-def check_size(n, what: str) -> int:
+def check_size(n, what: str, low=None, high=None) -> int:
     """``n`` if it is an ``int`` and not a ``bool``, as :func:`check_states`
-    asks of a state; else a ``ValueError`` naming ``what``."""
+    asks of a state, and at least ``low`` and at most ``high`` when they
+    are given; else a ``ValueError`` naming ``what``.  The one bounds rule
+    for an index, a size or a count the library and the CLI read."""
     if not _is_int(type(n)):
         raise ValueError(f"{what} must be an int, got {n!r}")
-    return n
+    if low is None or low <= n and (high is None or n <= high):
+        return n
+    if high is None:
+        raise ValueError(f"{what} must be at least {low}, got {n}")
+    raise ValueError(f"{what} must be in {low}..{high}, got {n}")
 
 
 def _is_int(t: type) -> bool:
@@ -102,11 +106,9 @@ def _is_int(t: type) -> bool:
 
 
 def check_mask(mask, space: StateSpace) -> int:
-    """``mask`` if it is an int by :func:`check_size`'s rule and an event
-    of ``space``, in ``0..space.full_bits``; else a ``ValueError``."""
-    if not 0 <= check_size(mask, "mask") <= space.full_bits:
-        raise ValueError(f"mask {mask} out of range for a {space.n}-state space")
-    return mask
+    """``mask`` if it is an event of ``space``, an int in
+    ``0..space.full_bits`` by :func:`check_size`'s rule; else a ``ValueError``."""
+    return check_size(mask, "mask", 0, space.full_bits)
 
 
 def check_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ...]:

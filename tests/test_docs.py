@@ -232,22 +232,44 @@ def test_each_render_and_state_rule_has_one_site():
         ("countable", "indicator"),
     }
     assert _calls("check_states") == checks
-    # a size, a horizon, a depth or a mask is checked by the same rule, in
-    # sets.check_size
+    # a size, a horizon, a depth, a state read by index or a mask is
+    # checked, type and bounds, by the same rule, in sets.check_size; so
+    # is each CLI count
     sizes = {
         ("sets", "__post_init__"),
+        ("sets", "label"),
         ("sets", "check_mask"),
         ("integrals", "__post_init__"),
+        ("integrals", "__call__"),
+        ("countable", "weight"),
+        ("countable", "tail"),
+        ("countable", "uniform_finite_measure"),
+        ("countable", "block_key"),
         ("countable", "__post_init__"),
+        ("countable", "__call__"),
         ("countable", "indicator"),
         ("countable", "unit_prefix"),
-        ("countable", "uniform_finite_measure"),
         ("countable", "dyadic_partitions"),
         ("countable", "continuity_from_below_countable"),
         ("countable", "monotone_convergence_countable"),
+        ("cli", "_sequence_from_json"),
+        ("cli", "_cmd_converge"),
+        ("cli", "main"),
     }
     assert _calls("check_size") == sizes
     assert not _calls("int") & (checks | sizes)
+    # and no bound of those is written out by hand beside the rule
+    gone = (
+        "states are numbered from 1",
+        "tail index must be nonnegative",
+        "m must be nonnegative",
+        "need at least one state",
+        "exceeds the limit",
+        "out of range for a",
+    )
+    for path in (ROOT / "src" / "nonadd").glob("*.py"):
+        text = path.read_text()
+        assert not [m for m in gone if m in text], path.name
 
 
 def test_each_value_and_mask_rule_has_one_site():
@@ -277,5 +299,8 @@ def test_each_value_and_mask_rule_has_one_site():
         ("capacity", "replay_convexity_violation"),
         ("capacity", "replay_null_additivity_violation"),
         ("integrals", "chain_restricted_value"),
+        ("integrals", "indicator_sum"),
+        ("integrals", "weight_against"),
+        ("capacity", "mass"),
     }
     assert _calls("check_mask") == masks

@@ -1,5 +1,6 @@
 """State spaces, subset masks, partitions, and generated algebras."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,7 @@ from nonadd import (
     psa_integral,
     psp_integral,
     random_capacity,
+    telescoping_measure,
     trivial_model,
     uniform_finite_measure,
     unit_prefix_sequence,
@@ -236,6 +238,81 @@ def test_every_site_refuses_a_size_that_is_not_an_int(site):
         NON_SIZES[site]()
 
 
+# an index read by the library is in its range by sets.check_size's rule,
+# or a state block's by check_states': each row is a read that returned
+# some other entry, or raised an IndexError, before the rule reached it
+_F3 = SimpleFunction.constant(StateSpace(3), 1)
+OUT_OF_BOUNDS = {
+    "SimpleFunction-negative": (
+        lambda: SimpleFunction(StateSpace(2), (1, 2))(-1),
+        "state must be in 0..1, got -1",
+    ),
+    "SimpleFunction-bool": (
+        lambda: SimpleFunction(StateSpace(2), (1, 2))(True),
+        "state must be an int, got True",
+    ),
+    "StateSpace.label": (
+        lambda: StateSpace(2, labels=("a", "b")).label(-1),
+        "state must be in 0..1, got -1",
+    ),
+    "ProbabilityMeasure.mass-negative": (
+        lambda: ProbabilityMeasure.uniform(StateSpace(2)).mass(-1),
+        "mask must be in 0..3, got -1",
+    ),
+    "ProbabilityMeasure.mass-past": (
+        lambda: ProbabilityMeasure.uniform(StateSpace(2)).mass(4),
+        "mask must be in 0..3, got 4",
+    ),
+    "CountableMeasure.tail-float": (
+        lambda: finite_measure(["1/2", "1/2"]).tail(2.5),
+        "tail index must be an int, got 2.5",
+    ),
+    "CountableMeasure.tail-bool": (
+        lambda: telescoping_measure().tail(True),
+        "tail index must be an int, got True",
+    ),
+    "CountableMeasure.weight-bool": (
+        lambda: telescoping_measure().weight(True),
+        "state must be an int, got True",
+    ),
+    "CountablePartition.block_key": (
+        lambda: CountablePartition(width=2).block_key(2.5),
+        "state must be an int, got 2.5",
+    ),
+    "EventuallyConstantFunction-call": (
+        lambda: EventuallyConstantFunction(2, (1, 2), 3)(7.5),
+        "state must be an int, got 7.5",
+    ),
+    "EventuallyConstantFunction.unit_prefix": (
+        lambda: EventuallyConstantFunction.unit_prefix(-1),
+        "n must be at least 0, got -1",
+    ),
+    "EventuallyConstantFunction.indicator": (
+        lambda: EventuallyConstantFunction.indicator(-2),
+        "horizon must be at least 0, got -2",
+    ),
+    "Decomposition-negative": (
+        lambda: Decomposition(((1, -1),)),
+        "mask must be at least 0, got -1",
+    ),
+    "Decomposition.fits_under": (
+        lambda: Decomposition(((1, 9),)).fits_under(_F3),
+        "mask must be in 0..7, got 9",
+    ),
+    "Decomposition.weight_against": (
+        lambda: Decomposition(((1, 9),)).weight_against(random_capacity(3, 1)),
+        "mask must be in 0..7, got 9",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", OUT_OF_BOUNDS)
+def test_every_index_is_read_in_its_bounds(site):
+    read, message = OUT_OF_BOUNDS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read()
+
+
 # a value is exact and nonnegative: each constructor that reads values
 # does so through sets.check_values; each row puts ``x`` at one such site
 NON_VALUES = {
@@ -347,7 +424,7 @@ OUT_OF_SPACE = {
 
 @pytest.mark.parametrize("site", OUT_OF_SPACE)
 def test_every_site_refuses_a_mask_outside_the_space(site):
-    message = r"^mask -?\d+ out of range for a \d-state space$"
+    message = r"^mask must be in 0\.\.\d+, got -?\d+$"
     with pytest.raises(ValueError, match=message):
         OUT_OF_SPACE[site]()
 
@@ -396,7 +473,7 @@ def test_state_space_validation():
     with pytest.raises(ValueError):
         StateSpace(0)
     # the cap of 20 states is a constant: no field overrides it
-    with pytest.raises(ValueError, match="limit of 20 states"):
+    with pytest.raises(ValueError, match=r"^n must be in 1\.\.20, got 21$"):
         StateSpace(21)
     with pytest.raises(TypeError):
         StateSpace(21, max_states=22)

@@ -20,6 +20,7 @@ from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
 from nonadd.convergence import PROFILES, random_capacity
 from nonadd.integrals import brute_force_cav_oracle, concave_integral, psp_integral
 from nonadd.sets import submasks
+from nonadd import simplex
 from nonadd.simplex import LPSolution, UnboundedProgramError, solve_max
 
 
@@ -422,3 +423,21 @@ def test_leaving_column_takes_the_only_copy_of_a_denominator():
     sol = assert_same_solution([F(1, 2), F(1, 3), F(1)], rows, [F(1), F(1)])
     assert sol.x == (F(1), F(0), F(1)) and sol.pivots == 3
     assert sol.duals == (F(1, 2), F(1)) and sol.support == (0, 2)
+
+
+def test_duals_are_handed_over_divided_down(monkeypatch):
+    # the 1/7 column enters, then leaves for the unit cost: dc falls back
+    # to 1 and Y is divided by 7, so every (numerator, denominator) pair
+    # the solver hands to Fraction is already over 1.  The returned
+    # Fractions are reduced either way, so only the pairs see Y's size.
+    pairs = []
+
+    def recorder(*args):
+        pairs.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(simplex, "Fraction", recorder)
+    sol = solve_max([F(1, 7), F(1)], [(0b01, ()), (0b11, ())], [F(1), F(1)])
+    assert sol.x == (F(0), F(1)) and sol.duals == (F(1), F(0))
+    assert sol.pivots == 2 and sol.value == 1
+    assert [q for _, q in (a for a in pairs if len(a) == 2)] == [1] * 4
