@@ -28,6 +28,7 @@ from .sets import (
     StateSpace,
     check_mask,
     check_values,
+    exact_values,
     max_member_table,
     same_space,
     subset_sums,
@@ -127,12 +128,7 @@ class Capacity:
     _scaled: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        values, negative = tuple(self.values), False
-        try:
-            values = check_values(values, "capacity values")
-        except ValueError:  # a negative value, named below after v(empty)
-            values = tuple(map(Fraction, values))  # (a bad string raises again)
-            negative = True
+        values = exact_values(self.values, "capacity values")
         object.__setattr__(self, "values", values)
         n = self.space.n
         if len(values) != 1 << n:
@@ -143,7 +139,7 @@ class Capacity:
         object.__setattr__(self, "_scaled", scaled)
         if scaled[0] != 0:
             raise CapacityError("capacity of the empty set must be 0", (0,))
-        if negative:
+        if min(scaled) < 0:  # the sign, named after v(empty)
             mask = next(m for m, x in enumerate(scaled) if x < 0)
             raise CapacityError(f"negative value at mask {mask}", (mask,))
         pair = _monotonicity_violation(scaled)

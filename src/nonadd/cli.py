@@ -99,9 +99,7 @@ def _sequence_from_json(obj, capacity) -> FunctionSequence:
     space = capacity.space
 
     def function(raw) -> SimpleFunction:
-        if not isinstance(raw, list):
-            raise FormatError(f"sequence function must be a list, got {raw!r}")
-        return SimpleFunction(space, tuple(jsonio.frac_from_str(x) for x in raw))
+        return SimpleFunction(space, jsonio.rationals(raw, "a sequence function"))
 
     def integer(key: str, default=None) -> int:
         return jsonio.int_from_json(obj.get(key, default), f"{kind} {key!r}")
@@ -161,13 +159,23 @@ def _current(f):
     return getattr(sys.modules[f.__module__], f.__name__)
 
 
+def _read(args, name: str):
+    """The JSON document of the file ``--name`` names: the one place an
+    input file is read, and its digest recorded in ``args.inputs`` as it
+    was read, before the command writes anything."""
+    path = getattr(args, name)
+    obj = jsonio.load(path)
+    args.inputs[path] = _digest(path)
+    return obj
+
+
 def _load_inputs(args, names: tuple[str, ...]) -> list:
     missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise FormatError(
             f"{args.command} {args.which}: missing {', '.join(missing)}"
         )
-    return [_current(_LOADERS[n])(jsonio.load(getattr(args, n))) for n in names]
+    return [_current(_LOADERS[n])(_read(args, n)) for n in names]
 
 
 def _cmd_integrate(args, results: dict) -> bool:
@@ -209,7 +217,7 @@ def _cmd_check(args, results: dict) -> bool:
 
 
 def _cmd_cover(args, results: dict) -> bool:
-    v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
+    v = jsonio.capacity_from_obj(_read(args, "capacity"))
     cover = balanced_cover(v)
     equal = cover.values == v.values
     results["equals_original"] = equal
@@ -286,8 +294,8 @@ def _cmd_converge(args, results: dict) -> bool:
 
     if not args.capacity or not args.sequence:
         raise FormatError("need --preset, or --capacity with --sequence")
-    v = jsonio.capacity_from_obj(jsonio.load(args.capacity))
-    seq = _sequence_from_json(jsonio.load(args.sequence), v)
+    v = jsonio.capacity_from_obj(_read(args, "capacity"))
+    seq = _sequence_from_json(_read(args, "sequence"), v)
     integral = _current(_INTEGRALS[args.integral][0])
     exp = monotone_convergence_experiment(seq, v, integral)
     results["modes"] = {
@@ -398,12 +406,10 @@ _HANDLERS = {
     "gen": _cmd_gen,
 }
 
-_INPUT_ARGS = (*_LOADERS, "sequence")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.inputs = {}  # path: digest of each input file, as _read read it
     started = time.perf_counter()
     results: dict = {}
     try:
@@ -418,17 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         # convexity of an induced capacity), not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    inputs = {}
-    for name in _INPUT_ARGS:
-        path = getattr(args, name, None)
-        if path:
-            try:
-                inputs[path] = _digest(path)
-            except OSError:
-                inputs[path] = "unreadable"
     report = {
         "command": [args.command] + ([args.which] if hasattr(args, "which") else []),
-        "inputs": inputs,
+        "inputs": args.inputs,
         "results": results,
         "elapsed_s": round(time.perf_counter() - started, 6),
     }

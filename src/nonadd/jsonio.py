@@ -19,28 +19,16 @@ from typing import Any
 
 from .capacity import Capacity, ProbabilityMeasure
 from .integrals import SimpleFunction
-from .sets import Partition, StateSpace
+# the one text rule for a rational lives in sets, beside the library's
+# reader of values; it is named here too, for the file formats
+from .sets import MAX_DIGITS, FormatError, Partition, StateSpace, _clip, frac_from_str
 
-
-class FormatError(ValueError):
-    """The JSON document does not match the expected schema."""
-
-
-# Most digits in one integer of a rational read from a file: it bounds a
-# hostile file's parse time, and is Python's default int-from-text cap.
-MAX_DIGITS = 4300
 _TOO_LONG = 10**MAX_DIGITS
 
 
 def readable(x: Fraction) -> bool:
     """Does :func:`frac_from_str` read ``frac_to_str(x)`` back?"""
     return abs(x.numerator) < _TOO_LONG and x.denominator < _TOO_LONG
-
-
-def _clip(raw: Any) -> str:
-    """``repr(raw)``, cut to 60 characters for an error message."""
-    text = repr(raw)
-    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
 
 
 def frac_to_str(x: Fraction | int) -> str:
@@ -58,29 +46,6 @@ def frac_to_str(x: Fraction | int) -> str:
         return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
-
-
-def frac_from_str(s: Any) -> Fraction:
-    """An exact rational from a JSON string ``"p/q"``, ``"p"`` or ``"p.d"``.
-
-    ASCII digits and a leading ``-`` only: a JSON number arrives rounded
-    through a float, an exponent would be expanded in full, and the other
-    spellings ``Fraction`` takes (``"+2"``, ``" 3 "``, ``"1_000"``) are not
-    in the file formats.  Each integer has at most ``MAX_DIGITS`` digits.
-    """
-    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise FormatError(f"not a rational: {_clip(s)}")
-    if len(s) > MAX_DIGITS and max(map(len, re.split("[-/.]", s))) > MAX_DIGITS:
-        raise FormatError(
-            f"rational {_clip(s)} has an integer of more than {MAX_DIGITS} digits"
-        )
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"not a rational: {_clip(s)}") from exc
-
-
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
@@ -93,8 +58,19 @@ def int_from_json(raw: Any, what: str) -> int:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
+        if len(raw.lstrip("-")) > MAX_DIGITS:
+            raise FormatError(
+                f"bad {what}: {_clip(raw)} has more than {MAX_DIGITS} digits"
+            )
         return int(raw)
-    raise FormatError(f"bad {what}: need an integer, got {raw!r}")
+    raise FormatError(f"bad {what}: need an integer, got {_clip(raw)}")
+
+
+def rationals(raw: Any, what: str) -> tuple[Fraction, ...]:
+    """A JSON list of rationals, each read by :func:`frac_from_str`."""
+    if not isinstance(raw, list):
+        raise FormatError(f"{what} must be a list of rationals, got {_clip(raw)}")
+    return tuple(map(frac_from_str, raw))
 
 
 def _space(obj: dict) -> StateSpace:
@@ -144,7 +120,7 @@ def capacity_from_obj(obj: dict) -> Capacity:
             raise _key_error(key)
         if type(val) is not str:
             # refused here, ahead of the cache a list value cannot key
-            raise FormatError(f"not a rational: {val!r}")
+            raise FormatError(f"not a rational: {_clip(val)}")
         if val in parsed:
             values[mask] = parsed[val]
         else:
@@ -158,10 +134,7 @@ def measure_to_obj(P: ProbabilityMeasure) -> dict:
 
 def measure_from_obj(obj: dict) -> ProbabilityMeasure:
     space = _space(obj)
-    raw = obj.get("weights")
-    if not isinstance(raw, list):
-        raise FormatError("measure needs a 'weights' list")
-    return ProbabilityMeasure(space, tuple(frac_from_str(w) for w in raw))
+    return ProbabilityMeasure(space, rationals(obj.get("weights"), "'weights'"))
 
 
 def function_to_obj(f: SimpleFunction) -> dict:
@@ -170,10 +143,7 @@ def function_to_obj(f: SimpleFunction) -> dict:
 
 def function_from_obj(obj: dict) -> SimpleFunction:
     space = _space(obj)
-    raw = obj.get("values")
-    if not isinstance(raw, list):
-        raise FormatError("function needs a 'values' list")
-    return SimpleFunction(space, tuple(frac_from_str(x) for x in raw))
+    return SimpleFunction(space, rationals(obj.get("values"), "'values'"))
 
 
 def family_from_obj(obj: dict) -> list[SimpleFunction]:
@@ -181,12 +151,7 @@ def family_from_obj(obj: dict) -> list[SimpleFunction]:
     raw = obj.get("functions")
     if not isinstance(raw, list) or not raw:
         raise FormatError("family needs a nonempty 'functions' list")
-    out = []
-    for row in raw:
-        if not isinstance(row, list):
-            raise FormatError("each family member must be a list of values")
-        out.append(SimpleFunction(space, tuple(frac_from_str(x) for x in row)))
-    return out
+    return [SimpleFunction(space, rationals(row, "a family member")) for row in raw]
 
 
 def partition_to_obj(p: Partition) -> dict:

@@ -13,16 +13,56 @@ workers are safe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 DEFAULT_MAX_STATES = 20
 
 
 class SpaceMismatchError(ValueError):
     """Two operands were built over different state spaces."""
+
+
+class FormatError(ValueError):
+    """A rational's text, or a JSON document, is not in its format."""
+
+
+# Most digits in one integer of a rational read from text: it bounds a
+# hostile input's parse time, and is Python's default int-from-text cap.
+MAX_DIGITS = 4300
+
+
+def _clip(raw: Any) -> str:
+    """``repr(raw)``, cut to 60 characters for an error message."""
+    text = repr(raw)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def frac_from_str(s: Any) -> Fraction:
+    """An exact rational from a string ``"p/q"``, ``"p"`` or ``"p.d"``: the
+    one text rule for a rational, in a file or handed to the library.
+
+    ASCII digits and a leading ``-`` only: a JSON number arrives rounded
+    through a float, an exponent would be expanded in full, and the other
+    spellings ``Fraction`` takes (``"+2"``, ``" 3 "``, ``"1_000"``) are not
+    in the file formats.  Each integer has at most ``MAX_DIGITS`` digits.
+    """
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise FormatError(f"not a rational: {_clip(s)}")
+    if len(s) > MAX_DIGITS and max(map(len, re.split("[-/.]", s))) > MAX_DIGITS:
+        raise FormatError(
+            f"rational {_clip(s)} has an integer of more than {MAX_DIGITS} digits"
+        )
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"not a rational: {_clip(s)}") from exc
 
 
 @dataclass(frozen=True)
@@ -111,22 +151,31 @@ def check_mask(mask, space: StateSpace) -> int:
     return check_size(mask, "mask", 0, space.full_bits)
 
 
-def check_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ...]:
-    """``values`` as a tuple of ``Fraction``s, each exact and nonnegative.
-
-    A value is a ``Fraction``, a string such as ``"1/3"`` or an int by
-    :func:`check_size`'s rule; anything else (``0.5``, ``True``) is a
-    ``TypeError``.  With ``length`` there must be that many.  The sign is
-    read from the numerators, in one pass.
-    """
+def exact_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ...]:
+    """``values`` as a tuple of exact ``Fraction``s, ``length`` of them if
+    given: each a ``Fraction``, a string by :func:`frac_from_str`'s rule or
+    an int by :func:`check_size`'s; anything else (``0.5``, ``True``) is a
+    ``TypeError``."""
     values = tuple(values)
     if set(map(type, values)) != {Fraction}:
         for x in values:
             if not (isinstance(x, (Fraction, str)) or _is_int(type(x))):
                 raise TypeError(f"exact rational required for {what}, got {x!r}")
-        values = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in values)
+        values = tuple(
+            x if isinstance(x, Fraction)
+            else frac_from_str(x) if isinstance(x, str)
+            else Fraction(x)
+            for x in values
+        )
     if length is not None and len(values) != length:
         raise ValueError(f"need {length} {what}, got {len(values)}")
+    return values
+
+
+def check_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ...]:
+    """:func:`exact_values`, each nonnegative: the sign is read from the
+    numerators, in one pass."""
+    values = exact_values(values, what, length)
     if values and min(map(attrgetter("numerator"), values)) < 0:
         raise ValueError(f"{what} must be nonnegative")
     return values
@@ -255,23 +304,15 @@ class AlgebraView:
     """All unions of the atoms of a partition.
 
     A sub-algebra of the powerset: contains the empty set and the whole
-    space, and is closed under complement and union.  ``atoms`` keeps the
-    generating blocks; the largest member inside an event is read from
-    :func:`max_member_table` of the partition, not from this view.
+    space, and is closed under complement and union.  The largest member
+    inside an event is read from :func:`max_member_table` of the
+    partition, not from this view.
     """
 
     members: tuple[SubsetMask, ...]
-    atoms: tuple[SubsetMask, ...]
-
-    @property
-    def space(self) -> StateSpace:
-        return self.atoms[0].space
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self) -> Iterator[SubsetMask]:
-        return iter(self.members)
 
 
 def generated_algebra(partition: Partition) -> AlgebraView:
@@ -283,5 +324,4 @@ def generated_algebra(partition: Partition) -> AlgebraView:
     """
     space = partition.space
     unions = sorted(subset_sums([b.bits for b in partition.blocks]))
-    members = tuple(SubsetMask(bits, space) for bits in unions)
-    return AlgebraView(members, partition.blocks)
+    return AlgebraView(tuple(SubsetMask(bits, space) for bits in unions))

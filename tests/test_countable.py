@@ -140,6 +140,7 @@ class TestMeasures:
         lambda: indicator(2, (3,)),
         lambda: indicator(3, (2.0,)),
         lambda: indicator(3, (True,)),
+        lambda: check_increases_continuously([], telescoping_measure()),
     ],
     ids=[
         "uniform-0",
@@ -152,6 +153,7 @@ class TestMeasures:
         "event-state-past-horizon",
         "event-state-float",
         "event-state-bool",
+        "no-partitions",
     ],
 )
 def test_out_of_range_parameters_rejected(build):

@@ -274,10 +274,11 @@ def test_each_render_and_state_rule_has_one_site():
 
 def test_each_value_and_mask_rule_has_one_site():
     # every constructor of an exact nonnegative object (function, weights,
-    # measure, capacity) reads its values through sets.check_values, and
-    # no module keeps a converter of its own
+    # measure) reads its values through sets.check_values, a capacity
+    # through its converter, exact_values, and no module keeps a
+    # converter of its own
     values = {
-        ("capacity", "__post_init__"),
+        ("capacity", "__post_init__"),  # ProbabilityMeasure's
         ("integrals", "__post_init__"),
         ("integrals", "scale"),
         ("integrals", "_positive"),
@@ -304,3 +305,39 @@ def test_each_value_and_mask_rule_has_one_site():
         ("capacity", "mass"),
     }
     assert _calls("check_mask") == masks
+
+
+def test_each_exact_input_has_one_reader():
+    # a rational's text has one rule, compiled once in sets, and read by
+    # frac_from_str from the library's value reader, a capacity file's
+    # table and jsonio.rationals, the one reader of a list of rationals
+    assigned = _sites(
+        lambda n: isinstance(n, ast.Assign)
+        and any(getattr(t, "id", None) == "_RATIONAL" for t in n.targets)
+    )
+    assert assigned == {("sets", None)}
+    assert _calls("frac_from_str") == {
+        ("sets", "exact_values"),
+        ("jsonio", "capacity_from_obj"),
+    }
+    assert _calls("rationals") == {
+        ("jsonio", "measure_from_obj"),
+        ("jsonio", "function_from_obj"),
+        ("jsonio", "family_from_obj"),
+        ("cli", "function"),
+    }
+    # a capacity reads its values through exact_values and its sign from
+    # the scaled table, so it converts each value once
+    assert _calls("exact_values") == {
+        ("sets", "check_values"),
+        ("capacity", "__post_init__"),
+    }
+    tree = ast.parse((ROOT / "src" / "nonadd" / "capacity.py").read_text())
+    (capacity,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "Capacity"
+    ]
+    called = {_name(n) for n in ast.walk(capacity) if isinstance(n, ast.Call)}
+    assert "exact_values" in called and "check_values" not in called
+    # the CLI reads each input file at one site, which records its digest
+    assert _calls("load") == {("cli", "_read")}
+    assert _calls("_digest") == {("cli", "_read"), ("cli", "_cmd_gen")}

@@ -1,6 +1,7 @@
 """State spaces, subset masks, partitions, and generated algebras."""
 
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -359,6 +360,42 @@ def test_every_site_refuses_a_negative_value(site):
         NON_VALUES[site](F(-1, 2))
 
 
+# a string value is read by the file formats' one text rule,
+# sets.frac_from_str: ASCII "p/q", "p" or "p.d", at most MAX_DIGITS digits
+# an integer.  Each spelling below is one Fraction() took; the exponent
+# took about 14 s and built a 33-Mbit integer.  Refused, each takes well
+# under a millisecond; the bound leaves room for a loaded host.
+NON_RATIONALS = {
+    "exponent": "1e10000000",
+    "plus": "+2",
+    "spaces": " 3 ",
+    "underscore": "1_000",
+    "no-whole-part": ".5",
+    "no-fraction-digits": "5.",
+    "arabic-indic-digit": "\u0661",
+    "4301-digits": "1" * 4301,
+}
+
+
+@pytest.mark.parametrize("text", NON_RATIONALS)
+@pytest.mark.parametrize("site", NON_VALUES)
+def test_every_site_reads_a_string_by_the_file_rule(site, text):
+    started = time.perf_counter()
+    with pytest.raises(
+        ValueError, match="^(not a rational|rational .* more than 4300 digits$)"
+    ):
+        NON_VALUES[site](NON_RATIONALS[text])
+    assert time.perf_counter() - started < 0.1
+
+
+def test_a_capacity_names_a_bad_string_before_any_axiom():
+    # the sign is read from the scaled table, so a value the text rule
+    # refuses is named as such, not lost in a search for a negative one
+    with pytest.raises(ValueError, match="^not a rational: '1e3'$"):
+        Capacity(StateSpace(1), ("0", "1e3"))
+    assert Capacity(StateSpace(1), ("0", "1/2")).values == (0, F(1, 2))
+
+
 # one value per state, one weight per state, one value per state up to the
 # horizon
 SHORT_VALUES = {
@@ -434,6 +471,31 @@ def test_valid_pairs_behind_the_mask_rows_are_accepted():
     assert seq.limit.values == (1, 1)
     g, gap = convexity_gap_witness(_two_state(0, "1/2", "1/2", "1/2"), 1, 2)
     assert g.values == (1, 1) and gap > 0
+
+
+# a whole the library refuses, not one value or mask of it: each row is a
+# raise no other test reaches
+MISSHAPEN = {
+    "FunctionSequence-no-terms": (
+        lambda: FunctionSequence((), F2),
+        "need at least one term",
+    ),
+    "Decomposition-zero-weight": (
+        lambda: Decomposition(((0, 1),)),
+        "weights must be strictly positive",
+    ),
+    "chain_restricted_value-not-nested": (
+        lambda: chain_restricted_value(F2, V2, [1, 2]),
+        "events must be nested decreasingly",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", MISSHAPEN)
+def test_every_misshapen_whole_is_refused(site):
+    build, message = MISSHAPEN[site]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_indicator_refuses_a_bool_mask():

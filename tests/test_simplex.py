@@ -258,6 +258,13 @@ def test_entries_only_column():
     assert sol.x[0] > 0
 
 
+def test_all_zero_entries_leave_the_mask_column():
+    # the entries of a column that are all zero are dropped: the column is
+    # priced and pivoted as its mask alone
+    bare = solve_max([F(1)], [(1, ())], [F(1), F(1)])
+    assert solve_max([F(1)], [(1, ((1, F(0)),))], [F(1), F(1)]) == bare
+
+
 def prime_capacity(n: int) -> Capacity:
     """``v(T) = |T| + 1/p_T``: monotone, one distinct prime denominator per event."""
     primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
