@@ -29,8 +29,10 @@ from .sets import (
     check_mask,
     check_values,
     exact_values,
+    mask_of,
     max_member_table,
     same_space,
+    states_of,
     subset_sums,
 )
 
@@ -167,12 +169,7 @@ class ProbabilityMeasure:
 
     def mass(self, bits: int) -> Fraction:
         check_mask(bits, self.space)
-        total = ZERO
-        while bits:
-            low = bits & -bits
-            total += self.weights[low.bit_length() - 1]
-            bits ^= low
-        return total
+        return sum((self.weights[k] for k in states_of(bits)), ZERO)
 
     @cached_property
     def mass_table(self) -> tuple[Fraction, ...]:
@@ -184,11 +181,7 @@ class ProbabilityMeasure:
 
     def null_states_bits(self) -> int:
         """Mask of the states carrying zero weight (the largest null set)."""
-        bits = 0
-        for k, w in enumerate(self.weights):
-            if w == 0:
-                bits |= 1 << k
-        return bits
+        return mask_of(w == 0 for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -252,21 +245,11 @@ def maximal_null_sets(v: Capacity) -> list[int]:
     """
     values = v._scaled
     full = v.space.full_bits
-    out = []
-    for mask, x in enumerate(values):
-        if x != 0:
-            continue
-        rest = full & ~mask
-        maximal = True
-        while rest:
-            low = rest & -rest
-            if values[mask | low] == 0:
-                maximal = False
-                break
-            rest ^= low
-        if maximal:
-            out.append(mask)
-    return out
+    return [
+        mask
+        for mask, x in enumerate(values)
+        if x == 0 and all(values[mask | 1 << k] for k in states_of(full ^ mask))
+    ]
 
 
 def check_null_additive(v: Capacity) -> PropertyReport:

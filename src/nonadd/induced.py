@@ -32,6 +32,7 @@ from .sets import (
     check_mask,
     max_member_table,
     same_space,
+    states_of,
 )
 
 
@@ -92,11 +93,8 @@ def check_continuity_from_above(ic: InducedCapacity) -> PropertyReport:
     """
     w = ic.witness_map
     for f in range(ic.space.full_bits, 0, -1):
-        rest = f
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            g = f ^ low
+        for k in states_of(f):
+            g = f ^ 1 << k
             if w[g] & ~w[f]:
                 return PropertyReport(False, (g, w[g], w[f] & w[g]))
     return PropertyReport(True)

@@ -38,7 +38,9 @@ from .sets import (
     check_mask,
     check_size,
     check_values,
+    mask_of,
     same_space,
+    states_of,
     submasks,
     subset_sums,
 )
@@ -87,11 +89,7 @@ class SimpleFunction:
 
     def level_set_bits(self, t: Fraction) -> int:
         """Mask of ``{x : f(x) >= t}``."""
-        bits = 0
-        for k, x in enumerate(self.values):
-            if x >= t:
-                bits |= 1 << k
-        return bits
+        return mask_of(x >= t for x in self.values)
 
     def expectation(self, P: ProbabilityMeasure) -> Fraction:
         """The ordinary (additive) integral against ``P``."""
@@ -119,9 +117,8 @@ class Decomposition:
         check_mask(max((m for _, m in self.terms), default=0), space)
         acc = [ZERO] * space.n
         for w, m in self.terms:
-            for k in range(space.n):
-                if m >> k & 1:
-                    acc[k] += w
+            for k in states_of(m):
+                acc[k] += w
         return tuple(acc)
 
     def fits_under(self, f: SimpleFunction) -> bool:
@@ -150,6 +147,7 @@ class FunctionDecomposition:
         return tuple(acc)
 
     def fits_under(self, f: SimpleFunction) -> bool:
+        same_space(f, *(g for _, g in self.terms))
         return all(a <= b for a, b in zip(self.combination(f.space), f.values))
 
     def weight_against(self, P: ProbabilityMeasure) -> Fraction:
@@ -325,7 +323,7 @@ def psp_integral(
     objective = [g.expectation(P) for g in family]
     columns = [
         (
-            sum(1 << x for x, a in enumerate(g.values) if a == 1),
+            mask_of(a == 1 for a in g.values),
             tuple((x, a) for x, a in enumerate(g.values) if a and a != 1),
         )
         for g in family
@@ -350,7 +348,7 @@ def induced_psp_capacity(
     if not family:
         raise ValueError("the known-function family must be nonempty")
     same_space(P, *family)
-    supports = [sum(1 << k for k, x in enumerate(g.values) if x) for g in family]
+    supports = [mask_of(g.values) for g in family]
     table = [ZERO] * P.space.num_subsets
     for bits in range(1, P.space.num_subsets):
         kept = [g for g, s in zip(family, supports) if not s & ~bits]

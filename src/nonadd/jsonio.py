@@ -58,12 +58,17 @@ def int_from_json(raw: Any, what: str) -> int:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
-        if len(raw.lstrip("-")) > MAX_DIGITS:
-            raise FormatError(
-                f"bad {what}: {_clip(raw)} has more than {MAX_DIGITS} digits"
-            )
-        return int(raw)
+        return _int_text(raw, f"bad {what}")
     raise FormatError(f"bad {what}: need an integer, got {_clip(raw)}")
+
+
+def _int_text(raw: str, where: str) -> int:
+    """The int that the decimal text ``raw`` spells, if it has at most
+    ``MAX_DIGITS`` digits; else a :class:`FormatError` that begins with
+    ``where``: a JSON string's rule and a JSON integer literal's."""
+    if len(raw.lstrip("-")) > MAX_DIGITS:
+        raise FormatError(f"{where}: {_clip(raw)} has more than {MAX_DIGITS} digits")
+    return int(raw)
 
 
 def rationals(raw: Any, what: str) -> tuple[Fraction, ...]:
@@ -180,8 +185,9 @@ def load(path: str | Path) -> Any:
         text = Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    where = f"bad integer in {path}"
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda raw: _int_text(raw, where))
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:

@@ -189,18 +189,32 @@ def same_space(*operands) -> StateSpace:
     return space
 
 
+def states_of(mask: int) -> Iterator[int]:
+    """The states of ``mask``, ascending.  ``mask`` is a checked int
+    ``>= 0``: a negative one has no highest bit, so the loop never ends."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(flags: Iterable) -> int:
+    """The mask with bit ``k`` set where the ``k``-th flag is true."""
+    return sum(1 << k for k, x in enumerate(flags) if x)
+
+
 def subset_sums(weights: Sequence) -> list:
     """The sum of ``weights`` over every subset, indexed by mask."""
     table = [weights[0] * 0] * (1 << len(weights))  # a zero of their type
     for mask in range(1, len(table)):
-        low = mask & -mask
+        low = mask & -mask  # a recurrence: the low bit indexes a smaller mask
         table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
     return table
 
 
 def submasks(bits: int) -> list[int]:
     """The nonempty submasks of ``bits``, ascending."""
-    out, t = [], bits & -bits
+    out, t = [], bits & -bits  # a recurrence on submasks, not a read of states
     while t:
         out.append(t)
         t = (t - bits) & bits
@@ -224,11 +238,7 @@ class SubsetMask:
         check_mask(self.bits, self.space)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return states_of(self.bits)
 
     def __repr__(self) -> str:
         inner = ", ".join(self.space.label(k) for k in self)
@@ -293,7 +303,7 @@ def max_member_table(partition: Partition) -> list[int]:
             block_of[k] = block.bits
     table = [0] * partition.space.num_subsets
     for mask in range(1, len(table)):
-        low = mask & -mask
+        low = mask & -mask  # a recurrence: the low bit indexes a smaller mask
         block = block_of[low.bit_length() - 1]
         table[mask] = table[mask ^ low] | (0 if block & ~mask else block)
     return table

@@ -50,6 +50,8 @@ from itertools import compress
 from operator import mul
 from typing import Sequence
 
+from .sets import states_of
+
 
 class UnboundedProgramError(RuntimeError):
     """The objective can grow without bound (never the case for integrals)."""
@@ -155,7 +157,7 @@ def solve_max(
             s = sums.get(rest)
             if s is None:
                 s, bits = 0, rest
-                while bits:
+                while bits:  # inline, not states_of: the hottest loop here
                     low = bits & -bits
                     s += by_bit[low]
                     bits ^= low
@@ -173,7 +175,7 @@ def solve_max(
         # d = adj A'_e = det B^-1 A'_e, for the entering column A'_e times
         # its e; s = Y.A'_e is the entering column's price from the scan
         mask = masks[entering]
-        unit = [k for k in range(m) if mask >> k & 1]
+        unit = list(states_of(mask))
         d = [sum(map(row.__getitem__, unit)) for row in adj]
         col = ints[entering]
         if col:

@@ -307,6 +307,43 @@ def test_each_value_and_mask_rule_has_one_site():
     assert _calls("check_mask") == masks
 
 
+def test_masks_are_read_and_built_at_one_site_each():
+    # a mask's states are read by sets.states_of and a mask is built from
+    # per-state flags by sets.mask_of; the low-bit peel x & -x stays only
+    # there, in the three recurrences that index a smaller mask by it, in
+    # the simplex's pricing scan and in the gen op's floor loop
+    peels = _sites(
+        lambda n: isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.BitAnd)
+        and isinstance(n.right, ast.UnaryOp)
+        and isinstance(n.right.op, ast.USub)
+        and ast.dump(n.left) == ast.dump(n.right.operand)
+    )
+    assert peels == {
+        ("sets", "states_of"),
+        ("sets", "subset_sums"),
+        ("sets", "submasks"),
+        ("sets", "max_member_table"),
+        ("simplex", "solve_max"),
+        ("convergence", "_random_monotone"),
+    }
+    assert _calls("states_of") == {
+        ("sets", "__iter__"),  # SubsetMask's
+        ("capacity", "mass"),
+        ("capacity", "maximal_null_sets"),
+        ("integrals", "indicator_sum"),
+        ("induced", "check_continuity_from_above"),
+        ("simplex", "solve_max"),
+    }
+    assert _calls("mask_of") == {
+        ("capacity", "null_states_bits"),
+        ("integrals", "level_set_bits"),
+        ("integrals", "psp_integral"),
+        ("integrals", "induced_psp_capacity"),
+        ("convergence", "divergence_bits"),
+    }
+
+
 def test_each_exact_input_has_one_reader():
     # a rational's text has one rule, compiled once in sets, and read by
     # frac_from_str from the library's value reader, a capacity file's

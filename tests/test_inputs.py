@@ -90,6 +90,23 @@ def test_a_decimal_string_past_the_digit_cap_is_a_bad_integer(capsys, tmp_path):
     assert len(err) < 200
 
 
+def test_an_integer_literal_past_the_digit_cap_names_its_file(capsys, tmp_path):
+    # a JSON integer literal (not a string) is read by the same digit rule
+    edge = tmp_path / "edge.json"
+    edge.write_text("[" + "1" * jsonio.MAX_DIGITS + "]")
+    assert jsonio.load(edge) == [int("1" * jsonio.MAX_DIGITS)]
+    for digits in ("1" * 5000, "-" + "1" * 5000):
+        path = tmp_path / "long.json"
+        path.write_text('{"n": ' + digits + ', "values": {}}')
+        with pytest.raises(FormatError, match=r" more than 4300 digits$") as caught:
+            jsonio.load(path)
+        assert str(caught.value).startswith(f"bad integer in {path}: ")
+    code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(path))
+    assert (code, report) == (2, None)
+    assert err.startswith(f"error: bad integer in {path}: ")
+    assert "set_int_max_str_digits" not in err and len(err) < 200
+
+
 @pytest.mark.parametrize(
     "read",
     [

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 from helpers import all_set_partitions
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from nonadd import (
     Capacity,
     CapacityError,
@@ -52,7 +54,7 @@ from nonadd.capacity import (
     replay_convexity_violation,
     replay_null_additivity_violation,
 )
-from nonadd.sets import max_member_table, submasks
+from nonadd.sets import mask_of, max_member_table, states_of, submasks
 
 
 def test_singleton_partition_generates_full_powerset():
@@ -87,6 +89,19 @@ def test_algebra_size_and_closure_for_every_partition(n):
             assert space.full_bits & ~a in bits
             for b in bits:
                 assert a | b in bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_states_of_and_mask_of_are_inverse(data):
+    # states_of reads a mask's states ascending, and mask_of builds the
+    # mask back from one flag per state
+    n = data.draw(st.integers(0, 20), label="n")
+    m = data.draw(st.integers(0, (1 << n) - 1), label="mask")
+    states = list(states_of(m))
+    assert states == [k for k in range(n) if m >> k & 1]
+    members = set(states)
+    assert mask_of(k in members for k in range(n)) == m
 
 
 def test_submasks_hand_cases():
@@ -147,6 +162,13 @@ MISMATCHES = {
     "concave_integral": lambda: concave_integral(F2, V3),
     "chain_restricted_value": lambda: chain_restricted_value(F2, V3, [1]),
     "brute_force_cav_oracle": lambda: brute_force_cav_oracle(F2, V3),
+    # a known-function witness against a target over another space
+    "FunctionDecomposition.fits_under-2-state-target": lambda: (
+        FunctionDecomposition(((1, F2),)).fits_under(F3)
+    ),
+    "FunctionDecomposition.fits_under-3-state-target": lambda: (
+        FunctionDecomposition(((1, F3),)).fits_under(F2)
+    ),
     "psa_integral-measure": lambda: psa_integral(F2, P3, B2),
     "psa_integral-partition": lambda: psa_integral(F2, P2, B3),
     "psp_integral-measure": lambda: psp_integral(F2, P3, [F2]),
