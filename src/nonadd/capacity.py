@@ -121,13 +121,14 @@ class Capacity:
     Construction validates the axioms: rejecting a table that is negative
     somewhere, nonzero on the empty set, or non-monotone along some
     covering pair ``(F, F | {k})``.  ``_scaled`` is the same table over
-    one common denominator (see :func:`_scale`), made once here and read
-    by every scan.
+    one common denominator ``_common`` (see :func:`_scale`), made once here
+    and read by every scan.
     """
 
     space: StateSpace
     values: tuple[Fraction, ...]
     _scaled: tuple = field(init=False, repr=False, compare=False, default=())
+    _common: int = field(init=False, repr=False, compare=False, default=1)
 
     def __post_init__(self) -> None:
         values = exact_values(self.values, "capacity values")
@@ -137,8 +138,9 @@ class Capacity:
             raise CapacityError(
                 f"need {1 << n} values for n={n}, got {len(values)}"
             )
-        scaled, _ = _scale(values)
+        scaled, common = _scale(values)
         object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_common", common)
         if scaled[0] != 0:
             raise CapacityError("capacity of the empty set must be 0", (0,))
         if min(scaled) < 0:  # the sign, named after v(empty)

@@ -58,7 +58,7 @@ from .integrals import (
     psp_integral,
 )
 from .jsonio import FormatError
-from .sets import check_size
+from .sets import _clip, check_size
 
 
 def _digest(path: str) -> str:
@@ -116,7 +116,7 @@ def _sequence_from_json(obj, capacity) -> FunctionSequence:
     if kind == "custom":
         rows = obj.get("terms", [])
         if not isinstance(rows, list):
-            raise FormatError(f"custom needs a list of 'terms', got {rows!r}")
+            raise FormatError(f"custom needs a list of 'terms', got {_clip(rows)}")
         terms = tuple(function(row) for row in rows)
         return FunctionSequence(terms, function(obj.get("limit", [])))
     raise FormatError(f"unknown sequence kind {kind!r}")

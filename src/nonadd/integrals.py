@@ -1,7 +1,8 @@
 """The four non-additive integrals and the totally balanced cover.
 
 * :func:`choquet_integral`: layer-cake value of a nonnegative function
-  against a capacity, computed exactly from the finitely many level sets.
+  against a capacity, computed exactly from the finitely many level sets,
+  read off one sort of the states by value.
 * :func:`concave_integral`: the best value of any subdecomposition
   ``sum(w_i * indicator(F_i)) <= f``; a linear program over one weight per
   nonempty subset, solved by exact simplex with a dual certificate.
@@ -26,12 +27,14 @@ is structurally excluded rather than handled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
-from .capacity import Capacity, ProbabilityMeasure
+from .capacity import Capacity, ProbabilityMeasure, _scale
 from .sets import (
     Partition,
     StateSpace,
@@ -87,9 +90,12 @@ class SimpleFunction:
         same_space(self, other)
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def level_set_bits(self, t: Fraction) -> int:
-        """Mask of ``{x : f(x) >= t}``."""
-        return mask_of(x >= t for x in self.values)
+    @cached_property
+    def _scaled(self) -> tuple[tuple, int]:
+        """The values over one common denominator, ``(scaled, common)`` as
+        :func:`~nonadd.capacity._scale` gives them: ints with their factor,
+        or past its budget the Fractions with 1.  Made on first use."""
+        return _scale(self.values)
 
     def expectation(self, P: ProbabilityMeasure) -> Fraction:
         """The ordinary (additive) integral against ``P``."""
@@ -113,20 +119,36 @@ class Decomposition:
         masks = [check_size(m, "mask", 0) for _, m in terms]
         object.__setattr__(self, "terms", _positive(terms, masks))
 
-    def indicator_sum(self, space: StateSpace) -> tuple[Fraction, ...]:
-        check_mask(max((m for _, m in self.terms), default=0), space)
-        acc = [ZERO] * space.n
-        for w, m in self.terms:
-            for k in states_of(m):
-                acc[k] += w
-        return tuple(acc)
+    @cached_property
+    def _numerators(self) -> tuple[list[int], int]:
+        """The weights over their least common denominator ``d``: each
+        weight's numerator over ``d``, and ``d``."""
+        d = math.lcm(*(w.denominator for w, _ in self.terms))
+        return [w.numerator * (d // w.denominator) for w, _ in self.terms], d
 
     def fits_under(self, f: SimpleFunction) -> bool:
-        return all(a <= b for a, b in zip(self.indicator_sum(f.space), f.values))
+        """Is the weighted indicator sum at most ``f`` at every state?
+
+        The sum is taken per state in ints over the weights' ``d``, and
+        ``acc / d <= scaled / common`` is read as ``acc * common <= scaled * d``
+        against ``f``'s scaled values.
+        """
+        check_mask(max((m for _, m in self.terms), default=0), f.space)
+        scaled, common = f._scaled
+        nums, d = self._numerators
+        acc = [0] * f.space.n
+        for p, (_, m) in zip(nums, self.terms):
+            for k in states_of(m):
+                acc[k] += p
+        return all(a * common <= b * d for a, b in zip(acc, scaled))
 
     def weight_against(self, v: Capacity) -> Fraction:
+        """``sum(w * v(m))``, one int sum over the weights' ``d`` and ``v``'s
+        common denominator."""
         check_mask(max((m for _, m in self.terms), default=0), v.space)
-        return sum((w * v.values[m] for w, m in self.terms), ZERO)
+        nums, d = self._numerators
+        total = sum(p * v._scaled[m] for p, (_, m) in zip(nums, self.terms))
+        return Fraction(total, d * v._common)
 
 
 @dataclass(frozen=True)
@@ -184,20 +206,27 @@ def choquet_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
     the value is ``sum_k (t_k - t_{k+1}) * v({f >= t_k})`` with
     ``t_{K+1} = 0``, the exact area under ``t -> v({f >= t})``.  The
     witness is the nested decomposition with those weights, listed largest
-    level set first.
+    level set first.  The states are sorted once by ``f``'s scaled values,
+    and the value is one sum over both scaled tables, divided once.
     """
     same_space(f, v)
-    levels = sorted({x for x in f.values if x > 0}, reverse=True)
-    total = ZERO
-    terms = []
-    for idx, t in enumerate(levels):
-        t_next = levels[idx + 1] if idx + 1 < len(levels) else ZERO
-        w = t - t_next
-        bits = f.level_set_bits(t)
-        total += w * v.values[bits]
-        terms.append((w, bits))
+    scaled, common = f._scaled
+    # each run of equal values joins the level set the larger values built
+    order = sorted(range(f.space.n), key=scaled.__getitem__, reverse=True)
+    levels, bits = [], 0
+    for a, group in groupby(order, key=scaled.__getitem__):
+        if a <= 0:
+            break
+        for k in group:
+            bits |= 1 << k
+        levels.append((a, bits))
+    gaps = [a - b for (a, _), (b, _) in zip(levels, levels[1:] + [(0, 0)])]
+    total = sum(d * v._scaled[m] for d, (_, m) in zip(gaps, levels))
+    terms = [(Fraction(d, common), m) for d, (_, m) in zip(gaps, levels)]
     terms.reverse()  # lowest threshold = largest set first: decreasing chain
-    return IntegralResult(total, Decomposition(tuple(terms)))
+    return IntegralResult(
+        Fraction(total, common * v._common), Decomposition(tuple(terms))
+    )
 
 
 def concave_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:

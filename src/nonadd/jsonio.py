@@ -97,8 +97,8 @@ def _key_error(key: Any) -> FormatError:
     except (TypeError, ValueError):
         canonical = False
     if canonical:
-        return FormatError(f"subset key {key!r} out of range")
-    return FormatError(f"bad subset key {key!r}")
+        return FormatError(f"subset key {_clip(key)} out of range")
+    return FormatError(f"bad subset key {_clip(key)}")
 
 
 def capacity_from_obj(obj: dict) -> Capacity:
@@ -175,7 +175,7 @@ def partition_from_obj(obj: dict) -> Partition:
     for block in raw:
         if not isinstance(block, list):
             raise FormatError("each block must be a list of state indices")
-        what = f"state index in block {block!r}"
+        what = f"state index in block {_clip(block)}"
         groups.append([int_from_json(k, what) for k in block])
     return Partition.from_blocks(space, groups)
 

@@ -36,7 +36,13 @@ MAX_DIGITS = 4300
 
 
 def _clip(raw: Any) -> str:
-    """``repr(raw)``, cut to 60 characters for an error message."""
+    """``repr(raw)``, cut to 60 characters for an error message.
+
+    An int of more than ``MAX_DIGITS`` bits is named by its size: its
+    decimal text could pass Python's digit cap, and would be cut anyway.
+    """
+    if _is_int(type(raw)) and raw.bit_length() > MAX_DIGITS:
+        return f"{'a negative' if raw < 0 else 'an'} int of {raw.bit_length()} bits"
     text = repr(raw)
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
 
@@ -120,10 +126,10 @@ def check_states(states: Iterable, low=None, high=None) -> tuple[int, ...]:
     for t in set(map(type, states)):
         if not _is_int(t):
             bad = next(k for k in states if type(k) is t)
-            raise ValueError(f"a state is an int, got {bad!r}")
+            raise ValueError(f"a state is an int, got {_clip(bad)}")
     if low is not None and states and not low <= min(states) <= max(states) <= high:
         bad = next(k for k in states if not low <= k <= high)
-        raise ValueError(f"state {bad} outside {low}..{high}")
+        raise ValueError(f"state {_clip(bad)} outside {low}..{high}")
     return states
 
 
@@ -133,12 +139,12 @@ def check_size(n, what: str, low=None, high=None) -> int:
     are given; else a ``ValueError`` naming ``what``.  The one bounds rule
     for an index, a size or a count the library and the CLI read."""
     if not _is_int(type(n)):
-        raise ValueError(f"{what} must be an int, got {n!r}")
+        raise ValueError(f"{what} must be an int, got {_clip(n)}")
     if low is None or low <= n and (high is None or n <= high):
         return n
     if high is None:
-        raise ValueError(f"{what} must be at least {low}, got {n}")
-    raise ValueError(f"{what} must be in {low}..{high}, got {n}")
+        raise ValueError(f"{what} must be at least {low}, got {_clip(n)}")
+    raise ValueError(f"{what} must be in {low}..{high}, got {_clip(n)}")
 
 
 def _is_int(t: type) -> bool:

@@ -11,6 +11,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
+from nonadd.integrals import Decomposition, IntegralResult
+from nonadd.sets import mask_of
 from nonadd.simplex import LPSolution, UnboundedProgramError
 
 ZERO = Fraction(0)
@@ -39,8 +41,36 @@ def survival_scan_choquet(f: SimpleFunction, v: Capacity) -> Fraction:
     breakpoints = sorted(set(f.values) | {ZERO})
     total = ZERO
     for lo, hi in zip(breakpoints, breakpoints[1:]):
-        total += (hi - lo) * v.values[f.level_set_bits(hi)]
+        total += (hi - lo) * v.values[mask_of(x >= hi for x in f.values)]
     return total
+
+
+def level_scan_choquet(f: SimpleFunction, v: Capacity) -> IntegralResult:
+    """The layer-cake integral with its nested witness, in Fractions.
+
+    The distinct positive values sorted ``t_1 > ... > t_K``, each level set
+    ``{f >= t_k}`` built by its own scan of the values, weight
+    ``t_k - t_{k+1}``, largest level set first: the reference for
+    ``choquet_integral``, which sorts the states once over scaled ints.
+    """
+    levels = sorted({x for x in f.values if x > 0}, reverse=True)
+    total = ZERO
+    terms = []
+    for t, t_next in zip(levels, levels[1:] + [ZERO]):
+        bits = mask_of(x >= t for x in f.values)
+        total += (t - t_next) * v.values[bits]
+        terms.append((t - t_next, bits))
+    terms.reverse()
+    return IntegralResult(total, Decomposition(tuple(terms)))
+
+
+def prime_capacity(n: int) -> Capacity:
+    """``v(T) = |T| + 1/p_T``: monotone, one distinct prime denominator per event."""
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+    table = [ZERO] + [
+        Fraction(bin(m).count("1")) + Fraction(1, primes[m]) for m in range(1, 1 << n)
+    ]
+    return Capacity(StateSpace(n), tuple(table))
 
 
 def convex_by_all_pairs(v: Capacity) -> tuple[bool, tuple[int, int] | None]:

@@ -548,6 +548,44 @@ def test_integer_past_the_read_limit_gets_a_short_message(capsys, tmp_path):
     assert len(err) < 200
 
 
+# an outsized value in an input file is named in a short message: an int
+# by its size, anything else cut to 60 characters by sets._clip
+_LONG = "x" * 100_000
+OUTSIZED_INPUTS = {
+    "capacity-n-of-4300-digits": ("capacity", '{"n": ' + "1" * 4300 + ', "values": {}}'),
+    "capacity-subset-key": ("capacity", {"n": 1, "values": {"0": "0", _LONG: "1"}}),
+    "partition-block": ("partition", {"n": 2, "blocks": [[0, _LONG], [1]]}),
+    "sequence-terms": ("sequence", {"kind": "custom", "terms": {"t": _LONG}, "limit": ["1"] * 2}),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIZED_INPUTS)
+def test_an_outsized_input_gets_a_short_message(capsys, tmp_path, case):
+    kind, content = OUTSIZED_INPUTS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    space = StateSpace(2)
+    paths = {"bad": str(bad)}
+    for name, obj in (
+        ("capacity", jsonio.capacity_to_obj(Capacity(space, (0, 1, 1, 1)))),
+        ("measure", jsonio.measure_to_obj(ProbabilityMeasure.uniform(space))),
+        ("function", jsonio.function_to_obj(SimpleFunction.constant(space, 1))),
+    ):
+        paths[name] = str(tmp_path / f"{name}.json")
+        jsonio.dump(obj, paths[name])
+    argv = {
+        "capacity": ["check", "monotone", "--capacity", paths["bad"]],
+        "partition": ["integrate", "psa", "--measure", paths["measure"],
+                      "--partition", paths["bad"], "--function", paths["function"]],
+        "sequence": ["converge", "--capacity", paths["capacity"], "--sequence", paths["bad"]],
+    }[kind]
+    code, report, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:")
+    assert len(err) < 250  # at most two values, each clipped
+
+
 def test_assert_flag_on_passing_check(capsys, tmp_path):
     space = StateSpace(2)
     P = ProbabilityMeasure.uniform(space)

@@ -300,7 +300,7 @@ def test_each_value_and_mask_rule_has_one_site():
         ("capacity", "replay_convexity_violation"),
         ("capacity", "replay_null_additivity_violation"),
         ("integrals", "chain_restricted_value"),
-        ("integrals", "indicator_sum"),
+        ("integrals", "fits_under"),
         ("integrals", "weight_against"),
         ("capacity", "mass"),
     }
@@ -331,16 +331,27 @@ def test_masks_are_read_and_built_at_one_site_each():
         ("sets", "__iter__"),  # SubsetMask's
         ("capacity", "mass"),
         ("capacity", "maximal_null_sets"),
-        ("integrals", "indicator_sum"),
+        ("integrals", "fits_under"),
         ("induced", "check_continuity_from_above"),
         ("simplex", "solve_max"),
     }
     assert _calls("mask_of") == {
         ("capacity", "null_states_bits"),
-        ("integrals", "level_set_bits"),
         ("integrals", "psp_integral"),
         ("integrals", "induced_psp_capacity"),
         ("convergence", "divergence_bits"),
+    }
+
+
+def test_values_are_scaled_at_one_site_per_owner():
+    # a table or a function is put over one common denominator by
+    # capacity._scale once, where its owner keeps it; the Choquet integral
+    # and the witness replays read that, and check_dense scales a measure
+    assert _calls("_scale") == {
+        ("capacity", "__post_init__"),  # Capacity's
+        ("integrals", "_scaled"),  # SimpleFunction's
+        ("countable", "_scaled"),  # EventuallyConstantFunction's
+        ("capacity", "check_dense"),
     }
 
 

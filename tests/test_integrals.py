@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lebesgue, survival_scan_choquet
+from helpers import lebesgue, level_scan_choquet, prime_capacity, survival_scan_choquet
 from nonadd import (
     Capacity,
+    Decomposition,
     Partition,
     ProbabilityMeasure,
     SimpleFunction,
@@ -45,12 +46,59 @@ def test_simple_function_validation():
         SimpleFunction(space, (F(-1), F(0)))
     with pytest.raises(ValueError):
         SimpleFunction(space, (F(1),))
-    f = SimpleFunction(space, (F(2), F(1)))
-    assert f.level_set_bits(F(2)) == 0b01
-    assert f.level_set_bits(F(1)) == 0b11
+    f = SimpleFunction(space, (F(2), F(1, 3)))
+    assert f._scaled == ((6, 1), 3)
+
+
+# Mersenne primes past 64 bits: one of them as a denominator puts a
+# function's common denominator past the scaling budget
+BIG_PRIMES = (2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def assert_matches_level_scan(f, v):
+    """``choquet_integral`` equals the Fraction reference: the value, every
+    ``(weight, mask)`` term and their order, each number a ``Fraction``."""
+    result = choquet_integral(f, v)
+    assert result == level_scan_choquet(f, v)
+    numbers = [result.value] + [w for w, _ in result.witness.terms]
+    assert all(type(x) is F for x in numbers)
 
 
 class TestChoquet:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_level_scan_reference(self, data):
+        n = data.draw(st.integers(1, 7), label="n")  # prime_capacity has 7 at most
+        space = StateSpace(n)
+        if data.draw(st.booleans(), label="f past the budget"):
+            pool = [F(0)] + [F(j, p) for j in (1, 2, 3) for p in BIG_PRIMES]
+        else:  # few distinct values: ties and zeros
+            pool = [F(0)] + [F(j, q) for j in range(1, 7) for q in (1, 2, 3, 6)]
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        f = SimpleFunction(space, tuple(values))
+        if data.draw(st.booleans(), label="v past the budget"):
+            v = prime_capacity(n)
+        else:
+            seed = data.draw(st.integers(0, 10**6), label="seed")
+            v = random_capacity(n, seed, data.draw(st.sampled_from(PROFILES)))
+        assert_matches_level_scan(f, v)
+
+    def test_equals_the_level_scan_reference_at_the_edges(self):
+        tops = (1, 0, 2, 1, 0, 3)
+        big = SimpleFunction(StateSpace(6), tuple(map(F, tops, BIG_PRIMES * 2)))
+        v_big = prime_capacity(6)
+        assert big._scaled == (big.values, 1)
+        assert v_big._scaled is v_big.values and v_big._common == 1
+        v6 = random_capacity(6, 3, "general")
+        for f, v in [
+            (big, v_big),
+            (big, v6),
+            (SimpleFunction(v6.space, (3, 0, 1, 3, 1, 0)), v_big),
+            (SimpleFunction.constant(v6.space, F(5, 7)), v6),
+            (SimpleFunction(StateSpace(1), (F(2, 3),)), random_capacity(1, 0, "general")),
+        ]:
+            assert_matches_level_scan(f, v)
+
     def test_indicator_recovers_capacity(self):
         for seed in range(10):
             v = random_capacity(4, seed, "general")
@@ -59,10 +107,11 @@ class TestChoquet:
                 assert choquet_integral(f, v).value == v.values[mask]
 
     def test_zero_function(self):
-        v = random_capacity(3, 0, "general")
-        result = choquet_integral(SimpleFunction.constant(v.space, 0), v)
-        assert result.value == 0
-        assert result.witness.terms == ()
+        # n = 1 and a capacity past the scaling budget too
+        for v in (random_capacity(3, 0, "general"), prime_capacity(1), prime_capacity(6)):
+            result = choquet_integral(SimpleFunction.constant(v.space, 0), v)
+            assert result.value == 0 and type(result.value) is F
+            assert result.witness.terms == ()
 
     def test_worked_example_against_survival_scan(self):
         space = StateSpace(2)
@@ -125,6 +174,22 @@ class TestChoquet:
                 )
                 chain = [masks[0], masks[0] & masks[1], masks[0] & masks[1] & masks[2]]
                 assert chain_restricted_value(f, v, chain) <= target.value
+
+
+def test_fits_under_at_the_boundary_with_mixed_denominators():
+    # the weights 1/3, 1/4 and 1/6 sum to (1/2, 7/12, 5/12) state by state
+    witness = Decomposition(((F(1, 3), 0b011), (F(1, 4), 0b110), (F(1, 6), 0b101)))
+    space = StateSpace(3)
+    sums = (F(1, 2), F(7, 12), F(5, 12))
+    assert witness.fits_under(SimpleFunction(space, sums))
+    for k in range(3):
+        for margin in (F(1, 84), F(1, BIG_PRIMES[2])):  # within and past the budget
+            under = list(sums)
+            under[k] -= margin
+            assert not witness.fits_under(SimpleFunction(space, tuple(under)))
+            over = [x + margin for x in sums]
+            over[k] = sums[k]  # equal at k, above elsewhere
+            assert witness.fits_under(SimpleFunction(space, tuple(over)))
 
 
 class TestConcave:

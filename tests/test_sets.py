@@ -54,7 +54,15 @@ from nonadd.capacity import (
     replay_convexity_violation,
     replay_null_additivity_violation,
 )
-from nonadd.sets import mask_of, max_member_table, states_of, submasks
+from nonadd.sets import (
+    _clip,
+    check_size,
+    check_states,
+    mask_of,
+    max_member_table,
+    states_of,
+    submasks,
+)
 
 
 def test_singleton_partition_generates_full_powerset():
@@ -334,6 +342,35 @@ def test_every_index_is_read_in_its_bounds(site):
     read, message = OUT_OF_BOUNDS[site]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read()
+
+
+# an outsized int in a refusal is named by its size through sets._clip:
+# the message stays short, and an int past Python's 4,300-digit text cap
+# gets the library's message, not the cap's
+OUTSIZED = {
+    "check_size-4300-digits": lambda: check_size(int("1" * 4300), "n", 1, 20),
+    "check_size-past-the-cap": lambda: check_size(10**5000, "n", 1, 20),
+    "check_size-at-least": lambda: check_size(-(10**5000), "mask", 0),
+    "check_size-not-an-int": lambda: check_size("1" * 5000, "n"),
+    "StateSpace": lambda: StateSpace(10**5000),
+    "check_states": lambda: check_states([0, 10**5000], 0, 3),
+    "check_states-not-an-int": lambda: check_states(["1" * 5000]),
+    "SimpleFunction-call": lambda: SimpleFunction.constant(StateSpace(2), 1)(10**5000),
+}
+
+
+@pytest.mark.parametrize("site", OUTSIZED)
+def test_an_outsized_int_gets_a_short_message(site):
+    with pytest.raises(ValueError, match="^(n|mask|state|a state) ") as caught:
+        OUTSIZED[site]()
+    assert len(str(caught.value)) < 200
+
+
+def test_clip_names_an_int_past_the_digit_cap_by_its_bits():
+    assert _clip(10**5000) == "an int of 16610 bits"
+    assert _clip(-(10**5000)) == "a negative int of 16610 bits"
+    assert _clip(10**50) == repr(10**50)
+    assert _clip("x" * 100) == repr("x" * 60)[:60] + "... (102 chars)"
 
 
 # a value is exact and nonnegative: each constructor that reads values

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_solve_max, sparse_columns
-from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
+from helpers import dense_solve_max, prime_capacity, sparse_columns
+from nonadd import ProbabilityMeasure, SimpleFunction, StateSpace
 from nonadd.convergence import PROFILES, random_capacity
 from nonadd.integrals import brute_force_cav_oracle, concave_integral, psp_integral
 from nonadd.sets import submasks
@@ -263,13 +263,6 @@ def test_all_zero_entries_leave_the_mask_column():
     # priced and pivoted as its mask alone
     bare = solve_max([F(1)], [(1, ())], [F(1), F(1)])
     assert solve_max([F(1)], [(1, ((1, F(0)),))], [F(1), F(1)]) == bare
-
-
-def prime_capacity(n: int) -> Capacity:
-    """``v(T) = |T| + 1/p_T``: monotone, one distinct prime denominator per event."""
-    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
-    table = [F(0)] + [F(bin(m).count("1")) + F(1, primes[m]) for m in range(1, 1 << n)]
-    return Capacity(StateSpace(n), tuple(table))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
