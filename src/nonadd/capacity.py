@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import gt
+from operator import gt, indexOf, ne
 from typing import Sequence
 
 from .sets import (
@@ -30,7 +30,6 @@ from .sets import (
     check_values,
     exact_values,
     mask_of,
-    max_member_table,
     same_space,
     states_of,
     subset_sums,
@@ -78,8 +77,9 @@ def _scale(values: tuple[Fraction, ...]) -> tuple[tuple, int]:
     return tuple([p * factor[d] for p, d in ratios]), common
 
 
-def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
-    """First covering pair ``(F, F | {k})`` with ``v(F) > v(F | {k})``, if any.
+def _first_step(values: Sequence, op=gt, states: int = -1) -> tuple[int, int] | None:
+    """First covering pair ``(F, F | {k})``, ``k`` in ``states``, with
+    ``op(v(F), v(F | {k}))``, if any: by default a dip, a monotonicity failure.
 
     Covering pairs suffice: any ``F ⊆ E`` is reached by adding one state
     at a time, so monotonicity along covers implies it in general.
@@ -87,28 +87,29 @@ def _monotonicity_violation(values: Sequence) -> tuple[int, int] | None:
     For bit ``k`` (``s = 2**k``) the pairs are compared slice against
     slice: offsets ``values[r::2s]`` against ``values[r+s::2s]`` for each
     ``r < s``, or blocks ``values[b:b+s]`` against ``values[b+s:b+2s]``,
-    whichever shape gives fewer slices.  The witness is the dip with the
+    whichever shape gives fewer slices.  The witness is the pair with the
     smallest upper mask ``F | {k}``, the lowest ``k`` on ties: the pair a
     scan by ascending mask, then ascending bit, meets first.
     """
-    size = len(values)
-    best = None
+    best, end = None, len(values)  # a pair found next has its upper mask below end
     s = 1
-    while s < size:
+    while s < end:
         step = s << 1
-        if s * step <= size:
-            starts, stride, span = range(s), step, size
-        else:
-            starts, stride, span = range(0, size, step), 1, s
-        for lo in starts:
-            below = values[lo : lo + span : stride]
-            above = values[lo + s : lo + s + span : stride]
-            if any(map(gt, below, above)):
-                mask = lo + s + stride * list(map(gt, below, above)).index(True)
-                if best is None or mask < best[1]:
-                    best = (mask - s, mask)
-                if stride == 1:
-                    break  # later blocks hold only larger masks
+        if s & states:
+            if s * step <= len(values):
+                starts, stride = range(s), step
+            else:
+                starts, stride = range(0, end - s, step), 1
+            for lo in starts:
+                stop = end - s if stride > 1 else lo + s  # a block ends at lo + s
+                below = values[lo : stop : stride]
+                above = values[lo + s : stop + s : stride]
+                if any(map(op, below, above)):
+                    mask = lo + s + stride * indexOf(map(op, below, above), True)
+                    if mask < end:
+                        best, end = (mask - s, mask), mask
+                    if stride == 1:
+                        break  # later blocks hold only larger masks
         s = step
     return best
 
@@ -146,7 +147,7 @@ class Capacity:
         if min(scaled) < 0:  # the sign, named after v(empty)
             mask = next(m for m, x in enumerate(scaled) if x < 0)
             raise CapacityError(f"negative value at mask {mask}", (mask,))
-        pair = _monotonicity_violation(scaled)
+        pair = _first_step(scaled)
         if pair is not None:
             below, mask = pair
             raise CapacityError(f"not monotone: v({below}) > v({mask})", pair)
@@ -208,7 +209,7 @@ def check_monotone(v: Capacity) -> PropertyReport:
     enforces the same scan), so this is the replayable form of that
     invariant.
     """
-    pair = _monotonicity_violation(v._scaled)
+    pair = _first_step(v._scaled)
     return PropertyReport(pair is None, pair)
 
 
@@ -257,58 +258,54 @@ def maximal_null_sets(v: Capacity) -> list[int]:
 def check_null_additive(v: Capacity) -> PropertyReport:
     """Null-additivity: ``v(E | F) = v(F)`` whenever ``v(E) = 0``.
 
-    Only inclusion-maximal null sets need checking: if the condition holds
-    for a maximal ``E'`` containing ``E`` then monotonicity squeezes
-    ``v(F) <= v(E | F) <= v(E' | F) = v(F)``.
+    A null ``E`` fails iff a state ``k`` of it moves ``v`` along a covering
+    pair ``(G, G | {k})``: then ``v(E | G) > v(G)``, and a failure at ``F``
+    is a move on the way up from ``F`` to ``E | F``.  Every state of a null
+    set is null, so it holds iff no null state moves ``v``; else the
+    witness is the first maximal null set that fails, and its first ``F``.
     """
     values = v._scaled
-    for e in maximal_null_sets(v):
-        if e == 0:
-            continue
-        for f in range(v.space.num_subsets):
-            if values[e | f] != values[f]:
-                return PropertyReport(False, (e, f))
-    return PropertyReport(True)
+    nulls = mask_of(values[1 << k] == 0 for k in v.space.states())
+    if _first_step(values, ne, nulls) is None:
+        return PropertyReport(True)
+    e = next(e for e in maximal_null_sets(v) if _first_step(values, ne, e))
+    f = next(f for f in range(len(values)) if values[e | f] != values[f])
+    return PropertyReport(False, (e, f))
 
 
 def check_P_null_additive(v: Capacity, P: ProbabilityMeasure) -> PropertyReport:
     """``v(G) = v(F)`` whenever ``G`` is ``F`` minus a ``P``-null portion.
 
     ``P(F - G) = 0`` exactly when ``F - G`` sits inside the set ``N`` of
-    zero-weight states, so for fixed ``F`` the extreme admissible ``G`` is
-    ``F - N``; monotonicity makes that single comparison decide all of
-    them.  With strictly positive ``P`` the property holds vacuously.
+    zero-weight states, so by monotonicity ``G = F - N`` decides each
+    ``F``.  ``v(F - N) < v(F)`` iff a covering pair on the way up adds a
+    state of ``N`` and moves ``v``, and the upper mask ``U`` of such a
+    pair fails too: the first failing ``F`` is the first such ``U``.
     """
     same_space(v, P)
     null_bits = P.null_states_bits()
-    if null_bits == 0:
-        return PropertyReport(True)
-    values = v._scaled
-    for f in range(v.space.num_subsets):
-        g = f & ~null_bits
-        if values[g] != values[f]:
-            return PropertyReport(False, (g, f))
-    return PropertyReport(True)
+    _, f = _first_step(v._scaled, ne, null_bits) or (0, 0)  # an upper mask is never 0
+    return PropertyReport(f == 0, None if f == 0 else (f & ~null_bits, f))
 
 
 def check_dense(partition: Partition, P: ProbabilityMeasure) -> PropertyReport:
     """Is every event approximable from inside by an algebra member?
 
     Density of the algebra the partition generates: for every ``F`` there
-    is a member ``A`` contained in ``F`` with ``P(F - A) = 0``.  Since
-    members are closed under union it suffices to look at the largest
-    member inside ``F``, read from :func:`~nonadd.sets.max_member_table`.
-    The witness ``(F, A_F)`` is the first event with the largest mass gap.
+    is a member ``A`` contained in ``F`` with ``P(F - A) = 0``.  The gap
+    ``P(F - A)`` of the largest, the blocks inside ``F``, sums ``P(F & B)``
+    over the blocks ``B`` not inside ``F``: it is largest block by block,
+    at ``B`` less its zero-weight states if any, else less its
+    highest-numbered lightest state.  That ``F``, the first with the largest
+    gap, holds no block: it is empty iff dense, else the witness is ``(F, 0)``.
     """
     same_space(partition, P)
-    mass = subset_sums(_scale(P.weights)[0])
-    below = max_member_table(partition)
-    gaps = [mass[f & ~a] for f, a in enumerate(below)]
-    worst_gap = max(gaps)
-    if not worst_gap:
-        return PropertyReport(True)
-    f = gaps.index(worst_gap)
-    return PropertyReport(False, (f, below[f]))
+    null_bits, w = P.null_states_bits(), P.weights
+    f = 0
+    for block in partition.blocks:
+        light = min(block, key=lambda k: (w[k], -k))
+        f |= block.bits & ~(null_bits if w[light] == 0 else 1 << light)
+    return PropertyReport(f == 0, None if f == 0 else (f, 0))
 
 
 def replay_convexity_violation(v: Capacity, e: int, f: int) -> bool:

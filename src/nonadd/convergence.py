@@ -25,10 +25,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 
 from .capacity import (
     Capacity,
     ProbabilityMeasure,
+    _first_step,
     check_null_additive,
     maximal_null_sets,
 )
@@ -37,7 +39,7 @@ from .integrals import (
     choquet_integral,
     concave_integral,
 )
-from .sets import Partition, StateSpace, check_mask, mask_of, same_space
+from .sets import Partition, StateSpace, check_mask, check_size, mask_of, same_space
 
 ZERO = Fraction(0)
 
@@ -106,15 +108,15 @@ def converges_strong_ae(seq: FunctionSequence, v: Capacity) -> ConvergenceReport
     """Strong almost-everywhere convergence.
 
     Inside every event ``F`` the converging part must carry the event's
-    whole capacity: ``v(F & C) == v(F)`` for the convergence set ``C``.
-    The witness is an event where the equality fails.
+    whole capacity, ``v(F - D) = v(F)`` for the divergence set ``D``.  The
+    witness is the first failing ``F``, found as in ``check_P_null_additive``.
     """
     same_space(seq, v)
-    conv = seq.space.full_bits & ~seq.divergence_bits()
-    for f in range(seq.space.num_subsets):
-        if v.values[f & conv] != v.values[f]:
-            return ConvergenceReport(False, (f, v.values[f & conv], v.values[f]))
-    return ConvergenceReport(True)
+    d = seq.divergence_bits()
+    _, f = _first_step(v._scaled, ne, d) or (0, 0)  # an upper mask is never 0
+    if not f:
+        return ConvergenceReport(True)
+    return ConvergenceReport(False, (f, v.values[f & ~d], v.values[f]))
 
 
 def converges_P_ae(seq: FunctionSequence, P: ProbabilityMeasure) -> ConvergenceReport:
@@ -320,6 +322,7 @@ def generate_sequences(
     Sufficiency sweeps are universally quantified over this family, not
     over all sequences, and documented as such.
     """
+    count = check_size(count, "count", 0)
     rng = random.Random(f"{seed}|sequences")
     space = v.space
     out: list[FunctionSequence] = []

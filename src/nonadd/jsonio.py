@@ -183,7 +183,7 @@ def partition_from_obj(obj: dict) -> Partition:
 def load(path: str | Path) -> Any:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     where = f"bad integer in {path}"
     try:

@@ -166,7 +166,7 @@ def exact_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ..
     if set(map(type, values)) != {Fraction}:
         for x in values:
             if not (isinstance(x, (Fraction, str)) or _is_int(type(x))):
-                raise TypeError(f"exact rational required for {what}, got {x!r}")
+                raise TypeError(f"exact rational required for {what}, got {_clip(x)}")
         values = tuple(
             x if isinstance(x, Fraction)
             else frac_from_str(x) if isinstance(x, str)

@@ -22,15 +22,18 @@ from helpers import (
 from nonadd import (
     Capacity,
     CapacityError,
+    FunctionSequence,
     Partition,
     ProbabilityMeasure,
     PropertyReport,
+    SimpleFunction,
     StateSpace,
     check_convex,
     check_dense,
     check_monotone,
     check_null_additive,
     check_P_null_additive,
+    converges_strong_ae,
     generated_algebra,
     jsonio,
     random_capacity,
@@ -352,6 +355,14 @@ def ref_P_null_additive(values, weights):
     return PropertyReport(True)
 
 
+def ref_strong_ae(values, divergence):
+    conv = len(values) - 1 & ~divergence
+    for f in range(len(values)):
+        if values[f & conv] != values[f]:
+            return (f, values[f & conv], values[f])
+    return None
+
+
 def ref_dense(blocks, weights):
     def mass(bits):
         return sum((w for k, w in enumerate(weights) if bits >> k & 1), F(0))
@@ -369,7 +380,7 @@ def ref_dense(blocks, weights):
     return PropertyReport(False, worst)
 
 
-def assert_kernel_matches_reference(n, values, weights, groups):
+def assert_kernel_matches_reference(n, values, weights, groups, divergence):
     space = StateSpace(n)
     expected = ref_validate(values)
     if expected is not None:
@@ -386,6 +397,12 @@ def assert_kernel_matches_reference(n, values, weights, groups):
     partition = Partition.from_blocks(space, groups)
     blocks = [b.bits for b in partition.blocks]
     assert check_dense(partition, P) == ref_dense(blocks, weights)
+    # a sequence that stays at 0 where its limit is 1: it diverges there
+    zero = SimpleFunction.constant(space, 0)
+    seq = FunctionSequence((zero,), SimpleFunction.indicator(space, divergence))
+    strong = converges_strong_ae(seq, v)
+    assert strong.witness == ref_strong_ae(values, divergence)
+    assert strong.holds == (strong.witness is None)
 
 
 @st.composite
@@ -419,7 +436,8 @@ def kernel_cases(draw):
     groups = {}
     for state, label in enumerate(labels):
         groups.setdefault(label, []).append(state)
-    return n, tuple(values), weights, list(groups.values())
+    divergence = draw(st.integers(0, size - 1))
+    return n, tuple(values), weights, list(groups.values()), divergence
 
 
 def prime_table(n, power):
@@ -444,8 +462,44 @@ class TestScaledKernel:
         assert v._scaled is v.values  # common denominator over budget
         weights = (F(0),) + (F(1, 5),) * 5
         groups = [[0, 1], [2], [3, 4, 5]]
-        assert_kernel_matches_reference(6, values, weights, groups)
+        assert_kernel_matches_reference(6, values, weights, groups, 0b100101)
         assert check_convex(v).holds == (power == 2)
+
+    @pytest.mark.parametrize("moves", [False, True])
+    def test_over_budget_verdicts_match_reference(self, moves):
+        """Each per-state verdict, holding and failing, past the budget.
+
+        The states of ``N = {0, 3}`` are null.  With ``moves`` each adds
+        its own ``+1`` and ``v`` reads a prime denominator off all of
+        ``F``, so every one of them moves ``v``; without, ``v`` reads only
+        ``F - N``.  The weights have prime denominators too, zero on ``N``.
+        """
+        null, primes = 0b001001, prime_table(6, 0)
+        values = [F(0)] * 64
+        for m in range(64):
+            if m & ~null:
+                values[m] = 2 * bin(m & ~null).count("1") ** 2 + primes[m & ~null]
+                if moves:
+                    values[m] += bin(m & null).count("1") + primes[m]
+        v = Capacity(StateSpace(6), tuple(values))
+        assert v._scaled is v.values  # common denominator over budget
+        primes = (2, 3, 5, 7, 11, 13)
+        raw = [F(0) if null >> k & 1 else F(1, p) for k, p in enumerate(primes)]
+        weights = tuple(w / sum(raw) for w in raw)
+        # N is one block of no mass: dense iff the other blocks are singletons
+        groups = [[0, 3], [1, 2], [4], [5]] if moves else [[0, 3], [1], [2], [4], [5]]
+        assert_kernel_matches_reference(6, tuple(values), weights, groups, null)
+        P = ProbabilityMeasure(StateSpace(6), weights)
+        partition = Partition.from_blocks(v.space, groups)
+        zero = SimpleFunction.constant(v.space, 0)
+        seq = FunctionSequence((zero,), SimpleFunction.indicator(v.space, null))
+        verdicts = (
+            check_null_additive(v).holds,
+            check_P_null_additive(v, P).holds,
+            converges_strong_ae(seq, v).holds,
+            check_dense(partition, P).holds,
+        )
+        assert verdicts == (not moves,) * 4
 
     def test_over_budget_non_monotone_table_matches_reference(self):
         values = list(prime_table(6, 2))

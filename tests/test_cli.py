@@ -690,6 +690,15 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
     assert "bad state index" in err
 
 
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, report, err = run_cli(capsys, "check", "monotone", "--capacity", str(bad))
+    assert code == 2
+    assert report is None
+    assert err.startswith(f"error: cannot read {bad}: ")
+
+
 def test_dimension_mismatch_is_diagnosed(capsys, tmp_path):
     space2, space3 = StateSpace(2), StateSpace(3)
     cap = tmp_path / "c.json"

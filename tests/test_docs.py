@@ -252,6 +252,7 @@ def test_each_render_and_state_rule_has_one_site():
         ("countable", "dyadic_partitions"),
         ("countable", "continuity_from_below_countable"),
         ("countable", "monotone_convergence_countable"),
+        ("convergence", "generate_sequences"),
         ("cli", "_sequence_from_json"),
         ("cli", "_cmd_converge"),
         ("cli", "main"),
@@ -337,6 +338,7 @@ def test_masks_are_read_and_built_at_one_site_each():
     }
     assert _calls("mask_of") == {
         ("capacity", "null_states_bits"),
+        ("capacity", "check_null_additive"),
         ("integrals", "psp_integral"),
         ("integrals", "induced_psp_capacity"),
         ("convergence", "divergence_bits"),
@@ -345,14 +347,28 @@ def test_masks_are_read_and_built_at_one_site_each():
 
 def test_values_are_scaled_at_one_site_per_owner():
     # a table or a function is put over one common denominator by
-    # capacity._scale once, where its owner keeps it; the Choquet integral
-    # and the witness replays read that, and check_dense scales a measure
+    # capacity._scale once, where its owner keeps it; the Choquet integral,
+    # the witness replays and the table scans read that
     assert _calls("_scale") == {
         ("capacity", "__post_init__"),  # Capacity's
         ("integrals", "_scaled"),  # SimpleFunction's
         ("countable", "_scaled"),  # EventuallyConstantFunction's
-        ("capacity", "check_dense"),
     }
+
+
+def test_finite_verdicts_share_one_covering_pair_scan():
+    # monotonicity, null-additivity, P-null-additivity and strong a.e.
+    # convergence are each decided state by state by capacity._first_step
+    assert _calls("_first_step") == {
+        ("capacity", "__post_init__"),  # Capacity's
+        ("capacity", "check_monotone"),
+        ("capacity", "check_null_additive"),
+        ("capacity", "check_P_null_additive"),
+        ("convergence", "converges_strong_ae"),
+    }
+    # and density in closed form, block by block, with no 2**n table
+    for table in ("subset_sums", "max_member_table", "_scale"):
+        assert ("capacity", "check_dense") not in _calls(table)
 
 
 def test_each_exact_input_has_one_reader():

@@ -37,6 +37,7 @@ from nonadd import (
     counterexample_null_additivity,
     dyadic_partitions,
     finite_measure,
+    generate_sequences,
     generated_algebra,
     induce,
     induced_psp_capacity,
@@ -334,6 +335,18 @@ OUT_OF_BOUNDS = {
         lambda: Decomposition(((1, 9),)).weight_against(random_capacity(3, 1)),
         "mask must be in 0..7, got 9",
     ),
+    "generate_sequences-negative": (
+        lambda: generate_sequences(random_capacity(2, 0), count=-1),
+        "count must be at least 0, got -1",
+    ),
+    "generate_sequences-float": (
+        lambda: generate_sequences(random_capacity(2, 0), count=2.5),
+        "count must be an int, got 2.5",
+    ),
+    "generate_sequences-bool": (
+        lambda: generate_sequences(random_capacity(2, 0), count=True),
+        "count must be an int, got True",
+    ),
 }
 
 
@@ -398,6 +411,13 @@ NON_VALUES = {
         EventuallyConstantFunction.constant(x)
     ),
 }
+
+
+def test_an_outsized_value_gets_a_short_message():
+    # the refused value is named through sets._clip, not by its full repr
+    with pytest.raises(TypeError, match="^exact rational required for ") as caught:
+        SimpleFunction(StateSpace(1), ([0] * 100_000,))
+    assert len(str(caught.value)) < 200
 
 
 @pytest.mark.parametrize("inexact", [0.5, True], ids=["float", "bool"])
