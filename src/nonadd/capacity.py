@@ -32,6 +32,7 @@ from .sets import (
     mask_of,
     same_space,
     states_of,
+    submasks,
     subset_sums,
 )
 
@@ -132,14 +133,20 @@ class Capacity:
     _common: int = field(init=False, repr=False, compare=False, default=1)
 
     def __post_init__(self) -> None:
-        values = exact_values(self.values, "capacity values")
-        object.__setattr__(self, "values", values)
+        table = keys = tuple(self.values)
+        # a file's table repeats a few hundred strings over thousands of
+        # subsets: each distinct string is read and scaled once, then looked up
+        if table and type(table[0]) is str and set(map(type, table)) == {str}:
+            keys = tuple(dict.fromkeys(table))
+        values = exact_values(keys, "capacity values")
         n = self.space.n
-        if len(values) != 1 << n:
-            raise CapacityError(
-                f"need {1 << n} values for n={n}, got {len(values)}"
-            )
+        if len(table) != 1 << n:
+            raise CapacityError(f"need {1 << n} values for n={n}, got {len(table)}")
         scaled, common = _scale(values)
+        if keys is not table:
+            values = tuple(map(dict(zip(keys, values)).__getitem__, table))
+            scaled = tuple(map(dict(zip(keys, scaled)).__getitem__, table))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_scaled", scaled)
         object.__setattr__(self, "_common", common)
         if scaled[0] != 0:
@@ -244,14 +251,17 @@ def maximal_null_sets(v: Capacity) -> list[int]:
 
     ``E`` is maximal-null iff ``v(E) = 0`` and adding any single state makes
     the value positive.  Every null set sits inside a maximal one, so
-    quantifiers over null sets can range over these only.
+    quantifiers over null sets can range over these only.  By monotonicity
+    a null set holds only null states, and adding a state that is not null
+    makes the value positive: the scan ranges over the submasks of the null
+    states, and adds null states only.
     """
     values = v._scaled
-    full = v.space.full_bits
+    bits = [1 << k for k in v.space.states() if values[1 << k] == 0]  # the null states
     return [
         mask
-        for mask, x in enumerate(values)
-        if x == 0 and all(values[mask | 1 << k] for k in states_of(full ^ mask))
+        for mask in [0, *submasks(sum(bits))]
+        if values[mask] == 0 and all(values[mask | b] for b in bits if not mask & b)
     ]
 
 

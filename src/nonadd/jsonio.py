@@ -85,10 +85,10 @@ def _space(obj: dict) -> StateSpace:
 
 
 def capacity_to_obj(v: Capacity) -> dict:
-    return {
-        "n": v.space.n,
-        "values": {str(m): frac_to_str(x) for m, x in enumerate(v.values)},
-    }
+    # a table repeats a few hundred values: each is rendered once
+    text = {s: frac_to_str(Fraction(s, v._common)) for s in set(v._scaled)}
+    masks = map(str, range(len(v._scaled)))
+    return {"n": v.space.n, "values": dict(zip(masks, map(text.__getitem__, v._scaled)))}
 
 
 def _key_error(key: Any) -> FormatError:
@@ -111,26 +111,23 @@ def capacity_from_obj(obj: dict) -> Capacity:
             f"capacity table must list all {space.num_subsets} subsets, "
             f"got {len(raw)}"
         )
-    values = [Fraction(0)] * space.num_subsets
     # only the spelling capacity_to_obj writes: distinct keys then name
     # distinct masks, so 2**n keys found here cover every subset once
-    subsets = range(space.num_subsets)
-    masks = dict(zip(map(str, subsets), subsets))
-    # files repeat a few hundred value strings over thousands of subsets:
-    # parse each once, so equal entries share one Fraction
-    parsed: dict[str, Fraction] = {}
+    keys = list(map(str, range(space.num_subsets)))
+    codes = list(map(raw.get, keys))
+    if set(map(type, codes)) == {str}:
+        try:
+            return Capacity(space, tuple(codes))  # reads each distinct string once
+        except FormatError:
+            pass
+    # a key is missing or a value is not a rational: name the fault the
+    # file lists first, an entry's key before its value
+    known = set(keys)
     for key, val in raw.items():
-        mask = masks.get(key)
-        if mask is None:
+        if key not in known:
             raise _key_error(key)
-        if type(val) is not str:
-            # refused here, ahead of the cache a list value cannot key
-            raise FormatError(f"not a rational: {_clip(val)}")
-        if val in parsed:
-            values[mask] = parsed[val]
-        else:
-            values[mask] = parsed[val] = frac_from_str(val)
-    return Capacity(space, tuple(values))
+        frac_from_str(val)
+    raise AssertionError("a capacity table refused with no fault found")
 
 
 def measure_to_obj(P: ProbabilityMeasure) -> dict:

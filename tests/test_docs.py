@@ -331,7 +331,6 @@ def test_masks_are_read_and_built_at_one_site_each():
     assert _calls("states_of") == {
         ("sets", "__iter__"),  # SubsetMask's
         ("capacity", "mass"),
-        ("capacity", "maximal_null_sets"),
         ("integrals", "fits_under"),
         ("induced", "check_continuity_from_above"),
         ("simplex", "solve_max"),
@@ -354,6 +353,30 @@ def test_values_are_scaled_at_one_site_per_owner():
         ("integrals", "_scaled"),  # SimpleFunction's
         ("countable", "_scaled"),  # EventuallyConstantFunction's
     }
+
+
+def test_a_capacity_table_is_read_and_checked_in_its_constructor():
+    # Capacity.__post_init__ is the one site that scales a table and
+    # checks the axioms, whether its values come as Fractions or as a
+    # file's strings; capacity_from_obj builds only through Capacity(...),
+    # so no table reaches a scan unchecked
+    assert {s for s in _calls("_scale") if s[0] == "capacity"} == {("capacity", "__post_init__")}
+    text = "".join(p.read_text() for p in (ROOT / "src" / "nonadd").glob("*.py"))
+    for message in (
+        "capacity of the empty set must be 0",
+        "negative value at mask",
+        "not monotone: v(",
+    ):
+        assert text.count(message) == 1, message
+    tree = ast.parse((ROOT / "src" / "nonadd" / "jsonio.py").read_text())
+    (reader,) = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "capacity_from_obj"
+    ]
+    called = {_name(n) for n in ast.walk(reader) if isinstance(n, ast.Call)}
+    assert "Capacity" in called
+    assert not called & {"_scale", "_first_step", "exact_values", "__new__", "__setattr__"}
 
 
 def test_finite_verdicts_share_one_covering_pair_scan():

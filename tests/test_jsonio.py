@@ -1,9 +1,12 @@
 """Canonical JSON encodings: exact round-trips and schema rejection."""
 
 import json
+import math
 import random
 import re
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,10 @@ from nonadd import (
     random_simple_function,
 )
 from nonadd import jsonio
+from nonadd.capacity import SCALE_BITS, Capacity
 from nonadd.jsonio import FormatError
+
+from helpers import prime_capacity
 
 
 def test_capacity_round_trip():
@@ -195,3 +201,75 @@ def test_every_writer_round_trips_through_its_reader(n, seed, profile):
         again = read(json.loads(json.dumps(obj)))
         assert write(again) == obj
         assert again == x
+
+
+def assert_same_table(got, v):
+    assert got.space == v.space
+    assert got.values == v.values
+    assert got._scaled == v._scaled
+    assert got._common == v._common
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 10**6),
+    profile=st.sampled_from(("general", "convex", "null-additive", "induced")),
+)
+def test_a_capacity_file_reads_back_the_table_it_was_written_from(n, seed, profile):
+    # the reader reads and scales each distinct string once, and the
+    # writer renders each distinct value once: neither changes an entry
+    v = random_capacity(n, seed, profile)
+    obj = jsonio.capacity_to_obj(v)
+    assert obj == {"n": n, "values": {str(m): jsonio.frac_to_str(x) for m, x in enumerate(v.values)}}
+    assert list(obj["values"]) == [str(m) for m in range(1 << n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.json"
+        jsonio.dump(obj, path)
+        assert_same_table(jsonio.capacity_from_obj(jsonio.load(path)), v)
+
+
+def test_a_table_past_the_scale_budget_reads_back_through_a_file(tmp_path):
+    v = prime_capacity(6)  # one prime denominator per subset
+    assert v._common == 1 and isinstance(v._scaled[1], F)
+    assert math.lcm(*(x.denominator for x in v.values)).bit_length() > SCALE_BITS
+    path = tmp_path / "v.json"
+    jsonio.dump(jsonio.capacity_to_obj(v), path)
+    assert_same_table(jsonio.capacity_from_obj(jsonio.load(path)), v)
+
+
+@pytest.mark.parametrize("profile", ["general", "convex", "null-additive", "induced"])
+def test_a_table_of_strings_builds_the_capacity_its_fractions_build(profile):
+    for v in (random_capacity(6, 3, profile), prime_capacity(5)):
+        strings = tuple(map(jsonio.frac_to_str, v.values))
+        assert_same_table(Capacity(v.space, strings), v)
+        assert_same_table(Capacity(v.space, list(v.values)), v)
+
+
+def _with(n: int, first: dict, last: dict, drop=()) -> dict:
+    """A capacity file with ``first``'s entries listed before the rest of a
+    valid ``n``-state table and ``last``'s after it."""
+    values = jsonio.capacity_to_obj(random_capacity(n, 0, "general"))["values"]
+    rest = {k: x for k, x in values.items() if k not in {*first, *last, *drop}}
+    return {"n": n, "values": {**first, **rest, **last}}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        # two bad strings: the one the file lists first is named, whatever
+        # the mask order
+        (_with(4, {"10": "x/1"}, {"2": "1e3"}), "not a rational: 'x/1'"),
+        (_with(4, {"2": "1e3"}, {"10": "x/1"}), "not a rational: '1e3'"),
+        (_with(2, {}, {"3": None}), "not a rational: None"),
+        # an entry's key is read before its value, and entries in file order
+        (_with(2, {"x": "1"}, {"1": ["1"]}, drop="3"), "bad subset key 'x'"),
+        (_with(2, {"1": ["1"]}, {"x": "1"}, drop="3"), "not a rational: ['1']"),
+        (_with(3, {"007": "1"}, {"3": "a/b"}, drop="7"), "bad subset key '007'"),
+        (_with(3, {"3": "a/b"}, {"007": "1"}, drop="7"), "not a rational: 'a/b'"),
+    ],
+)
+def test_a_file_with_two_faults_names_the_one_it_lists_first(obj, message):
+    assert len(obj["values"]) == 1 << obj["n"]
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        jsonio.capacity_from_obj(obj)
