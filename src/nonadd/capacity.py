@@ -135,9 +135,13 @@ class Capacity:
     def __post_init__(self) -> None:
         table = keys = tuple(self.values)
         # a file's table repeats a few hundred strings over thousands of
-        # subsets: each distinct string is read and scaled once, then looked up
+        # subsets: each distinct string is read and scaled once, then looked
+        # up.  Strings only: hashing a Fraction costs more than scaling it,
+        # and dict.fromkeys would merge equal values of other types (1, True)
         if table and type(table[0]) is str and set(map(type, table)) == {str}:
-            keys = tuple(dict.fromkeys(table))
+            distinct = tuple(dict.fromkeys(table))
+            if len(distinct) < len(table):  # with no repeat, no lookup pays
+                keys = distinct
         values = exact_values(keys, "capacity values")
         n = self.space.n
         if len(table) != 1 << n:

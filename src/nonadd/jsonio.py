@@ -85,10 +85,16 @@ def _space(obj: dict) -> StateSpace:
 
 
 def capacity_to_obj(v: Capacity) -> dict:
-    # a table repeats a few hundred values: each is rendered once
-    text = {s: frac_to_str(Fraction(s, v._common)) for s in set(v._scaled)}
-    masks = map(str, range(len(v._scaled)))
-    return {"n": v.space.n, "values": dict(zip(masks, map(text.__getitem__, v._scaled)))}
+    scaled = v._scaled
+    # a table repeats a few hundred values: each is rendered once, from a
+    # mask that holds it, keyed by its scaled int; past SCALE_BITS the keys
+    # would be Fractions, which cost more to hash than to render
+    if type(scaled[0]) is int:
+        at = dict(zip(scaled, v.values))
+        if len(at) < len(scaled):  # with no repeat, no lookup pays
+            text = {s: frac_to_str(x) for s, x in at.items()}
+            return {"n": v.space.n, "values": {str(m): text[s] for m, s in enumerate(scaled)}}
+    return {"n": v.space.n, "values": {str(m): frac_to_str(x) for m, x in enumerate(v.values)}}
 
 
 def _key_error(key: Any) -> FormatError:
@@ -115,6 +121,9 @@ def capacity_from_obj(obj: dict) -> Capacity:
     # distinct masks, so 2**n keys found here cover every subset once
     keys = list(map(str, range(space.num_subsets)))
     codes = list(map(raw.get, keys))
+    # Capacity scans the types again, to pick its path for any table; this
+    # scan refuses a JSON number or null, which exact_values would read or
+    # refuse in other words
     if set(map(type, codes)) == {str}:
         try:
             return Capacity(space, tuple(codes))  # reads each distinct string once

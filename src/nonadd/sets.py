@@ -163,7 +163,10 @@ def exact_values(values: Iterable, what: str, length=None) -> tuple[Fraction, ..
     an int by :func:`check_size`'s; anything else (``0.5``, ``True``) is a
     ``TypeError``."""
     values = tuple(values)
-    if set(map(type, values)) != {Fraction}:
+    types = set(map(type, values))
+    if types == {str}:  # a file's strings: one pass, no per-entry type test
+        values = tuple(map(frac_from_str, values))
+    elif types != {Fraction}:
         for x in values:
             if not (isinstance(x, (Fraction, str)) or _is_int(type(x))):
                 raise TypeError(f"exact rational required for {what}, got {_clip(x)}")

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
 from nonadd.integrals import Decomposition, IntegralResult
-from nonadd.sets import mask_of
+from nonadd.sets import mask_of, states_of
 from nonadd.simplex import LPSolution, UnboundedProgramError
 
 ZERO = Fraction(0)
@@ -71,6 +71,17 @@ def prime_capacity(n: int) -> Capacity:
         Fraction(bin(m).count("1")) + Fraction(1, primes[m]) for m in range(1, 1 << n)
     ]
     return Capacity(StateSpace(n), tuple(table))
+
+
+def maximal_null_sets_by_all_masks(v: Capacity) -> list[int]:
+    """Every mask of capacity zero that adding any one state makes positive."""
+    full = v.space.num_subsets - 1
+    values = v._scaled
+    return [
+        m
+        for m, x in enumerate(values)
+        if x == 0 and all(values[m | 1 << k] for k in states_of(full ^ m))
+    ]
 
 
 def convex_by_all_pairs(v: Capacity) -> tuple[bool, tuple[int, int] | None]:

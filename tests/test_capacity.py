@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from helpers import (
     convex_by_all_pairs,
     dense_by_member_scan,
+    maximal_null_sets_by_all_masks,
     null_additive_by_all_pairs,
     p_null_additive_by_all_pairs,
+    prime_capacity,
 )
 from nonadd import (
     Capacity,
@@ -36,6 +38,7 @@ from nonadd import (
     converges_strong_ae,
     generated_algebra,
     jsonio,
+    maximal_null_sets,
     random_capacity,
     random_partition,
     random_probability,
@@ -199,6 +202,18 @@ class TestNullAdditive:
         for seed in range(20):
             v = random_capacity(5, seed, "null-additive")
             assert check_null_additive(v).holds
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**30),
+        profile=st.sampled_from(["general", "convex", "null-additive", "induced", "prime"]),
+    )
+    def test_maximal_null_sets_match_all_masks_scan(self, n, seed, profile):
+        # the list and its ascending order, which check_null_additive's
+        # first failing set and generate_sequences both read
+        v = prime_capacity(min(n, 7)) if profile == "prime" else random_capacity(n, seed, profile)
+        assert maximal_null_sets(v) == maximal_null_sets_by_all_masks(v)
 
     def test_convex_does_not_imply_null_additive(self):
         # supermodular yet unions with a null set change the value

@@ -229,18 +229,38 @@ def test_a_capacity_file_reads_back_the_table_it_was_written_from(n, seed, profi
         assert_same_table(jsonio.capacity_from_obj(jsonio.load(path)), v)
 
 
+def distinct_capacity(n: int) -> Capacity:
+    """``v(T) = |T| + mask/2**n``: one value per subset, over one small denominator."""
+    return Capacity(
+        StateSpace(n), tuple(F(bin(m).count("1")) + F(m, 1 << n) for m in range(1 << n))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_a_table_with_no_repeated_value_reads_back_through_a_file(tmp_path, n):
+    v = distinct_capacity(n)
+    assert len(set(v._scaled)) == 1 << n and type(v._scaled[1]) is int
+    obj = jsonio.capacity_to_obj(v)
+    assert obj == {"n": n, "values": {str(m): jsonio.frac_to_str(x) for m, x in enumerate(v.values)}}
+    path = tmp_path / "v.json"
+    jsonio.dump(obj, path)
+    assert_same_table(jsonio.capacity_from_obj(jsonio.load(path)), v)
+
+
 def test_a_table_past_the_scale_budget_reads_back_through_a_file(tmp_path):
     v = prime_capacity(6)  # one prime denominator per subset
     assert v._common == 1 and isinstance(v._scaled[1], F)
     assert math.lcm(*(x.denominator for x in v.values)).bit_length() > SCALE_BITS
+    obj = jsonio.capacity_to_obj(v)
+    assert obj == {"n": 6, "values": {str(m): jsonio.frac_to_str(x) for m, x in enumerate(v.values)}}
     path = tmp_path / "v.json"
-    jsonio.dump(jsonio.capacity_to_obj(v), path)
+    jsonio.dump(obj, path)
     assert_same_table(jsonio.capacity_from_obj(jsonio.load(path)), v)
 
 
 @pytest.mark.parametrize("profile", ["general", "convex", "null-additive", "induced"])
 def test_a_table_of_strings_builds_the_capacity_its_fractions_build(profile):
-    for v in (random_capacity(6, 3, profile), prime_capacity(5)):
+    for v in (random_capacity(6, 3, profile), prime_capacity(5), distinct_capacity(6)):
         strings = tuple(map(jsonio.frac_to_str, v.values))
         assert_same_table(Capacity(v.space, strings), v)
         assert_same_table(Capacity(v.space, list(v.values)), v)
