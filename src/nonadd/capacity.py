@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import gt, indexOf, ne
+from operator import gt, indexOf, ne, sub
 from typing import Sequence
 
 from .sets import (
@@ -224,6 +224,28 @@ def check_monotone(v: Capacity) -> PropertyReport:
     return PropertyReport(pair is None, pair)
 
 
+def _local_dip(values: Sequence, n: int, bases: range) -> tuple[int, int] | None:
+    """First ``(A | {i}, A | {j})``, ``A`` in ``bases`` ascending, then ``i < j``
+    outside ``A`` ascending, with ``v(A | {i,j}) + v(A) < v(A | {i}) + v(A | {j})``."""
+    bits = [1 << i for i in range(n)]
+    for base in bases:
+        x = values[base]
+        free = [b for b in bits if not base & b]
+        for i, bi in enumerate(free):
+            e = base | bi
+            xe = values[e]
+            for bj in free[i + 1 :]:
+                if values[e | bj] + x < xe + values[base | bj]:
+                    return e, base | bj
+    return None
+
+
+# Bases the local loop of check_convex tries before the marginals: a
+# non-convex table usually fails there, in microseconds, and up to n = 6
+# they are the whole table
+_HEAD = 64
+
+
 def check_convex(v: Capacity) -> PropertyReport:
     """Supermodularity: ``v(E) + v(F) <= v(E | F) + v(E & F)`` for all pairs.
 
@@ -235,18 +257,36 @@ def check_convex(v: Capacity) -> PropertyReport:
     which costs ``O(n^2 2^n)`` instead of ``O(4^n)``.  A violating triple
     is converted back to the pair ``(E, F) = (A | {i}, A | {j})`` so the
     witness replays against the definition verbatim.
+
+    The loop over triples, by ascending ``A``, runs over the first
+    ``_HEAD`` bases only.  The rest is decided by C-level slices: ``v`` is
+    supermodular iff each marginal ``m_i(A) = v(A | {i}) - v(A)`` is
+    nondecreasing in ``A`` (Shapley 1971).  ``m_i`` is built indexed by
+    the masks without bit ``i`` (bit ``j > i`` moves down to ``j - 1``),
+    by the slice shapes of :func:`_first_step`, and that scan checks it
+    along the states above ``i`` only: ``m_i(A | {j}) - m_i(A)`` equals
+    ``m_j(A | {i}) - m_j(A)``, so each pair ``{i, j}`` is checked once.
+    Only if some marginal dips does the loop resume, to report the first
+    violating triple, the witness the loop alone would report.
     """
-    values = v._scaled
-    bits = [1 << i for i in range(v.space.n)]
-    for base in range(v.space.num_subsets):
-        x = values[base]
-        free = [b for b in bits if not base & b]
-        for i, bi in enumerate(free):
-            e = base | bi
-            xe = values[e]
-            for bj in free[i + 1 :]:
-                if values[e | bj] + x < xe + values[base | bj]:
-                    return PropertyReport(False, (e, base | bj))
+    values, n = v._scaled, v.space.n
+    size = len(values)
+    head = min(_HEAD, size)
+    pair = _local_dip(values, n, range(head))
+    if pair is not None or head == size:
+        return PropertyReport(pair is None, pair)
+    d = [0] * (size >> 1)
+    for i in range(n - 1):
+        s = 1 << i
+        step = s << 1
+        if s * step <= size:
+            for r in range(s):
+                d[r::s] = map(sub, values[r + s :: step], values[r::step])
+        else:
+            for lo in range(0, size, step):
+                d[lo >> 1 : (lo >> 1) + s] = map(sub, values[lo + s : lo + step], values[lo : lo + s])
+        if _first_step(d, gt, -1 << i) is not None:
+            return PropertyReport(False, _local_dip(values, n, range(head, size)))
     return PropertyReport(True)
 
 

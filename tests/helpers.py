@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
+from nonadd import Capacity, ProbabilityMeasure, PropertyReport, SimpleFunction, StateSpace
 from nonadd.integrals import Decomposition, IntegralResult
 from nonadd.sets import mask_of, states_of
 from nonadd.simplex import LPSolution, UnboundedProgramError
@@ -82,6 +82,24 @@ def maximal_null_sets_by_all_masks(v: Capacity) -> list[int]:
         for m, x in enumerate(values)
         if x == 0 and all(values[m | 1 << k] for k in states_of(full ^ m))
     ]
+
+
+def convex_by_local_loop(v: Capacity) -> PropertyReport:
+    """The local supermodularity loop over every triple ``(A, i, j)``,
+    ``A`` ascending, then ``i < j`` outside ``A`` ascending: the first
+    ``(A | {i}, A | {j})`` with ``v(A | {i,j}) + v(A) < v(A | {i}) + v(A | {j})``."""
+    values = v._scaled
+    bits = [1 << i for i in range(v.space.n)]
+    for base in range(v.space.num_subsets):
+        x = values[base]
+        free = [b for b in bits if not base & b]
+        for i, bi in enumerate(free):
+            e = base | bi
+            xe = values[e]
+            for bj in free[i + 1 :]:
+                if values[e | bj] + x < xe + values[base | bj]:
+                    return PropertyReport(False, (e, base | bj))
+    return PropertyReport(True)
 
 
 def convex_by_all_pairs(v: Capacity) -> tuple[bool, tuple[int, int] | None]:

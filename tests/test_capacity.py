@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     convex_by_all_pairs,
+    convex_by_local_loop,
     dense_by_member_scan,
     maximal_null_sets_by_all_masks,
     null_additive_by_all_pairs,
@@ -43,11 +44,47 @@ from nonadd import (
     random_partition,
     random_probability,
 )
+from nonadd import capacity
 from nonadd.capacity import (
     replay_convexity_violation,
     replay_null_additivity_violation,
 )
-from nonadd.sets import max_member_table
+from nonadd.sets import max_member_table, states_of
+
+
+BIG_PRIMES = [q for q in range(2**20, 2**20 + 400) if all(q % d for d in range(2, 1025))]
+
+
+def bumped(v: Capacity, rng: random.Random) -> Capacity:
+    """``v`` with one nonempty entry moved between its covering neighbours'
+    values, so the table stays monotone."""
+    values = list(v.values)
+    full = len(values) - 1
+    m = rng.randrange(1, len(values))
+    low = max(values[m & ~(1 << k)] for k in states_of(m))
+    high = min((values[m | 1 << k] for k in states_of(full & ~m)), default=low + 1)
+    values[m] = low + (high - low) * F(rng.randint(0, 8), 8)
+    return Capacity(v.space, tuple(values))
+
+
+def with_prime_additive_part(v: Capacity) -> Capacity:
+    """``v`` plus the additive ``T -> sum of 1/q_k, k in T``, one prime
+    ``q_k > 2**20`` per state: convex iff ``v`` is, and from n = 4 on its
+    common denominator passes ``SCALE_BITS``, so its scans read Fractions."""
+    weights = [F(1, q) for q in BIG_PRIMES[: v.space.n]]
+    w = Capacity(
+        v.space,
+        tuple(x + sum((weights[k] for k in states_of(m)), F(0)) for m, x in enumerate(v.values)),
+    )
+    assert w.space.n < 4 or isinstance(w._scaled[1], F)
+    return w
+
+
+def assert_convexity_matches_the_local_loop(v: Capacity) -> None:
+    report = check_convex(v)
+    assert report == convex_by_local_loop(v)
+    if not report.holds:
+        assert replay_convexity_violation(v, *report.witness)
 
 
 def cap2(v0, v1, vx):
@@ -174,6 +211,80 @@ class TestConvex:
     def test_convex_profile_passes(self):
         for seed in range(20):
             assert check_convex(random_capacity(5, seed, "convex")).holds
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        seed=st.integers(0, 2**30),
+        profile=st.sampled_from(["general", "convex", "null-additive", "induced"]),
+        past_budget=st.booleans(),
+    )
+    def test_matches_the_local_loop(self, n, seed, profile, past_budget):
+        # the verdict and the first violating pair by base order, on the
+        # scaled ints and, past SCALE_BITS, on the Fractions
+        v = random_capacity(n, seed, profile)
+        if past_budget:
+            v = with_prime_additive_part(v)
+        assert_convexity_matches_the_local_loop(v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(7, 10),
+        seed=st.integers(0, 2**30),
+        profile=st.sampled_from(["convex", "induced"]),
+        past_budget=st.booleans(),
+    )
+    def test_a_bumped_convex_table_matches_the_local_loop(self, n, seed, profile, past_budget):
+        # one entry moved off a convex table: a violation, if any, sits at
+        # a base next to a random mask, at n = 7-10 often past the first 64
+        v = random_capacity(n, seed, profile)
+        if past_budget:
+            v = with_prime_additive_part(v)
+        assert check_convex(v).holds
+        assert_convexity_matches_the_local_loop(bumped(v, random.Random(seed)))
+
+    @pytest.mark.parametrize(
+        "n, witness", [(7, (63, 95)), (8, (127, 191)), (9, (255, 383)), (10, (511, 767))]
+    )
+    def test_first_violation_in_and_past_the_head(self, n, witness):
+        # v(E) = |E|^2 is supermodular; lowering v(full) to (n-1)^2 + 1
+        # breaks it only at the bases full - {i, j}, the first of which,
+        # 2**(n-2) - 1, lies in the loop's first 64 bases up to n = 8
+        values = [F(bin(m).count("1") ** 2) for m in range(1 << n)]
+        values[-1] = F((n - 1) ** 2 + 1)
+        v = Capacity(StateSpace(n), tuple(values))
+        assert check_convex(v) == convex_by_local_loop(v) == PropertyReport(False, witness)
+
+    @pytest.mark.parametrize("i, j", [(i, j) for j in range(9) for i in range(j)])
+    def test_each_pair_of_states_is_checked(self, i, j):
+        # v(E) = 10|E| + the sum of a_kl over the pairs {k, l} in E, less 2
+        # on the events that hold S = {i, j} | H, with a_ij = 1 and 10 for
+        # the other pairs: only the pair {i, j} fails, at the bases that
+        # hold H, two of the states 5-8; the first of them, H, is past 64
+        high = sum(1 << k for k in [k for k in (5, 6, 7, 8) if k not in (i, j)][-2:])
+        s = high | 1 << i | 1 << j
+
+        def value(m):
+            states = list(states_of(m))
+            pairs = sum(1 if (k, l) == (i, j) else 10 for l in states for k in states if k < l)
+            return 10 * len(states) + pairs - 2 * (m & s == s)
+
+        v = Capacity(StateSpace(9), tuple(map(value, range(512))))
+        assert high >= 64
+        assert check_convex(v) == convex_by_local_loop(v)
+        assert check_convex(v) == PropertyReport(False, (high | 1 << i, high | 1 << j))
+
+    def test_small_tables_run_the_local_loop_only(self, monkeypatch):
+        # up to n = 6 the loop's first 64 bases are the whole table; from
+        # n = 7 a convex table is decided by its n - 1 marginal scans
+        tables = [random_capacity(n, 0, "convex") for n in range(1, 8)]
+        scans = []
+        scan = capacity._first_step
+        monkeypatch.setattr(capacity, "_first_step", lambda *a: scans.append(a) or scan(*a))
+        assert all(check_convex(v).holds for v in tables[:6])
+        assert scans == []
+        assert check_convex(tables[6]).holds
+        assert len(scans) == 6
 
 
 class TestNullAdditive:

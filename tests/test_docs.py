@@ -381,10 +381,12 @@ def test_a_capacity_table_is_read_and_checked_in_its_constructor():
 
 def test_finite_verdicts_share_one_covering_pair_scan():
     # monotonicity, null-additivity, P-null-additivity and strong a.e.
-    # convergence are each decided state by state by capacity._first_step
+    # convergence are each decided state by state by capacity._first_step,
+    # and convexity by it on each state's marginal
     assert _calls("_first_step") == {
         ("capacity", "__post_init__"),  # Capacity's
         ("capacity", "check_monotone"),
+        ("capacity", "check_convex"),
         ("capacity", "check_null_additive"),
         ("capacity", "check_P_null_additive"),
         ("convergence", "converges_strong_ae"),
@@ -392,6 +394,22 @@ def test_finite_verdicts_share_one_covering_pair_scan():
     # and density in closed form, block by block, with no 2**n table
     for table in ("subset_sums", "max_member_table", "_scale"):
         assert ("capacity", "check_dense") not in _calls(table)
+
+
+def test_capacity_file_keys_are_built_in_one_cached_helper():
+    # the 2**n subset keys are built per n by jsonio._subset_keys alone,
+    # and the reader and the writer both take them from it: a reused key
+    # keeps its hash, so neither rebuilds nor rehashes 2**n strings a file
+    assert _calls("_subset_keys") == {
+        ("jsonio", "capacity_from_obj"),
+        ("jsonio", "capacity_to_obj"),
+    }
+    str_maps = _sites(
+        lambda n: isinstance(n, ast.Call) and _name(n) == "map" and _name(n.args[0]) == "str"
+    )
+    assert {s for s in str_maps if s[0] == "jsonio"} == {("jsonio", "_subset_keys")}
+    for function in ("capacity_from_obj", "capacity_to_obj"):
+        assert ("jsonio", function) not in _calls("str")
 
 
 def test_each_exact_input_has_one_reader():

@@ -293,3 +293,67 @@ def test_a_file_with_two_faults_names_the_one_it_lists_first(obj, message):
     assert len(obj["values"]) == 1 << obj["n"]
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         jsonio.capacity_from_obj(obj)
+
+
+def assert_dumps_as_stdlib(obj, path):
+    jsonio.dump(obj, path)
+    assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 10**6),
+    profile=st.sampled_from(("general", "convex", "null-additive", "induced")),
+)
+def test_dump_writes_the_stdlib_indent_text_of_every_writer(n, seed, profile):
+    # dump renders through the C encoder; the bytes are those of the
+    # stdlib's indent encoder
+    rng = random.Random(seed)
+    space = StateSpace(n)
+    objs = (
+        jsonio.capacity_to_obj(random_capacity(n, seed, profile)),
+        jsonio.measure_to_obj(random_probability(space, rng)),
+        jsonio.function_to_obj(random_simple_function(space, rng)),
+        jsonio.partition_to_obj(random_partition(space, rng)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for obj in objs:
+            assert_dumps_as_stdlib(obj, Path(tmp) / "x.json")
+
+
+def test_dump_writes_the_stdlib_indent_text_past_the_scale_budget(tmp_path):
+    assert_dumps_as_stdlib(jsonio.capacity_to_obj(prime_capacity(6)), tmp_path / "x.json")
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.text()
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_json)
+def test_dump_writes_the_stdlib_indent_text_of_any_nesting(obj):
+    # hypothesis draws empty containers and non-ASCII strings too
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_dumps_as_stdlib(obj, Path(tmp) / "x.json")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        "é",
+        [[], {}, [[]], {"a": {}}],
+        {1: [1], 2: {"x": None}},  # keys the encoder writes as strings
+        {True: [1], False: 0},
+        {None: [None]},
+        (1, (2, ())),
+    ],
+)
+def test_dump_writes_the_stdlib_indent_text_of_edge_shapes(tmp_path, obj):
+    assert_dumps_as_stdlib(obj, tmp_path / "x.json")
