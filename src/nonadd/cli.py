@@ -10,8 +10,8 @@ All values print as exact ``p/q`` strings of any length, through
 rounded half to even from the exact value, for display only).  A completed
 run exits 0 regardless of the verdict; ``--assert`` flips false verdicts to
 exit 1 for CI use.
-Malformed input exits 2 with a diagnostic on stderr; a broken internal
-invariant exits 3 with ``internal error: ...`` on stderr.
+Malformed input or a closed stdout exits 2 with a diagnostic on stderr; a
+broken internal invariant exits 3 with ``internal error: ...`` on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -229,7 +230,7 @@ def _cmd_cover(args, results: dict) -> bool:
                 f"the cover has an integer of more than {jsonio.MAX_DIGITS} digits, "
                 f"the most a capacity file may hold; {args.out} not written"
             )
-        jsonio.dump(jsonio.capacity_to_obj(cover), args.out)
+        jsonio.dump(results["cover"], args.out)
         results["written"] = args.out
     return True
 
@@ -430,7 +431,15 @@ def main(argv: list[str] | None = None) -> int:
         "results": results,
         "elapsed_s": round(time.perf_counter() - started, 6),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the exit flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return 2
     if args.assert_verdict and not verdict:
         return 1
     return 0

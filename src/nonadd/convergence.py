@@ -291,7 +291,7 @@ def random_probability(
 def random_partition(space: StateSpace, rng: random.Random) -> Partition:
     num_blocks = rng.randint(1, space.n)
     assignment = [rng.randrange(num_blocks) for _ in space.states()]
-    # make sure block ids 0..num_blocks-1 are all inhabited
+    # num_blocks bounds the blocks: a later reassignment can empty an earlier one
     for b in range(num_blocks):
         if b not in assignment:
             assignment[rng.randrange(space.n)] = b

@@ -96,16 +96,7 @@ def _subset_keys(n: int) -> tuple[str, ...]:
 
 
 def capacity_to_obj(v: Capacity) -> dict:
-    keys, scaled = _subset_keys(v.space.n), v._scaled
-    # a table repeats a few hundred values: each is rendered once, from a
-    # mask that holds it, keyed by its scaled int; past SCALE_BITS the keys
-    # would be Fractions, which cost more to hash than to render
-    if type(scaled[0]) is int:
-        at = dict(zip(scaled, v.values))
-        if len(at) < len(scaled):  # with no repeat, no lookup pays
-            text = {s: frac_to_str(x) for s, x in at.items()}
-            return {"n": v.space.n, "values": dict(zip(keys, map(text.__getitem__, scaled)))}
-    return {"n": v.space.n, "values": dict(zip(keys, map(frac_to_str, v.values)))}
+    return {"n": v.space.n, "values": dict(zip(_subset_keys(v.space.n), map(frac_to_str, v.values)))}
 
 
 def _key_error(key: Any) -> FormatError:
@@ -211,36 +202,5 @@ def load(path: str | Path) -> Any:
         raise FormatError(f"malformed JSON in {path}: nested too deeply") from exc
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _render(x: Any, pad: str) -> str:
-    """The text ``json.dumps(x, indent=2, sort_keys=True)`` gives ``x``
-    where ``pad`` (a line break and the indent) starts its closing line,
-    made through the C encoder.
-
-    The stdlib renders any ``indent`` through its pure-Python encoder.
-    Here a container that holds no container is one C-encoder call whose
-    item separator carries the line break and indent; a container that
-    holds one is joined item by item.  Either way its brackets are then
-    spliced onto lines of their own.
-    """
-    if not isinstance(x, _CONTAINERS) or not x:
-        return json.dumps(x)
-    inner, sep = pad + "  ", "," + pad + "  "
-    if not any(isinstance(y, _CONTAINERS) for y in (x.values() if isinstance(x, dict) else x)):
-        text = json.dumps(x, sort_keys=True, separators=(sep, ": "))
-    elif isinstance(x, dict):
-        # a key that is not a string is written as the string of its JSON
-        text = "{%s}" % sep.join(
-            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_render(y, inner)}"
-            for k, y in sorted(x.items())
-        )
-    else:
-        text = "[%s]" % sep.join(_render(y, inner) for y in x)
-    return text[0] + inner + text[1:-1] + pad + text[-1]
-
-
 def dump(obj: Any, path: str | Path) -> None:
-    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` text, byte for byte."""
-    Path(path).write_text(_render(obj, "\n") + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

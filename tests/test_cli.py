@@ -252,6 +252,8 @@ def test_cover_writes_file_and_is_idempotent(capsys, files, tmp_path):
     assert code == 0
     assert report["results"]["equals_original"] is False
     assert report["results"]["total"] == "6/5"
+    # the file holds the cover the report shows
+    assert jsonio.load(out1) == report["results"]["cover"]
 
     code, report2, _ = run_cli(capsys, "cover", "--capacity", str(out1))
     assert code == 0
@@ -847,6 +849,36 @@ def run_fresh(*argv):
     )
     report = json.loads(done.stdout) if done.stdout.strip() else None
     return done.returncode, report, done.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "gen"])
+def test_a_closed_stdout_exits_2_with_no_traceback(files, tmp_path, command):
+    # stdout is a pipe whose reader is gone: the report cannot be written,
+    # though gen has written its file by then
+    argv = {
+        "check": ["check", "convex", "--capacity", files["nonconvex2.json"]],
+        "gen": ["gen", "--n", "3", "--out", str(tmp_path / "g.json")],
+    }[command]
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nonadd.cli", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: stdout closed")
+    if command == "gen":
+        assert jsonio.load(tmp_path / "g.json")["n"] == 3
 
 
 def test_parser_reuse_leaks_no_state(capsys, files, tmp_path):

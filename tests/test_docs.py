@@ -412,6 +412,12 @@ def test_capacity_file_keys_are_built_in_one_cached_helper():
         assert ("jsonio", function) not in _calls("str")
 
 
+def test_jsonio_writes_through_the_stdlib_encoder_alone():
+    # a file's text is json.dumps's indent text, made in dump: jsonio keeps
+    # no encoder of its own
+    assert {s for s in _calls("dumps") if s[0] == "jsonio"} == {("jsonio", "dump")}
+
+
 def test_each_exact_input_has_one_reader():
     # a rational's text has one rule, compiled once in sets, and read by
     # frac_from_str from the library's value reader, a capacity file's
