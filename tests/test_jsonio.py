@@ -323,3 +323,38 @@ def test_dump_writes_the_stdlib_indent_text_of_every_writer(n, seed, profile):
 
 def test_dump_writes_the_stdlib_indent_text_past_the_scale_budget(tmp_path):
     assert_dumps_as_stdlib(jsonio.capacity_to_obj(prime_capacity(6)), tmp_path / "x.json")
+
+
+_scalars = st.none() | st.booleans() | st.integers() | st.text()
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_json)
+def test_dump_writes_the_stdlib_indent_text_of_any_nesting(obj):
+    # the file format for any JSON object, not only a writer's: sorted keys,
+    # two-space indent, escaped non-ASCII and one closing newline; hypothesis
+    # draws empty containers and non-ASCII strings too
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_dumps_as_stdlib(obj, Path(tmp) / "x.json")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        "é",
+        [[], {}, [[]], {"a": {}}],
+        {1: [1], 2: {"x": None}},  # keys the encoder writes as strings
+        {True: [1], False: 0},
+        {None: [None]},
+        (1, (2, ())),
+    ],
+)
+def test_dump_writes_the_stdlib_indent_text_of_edge_shapes(tmp_path, obj):
+    assert_dumps_as_stdlib(obj, tmp_path / "x.json")
