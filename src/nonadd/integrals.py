@@ -246,22 +246,23 @@ def _best_decomposition(
     f: SimpleFunction, v: Capacity, masks: Sequence[int]
 ) -> IntegralResult:
     """``max sum_T w_T v(T)`` under ``sum_{T containing x} w_T <= f(x)``,
-    one LP column per mask."""
+    one LP column per mask, priced from the table over its common denominator."""
     same_space(f, v)
-    objective = [v.values[m] for m in masks]
+    objective = [v._scaled[m] for m in masks]
     columns = [(m, ()) for m in masks]
-    return _lp_integral(f, v, objective, columns, masks, Decomposition)
+    return _lp_integral(f, v, objective, columns, masks, Decomposition, v._common)
 
 
 def _lp_integral(
     f: SimpleFunction,
     known: Capacity | ProbabilityMeasure,
-    objective: list[Fraction],
+    objective: list[int | Fraction],
     columns: list[tuple[int, tuple[tuple[int, Fraction], ...]]],
     targets: Sequence,
     witness_type: type[Decomposition] | type[FunctionDecomposition],
+    denominator: int = 1,
 ) -> IntegralResult:
-    """``max objective . w`` under ``columns . w <= f`` and ``w >= 0``, replayed.
+    """``max objective . w / denominator`` under ``columns . w <= f``, ``w >= 0``, replayed.
 
     The one LP path of the integrals.  The witness pairs each nonzero
     weight, read from the solution's support alone, with its column's
@@ -271,7 +272,7 @@ def _lp_integral(
     ``solve_max`` is looked up in this module at each call, so a wrapper
     set on the module later (a tracer's, a test's) sees every solve.
     """
-    sol = solve_max(objective, columns, list(f.values))
+    sol = solve_max(objective, columns, list(f.values), denominator)
     witness = witness_type(tuple((sol.x[j], targets[j]) for j in sol.support))
     if not witness.fits_under(f) or witness.weight_against(known) != sol.value:
         raise RuntimeError("simplex returned an inconsistent optimal basis")

@@ -9,41 +9,37 @@ other nonzero coefficient.  An event column of the concave integral is
 its mask alone, so the n x (2^n - 1) matrix is never formed.
 
 The solver is a revised simplex that works in ints from reading the
-program to checking its solution.  The slack of row i is one more
-column, the unit mask ``1 << i`` at cost 0, so all columns share one
-path.  Each column is scaled by the common denominator ``e`` of its
-entries, so the basis ``B`` is an int matrix; the solver keeps its
-adjugate ``adj`` and its determinant ``det > 0``, with ``B^-1 =
-adj/det`` (Edmonds 1967).  Row i of ``adj`` carries one more entry, row
-i of ``adj (rhs*db)``, where ``db`` is the common denominator of
-``rhs``.  A pivot on row l with ``d = adj (e*A_e)`` keeps row l and
-turns every other row into ``(d_l*row_i - d_i*row_l) // det``, an exact
-division (Bareiss 1968); then ``det = d_l``.  The duals are ``Y/dy``:
-``c'_j = c_j*e`` is the objective of the scaled column, ``dc`` the
-common denominator of the basic ``c'``, ``Y = (c'_B*dc) adj`` and
-``dy = dc*det``.  The same pivot updates ``Y`` in O(m) from the entering
+program to checking its solution.  The costs are ints ``P`` over one
+denominator ``D``, Fraction costs being put over their lcm on entry.
+The slack of row i is one more column, the unit mask ``1 << i`` at cost
+0, so all columns share one path.  Each column and its cost are scaled
+by the common denominator ``e`` of its entries, so the basis ``B`` is
+an int matrix; the solver keeps its adjugate ``adj`` and its
+determinant ``det > 0``, with ``B^-1 = adj/det`` (Edmonds 1967).  Row i
+of ``adj`` carries one more entry, row i of ``adj (rhs*db)``, where
+``db`` is the common denominator of ``rhs``.  A pivot on row l with
+``d = adj (e*A_e)`` keeps row l and turns every other row into
+``(d_l*row_i - d_i*row_l) // det``, an exact division (Bareiss 1968);
+then ``det = d_l``.  The duals are ``Y/(D*det)`` with ``Y = P_B adj``
+in ints, and the same pivot updates ``Y`` in O(m) from the entering
 column's price ``s = Y.(e*A_e)``, which the scan already holds: as
-``sum_i c'_i*dc*d_i = s``, ``Y`` becomes ``(d_l*Y - s*row_l) // det +
-c'_e*dc*row_l``.  The update is taken over ``L = lcm(dc, q_e)``, with
-``q_e`` the entering cost's denominator, so that ``c'_e*L`` is an int;
-``Y`` is then divided exactly by ``L // dc'``, ``dc'`` being the common
-denominator of the new basic ``c'``.
+``P_B.d = s``, ``Y`` becomes ``(d_l*Y - s*row_l) // det + P_e*row_l``.
 
-Columns are priced on demand, one at a time in index order: with ``c_j =
-p_j/q_j``, column j enters when ``p_j*dy > q_j*Y.A_j``, where each
-column's entries are scaled to ints by their own common denominator.
-``Y`` summed over a mask is that of the mask without its lowest bit,
-priced earlier in the same scan, plus one entry of ``Y``.  Bland's rule
-keeps the pivot sequence finite.  At optimality the primal and dual
-values, both times ``dy*db``, must be equal ints, an exact certificate;
-only then are the value, the point and the duals made ``Fraction``s.
-The solution also names its support, the structural columns basic at a
+Columns are priced on demand, one at a time in index order: column j
+enters when ``P_j*det > Y.A_j``, both sides over ``D*det``.  ``Y``
+summed over a mask is that of the mask without its lowest bit, priced
+earlier in the same scan, plus one entry of ``Y``.  Bland's rule keeps
+the pivot sequence finite.  At optimality the primal and dual values,
+both over ``D*det*db``, must be equal ints, an exact certificate; only
+then are the value, the point and the duals made ``Fraction``s.  The
+solution also names its support, the structural columns basic at a
 nonzero value, so a caller reads at most m entries of ``x``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -73,16 +69,19 @@ class LPSolution:
 
 
 def solve_max(
-    objective: Sequence[Fraction],
+    objective: Sequence[int | Fraction],
     columns: Sequence[tuple[int, Sequence[tuple[int, Fraction]]]],
     rhs: Sequence[Fraction],
+    denominator: int = 1,
 ) -> LPSolution:
-    """Maximize ``objective . x`` subject to ``A x <= rhs`` and ``x >= 0``.
+    """Maximize ``objective . x / denominator`` under ``A x <= rhs``, ``x >= 0``.
 
     Column ``j`` of ``A`` is ``columns[j] = (mask, entries)``: 1 in each
     row ``i`` with bit ``i`` of ``mask`` set, plus ``a`` in row ``i`` for
     each ``(i, a)`` of ``entries``; every other coefficient is 0.  There is
     one row per ``rhs`` entry, and ``rhs >= 0`` componentwise is required.
+    The costs are ints over a positive int ``denominator``, or Fractions,
+    which are put over their lcm first.
 
     Returns the optimal ``x``, the dual vector ``y`` (one multiplier per
     row), and their common objective value; ``sum(y*rhs) == value`` is
@@ -101,22 +100,25 @@ def solve_max(
     if m and min(rhs) < 0:
         i = next(i for i, b in enumerate(rhs) if b < 0)
         raise ValueError(f"rhs[{i}] = {rhs[i]} is negative")
+    if type(denominator) is not int or denominator < 1:
+        raise ValueError(f"denominator {denominator!r} is not a positive int")
 
-    # The program, read once into parallel lists: each column's mask and,
-    # for pricing and the basis, c_j = p/q with the entries times their
-    # common denominator e, as p*e, q, e and (rows, int entries); a mask
-    # alone has e = 1 and no entries.
+    # The program, read once into parallel lists: each column's mask, and
+    # its cost over D and entries times their common denominator e, as P*e,
+    # e and (rows, int entries); a mask alone has e = 1 and no entries.
     masks = [mask for mask, _ in columns]
     if masks and (min(masks) < 0 or max(masks) >> m):
         j = next(j for j, mask in enumerate(masks) if mask < 0 or mask >> m)
         raise ValueError(f"column {j} has a row outside 0..{m - 1}")
     entries = [col for _, col in columns]
-    ratios = [c.as_integer_ratio() for c in objective]
+    P = [*objective] + [0] * m  # the slacks' costs last
+    if not all(type(p) is int for p in P):  # Fractions: put over their lcm
+        lcm = math.lcm(*{p.denominator for p in P})
+        P = [p.numerator * (lcm // p.denominator) for p in P]
+        denominator *= lcm
     # The slack of row i is column nv + i: the unit mask 1 << i at cost 0,
     # so it is priced after every structural column and enters iff Y_i < 0.
     masks += [1 << i for i in range(m)]
-    P = [p for p, _ in ratios] + [0] * m
-    Q = [q for _, q in ratios] + [1] * m
     E = [1] * (nv + m)
     ints = [()] * (nv + m)
     for j in compress(range(nv), entries):
@@ -140,21 +142,24 @@ def solve_max(
     adj = [[0] * m + [b] for b in rb]
     for i, row in enumerate(adj):
         row[i] = 1
-    det = dc = 1
-    big = [0] * m  # Y = y*dy, the duals over their denominator dy = dc*det
+    det = 1
+    big = [0] * m  # Y = P_B adj, the duals times D*det
     basis = list(range(nv, nv + m))
+    # Y summed over each mask priced in a scan: a list by mask when the masks
+    # fill half of 0..2^m-1 or more, else a dict reading None when unpriced
+    table = (1 << m) <= 2 * len(masks)
 
     max_pivots = 50 * (2 * m + nv) + 10_000  # safety net; Bland terminates
     pivots = 0
     while True:
-        dy = dc * det
         by_bit = {1 << i: a for i, a in enumerate(big)}
         by_bit[0] = 0  # mask 0 sums to 0
-        sums = {0: 0}  # Y summed over each mask priced in this scan
+        sums = [None] * (1 << m) if table else defaultdict(type(None))
+        sums[0] = 0
         entering = -1
         for j, mask in enumerate(masks):
             rest = mask & (mask - 1)  # the mask less its lowest bit
-            s = sums.get(rest)
+            s = sums[rest]
             if s is None:
                 s, bits = 0, rest
                 while bits:  # inline, not states_of: the hottest loop here
@@ -166,7 +171,7 @@ def solve_max(
             col = ints[j]
             if col:
                 s = s * E[j] + sum(map(mul, map(big.__getitem__, col[0]), col[1]))
-            if P[j] * dy > Q[j] * s:
+            if P[j] * det > s:
                 entering = j  # Bland: smallest index with positive reduced cost
                 break
         if entering < 0:
@@ -211,27 +216,20 @@ def solve_max(
             elif dl != det:
                 adj[i] = [dl * a // det for a in adj[i]]
 
-        # The same update for Y, over L = lcm(dc, q_e): sum_i c'_i*dc*d_i
-        # is s, so the old basic columns give (d_l*Y - s*row_l) // det, and
-        # the entering one c'_e*L*row_l.  Then Y is divided exactly by
-        # L // dc', with dc' the common denominator of the new basic c'.
-        L = math.lcm(dc, Q[entering])
-        up, w = L // dc, P[entering] * (L // Q[entering])
-        big = [(dl * a - s * b) // det * up + w * b for a, b in zip(big, pivot_row)]
+        # The same update for Y: P_B.d is s, so the old basic columns give
+        # (d_l*Y - s*row_l) // det, and the entering one P_e*row_l.
+        pe = P[entering]
+        big = [(dl * a - s * b) // det + pe * b for a, b in zip(big, pivot_row)]
         det = dl
         basis[leaving] = entering
-        dc = math.lcm(*map(Q.__getitem__, basis))
-        if dc != L:
-            down = L // dc
-            big = [a // down for a in big]
 
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError("pivot limit exceeded; anti-cycling rule broken?")
 
-    # Strong duality in ints: c'_B B^-1 b and Y.b, both times dy*db
+    # Strong duality in ints: P_B B^-1 b and Y.b, both over D*det*db
     # (non-basic variables are 0, so the primal value sums the basic ones).
-    primal = sum(P[var] * (dc // Q[var]) * row[m] for var, row in zip(basis, adj))
+    primal = sum(P[var] * row[m] for var, row in zip(basis, adj))
     dual = sum(map(mul, big, rb))
     if primal != dual:
         raise RuntimeError(f"strong duality violated: primal {primal} vs dual {dual}")
@@ -240,5 +238,6 @@ def solve_max(
     for var, row in zip(basis, adj):
         if var < nv:
             x[var] = Fraction(E[var] * row[m], det * db)
+    dy = denominator * det
     duals = tuple(Fraction(a, dy) for a in big)
     return LPSolution(Fraction(primal, dy * db), tuple(x), duals, pivots, tuple(support))

@@ -172,6 +172,36 @@ def test_solve_max_builds_no_fraction_while_pivoting():
     assert not built
 
 
+def test_solve_max_keeps_one_objective_denominator_while_pivoting():
+    # the costs are put over one denominator where the objective is read,
+    # so the pivot loop forms no lcm (no per-basis cost denominator)
+    tree = ast.parse((ROOT / "src" / "nonadd" / "simplex.py").read_text())
+    (solver,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "solve_max"
+    ]
+    def lcms(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _name(n) == "lcm"]
+
+    loops = [n for n in ast.walk(solver) if isinstance(n, ast.While)]
+    assert loops and lcms(solver)
+    assert not [n for loop in loops for n in lcms(loop)]
+
+
+def test_capacity_lps_read_the_scaled_table():
+    # _best_decomposition (concave_integral, balanced_cover,
+    # chain_restricted_value) prices its columns from the capacity's ints
+    # over its common denominator, never from its Fractions
+    tree = ast.parse((ROOT / "src" / "nonadd" / "integrals.py").read_text())
+    (best,) = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_best_decomposition"
+    ]
+    attrs = {n.attr for n in ast.walk(best) if isinstance(n, ast.Attribute)}
+    assert {"_scaled", "_common"} <= attrs
+    assert "values" not in attrs
+
+
 def test_lp_witness_reads_x_only_at_the_support():
     # _lp_integral builds the witness from sol.support, the nonzero
     # structural indices, and never iterates the whole of sol.x

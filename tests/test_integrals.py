@@ -476,9 +476,9 @@ def lp_columns(monkeypatch):
     sizes = []
     solve_max = integrals.solve_max
 
-    def counting(objective, columns, rhs):
+    def counting(objective, columns, rhs, denominator=1):
         sizes.append(len(columns))
-        return solve_max(objective, columns, rhs)
+        return solve_max(objective, columns, rhs, denominator)
 
     monkeypatch.setattr(integrals, "solve_max", counting)
     return sizes
@@ -507,19 +507,20 @@ class TestColumnCounts:
 
 
 # Points the simplex might return from a broken basis: one overshoots f
-# at the value its weights would carry, the other fits under f but claims
-# a value its weights do not carry.  Each must fail its own replay.
+# at the value its weights would carry (the costs are the objective over
+# its denominator), the other fits under f but claims a value its weights
+# do not carry.  Each must fail its own replay.
 BAD_SOLUTIONS = {
-    "overshoot": lambda objective: (F(2), sum(objective, F(0)) * 2),
-    "wrong-value": lambda objective: (F(0), F(1)),
+    "overshoot": lambda objective, d: (F(2), F(sum(objective, F(0)) * 2, d)),
+    "wrong-value": lambda objective, d: (F(0), F(1)),
 }
 
 
 @pytest.mark.parametrize("bad", BAD_SOLUTIONS)
 @pytest.mark.parametrize("integral", ["concave", "psp"])
 def test_lp_witness_replay_refuses_an_inconsistent_point(monkeypatch, integral, bad):
-    def inconsistent(objective, columns, rhs):
-        weight, value = BAD_SOLUTIONS[bad](objective)
+    def inconsistent(objective, columns, rhs, denominator=1):
+        weight, value = BAD_SOLUTIONS[bad](objective, denominator)
         x = tuple(weight for _ in objective)
         support = tuple(j for j, w in enumerate(x) if w)  # every index, or none
         return LPSolution(value, x, tuple(F(0) for _ in rhs), 0, support)

@@ -16,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_solve_max, prime_capacity, sparse_columns
-from nonadd import ProbabilityMeasure, SimpleFunction, StateSpace
+from nonadd import Capacity, ProbabilityMeasure, SimpleFunction, StateSpace
 from nonadd.convergence import PROFILES, random_capacity
-from nonadd.integrals import brute_force_cav_oracle, concave_integral, psp_integral
-from nonadd.sets import submasks
+from nonadd.integrals import (
+    brute_force_cav_oracle,
+    concave_integral,
+    psp_integral,
+    verify_dual_certificate,
+)
+from nonadd.sets import states_of, submasks
 from nonadd import simplex
 from nonadd.simplex import LPSolution, UnboundedProgramError, solve_max
 
@@ -91,6 +96,10 @@ def test_malformed_program_rejected():
     # a negative right-hand side
     with pytest.raises(ValueError, match="is negative"):
         solve_max([F(1)], [(1, ())], [F(1), F(-1, 2)])
+    # an objective denominator that is not a positive int
+    for denominator in (0, -3, F(1, 2), 2.0):
+        with pytest.raises(ValueError, match="not a positive int"):
+            solve_max([1], [(1, ())], [F(1)], denominator)
 
 
 def test_no_rows():
@@ -100,6 +109,14 @@ def test_no_rows():
     )
     with pytest.raises(UnboundedProgramError):
         solve_max([F(0), F(1)], columns, [])
+
+
+def test_many_rows_and_few_columns():
+    # 64 rows: the scan keeps its subset sums by the masks it priced, not
+    # in a table over all 2^64 of them
+    sol = solve_max([F(1), F(2)], [(1 << 63 | 1, ()), (1 << 40, ())], [F(1)] * 64)
+    assert sol.value == 3 and sol.x == (F(1), F(1)) and sol.pivots == 2
+    assert sum(sol.duals) == 3
 
 
 def test_inactive_constraints_get_zero_duals():
@@ -400,16 +417,16 @@ def test_degenerate_tie_between_scaled_and_unscaled_columns(scaled_first):
     assert sol.duals == ((F(4), F(1), F(0)) if scaled_first else (F(2), F(3), F(0)))
 
 
-# The duals are updated at each pivot from the entering column's price,
-# over L = lcm(dc, q_e) for the entering cost p_e/q_e, and then divided by
-# L // dc' for the new basis's dc'.  The two programs below reach L > dc
-# with dc > 1, and dc' < L.
+# The costs are read as ints over one denominator D, and the duals are
+# updated at each pivot from the entering column's price over D*det.  The
+# two programs below have costs over distinct denominators, each entering
+# or leaving a basis whose other costs do not share it.
 
 
 def test_entering_cost_denominator_outside_dc():
-    # the triangle again, at costs 1/2, 2/3, 3/5: pivot 2 brings q = 3 to
-    # dc = 2 and pivot 3 brings q = 5 to dc = 6, so the updates run over
-    # L = 6 and L = 30; the last basis has det 2
+    # the triangle again, at costs 1/2, 2/3, 3/5 (D = 30): pivot 2 brings
+    # the cost over 3 to a basis holding the one over 2, and pivot 3 the
+    # cost over 5; the last basis has det 2
     rows = mask_rows([0b011, 0b110, 0b101], 3)
     sol = assert_same_solution([F(1, 2), F(2, 3), F(3, 5)], rows, [F(1)] * 3)
     assert sol.x == (F(1, 2),) * 3 and sol.pivots == 3
@@ -417,19 +434,25 @@ def test_entering_cost_denominator_outside_dc():
 
 
 def test_leaving_column_takes_the_only_copy_of_a_denominator():
-    # pivot 2 makes dc = 6; at pivot 3 column 1, the only cost over 3,
-    # leaves for column 2, so dc shrinks to 2 and Y is divided by 3
+    # at pivot 3 column 1, the only cost over 3, leaves for column 2, so
+    # the duals end over 2 while Y stays over D*det = 6
     rows = mask_rows([0b01, 0b10, 0b10], 2)
     sol = assert_same_solution([F(1, 2), F(1, 3), F(1)], rows, [F(1), F(1)])
     assert sol.x == (F(1), F(0), F(1)) and sol.pivots == 3
     assert sol.duals == (F(1, 2), F(1)) and sol.support == (0, 2)
 
 
-def test_duals_are_handed_over_divided_down(monkeypatch):
-    # the 1/7 column enters, then leaves for the unit cost: dc falls back
-    # to 1 and Y is divided by 7, so every (numerator, denominator) pair
-    # the solver hands to Fraction is already over 1.  The returned
-    # Fractions are reduced either way, so only the pairs see Y's size.
+@pytest.mark.parametrize(
+    "objective, denominator",
+    [([2, 3, 4], 5), ([F(2, 5), F(3, 5), F(4, 5)], 1), ([F(2), 3, F(4)], 5)],
+)
+def test_fractions_are_built_once_over_the_objective_denominator(
+    monkeypatch, objective, denominator
+):
+    # the triangle at costs 2/5, 3/5, 4/5 and rhs 1/3 ends at a basis with
+    # det 2: each x is handed to Fraction over det*db = 6, each dual over
+    # D*det = 10 and the value over D*det*db = 30, with D = 5 whether the
+    # costs come as ints over 5 or are put over their lcm 5 from Fractions
     pairs = []
 
     def recorder(*args):
@@ -437,7 +460,86 @@ def test_duals_are_handed_over_divided_down(monkeypatch):
         return F(*args)
 
     monkeypatch.setattr(simplex, "Fraction", recorder)
-    sol = solve_max([F(1, 7), F(1)], [(0b01, ()), (0b11, ())], [F(1), F(1)])
-    assert sol.x == (F(0), F(1)) and sol.duals == (F(1), F(0))
-    assert sol.pivots == 2 and sol.value == 1
-    assert [q for _, q in (a for a in pairs if len(a) == 2)] == [1] * 4
+    columns = [(0b011, ()), (0b110, ()), (0b101, ())]
+    sol = solve_max(objective, columns, [F(1, 3)] * 3, denominator)
+    assert sol.x == (F(1, 6),) * 3 and sol.value == F(3, 10)
+    assert sol.duals == (F(3, 10), F(1, 10), F(1, 2)) and sol.pivots == 3
+    handed = [q for _, q in (a for a in pairs if len(a) == 2)]
+    assert handed == [6] * 3 + [10] * 3 + [30]
+
+
+
+
+big_denominator = st.one_of(st.integers(1, 12), st.integers(2**64, 2**70))
+
+
+def program(data):
+    """A random sparse program: dense rows with negative and fractional
+    entries, their ``(mask, entries)`` columns and a nonnegative rhs."""
+    m = data.draw(st.integers(1, 5))
+    nv = data.draw(st.integers(1, 7))
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=nv, max_size=nv), min_size=m, max_size=m)
+    )
+    rhs = data.draw(st.lists(entry.map(abs), min_size=m, max_size=m))
+    return nv, rows, sparse_columns(rows, nv), rhs
+
+
+def assert_solves_as_dense(costs, rows, rhs, columns, *programs):
+    """Each ``(objective, denominator)`` of ``programs`` solves as the dense
+    reference at ``costs``, or all of them are unbounded."""
+    try:
+        want = dense_solve_max(costs, rows, rhs)
+    except UnboundedProgramError:
+        for objective, denominator in programs:
+            with pytest.raises(UnboundedProgramError):
+                solve_max(objective, columns, rhs, denominator)
+        return
+    for objective, denominator in programs:
+        assert solve_max(objective, columns, rhs, denominator) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scaling_the_objective_and_its_denominator_changes_nothing(data):
+    # k*P over k*D is the program P over D, pivot for pivot, and both are
+    # the dense reference at the costs P/D; D and k reach past 64 bits
+    nv, rows, columns, rhs = program(data)
+    P = data.draw(st.lists(st.integers(-6, 8), min_size=nv, max_size=nv))
+    D = data.draw(big_denominator)
+    k = data.draw(st.one_of(st.integers(2, 9), st.integers(2**64, 2**66)))
+    costs = [F(p, D) for p in P]
+    assert_solves_as_dense(costs, rows, rhs, columns, (P, D), ([k * p for p in P], k * D))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fraction_costs_over_a_denominator_match_dense(data):
+    # ints and Fractions mixed in one objective, over any denominator:
+    # the Fractions are put over one lcm, which multiplies D
+    nv, rows, columns, rhs = program(data)
+    objective = data.draw(
+        st.lists(st.one_of(entry, st.integers(-3, 4)), min_size=nv, max_size=nv)
+    )
+    D = data.draw(big_denominator)
+    costs = [F(c, D) for c in objective]
+    assert_solves_as_dense(costs, rows, rhs, columns, (objective, D), (costs, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 10**6))
+def test_concave_integral_past_the_scale_budget_matches_the_oracle(n, seed):
+    # v(T) = c_T + 1/(2^64 + T) with c_T monotone in steps of at least 1:
+    # the table's common denominator passes SCALE_BITS, so the LP reads
+    # its Fractions and puts them over one lcm itself
+    rng = random.Random(seed)
+    steps = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        steps[m] = max(steps[m & ~(1 << k)] for k in states_of(m)) + rng.randint(1, 3)
+    table = [F(0)] + [steps[m] + F(1, 2**64 + m) for m in range(1, 1 << n)]
+    v = Capacity(StateSpace(n), tuple(table))
+    assert v._common == 1 and isinstance(v._scaled[1], F)
+    f = SimpleFunction(v.space, tuple(integrand(n, rng)))
+    result = concave_integral(f, v)
+    assert result.value == brute_force_cav_oracle(f, v)
+    assert verify_dual_certificate(result, f, v)
