@@ -154,37 +154,34 @@ def test_one_lp_solver_and_no_tableau():
     assert not tableaus
 
 
-def test_solve_max_builds_no_fraction_while_pivoting():
-    # the pivot loop of solve_max works in ints only; Fractions are built
-    # once, after strong duality is checked
+def _calls_in_solve_max(name: str) -> tuple[list, list]:
+    """The calls of ``name`` in ``simplex.solve_max``, and those inside its
+    pivot loop."""
     tree = ast.parse((ROOT / "src" / "nonadd" / "simplex.py").read_text())
     (solver,) = [
         n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "solve_max"
     ]
     loops = [n for n in ast.walk(solver) if isinstance(n, ast.While)]
     assert loops
-    built = [
-        n
-        for loop in loops
-        for n in ast.walk(loop)
-        if isinstance(n, ast.Call) and _name(n) == "Fraction"
-    ]
-    assert not built
+
+    def calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _name(n) == name]
+
+    return calls(solver), [n for loop in loops for n in calls(loop)]
+
+
+def test_solve_max_builds_no_fraction_while_pivoting():
+    # the pivot loop of solve_max works in ints only; Fractions are built
+    # once, after strong duality is checked
+    built, in_loop = _calls_in_solve_max("Fraction")
+    assert built and not in_loop
 
 
 def test_solve_max_keeps_one_objective_denominator_while_pivoting():
     # the costs are put over one denominator where the objective is read,
     # so the pivot loop forms no lcm (no per-basis cost denominator)
-    tree = ast.parse((ROOT / "src" / "nonadd" / "simplex.py").read_text())
-    (solver,) = [
-        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "solve_max"
-    ]
-    def lcms(node):
-        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _name(n) == "lcm"]
-
-    loops = [n for n in ast.walk(solver) if isinstance(n, ast.While)]
-    assert loops and lcms(solver)
-    assert not [n for loop in loops for n in lcms(loop)]
+    lcms, in_loop = _calls_in_solve_max("lcm")
+    assert lcms and not in_loop
 
 
 def test_capacity_lps_read_the_scaled_table():
