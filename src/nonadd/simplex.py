@@ -10,11 +10,12 @@ its mask alone, so the n x (2^n - 1) matrix is never formed.
 
 The solver is a revised simplex that works in ints from reading the
 program to checking its solution.  The costs are ints ``P`` over one
-denominator ``D``, Fraction costs being put over their lcm on entry.
-The slack of row i is one more column, the unit mask ``1 << i`` at cost
-0, so all columns share one path.  Each column and its cost are scaled
-by the common denominator ``e`` of its entries, so the basis ``B`` is
-an int matrix; the solver keeps its adjugate ``adj`` and its
+denominator ``D``.  The slack of row i is one more column, the unit mask
+``1 << i`` at cost 0, so all columns share one path.  Each column and
+its cost are scaled by ``e``, the common denominator of its entries and
+of a Fraction cost (a positive scale keeps Bland's pivots, and no
+denominator grows with the number of columns), so the basis ``B`` is an
+int matrix; the solver keeps its adjugate ``adj`` and its
 determinant ``det > 0``, with ``B^-1 = adj/det`` (Edmonds 1967).  Row i
 of ``adj`` carries one more entry, row i of ``adj (rhs*db)``, where
 ``db`` is the common denominator of ``rhs``.  A pivot on row l with
@@ -26,7 +27,7 @@ column's price ``s = Y.(e*A_e)``, which the scan already holds: as
 ``P_B.d = s``, ``Y`` becomes ``(d_l*Y - s*row_l) // det + P_e*row_l``.
 
 Columns are priced on demand, one at a time in index order: column j
-enters when ``P_j*det > Y.A_j``, both sides over ``D*det``.  ``Y``
+enters when ``P_j*det > Y.(e*A_j)``, both sides over ``D*det``.  ``Y``
 summed over a mask is that of the mask without its lowest bit, priced
 earlier in the same scan, plus one entry of ``Y``.  Bland's rule keeps
 the pivot sequence finite.  At optimality the primal and dual values,
@@ -43,6 +44,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from numbers import Rational
 from operator import mul
 from typing import Sequence
 
@@ -80,8 +82,7 @@ def solve_max(
     row ``i`` with bit ``i`` of ``mask`` set, plus ``a`` in row ``i`` for
     each ``(i, a)`` of ``entries``; every other coefficient is 0.  There is
     one row per ``rhs`` entry, and ``rhs >= 0`` componentwise is required.
-    The costs are ints over a positive int ``denominator``, or Fractions,
-    which are put over their lcm first.
+    The costs are ints or Fractions, all over a positive int ``denominator``.
 
     Returns the optimal ``x``, the dual vector ``y`` (one multiplier per
     row), and their common objective value; ``sum(y*rhs) == value`` is
@@ -104,23 +105,25 @@ def solve_max(
         raise ValueError(f"denominator {denominator!r} is not a positive int")
 
     # The program, read once into parallel lists: each column's mask, and
-    # its cost over D and entries times their common denominator e, as P*e,
-    # e and (rows, int entries); a mask alone has e = 1 and no entries.
+    # its cost over D and entries times e, the common denominator of its
+    # entries and of a Fraction cost, as P*e, e and (rows, int entries); a
+    # mask alone at an int cost has e = 1 and no entries.
     masks = [mask for mask, _ in columns]
     if masks and (min(masks) < 0 or max(masks) >> m):
         j = next(j for j, mask in enumerate(masks) if mask < 0 or mask >> m)
         raise ValueError(f"column {j} has a row outside 0..{m - 1}")
     entries = [col for _, col in columns]
     P = [*objective] + [0] * m  # the slacks' costs last
-    if not all(type(p) is int for p in P):  # Fractions: put over their lcm
-        lcm = math.lcm(*{p.denominator for p in P})
-        P = [p.numerator * (lcm // p.denominator) for p in P]
-        denominator *= lcm
     # The slack of row i is column nv + i: the unit mask 1 << i at cost 0,
     # so it is priced after every structural column and enters iff Y_i < 0.
     masks += [1 << i for i in range(m)]
     E = [1] * (nv + m)
     ints = [()] * (nv + m)
+    if not all(type(p) is int for p in P):  # a cost p/q scales its column by q
+        if not all(issubclass(kind, Rational) for kind in {*map(type, P)}):
+            raise ValueError("a cost is not an int or a Fraction")
+        P, E = map(list, zip(*(p.as_integer_ratio() for p in P)))
+        ints = [((), ()) if e > 1 else () for e in E]  # the mask priced times q
     for j in compress(range(nv), entries):
         col = [(i, a.as_integer_ratio()) for i, a in entries[j] if a]
         if not col:
@@ -128,8 +131,8 @@ def solve_max(
         rows, coefs = zip(*col)
         if min(rows) < 0 or max(rows) >= m:
             raise ValueError(f"column {j} has a row outside 0..{m - 1}")
-        e = math.lcm(*(q for _, q in coefs))
-        P[j] *= e
+        e = math.lcm(E[j], *(q for _, q in coefs))
+        P[j] *= e // E[j]
         E[j] = e
         ints[j] = (rows, tuple(p * (e // q) for p, q in coefs))
 
@@ -145,16 +148,13 @@ def solve_max(
     det = 1
     big = [0] * m  # Y = P_B adj, the duals times D*det
     basis = list(range(nv, nv + m))
-    # Y summed over each mask priced in a scan: a list by mask when the masks
-    # fill half of 0..2^m-1 or more, else a dict reading None when unpriced
-    table = (1 << m) <= 2 * len(masks)
 
     max_pivots = 50 * (2 * m + nv) + 10_000  # safety net; Bland terminates
     pivots = 0
     while True:
         by_bit = {1 << i: a for i, a in enumerate(big)}
         by_bit[0] = 0  # mask 0 sums to 0
-        sums = [None] * (1 << m) if table else defaultdict(type(None))
+        sums = defaultdict(type(None))  # Y summed over each mask priced
         sums[0] = 0
         entering = -1
         for j, mask in enumerate(masks):
@@ -170,7 +170,9 @@ def solve_max(
             sums[mask] = s
             col = ints[j]
             if col:
-                s = s * E[j] + sum(map(mul, map(big.__getitem__, col[0]), col[1]))
+                s *= E[j]
+                if col[0]:
+                    s += sum(map(mul, map(big.__getitem__, col[0]), col[1]))
             if P[j] * det > s:
                 entering = j  # Bland: smallest index with positive reduced cost
                 break

@@ -178,8 +178,9 @@ def test_solve_max_builds_no_fraction_while_pivoting():
 
 
 def test_solve_max_keeps_one_objective_denominator_while_pivoting():
-    # the costs are put over one denominator where the objective is read,
-    # so the pivot loop forms no lcm (no per-basis cost denominator)
+    # the costs are read over one denominator, a Fraction cost scaling its
+    # own column, before the pivot loop, which forms no lcm (no per-basis
+    # cost denominator)
     lcms, in_loop = _calls_in_solve_max("lcm")
     assert lcms and not in_loop
 

@@ -100,6 +100,10 @@ def test_malformed_program_rejected():
     for denominator in (0, -3, F(1, 2), 2.0):
         with pytest.raises(ValueError, match="not a positive int"):
             solve_max([1], [(1, ())], [F(1)], denominator)
+    # a cost that is neither an int nor a Fraction
+    for cost in (0.5, 1.0, "1/2"):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            solve_max([F(1), cost], [(1, ()), (1, ())], [F(1)])
 
 
 def test_no_rows():
@@ -229,20 +233,36 @@ def test_family_columns_match_dense(n, size, seed):
 
 
 entry = st.builds(F, st.integers(-3, 4), st.sampled_from([1, 2, 3, 5]))
+# an objective's denominator D and a factor k > 1, small or past 64 bits
+denominators = st.one_of(st.integers(1, 12), st.integers(2**64, 2**70))
+factors = st.one_of(st.integers(2, 9), st.integers(2**64, 2**66))
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_random_programs_match_dense(data):
-    # negative and fractional entries; unbounded programs must raise in both
+    # negative and fractional entries; unbounded programs must raise in both.
+    # The costs, ints and Fractions mixed, are read over a denominator D, so
+    # the dense reference solves their Fractions over D, and k*costs over
+    # k*D is the same program, pivot for pivot
     m = data.draw(st.integers(1, 6))
     nv = data.draw(st.integers(1, 8))
-    objective = data.draw(st.lists(entry, min_size=nv, max_size=nv))
+    objective = data.draw(
+        st.lists(st.one_of(entry, st.integers(-3, 4)), min_size=nv, max_size=nv)
+    )
     rows = data.draw(
         st.lists(st.lists(entry, min_size=nv, max_size=nv), min_size=m, max_size=m)
     )
     rhs = data.draw(st.lists(entry.map(abs), min_size=m, max_size=m))
-    assert_same_solution(objective, rows, rhs)
+    D, k = data.draw(denominators), data.draw(factors)
+    want = assert_same_solution([F(c, D) for c in objective], rows, rhs)
+    columns = sparse_columns(rows, nv)
+    for costs, over in ((objective, D), ([k * c for c in objective], k * D)):
+        if want is None:
+            with pytest.raises(UnboundedProgramError):
+                solve_max(costs, columns, rhs, over)
+        else:
+            assert solve_max(costs, columns, rhs, over) == want
 
 
 def test_seeded_programs_cover_both_outcomes():
@@ -442,88 +462,54 @@ def test_leaving_column_takes_the_only_copy_of_a_denominator():
     assert sol.duals == (F(1, 2), F(1)) and sol.support == (0, 2)
 
 
-@pytest.mark.parametrize(
-    "objective, denominator",
-    [([2, 3, 4], 5), ([F(2, 5), F(3, 5), F(4, 5)], 1), ([F(2), 3, F(4)], 5)],
-)
-def test_fractions_are_built_once_over_the_objective_denominator(
-    monkeypatch, objective, denominator
-):
-    # the triangle at costs 2/5, 3/5, 4/5 and rhs 1/3 ends at a basis with
-    # det 2: each x is handed to Fraction over det*db = 6, each dual over
-    # D*det = 10 and the value over D*det*db = 30, with D = 5 whether the
-    # costs come as ints over 5 or are put over their lcm 5 from Fractions
-    pairs = []
+def fraction_recorder(monkeypatch):
+    """Every argument tuple ``solve_max`` hands to ``Fraction``, in order."""
+    calls = []
 
     def recorder(*args):
-        pairs.append(args)
+        calls.append(args)
         return F(*args)
 
     monkeypatch.setattr(simplex, "Fraction", recorder)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "objective, denominator, det",
+    [([2, 3, 4], 5, 2), ([F(2), 3, F(4)], 5, 2), ([F(2, 5), F(3, 5), F(4, 5)], 1, 250)],
+)
+def test_fractions_are_built_once_over_the_objective_denominator(
+    monkeypatch, objective, denominator, det
+):
+    # the triangle at costs 2/5, 3/5, 4/5 and rhs 1/3: each x is handed to
+    # Fraction over det*db, each dual over D*det and the value over
+    # D*det*db.  As ints over D = 5 the last basis has det 2; as Fractions
+    # over 5, each cost scales its column by 5, so det is 2*5^3 and D = 1
+    calls = fraction_recorder(monkeypatch)
     columns = [(0b011, ()), (0b110, ()), (0b101, ())]
     sol = solve_max(objective, columns, [F(1, 3)] * 3, denominator)
     assert sol.x == (F(1, 6),) * 3 and sol.value == F(3, 10)
     assert sol.duals == (F(3, 10), F(1, 10), F(1, 2)) and sol.pivots == 3
-    handed = [q for _, q in (a for a in pairs if len(a) == 2)]
-    assert handed == [6] * 3 + [10] * 3 + [30]
+    handed = [q for _, q in (a for a in calls if len(a) == 2)]
+    dy = denominator * det
+    assert handed == [det * 3] * 3 + [dy] * 3 + [dy * 3]
 
 
-
-
-big_denominator = st.one_of(st.integers(1, 12), st.integers(2**64, 2**70))
-
-
-def program(data):
-    """A random sparse program: dense rows with negative and fractional
-    entries, their ``(mask, entries)`` columns and a nonnegative rhs."""
-    m = data.draw(st.integers(1, 5))
-    nv = data.draw(st.integers(1, 7))
-    rows = data.draw(
-        st.lists(st.lists(entry, min_size=nv, max_size=nv), min_size=m, max_size=m)
-    )
-    rhs = data.draw(st.lists(entry.map(abs), min_size=m, max_size=m))
-    return nv, rows, sparse_columns(rows, nv), rhs
-
-
-def assert_solves_as_dense(costs, rows, rhs, columns, *programs):
-    """Each ``(objective, denominator)`` of ``programs`` solves as the dense
-    reference at ``costs``, or all of them are unbounded."""
-    try:
-        want = dense_solve_max(costs, rows, rhs)
-    except UnboundedProgramError:
-        for objective, denominator in programs:
-            with pytest.raises(UnboundedProgramError):
-                solve_max(objective, columns, rhs, denominator)
-        return
-    for objective, denominator in programs:
-        assert solve_max(objective, columns, rhs, denominator) == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_scaling_the_objective_and_its_denominator_changes_nothing(data):
-    # k*P over k*D is the program P over D, pivot for pivot, and both are
-    # the dense reference at the costs P/D; D and k reach past 64 bits
-    nv, rows, columns, rhs = program(data)
-    P = data.draw(st.lists(st.integers(-6, 8), min_size=nv, max_size=nv))
-    D = data.draw(big_denominator)
-    k = data.draw(st.one_of(st.integers(2, 9), st.integers(2**64, 2**66)))
-    costs = [F(p, D) for p in P]
-    assert_solves_as_dense(costs, rows, rhs, columns, (P, D), ([k * p for p in P], k * D))
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fraction_costs_over_a_denominator_match_dense(data):
-    # ints and Fractions mixed in one objective, over any denominator:
-    # the Fractions are put over one lcm, which multiplies D
-    nv, rows, columns, rhs = program(data)
-    objective = data.draw(
-        st.lists(st.one_of(entry, st.integers(-3, 4)), min_size=nv, max_size=nv)
-    )
-    D = data.draw(big_denominator)
-    costs = [F(c, D) for c in objective]
-    assert_solves_as_dense(costs, rows, rhs, columns, (objective, D), (costs, 1))
+def test_distinct_cost_denominators_grow_with_the_basis(monkeypatch):
+    # v(T) = |T| + 1/(2^64 + T) at n = 6: 63 distinct 65-bit cost
+    # denominators, whose lcm has about 63*65 bits.  Each cost scales its
+    # own column instead, so what is handed to Fraction grows with the 6
+    # basic columns only
+    n = 6
+    table = [F(0)] + [bin(m).count("1") + F(1, 2**64 + m) for m in range(1, 1 << n)]
+    v = Capacity(StateSpace(n), tuple(table))
+    f = integrand(n, random.Random(3))
+    want = assert_same_solution(*event_program(v.values, f, range(1, 1 << n)))
+    calls = fraction_recorder(monkeypatch)
+    result = concave_integral(SimpleFunction(v.space, tuple(f)), v)
+    assert (result.value, result.dual_witness) == (want.value, want.duals)
+    assert want.pivots >= 3
+    assert max(abs(k).bit_length() for a in calls for k in a) < 65 * (n + 1)
 
 
 @settings(max_examples=40, deadline=None)
