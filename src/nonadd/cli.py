@@ -421,8 +421,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # a broken internal invariant (pivot limit, strong duality, basis,
-        # convexity of an induced capacity), not bad input
+        # a broken internal invariant (pivot limit, strong duality, basis),
+        # not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     report = {

@@ -20,7 +20,6 @@ from .capacity import (
     Capacity,
     ProbabilityMeasure,
     PropertyReport,
-    check_convex,
     check_dense,
     check_null_additive,
 )
@@ -43,7 +42,8 @@ class InducedCapacity:
     ``witness_map[mask]`` is the maximal algebra member inside the event
     ``mask``, the partition's :func:`~nonadd.sets.max_member_table`; the
     capacity value there is exactly the measure of that member.
-    Convexity is verified at construction.
+    The capacity is convex by construction, as its Möbius mass is ``P(B)``
+    on each block ``B`` and 0 elsewhere; the tests check those masses.
     """
 
     base: Capacity
@@ -66,9 +66,6 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
     witness = tuple(max_member_table(partition))
     mass = P.mass_table
     base = Capacity(P.space, tuple(mass[acc] for acc in witness))
-    convexity = check_convex(base)
-    if not convexity.holds:  # structural guarantee; failing means a bug here
-        raise RuntimeError(f"induced capacity not convex at {convexity.witness}")
     return InducedCapacity(base, witness)
 
 

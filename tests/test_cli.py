@@ -625,6 +625,8 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
         {"kind": "null-counterexample", "E": None, "F": "1"},
         {"kind": "null-counterexample", "E": "9", "F": "1"},
         {"kind": "custom", "terms": None, "limit": ["1", "1"]},
+        {"kind": "spiral"},
+        {},
     ):
         jsonio.dump(seq, bad)
         code, report, err = run_cli(
@@ -633,6 +635,8 @@ def test_malformed_json_is_diagnosed(capsys, tmp_path):
         assert code == 2, seq
         assert report is None
         assert err.startswith("error:")
+        if seq in ({"kind": "spiral"}, {}):
+            assert err.startswith("error: unknown sequence kind")
     space = StateSpace(2)
     measure, function = tmp_path / "m.json", tmp_path / "f.json"
     jsonio.dump(jsonio.measure_to_obj(ProbabilityMeasure.uniform(space)), measure)

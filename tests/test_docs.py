@@ -424,6 +424,12 @@ def test_finite_verdicts_share_one_covering_pair_scan():
         assert ("capacity", "check_dense") not in _calls(table)
 
 
+def test_induce_does_not_re_decide_convexity():
+    # an induced capacity is convex by construction (its Möbius mass is P(B)
+    # on each block B), which test_induced pins; nothing in induced checks it
+    assert not {site for site in _calls("check_convex") if site[0] == "induced"}
+
+
 def test_capacity_file_keys_are_built_in_one_cached_helper():
     # the 2**n subset keys are built per n by jsonio._subset_keys alone,
     # and the reader and the writer both take them from it: a reused key

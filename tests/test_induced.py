@@ -27,6 +27,17 @@ from nonadd.capacity import replay_null_additivity_violation
 from nonadd.sets import max_member_table
 
 
+def mobius(values):
+    """Möbius inverse of a table over 2^n masks, by one subtraction per bit."""
+    m = list(values)
+    for i in range(len(m).bit_length() - 1):
+        bit = 1 << i
+        for mask in range(len(m)):
+            if mask & bit:
+                m[mask] -= m[mask ^ bit]
+    return m
+
+
 def shift_pairs_model():
     """Eight states in two half-spaces, each block pairing k with k+4.
 
@@ -95,6 +106,31 @@ class TestInduce:
             count += 1
             assert check_convex(induce(P, Partition.from_blocks(space, groups)).base).holds
         assert count == 1 + 31 + 90  # Stirling numbers S(6,1..3)
+
+    def test_mobius_mass_is_block_probability(self):
+        # the induced capacity is a belief function: mass P(B) on each block
+        # B and 0 on every other event, so it is totally monotone, hence
+        # convex, with no check at construction
+        def assert_block_masses(P, partition):
+            ic = induce(P, partition)
+            expected = [0] * P.space.num_subsets
+            for block in partition.blocks:
+                expected[block.bits] = P.mass(block.bits)
+            assert mobius(ic.base.values) == expected
+            return ic
+
+        rng = random.Random(13)
+        for n in range(1, 6):
+            space = StateSpace(n)
+            for groups in all_set_partitions(range(n)):
+                P = random_probability(space, rng, strictly_positive=False)
+                assert_block_masses(P, Partition.from_blocks(space, groups))
+        for draw in range(40):
+            space = StateSpace(draw % 10 + 1)
+            P = random_probability(space, rng, strictly_positive=False)
+            ic = assert_block_masses(P, random_partition(space, rng))
+            if space.n >= 9:
+                assert check_convex(ic.base).holds
 
     def test_algebra_members_keep_their_mass(self):
         rng = random.Random(4)
