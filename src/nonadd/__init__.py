@@ -59,7 +59,6 @@ from .induced import (
     InducedCapacity,
     WeakAEEquivalenceReport,
     argmax_witness,
-    check_continuity_from_above,
     check_weak_ae_equivalence,
     induce,
 )

@@ -235,9 +235,9 @@ def _cmd_cover(args, results: dict) -> bool:
     return True
 
 
-def _trace_obj(trace: tuple, limit: int = 100) -> dict:
-    """The trace, or past ``limit`` entries only its first and last ten."""
-    if len(trace) <= limit:
+def _trace_obj(trace: tuple) -> dict:
+    """The trace, or past 100 entries only its first and last ten."""
+    if len(trace) <= 100:
         return {"trace": _obj(trace)}
     return {
         "trace_head": _obj(trace[:10]),

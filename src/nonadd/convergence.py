@@ -34,6 +34,7 @@ from .capacity import (
     check_null_additive,
     maximal_null_sets,
 )
+from .induced import induce
 from .integrals import (
     SimpleFunction,
     choquet_integral,
@@ -230,8 +231,6 @@ def random_capacity(n: int, seed: int, profile: str = "general") -> Capacity:
             x + bump * extra.mass_table[m] for m, x in enumerate(rough.values)
         ]
         return Capacity(space, tuple(table))
-    from .induced import induce  # deferred: induced builds on this module's peers
-
     P = random_probability(space, rng, strictly_positive=True)
     partition = random_partition(space, rng)
     return induce(P, partition).base
@@ -301,11 +300,9 @@ def random_partition(space: StateSpace, rng: random.Random) -> Partition:
     return Partition.from_blocks(space, groups.values())
 
 
-def random_simple_function(
-    space: StateSpace, rng: random.Random, denom: int = 12, top: int = 48
-) -> SimpleFunction:
+def random_simple_function(space: StateSpace, rng: random.Random) -> SimpleFunction:
     return SimpleFunction(
-        space, tuple(Fraction(rng.randint(0, top), denom) for _ in space.states())
+        space, tuple(Fraction(rng.randint(0, 48), 12) for _ in space.states())
     )
 
 

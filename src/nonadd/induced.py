@@ -31,7 +31,6 @@ from .sets import (
     check_mask,
     max_member_table,
     same_space,
-    states_of,
 )
 
 
@@ -72,29 +71,6 @@ def induce(P: ProbabilityMeasure, partition: Partition) -> InducedCapacity:
 def argmax_witness(ic: InducedCapacity, event: int) -> SubsetMask:
     """The maximal algebra member inside ``event`` realizing the value."""
     return SubsetMask(ic.witness_map[check_mask(event, ic.space)], ic.space)
-
-
-def check_continuity_from_above(ic: InducedCapacity) -> PropertyReport:
-    """Regression sentinel for the witness map along decreasing chains.
-
-    On a finite space every decreasing chain stabilizes, so value
-    continuity from above is automatic; what can break is the witness
-    bookkeeping.  Along every maximal decreasing chain the witness of each
-    intersection must equal the intersection of the witnesses above it.
-    That holds for all ``n!`` chains exactly when every covering pair
-    ``F ⊃ F - {k}`` has ``w(F - {k}) ⊆ w(F)``, which is what is scanned.
-    ``F`` runs down from the full set, so at the first failing pair the
-    witnesses above ``F`` are nested, and a chain through ``F`` then
-    ``F - {k}`` fails there with the reported witness ``(F - {k},
-    w(F - {k}), w(F) & w(F - {k}))``.
-    """
-    w = ic.witness_map
-    for f in range(ic.space.full_bits, 0, -1):
-        for k in states_of(f):
-            g = f ^ 1 << k
-            if w[g] & ~w[f]:
-                return PropertyReport(False, (g, w[g], w[f] & w[g]))
-    return PropertyReport(True)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from nonadd import (
     generate_sequences,
     monotone_convergence_experiment,
     random_capacity,
+    random_probability,
     random_simple_function,
 )
 
@@ -325,6 +326,14 @@ class TestRandomCapacity:
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):
             random_capacity(3, 0, "belief")
+
+
+class TestRandomProbability:
+    def test_all_zero_draw_puts_its_mass_on_one_state(self):
+        # Random(2) draws 0 first, so the one state's raw weight is 0
+        assert random.Random(2).randint(0, 9) == 0
+        P = random_probability(StateSpace(1), random.Random(2), strictly_positive=False)
+        assert P.weights == (F(1),)
 
 
 class TestWeakStrongEquivalenceSweep:

@@ -360,7 +360,6 @@ def test_masks_are_read_and_built_at_one_site_each():
         ("sets", "__iter__"),  # SubsetMask's
         ("capacity", "mass"),
         ("integrals", "fits_under"),
-        ("induced", "check_continuity_from_above"),
         ("simplex", "solve_max"),
     }
     assert _calls("mask_of") == {

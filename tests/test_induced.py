@@ -1,9 +1,7 @@
 """Induced capacities: construction, witnesses, and the structural lemmas."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
-from itertools import permutations
 
 from helpers import all_set_partitions, lebesgue
 from nonadd import (
@@ -11,7 +9,6 @@ from nonadd import (
     ProbabilityMeasure,
     StateSpace,
     argmax_witness,
-    check_continuity_from_above,
     check_convex,
     check_dense,
     check_null_additive,
@@ -174,60 +171,6 @@ class TestArgmaxWitness:
         P = ProbabilityMeasure.uniform(space)
         ic = induce(P, Partition.from_blocks(space, [[0, 1], [2, 3]]))
         assert argmax_witness(ic, 0b1011).bits == 0b0011  # {0,1,3} -> {0,1}
-
-
-class TestContinuityFromAbove:
-    def test_holds_on_random_models(self):
-        rng = random.Random(6)
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            space = StateSpace(n)
-            P = random_probability(space, rng)
-            ic = induce(P, random_partition(space, rng))
-            assert check_continuity_from_above(ic).holds
-
-    def test_trivial_partition(self):
-        space = StateSpace(4)
-        ic = induce(ProbabilityMeasure.uniform(space), Partition.trivial(space))
-        assert check_continuity_from_above(ic).holds
-
-    def test_sampled_chains_on_larger_space(self):
-        space = StateSpace(8)
-        P = ProbabilityMeasure.uniform(space)
-        ic = induce(P, Partition.from_blocks(space, [[k, k + 4] for k in range(4)]))
-        assert check_continuity_from_above(ic).holds
-
-    def test_corrupted_witness_maps_match_all_chains(self):
-        # the reference walks every maximal decreasing chain and keeps the
-        # witness each failing chain reports; the scan must agree on the
-        # verdict, and its witness must be one that some chain reaches
-        rng = random.Random(11)
-        failing = 0
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            space = StateSpace(n)
-            ic = induce(random_probability(space, rng), random_partition(space, rng))
-            w = list(ic.witness_map)
-            for _ in range(rng.randint(0, 2)):
-                w[rng.randrange(1 << n)] = rng.randrange(1 << n)
-            reached = set()
-            for order in permutations(range(n)):
-                current = space.full_bits
-                running = w[current]
-                for k in order:
-                    current &= ~(1 << k)
-                    running &= w[current]
-                    if w[current] != running:
-                        reached.add((current, w[current], running))
-                        break
-            report = check_continuity_from_above(
-                dataclasses.replace(ic, witness_map=tuple(w))
-            )
-            assert report.holds == (not reached)
-            if not report.holds:
-                failing += 1
-                assert report.witness in reached
-        assert failing >= 50
 
 
 class TestWeakAEEquivalence:

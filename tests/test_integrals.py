@@ -427,7 +427,7 @@ class TestPSP:
         for _ in range(40):
             P = random_probability(space, rng)
             family = [
-                random_simple_function(space, rng, denom=4, top=8)
+                SimpleFunction(space, tuple(F(rng.randint(0, 8), 4) for _ in space.states()))
                 for _ in range(rng.randint(1, 3))
             ]
             if any(not any(g.values) for g in family):

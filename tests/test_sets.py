@@ -1,5 +1,6 @@
 """State spaces, subset masks, partitions, and generated algebras."""
 
+import random
 import re
 import time
 from fractions import Fraction as F
@@ -45,6 +46,7 @@ from nonadd import (
     psa_integral,
     psp_integral,
     random_capacity,
+    random_partition,
     telescoping_measure,
     trivial_model,
     uniform_finite_measure,
@@ -132,19 +134,34 @@ def test_max_member_table_hand_cases():
     assert table[0b1010] == 0b1000
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(1, 11))
 def test_max_member_table_is_the_largest_member_inside(n):
+    # every set partition up to n = 6, checked against the generated
+    # algebra too; seeded random partitions for n = 7..10, and the pair
+    # blocks {k, k + 4} at n = 8
     space = StateSpace(n)
-    for groups in all_set_partitions(range(n)):
-        partition = Partition.from_blocks(space, groups)
-        members = [m.bits for m in generated_algebra(partition).members]
+    if n <= 6:
+        partitions = [Partition.from_blocks(space, g) for g in all_set_partitions(range(n))]
+    else:
+        rng = random.Random(n)
+        partitions = [random_partition(space, rng) for _ in range(6)]
+        if n == 8:
+            partitions.append(Partition.from_blocks(space, [[k, k + 4] for k in range(4)]))
+    for partition in partitions:
+        blocks = [b.bits for b in partition.blocks]
         table = max_member_table(partition)
         assert len(table) == space.num_subsets
         for f in range(space.num_subsets):
-            inside = [m for m in members if m & ~f == 0]
-            largest = max(inside, key=int.bit_count)
-            assert all(m & ~largest == 0 for m in inside)
-            assert table[f] == largest
+            # the union of the blocks inside f, nested along each f - {k} ⊂ f
+            assert table[f] == sum(b for b in blocks if b & ~f == 0)
+            assert all(table[f & ~(1 << k)] & ~table[f] == 0 for k in states_of(f))
+        if n <= 6:
+            members = [m.bits for m in generated_algebra(partition).members]
+            for f in range(space.num_subsets):
+                inside = [m for m in members if m & ~f == 0]
+                largest = max(inside, key=int.bit_count)
+                assert all(m & ~largest == 0 for m in inside)
+                assert table[f] == largest
 
 
 # Every site whose operands must share one state space, fed operands over
