@@ -14,7 +14,10 @@
   weight per known function.
 * :func:`balanced_cover`: the capacity whose value at each event is the
   concave integral of that event's indicator; integrating against the
-  cover changes nothing.
+  cover changes nothing.  Each event is certified before it is solved: a
+  split of two smaller events bounds it from below, and a smaller event's
+  dual extended by one state bounds it from above; only an event where
+  the two bounds do not meet runs its LP, and a convex table runs none.
 * :func:`brute_force_cav_oracle`: an independent re-derivation of the
   concave value by exhaustive vertex enumeration of the dual polyhedron,
   kept deliberately free of the simplex code path.
@@ -31,7 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .capacity import Capacity, ProbabilityMeasure, _scale
@@ -302,17 +306,63 @@ def balanced_cover(v: Capacity) -> Capacity:
 
     The cover dominates ``v`` pointwise, is itself a capacity, and leaves
     every concave integral unchanged; applying it twice is the same as
-    applying it once.  The LP for ``A`` offers only the subsets of ``A``
-    as columns: every state outside ``A`` has right-hand side 0, so any
-    weight on a subset that meets such a state is forced to 0, and the
-    optimal value is the one the LP over all subsets reaches.
+    applying it once.
+
+    The value at ``A`` is the optimum of the LP over the subsets of ``A``
+    (a state outside ``A`` has right-hand side 0, so no other column can
+    carry weight), and the events are certified in ascending order before
+    any is solved (Bondareva 1963, Shapley 1967):
+
+    * from below, ``LB(A)`` is the best of ``v(A)`` and ``cover(B) +
+      cover(A - B)`` over every split: two feasible decompositions joined
+      stay feasible;
+    * from above, for a state ``x`` of ``A``, top state first, the stored
+      dual of ``A - {x}`` extended by ``y_x = LB(A) - cover(A - {x})``
+      (``>= 0``, as ``LB(A) >= cover(A - {x}) + v({x})``) is a feasible
+      dual if ``y(T + x) >= v(T + x)`` for every ``T`` inside ``A - {x}``,
+      read from the subset sums of ``y``.  Its value is ``LB(A)``, so weak
+      duality gives ``cover(A) = LB(A)``, and ``y`` is stored as ``A``'s dual.
+
+    Only when no state gives a feasible dual is ``A``'s LP solved, and its
+    value and its duals on ``A`` are stored.  A convex table never gets
+    there: the dual built along the ascending chain is its marginal vector,
+    which lies in the core of a convex game (Shapley 1971).  The scan runs
+    over ``v._scaled`` in ints; an LP value with a new denominator puts
+    every stored entry over it.
     """
-    table = [ZERO] * v.space.num_subsets
-    for bits in range(1, v.space.num_subsets):
-        table[bits] = _best_decomposition(
-            SimpleFunction.indicator(v.space, bits), v, submasks(bits)
-        ).value
-    return Capacity(v.space, tuple(table))
+    s, common = v._scaled, v._common
+    cover = [0] * len(s)
+    duals = [()] * len(s)  # each event's dual, one entry per state ascending
+    for a in range(1, len(s)):
+        subs = submasks(a)
+        # the cover at the proper submasks, ascending: the complement in a
+        # of the i-th from the start is the i-th from the end
+        inner = list(map(cover.__getitem__, subs[:-1]))
+        h = len(inner) // 2
+        lb = max(max(map(add, inner[:h], reversed(inner[h:])), default=s[a]), s[a])
+        states = list(states_of(a))
+        for p in reversed(range(len(states))):
+            b = 1 << states[p]
+            rest, yx = duals[a ^ b], lb - cover[a ^ b]
+            sums = [0]
+            for w in rest:
+                sums += list(map(add, sums, repeat(w)))
+            # the submasks holding x, ascending: for the top state, the upper half
+            above = map(s.__getitem__, subs[h:] if b > a ^ b else [t for t in subs if t & b])
+            if max(map(sub, above, sums)) <= yx:
+                cover[a], duals[a] = lb, rest[:p] + (yx,) + rest[p:]
+                break
+        else:
+            res = _best_decomposition(SimpleFunction.indicator(v.space, a), v, subs)
+            got = [x * common for x in (res.value, *(res.dual_witness[k] for k in states))]
+            q = math.lcm(*(x.denominator for x in got))
+            if q > 1:
+                s, cover = [x * q for x in s], [x * q for x in cover]
+                duals = [tuple(y * q for y in d) for d in duals]
+                common *= q
+            cover[a], *ys = [(x * q).numerator for x in got]
+            duals[a] = tuple(ys)
+    return Capacity(v.space, tuple(Fraction(x, common) for x in cover))
 
 
 def psa_integral(

@@ -186,18 +186,16 @@ def test_solve_max_keeps_one_objective_denominator_while_pivoting():
 
 
 def test_capacity_lps_read_the_scaled_table():
-    # _best_decomposition (concave_integral, balanced_cover,
+    # _best_decomposition (concave_integral, balanced_cover's fallback,
     # chain_restricted_value) prices its columns from the capacity's ints
-    # over its common denominator, never from its Fractions
+    # over its common denominator, never from its Fractions, and
+    # balanced_cover's certificates add and compare those same ints
     tree = ast.parse((ROOT / "src" / "nonadd" / "integrals.py").read_text())
-    (best,) = [
-        n
-        for n in ast.walk(tree)
-        if isinstance(n, ast.FunctionDef) and n.name == "_best_decomposition"
-    ]
-    attrs = {n.attr for n in ast.walk(best) if isinstance(n, ast.Attribute)}
-    assert {"_scaled", "_common"} <= attrs
-    assert "values" not in attrs
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("_best_decomposition", "balanced_cover"):
+        attrs = {n.attr for n in ast.walk(functions[name]) if isinstance(n, ast.Attribute)}
+        assert {"_scaled", "_common"} <= attrs, name
+        assert "values" not in attrs, name
 
 
 def test_lp_witness_reads_x_only_at_the_support():
@@ -360,6 +358,7 @@ def test_masks_are_read_and_built_at_one_site_each():
         ("sets", "__iter__"),  # SubsetMask's
         ("capacity", "mass"),
         ("integrals", "fits_under"),
+        ("integrals", "balanced_cover"),  # an event's states, for its dual
         ("simplex", "solve_max"),
     }
     assert _calls("mask_of") == {

@@ -34,6 +34,7 @@ from nonadd import (
     verify_dual_certificate,
 )
 from nonadd import integrals
+from nonadd.sets import mask_of
 from nonadd.simplex import LPSolution
 from nonadd.convergence import PROFILES
 
@@ -253,6 +254,14 @@ class TestConcave:
             assert concave_integral(f, v).value == v.values[mask]
 
 
+def reference_cover(v):
+    """Each event's concave integral over every column: the cover, LP by LP."""
+    return [F(0)] + [
+        concave_integral(SimpleFunction.indicator(v.space, bits), v).value
+        for bits in range(1, v.space.num_subsets)
+    ]
+
+
 class TestBalancedCover:
     def test_additive_is_its_own_cover(self):
         P = ProbabilityMeasure(StateSpace(3), (F(1, 2), F(1, 3), F(1, 6)))
@@ -292,11 +301,20 @@ class TestBalancedCover:
     )
     def test_equals_the_all_columns_reference(self, n, seed, profile):
         v = random_capacity(n, seed, profile)
-        reference = [F(0)] + [
-            concave_integral(SimpleFunction.indicator(v.space, bits), v).value
-            for bits in range(1, v.space.num_subsets)
-        ]
-        assert list(balanced_cover(v).values) == reference
+        assert list(balanced_cover(v).values) == reference_cover(v)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_equals_the_reference_on_larger_tables(self, n, profile):
+        for seed in range(2):
+            v = random_capacity(n, seed, profile)
+            assert list(balanced_cover(v).values) == reference_cover(v)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_reference_past_the_scaling_budget(self, n):
+        # from n = 5 on, _scaled holds the Fractions themselves, over 1
+        v = prime_capacity(n)
+        assert list(balanced_cover(v).values) == reference_cover(v)
 
 
 class TestPSA:
@@ -484,11 +502,50 @@ def lp_columns(monkeypatch):
     return sizes
 
 
+# v = 1 on each pair and on the full set, 0 on each singleton: the three
+# pairs at weight 1/2 reach 3/2, which no split of the full set reaches
+PAIRS = Capacity(StateSpace(3), (0, 0, 0, 1, 0, 1, 1, 1))
+
+
 class TestColumnCounts:
-    def test_cover_solves_each_event_over_its_subsets(self, lp_columns):
-        balanced_cover(random_capacity(5, 0, "general"))
-        assert len(lp_columns) == 31
-        assert sum(lp_columns) == 3**5 - 2**5
+    def test_cover_solves_only_the_events_it_cannot_certify(self, lp_columns, monkeypatch):
+        # each solve that still runs offers the subsets of its event A as
+        # columns, 2^|A| - 1 of them.  Of these six n=7 tables' 6 * 127
+        # events three are solved, and each solve doubles the scan's
+        # denominator, so the certificates after it read the duals stored
+        # before it at the new scale
+        events = []
+        counting = integrals.solve_max
+
+        def by_event(objective, columns, rhs, denominator=1):
+            events.append(mask_of(rhs))  # rhs is the indicator of A
+            return counting(objective, columns, rhs, denominator)
+
+        monkeypatch.setattr(integrals, "solve_max", by_event)
+        for seed in range(6):
+            balanced_cover(random_capacity(7, seed, "general"))
+        assert events == [0b0001101, 0b1011001, 0b1011100]
+        assert lp_columns == [2 ** bin(a).count("1") - 1 for a in events]
+
+    def test_convex_and_additive_covers_solve_nothing(self, lp_columns):
+        for seed in range(4):
+            balanced_cover(random_capacity(6, seed, "convex"))
+            P = random_probability(StateSpace(6), random.Random(seed))
+            balanced_cover(Capacity(P.space, P.mass_table))
+        assert lp_columns == []
+
+    def test_pairs_game_solves_its_full_set_once(self, lp_columns):
+        assert balanced_cover(PAIRS).values[-1] == F(3, 2)
+        assert lp_columns == [7]
+
+    def test_an_additive_state_is_certified_from_the_solved_duals(self, lp_columns):
+        # v(T + {3}) = v(T) + 1: the full set is the solved {0, 1, 2} plus
+        # state 3, certified by extending that LP's duals (1/2 each) by 1
+        v = Capacity(StateSpace(4), PAIRS.values + tuple(x + 1 for x in PAIRS.values))
+        cover = balanced_cover(v)
+        assert cover.values[-1] == F(5, 2)
+        assert lp_columns == [7]
+        assert list(cover.values) == reference_cover(v)
 
     def test_induced_psp_with_full_supports_solves_once(self, lp_columns):
         space = StateSpace(4)
