@@ -186,6 +186,12 @@ class ProbabilityMeasure:
         return sum((self.weights[k] for k in states_of(bits)), ZERO)
 
     @cached_property
+    def _scaled(self) -> tuple[tuple, int]:
+        """The weights over one common denominator, ``(scaled, common)`` as
+        :func:`_scale` gives them.  Made on first use."""
+        return _scale(self.weights)
+
+    @cached_property
     def mass_table(self) -> tuple[Fraction, ...]:
         """``P`` evaluated on every subset, indexed by mask."""
         return tuple(subset_sums(self.weights))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby, repeat
-from operator import add, sub
+from operator import add, lt, mul, sub
 from typing import Iterable, Sequence
 
 from .capacity import Capacity, ProbabilityMeasure, _scale
@@ -102,9 +102,11 @@ class SimpleFunction:
         return _scale(self.values)
 
     def expectation(self, P: ProbabilityMeasure) -> Fraction:
-        """The ordinary (additive) integral against ``P``."""
+        """The ordinary (additive) integral against ``P``: one sum over both
+        scaled tuples, divided once."""
         same_space(self, P)
-        return sum((x * w for x, w in zip(self.values, P.weights)), ZERO)
+        (values, fc), (weights, pc) = self._scaled, P._scaled
+        return Fraction(sum(map(mul, values, weights)), fc * pc)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,15 @@ class Decomposition:
         terms = tuple(self.terms)
         masks = [check_size(m, "mask", 0) for _, m in terms]
         object.__setattr__(self, "terms", _positive(terms, masks))
+
+    @classmethod
+    def _built(cls, terms: tuple[tuple[Fraction, int], ...]) -> Decomposition:
+        """A witness the library has just built, positive ``Fraction``
+        weights on in-range masks, kept without re-checking them; a caller's
+        terms go through ``Decomposition(...)``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     @cached_property
     def _numerators(self) -> tuple[list[int], int]:
@@ -165,19 +176,36 @@ class FunctionDecomposition:
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", _positive(terms, [g for _, g in terms]))
 
-    def combination(self, space: StateSpace) -> tuple[Fraction, ...]:
-        acc = [ZERO] * space.n
-        for w, g in self.terms:
-            for k, x in enumerate(g.values):
-                acc[k] += w * x
-        return tuple(acc)
+    @cached_property
+    def _numerators(self) -> tuple[list[tuple[int, tuple]], int]:
+        """The terms over one ``D``, the lcm of each weight's denominator
+        times its function's common denominator: per term, the int that
+        carries ``g``'s scaled values to ``w * g`` over ``D``, with those
+        values; and ``D``."""
+        parts = [(w, *g._scaled) for w, g in self.terms]
+        d = math.lcm(*(w.denominator * c for w, _, c in parts))
+        return [(w.numerator * (d // (w.denominator * c)), s) for w, s, c in parts], d
 
     def fits_under(self, f: SimpleFunction) -> bool:
+        """Is ``sum(w * g)`` at most ``f`` at every state?  The sum is taken
+        per state in ints over ``D``, and read against ``f`` as
+        ``acc * common <= scaled * D``."""
         same_space(f, *(g for _, g in self.terms))
-        return all(a <= b for a, b in zip(self.combination(f.space), f.values))
+        scaled, common = f._scaled
+        nums, d = self._numerators
+        acc = [0] * f.space.n
+        for p, values in nums:
+            acc = list(map(add, acc, map(mul, values, repeat(p))))
+        return all(a * common <= b * d for a, b in zip(acc, scaled))
 
     def weight_against(self, P: ProbabilityMeasure) -> Fraction:
-        return sum((w * g.expectation(P) for w, g in self.terms), ZERO)
+        """``sum(w * int g dP)``, each expectation one int sum against
+        ``P``'s scaled weights, all over ``D``, divided once."""
+        same_space(P, *(g for _, g in self.terms))
+        weights, common = P._scaled
+        nums, d = self._numerators
+        total = sum(p * sum(map(mul, values, weights)) for p, values in nums)
+        return Fraction(total, d * common)
 
 
 def _positive(terms: tuple[tuple, ...], targets: list) -> tuple[tuple, ...]:
@@ -229,7 +257,7 @@ def choquet_integral(f: SimpleFunction, v: Capacity) -> IntegralResult:
     terms = [(Fraction(d, common), m) for d, (_, m) in zip(gaps, levels)]
     terms.reverse()  # lowest threshold = largest set first: decreasing chain
     return IntegralResult(
-        Fraction(total, common * v._common), Decomposition(tuple(terms))
+        Fraction(total, common * v._common), Decomposition._built(tuple(terms))
     )
 
 
@@ -290,15 +318,21 @@ def verify_dual_certificate(
 
     Checks that ``y`` has one entry per state, ``y >= 0``, ``sum_{x in T}
     y_x >= v(T)`` for every ``T`` (one subset-sum pass), and ``sum_x y_x
-    f(x) == value``.  ``f`` and ``v`` must share one state space.
+    f(x) == value``.  ``f`` and ``v`` must share one state space.  ``y``
+    is put over its lcm ``d``, and the subset sums of its numerators are
+    read against ``v``'s scaled table as ``sums * common >= scaled * d``.
     """
     same_space(f, v)
     y = result.dual_witness
     if y is None or len(y) != f.space.n or any(c < 0 for c in y):
         return False
-    if any(s < x for s, x in zip(subset_sums(y), v.values)):
+    d = math.lcm(*(c.denominator for c in y))
+    ys = [c.numerator * (d // c.denominator) for c in y]
+    sums = map(mul, subset_sums(ys), repeat(v._common))
+    if any(map(lt, sums, map(mul, v._scaled, repeat(d)))):
         return False
-    return sum((c * x for c, x in zip(y, f.values)), ZERO) == result.value
+    values, common = f._scaled
+    return Fraction(sum(map(mul, ys, values)), d * common) == result.value
 
 
 def balanced_cover(v: Capacity) -> Capacity:
@@ -383,7 +417,7 @@ def psa_integral(
         if m > 0:
             terms.append((m, block.bits))
         total += m * P.mass(block.bits)
-    return IntegralResult(total, Decomposition(tuple(terms)))
+    return IntegralResult(total, Decomposition._built(tuple(terms)))
 
 
 def psp_integral(

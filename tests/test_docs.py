@@ -373,11 +373,22 @@ def test_masks_are_read_and_built_at_one_site_each():
 def test_values_are_scaled_at_one_site_per_owner():
     # a table or a function is put over one common denominator by
     # capacity._scale once, where its owner keeps it; the Choquet integral,
-    # the witness replays and the table scans read that
+    # the witness replays, the expectations and the table scans read that
     assert _calls("_scale") == {
         ("capacity", "__post_init__"),  # Capacity's
+        ("capacity", "_scaled"),  # ProbabilityMeasure's
         ("integrals", "_scaled"),  # SimpleFunction's
         ("countable", "_scaled"),  # EventuallyConstantFunction's
+    }
+
+
+def test_only_the_closed_form_integrals_skip_the_witness_check():
+    # Decomposition._built keeps a witness unchecked: only the two integrals
+    # that build theirs from checked parts call it; a caller's terms, and
+    # an LP's support (replayed by _lp_integral), go through Decomposition(...)
+    assert _calls("_built") == {
+        ("integrals", "choquet_integral"),
+        ("integrals", "psa_integral"),
     }
 
 
@@ -386,7 +397,9 @@ def test_a_capacity_table_is_read_and_checked_in_its_constructor():
     # checks the axioms, whether its values come as Fractions or as a
     # file's strings; capacity_from_obj builds only through Capacity(...),
     # so no table reaches a scan unchecked
-    assert {s for s in _calls("_scale") if s[0] == "capacity"} == {("capacity", "__post_init__")}
+    # (ProbabilityMeasure._scaled scales a measure's weights, not a table)
+    scales = {s for s in _calls("_scale") if s[0] == "capacity"} - {("capacity", "_scaled")}
+    assert scales == {("capacity", "__post_init__")}
     text = "".join(p.read_text() for p in (ROOT / "src" / "nonadd").glob("*.py"))
     for message in (
         "capacity of the empty set must be 0",

@@ -1,5 +1,6 @@
 """The four integrals, the balanced cover, and the brute-force oracle."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from helpers import lebesgue, level_scan_choquet, prime_capacity, survival_scan_
 from nonadd import (
     Capacity,
     Decomposition,
+    FunctionDecomposition,
     Partition,
     ProbabilityMeasure,
     SimpleFunction,
@@ -232,6 +234,38 @@ class TestConcave:
         lowered = replace(result, dual_witness=(F(5, 10), F(7, 10)))
         assert not verify_dual_certificate(lowered, f, NONCONVEX2)
 
+    def test_a_dual_short_by_one_step_over_its_lcm_fails(self):
+        # y = (2/5, 4/5) over d = 5 pairs with f = (1, 1) to the value, but
+        # y({0}) = 2/5 falls short of v({0}) = 3/5 by 1/d on that subset alone
+        f = SimpleFunction.constant(NONCONVEX2.space, 1)
+        result = concave_integral(f, NONCONVEX2)
+        assert verify_dual_certificate(result, f, NONCONVEX2)
+        short = replace(result, dual_witness=(F(2, 5), F(4, 5)))
+        assert not verify_dual_certificate(short, f, NONCONVEX2)
+        assert dual_reference(short, f, NONCONVEX2) is False
+
+    @pytest.mark.parametrize("v", [random_capacity(5, 2, "general"), prime_capacity(5)])
+    def test_perturbed_duals_agree_with_the_fraction_reference(self, v):
+        # a step of one unit over the duals' lcm moved from one state to
+        # another keeps the pairing with a constant f, and may break a
+        # subset; the verdict is the Fraction definition's, past the
+        # scaling budget too (prime_capacity(5))
+        f = SimpleFunction.constant(v.space, 1)
+        result = concave_integral(f, v)
+        y = result.dual_witness
+        step = F(1, math.lcm(*(c.denominator for c in y)))
+        verdicts = []
+        for i in range(v.space.n):
+            for j in range(v.space.n):
+                moved = list(y)
+                moved[i] -= step
+                moved[j] += step
+                tampered = replace(result, dual_witness=tuple(moved))
+                verdict = verify_dual_certificate(tampered, f, v)
+                assert verdict == dual_reference(tampered, f, v)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
     def test_dominates_choquet(self):
         rng = random.Random(23)
         for seed in range(40):
@@ -362,6 +396,9 @@ class TestPSA:
         f = SimpleFunction(space, (F(4), F(3), F(2), F(1)))
         result = psa_integral(f, P, partition)
         assert result.witness.fits_under(f)
+        # built unchecked, it is the witness the checked constructor builds
+        assert result.witness == Decomposition(result.witness.terms)
+        assert all(type(w) is F for w, _ in result.witness.terms)
 
 
 class TestPSP:
@@ -486,6 +523,97 @@ class TestPSP:
             for bits in range(1, space.num_subsets)
         ]
         assert list(induced_psp_capacity(P, family).values) == reference
+
+
+def dual_reference(result, f, v):
+    """:func:`verify_dual_certificate` by its definition, in Fractions."""
+    y, n = result.dual_witness, f.space.n
+    if y is None or len(y) != n or any(c < 0 for c in y):
+        return False
+    for t in range(v.space.num_subsets):
+        if sum((y[k] for k in range(n) if t >> k & 1), F(0)) < v.values[t]:
+            return False
+    return sum((c * x for c, x in zip(y, f.values)), F(0)) == result.value
+
+
+def combination(terms, n):
+    """``sum(w * g)`` state by state, in Fractions."""
+    return [sum((w * g.values[k] for w, g in terms), F(0)) for k in range(n)]
+
+
+# one 65-bit denominator per state: a function, a member or a measure
+# drawn from these is past the scaling budget
+WIDE = [2**64 + 2 * k + 1 for k in range(6)]
+
+
+class TestKnownExpectationsReplay:
+    """The expectation and the known-function witness replay, in ints,
+    against their Fraction definitions."""
+
+    @staticmethod
+    def function(data, space, wide, label):
+        """A function of mixed small denominators, or with ``wide`` one of
+        1 or 2 over each state's own ``WIDE`` denominator."""
+        n = space.n
+        if wide:
+            tops = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n), label=label)
+            g = SimpleFunction(space, tuple(map(F, tops, WIDE)))
+            assert g._scaled == (g.values, 1)
+            return g
+        pool = st.sampled_from([F(0)] + [F(j, q) for j in range(1, 6) for q in (1, 2, 3, 4, 6, 7)])
+        return SimpleFunction(space, tuple(data.draw(st.lists(pool, min_size=n, max_size=n), label=label)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_equal_their_fraction_definitions(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        space = StateSpace(n)
+        raw = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n), label="raw")
+        raw[0] += not any(raw)
+        if data.draw(st.booleans(), label="P past the budget"):
+            tilt = [F(r) + F(1, WIDE[k]) for k, r in enumerate(raw)]
+            P = ProbabilityMeasure(space, tuple(x / sum(tilt) for x in tilt))
+            assert n == 1 or P._scaled == (P.weights, 1)
+        else:
+            P = ProbabilityMeasure(space, tuple(F(r, sum(raw)) for r in raw))
+        wide_f, wide_g = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]))
+        f = self.function(data, space, wide_f, "f")
+        terms = []
+        for i in range(data.draw(st.integers(0, 4), label="members")):
+            g = self.function(data, space, wide_g and i == 0, f"g{i}")
+            w = F(data.draw(st.integers(1, 9)), data.draw(st.sampled_from([1, 2, 3, 5, 8])))
+            terms.append((w, g))
+        witness = FunctionDecomposition(tuple(terms))
+
+        expectation = f.expectation(P)
+        assert expectation == lebesgue(f, P) and type(expectation) is F
+        weight = witness.weight_against(P)
+        assert weight == sum((w * lebesgue(g, P) for w, g in terms), F(0))
+        assert type(weight) is F
+        combo = combination(terms, n)
+        assert witness.fits_under(f) == all(a <= b for a, b in zip(combo, f.values))
+        # at the combination itself it fits; a hair below it at one state, not
+        assert witness.fits_under(SimpleFunction(space, tuple(combo)))
+        for k in range(n):
+            if combo[k]:
+                below = list(combo)
+                below[k] -= min(combo[k], F(1, WIDE[5] * 7))
+                assert not witness.fits_under(SimpleFunction(space, tuple(below)))
+
+    def test_an_overshoot_of_one_step_over_d_does_not_fit(self):
+        # w * g over D = lcm(3 * 10, 4 * 7) = 420: the sum is (5/21, 1/15,
+        # 1/4), and f one step of 1/420 below it at any one state fails
+        space = StateSpace(3)
+        g1 = SimpleFunction(space, (F(1, 2), F(1, 5), F(0)))
+        g2 = SimpleFunction(space, (F(2, 7), F(0), F(1)))
+        witness = FunctionDecomposition(((F(1, 3), g1), (F(1, 4), g2)))
+        assert witness._numerators[1] == 420
+        combo = (F(5, 21), F(1, 15), F(1, 4))
+        assert witness.fits_under(SimpleFunction(space, combo))
+        for k in range(3):
+            below = list(combo)
+            below[k] -= F(1, 420)
+            assert not witness.fits_under(SimpleFunction(space, tuple(below)))
 
 
 @pytest.fixture

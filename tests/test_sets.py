@@ -195,6 +195,9 @@ MISMATCHES = {
     "FunctionDecomposition.fits_under-3-state-target": lambda: (
         FunctionDecomposition(((1, F3),)).fits_under(F2)
     ),
+    "FunctionDecomposition.weight_against": lambda: (
+        FunctionDecomposition(((1, F2),)).weight_against(P3)
+    ),
     "psa_integral-measure": lambda: psa_integral(F2, P3, B2),
     "psa_integral-partition": lambda: psa_integral(F2, P2, B3),
     "psp_integral-measure": lambda: psp_integral(F2, P3, [F2]),
