@@ -235,21 +235,22 @@ def _cmd_cover(args, results: dict) -> bool:
     return True
 
 
-def _trace_obj(trace: tuple) -> dict:
-    """The trace, or past 100 entries only its first and last ten."""
-    if len(trace) <= 100:
+def _trace_obj(trace: tuple, length: int) -> dict:
+    """A trace of ``length`` entries, or past 100 only its first and last
+    ten; ``trace`` holds all of them or just those it prints."""
+    if length <= 100:
         return {"trace": _obj(trace)}
     return {
         "trace_head": _obj(trace[:10]),
         "trace_tail": _obj(trace[-10:]),
-        "trace_length": len(trace),
+        "trace_length": length,
     }
 
 
 # Largest --m and --depth accepted, so that every preset ends in bounded
-# time and memory: dyadic --m builds 2**m states, and a model preset's
-# --depth a trace of twice that many fractions, read from the layout in
-# linear time, as a ramp sequence's 'steps' builds that many terms.
+# time and memory: dyadic --m builds 2**m states, a model preset's --depth
+# only the trace entries it prints (at most 100, read from the layout),
+# and a ramp sequence's 'steps' builds that many terms.
 # --decimal K renders K digits per value.
 MAX_M = 16
 MAX_DEPTH = 100_000
@@ -265,11 +266,12 @@ def _cmd_converge(args, results: dict) -> bool:
     check_size(args.depth, "--depth", 1, MAX_DEPTH)
     check_size(args.m, "--m", 0, MAX_M)
     if args.preset in _MODELS:
-        report = countable.monotone_convergence_countable(
-            _MODELS[args.preset](), countable.unit_prefix_sequence(), 2 * args.depth
-        )
-        # entry m integrates the indicator of the first 2m states
-        results.update(_trace_obj(report.integral_trace[1::2]))
+        # entry m integrates the indicator of the first 2m states; only the
+        # entries _trace_obj prints are read, the verdict at m = depth
+        evens = range(2, 2 * args.depth + 1, 2)
+        shown = evens if args.depth <= 100 else [*evens[:10], *evens[-10:]]
+        report = countable._prefix_report(_MODELS[args.preset](), shown)
+        results.update(_trace_obj(report.integral_trace, args.depth))
         _maybe_decimal(results, "limit_integral", report.limit_integral, args.decimal)
         results["convergent"] = report.converges
         results["basis"] = report.basis
@@ -286,7 +288,7 @@ def _cmd_converge(args, results: dict) -> bool:
             countable.uniform_finite_measure(size),
             f,
         )
-        results.update(_trace_obj(run.integral_trace))
+        results.update(_trace_obj(run.integral_trace, len(run.integral_trace)))
         _maybe_decimal(results, "target", run.target, args.decimal)
         results["stabilized_at"] = run.stabilized_at
         results["convergent"] = run.converges
@@ -304,7 +306,7 @@ def _cmd_converge(args, results: dict) -> bool:
         "weak_v_ae": converges_weak_ae(seq, v).holds,
         "strong_v_ae": converges_strong_ae(seq, v).holds,
     }
-    results.update(_trace_obj(exp.integral_trace))
+    results.update(_trace_obj(exp.integral_trace, len(exp.integral_trace)))
     _maybe_decimal(results, "limit_integral", exp.limit_integral, args.decimal)
     results["convergent"] = exp.holds
     if not exp.holds:

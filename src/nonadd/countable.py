@@ -35,6 +35,7 @@ carries positive mass).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -457,23 +458,39 @@ def monotone_convergence_countable(
     """Do the partition-limited integrals converge to the limit's integral?
 
     Traces the first ``depth`` terms and decides along the ladder described
-    on :class:`CountableConvergenceReport`; the verdict never depends on
-    ``depth``.  Unit-prefix entry ``n``, the mass of the blocks inside
-    ``{1..n}``, is read from the layout: in the head ``{1..K}`` it rises by
-    each block's mass at its last state; from ``K`` on it is ``1 - tail(t)``,
-    ``t`` the last state of the last complete block (``K`` before an
-    infinite block).  So the trace takes time linear in ``depth + K``.
+    on :class:`CountableConvergenceReport`.  ``converges`` never depends on
+    ``depth``; for unit prefixes ``basis`` turns ``"exact"`` once the blocks
+    inside ``{1..depth}`` hold all the mass (:func:`_prefix_report`).
     """
     check_size(depth, "depth", 1)
-    finite_atoms = model.partition.all_atoms_finite()
+    if seq.family == "unit-prefix":
+        return _prefix_report(model, range(1, depth + 1))
     target = countable_psa_integral(seq.limit, model)
-    if seq.family == "constant":
-        value = countable_psa_integral(seq.f, model)
-        return CountableConvergenceReport(
-            value == target, "stabilized", (value,) * depth, target,
-            target - value, finite_atoms,
-        )
+    value = countable_psa_integral(seq.f, model)
+    return CountableConvergenceReport(
+        value == target, "stabilized", (value,) * depth, target,
+        target - value, model.partition.all_atoms_finite(),
+    )
+
+
+def _prefix_report(
+    model: CountableModel, prefixes: Sequence[int]
+) -> CountableConvergenceReport:
+    """The unit-prefix report, its trace holding entry ``n`` for each ``n``
+    of ``prefixes`` (strictly ascending, from 1) and its verdict read at
+    the last, the depth.
+
+    Entry ``n``, the mass of the blocks inside ``{1..n}``, is read from the
+    layout: in the head ``{1..K}`` it rises by each block's mass at its last
+    state; from ``K`` on it is ``1 - tail(t)``, ``t`` the last state of the
+    last complete block (``K`` before an infinite block), built once per
+    ``t`` from the tail's int pair.  The prefixes sharing a ``t`` are found
+    by bisection and take it as one run, so the time grows with
+    ``len(prefixes) + K``, not with the depth.
+    """
     partition, measure = model.partition, model.measure
+    finite_atoms = partition.all_atoms_finite()
+    target = countable_psa_integral(EventuallyConstantFunction.constant(1), model)
     top = len(partition._block_of)
     rises = [ZERO] * top
     for block in partition.head:
@@ -481,15 +498,20 @@ def monotone_convergence_countable(
         weights = Counter([k - 1 for k in block])
         weights.subtract(block)
         rises[block[-1] - 1] = _tail_sum(weights, measure)
-    # entries n = 0..K-1, then from n = K equal entries for each tail block
-    # (an infinite block: all of them to depth), each 1 - tail(t) built
-    # once from the tail's int pair
-    trace = list(accumulate(rises, initial=ZERO))[:top]
-    width = partition.width
-    for t in range(top, depth + 1, width or depth + 1):
-        p, q = measure._tail_ratio(t)
-        trace += [Fraction(q - p, q)] * (width or depth + 1 - top)
-    trace = tuple(trace[1 : depth + 1])
+    head = list(accumulate(rises, initial=ZERO))  # entries n = 0..K
+    i, count, depth = bisect_left(prefixes, top), len(prefixes), prefixes[-1]
+    trace = list(map(head.__getitem__, prefixes[:i]))
+    # past K, blocks of `width` states; an infinite one outlasts the depth
+    width = partition.width or depth + 1
+    while i < count:
+        n = prefixes[i]
+        start = n - (n - top) % width  # entry n's t
+        # the prefixes sharing t: at most `width` of them, being distinct
+        j = bisect_left(prefixes, start + width, i, min(i + width, count))
+        p, q = measure._tail_ratio(start)
+        trace += [Fraction(q - p, q)] * (j - i)
+        i = j
+    trace = tuple(trace)
     report = partial(
         CountableConvergenceReport,
         integral_trace=trace,

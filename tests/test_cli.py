@@ -26,6 +26,7 @@ from nonadd import (
     jsonio,
     random_capacity,
 )
+from nonadd import cli, countable
 from nonadd.cli import main
 from nonadd.simplex import LPSolution
 
@@ -311,6 +312,70 @@ def test_converge_trivial_field_at_the_depth_bound(capsys):
     assert results["trace_length"] == 100_000
     assert set(results["trace_head"]) == set(results["trace_tail"]) == {"0"}
     assert results["convergent"] is False
+
+
+def test_converge_pair_blocks_at_the_depth_bound(capsys):
+    started = time.perf_counter()
+    code, report, _ = run_cli(
+        capsys, "converge", "--preset", "pair-blocks", "--depth", "100000"
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 0
+    results = report["results"]
+    assert results["trace_length"] == 100_000
+    assert results["trace_head"][0] == "2/3"
+    assert results["trace_tail"][-1] == "200000/200001"
+    assert results["convergent"] is True and results["basis"] == "finite-atoms"
+
+
+@functools.cache
+def _full_trace_results(preset, depth):
+    # the results the preset prints, rebuilt from the library's full trace,
+    # and the limit's --decimal 5 companion
+    model = {"pair-blocks": countable.pairs_model, "trivial-field": countable.trivial_model}
+    full = countable.monotone_convergence_countable(
+        model[preset](), countable.unit_prefix_sequence(), 2 * depth
+    )
+    results = cli._trace_obj(full.integral_trace[1::2], depth)
+    results["limit_integral"] = cli._obj(full.limit_integral)
+    results["convergent"] = full.converges
+    results["basis"] = full.basis
+    if full.divergence_bound is not None:
+        results["divergence_bound"] = cli._obj(full.divergence_bound)
+    return results, cli._decimal(full.limit_integral, 5)
+
+
+@pytest.mark.parametrize("decimal", [False, True], ids=["exact", "decimal"])
+@pytest.mark.parametrize("depth", [1, 5, 50, 99, 100, 101, 10_000, 100_000])
+@pytest.mark.parametrize("preset", ["pair-blocks", "trivial-field"])
+def test_model_presets_print_the_full_trace_entries(capsys, preset, depth, decimal):
+    results, limit_decimal = _full_trace_results(preset, depth)
+    want = dict(results)
+    argv = ["converge", "--preset", preset, "--depth", str(depth)]
+    if decimal:
+        argv[:0] = ["--decimal", "5"]
+        want["limit_integral_decimal"] = limit_decimal
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["results"] == want
+
+
+@pytest.mark.parametrize("depth", [100, 101, 100_000])
+def test_model_presets_read_only_the_printed_prefixes(capsys, monkeypatch, depth):
+    asked = []
+    reader = countable._prefix_report
+
+    def recorded(model, prefixes):
+        asked.append(list(prefixes))
+        return reader(model, prefixes)
+
+    monkeypatch.setattr(countable, "_prefix_report", recorded)
+    for preset in ("pair-blocks", "trivial-field"):
+        code, _, _ = run_cli(capsys, "converge", "--preset", preset, "--depth", str(depth))
+        assert code == 0
+    evens = list(range(2, 2 * depth + 1, 2))
+    printed = evens if depth <= 100 else evens[:10] + evens[-10:]
+    assert asked == [printed, printed]
 
 
 def test_converge_trivial_field_assert_flag(capsys):

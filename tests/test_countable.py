@@ -36,6 +36,7 @@ from nonadd import (
 from nonadd import countable
 from nonadd.countable import (
     CountableMeasure,
+    _prefix_report,
     _tail_sum,
     random_eventually_constant_function,
 )
@@ -961,6 +962,18 @@ class TestSequenceVerdicts:
         assert deep.converges is True and deep.basis == "exact"
         assert deep.integral_trace[-2:] == (F(0), F(1))
 
+    def test_basis_turns_exact_once_the_blocks_hold_all_the_mass(self):
+        # converges never depends on the depth; basis does: on four states
+        # under pair blocks, {1..3} holds only the block {1, 2}
+        model = CountableModel(finite_measure([F(1, 4)] * 4), CountablePartition(width=2))
+        shallow, deep = (
+            monotone_convergence_countable(model, unit_prefix_sequence(), depth)
+            for depth in (3, 4)
+        )
+        assert shallow.converges is deep.converges is True
+        assert shallow.basis == "finite-atoms" and shallow.gap_at_depth == F(1, 2)
+        assert deep.basis == "exact" and deep.gap_at_depth == 0
+
     @settings(max_examples=150, deadline=None)
     @given(
         countable_functions(),
@@ -1157,14 +1170,15 @@ class TestIntTails:
         assert total == want and type(total) is F
 
     @settings(max_examples=200, deadline=None)
-    @given(countable_partitions(), int_tail_measures(), st.integers(1, 30))
-    def test_unit_prefix_trace_matches_block_weights(self, partition, measure, depth):
+    @given(countable_partitions(), int_tail_measures(), st.integers(1, 30), st.data())
+    def test_unit_prefix_trace_matches_block_weights(
+        self, partition, measure, depth, data
+    ):
         # entry n: the summed weights of the blocks held in {1..n}; listing
         # states to n + K + 2 shows each such block whole and the infinite
         # block, if any, with a member past n
-        report = monotone_convergence_countable(
-            CountableModel(measure, partition), unit_prefix_sequence(), depth
-        )
+        model = CountableModel(measure, partition)
+        report = monotone_convergence_countable(model, unit_prefix_sequence(), depth)
         top = sum(map(len, partition.head))
         for n in range(1, depth + 1):
             blocks = {}
@@ -1174,6 +1188,17 @@ class TestIntTails:
             want = weight_sum(measure, inside)
             entry = report.integral_trace[n - 1]
             assert entry == want and type(entry) is F
+        # the prefix reader on an ascending subset of 1..depth: the full
+        # trace's entries there, and its verdict at the deepest of them
+        prefixes = sorted(data.draw(st.sets(st.integers(1, depth), min_size=1)))
+        full = monotone_convergence_countable(
+            model, unit_prefix_sequence(), prefixes[-1]
+        )
+        part = _prefix_report(model, prefixes)
+        assert part.integral_trace == tuple(full.integral_trace[n - 1] for n in prefixes)
+        assert all(type(entry) is F for entry in part.integral_trace)
+        verdict = ("basis", "converges", "gap_at_depth", "divergence_bound")
+        assert [getattr(part, k) for k in verdict] == [getattr(full, k) for k in verdict]
 
     @pytest.mark.parametrize(
         "weights",

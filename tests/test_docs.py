@@ -213,14 +213,14 @@ def test_lp_witness_reads_x_only_at_the_support():
 
 
 def test_countable_tail_sums_read_tails_as_ints():
-    # a countable tail is an int pair: neither _tail_sum nor the trace
-    # loops of monotone_convergence_countable build a Fraction per tail
+    # a countable tail is an int pair: neither _tail_sum nor the loops of
+    # _prefix_report, the unit-prefix trace, build a Fraction per tail
     tree = ast.parse((ROOT / "src" / "nonadd" / "countable.py").read_text())
     functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     loops = [
         n
-        for n in ast.walk(functions["monotone_convergence_countable"])
-        if isinstance(n, (ast.For, ast.GeneratorExp, ast.ListComp))
+        for n in ast.walk(functions["_prefix_report"])
+        if isinstance(n, (ast.For, ast.While, ast.GeneratorExp, ast.ListComp))
     ]
     assert loops
     reads = [
@@ -242,7 +242,7 @@ def test_countable_integrals_share_one_by_parts_sum():
     }
     assert _calls("_tail_sum") == {
         ("countable", "_by_parts"),
-        ("countable", "monotone_convergence_countable"),
+        ("countable", "_prefix_report"),
     }
 
 
