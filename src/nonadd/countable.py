@@ -16,7 +16,8 @@ need infinitely many states.  This module realizes them exactly:
   ``g``, the infimum of ``f`` over each state's block, and ``g`` is
   eventually constant too.  Summed by parts, the ordinary integral of
   either is one exact sum ``sum_k w_k * T(k)``, ``w_k`` the step of the
-  values at state ``k + 1``, read one tail per nonzero step;
+  values at state ``k + 1``, read one tail per nonzero step; over a
+  finite family it is one sum of each value times its weight;
 * an event is its indicator (:meth:`EventuallyConstantFunction.indicator`):
   its mass is the ordinary integral of it and the induced capacity's value
   the partition-limited one;
@@ -40,9 +41,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .capacity import PropertyReport, _scale
@@ -157,6 +158,20 @@ class CountablePartition:
                 block_of[k - 1] = i
         object.__setattr__(self, "_block_of", tuple(block_of))
 
+    @classmethod
+    def _built(
+        cls, head: tuple[tuple[int, ...], ...], block_of: tuple[int, ...]
+    ) -> CountablePartition:
+        """A layout the library has just built, with singletons past the
+        head: sorted nonempty blocks partitioning ``{1..K}`` and each head
+        state's block number, kept without re-checking them; a caller's
+        layout goes through ``CountablePartition(...)``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "width", 1)
+        object.__setattr__(self, "_block_of", block_of)
+        return self
+
     # -- structure ---------------------------------------------------------
 
     def block_key(self, k: int) -> int:
@@ -225,12 +240,22 @@ def _by_parts(values: Sequence, measure: CountableMeasure) -> Fraction:
     """Ordinary integral of the function worth ``values[k-1]`` at state
     ``k`` up to ``len(values) - 1`` and the constant ``values[-1]`` beyond.
 
-    With ``c = values[-1]`` it is ``sum_k (values[k-1] - c) * (tail(k-1)
-    - tail(k)) + c``; summed by parts, ``tail(0)`` weighs ``values[0]`` and
-    ``tail(k)`` weighs ``values[k] - values[k-1]``.  Only the nonzero steps
-    go to :func:`_tail_sum`, so a function constant across a block reads
-    one tail per block boundary.
+    Over a finite family with int values (all ints or all Fractions,
+    as :func:`~nonadd.capacity._scale` gives them, so the tail constant
+    tells) it is one weighted sum over the support ``{1..K}``: each value,
+    padded with the tail constant to ``K`` states, times its weight
+    ``suffix[k-1] - suffix[k]``, divided once by the denominator.
+    Otherwise, with ``c = values[-1]``, it is ``sum_k (values[k-1] - c) *
+    (tail(k-1) - tail(k)) + c``; summed by parts, ``tail(0)`` weighs
+    ``values[0]`` and ``tail(k)`` weighs ``values[k] - values[k-1]``.  Only
+    the nonzero steps go to :func:`_tail_sum`, so a function constant
+    across a block reads one tail per block boundary.
     """
+    suffix = measure._suffix
+    if suffix is not None and type(values[-1]) is int:
+        padded = chain(islice(values, len(values) - 1), repeat(values[-1]))
+        weights = map(sub, suffix, suffix[1:])
+        return Fraction(sum(map(mul, padded, weights)), measure._den)
     steps = list(map(sub, values, chain((0,), values)))
     return _tail_sum(dict(compress(enumerate(steps), steps)), measure)
 
@@ -330,7 +355,11 @@ def countable_psa_integral(
     # vals[k] is f at state k for k up to max(horizon, K) + 1, so a head
     # block's members index it directly; vals[0] is a placeholder
     vals = (c,) + scaled + (c,) * (top - f.horizon)
-    mins = [min(map(vals.__getitem__, block)) for block in partition.head]
+    if len(partition.head) == top:  # K blocks on K states: g is f there
+        head = vals[1 : top + 1]
+    else:
+        mins = [min(map(vals.__getitem__, block)) for block in partition.head]
+        head = map(mins.__getitem__, partition._block_of)
     rest = vals[top + 1 :]  # f past K, then c
     if partition.width is None:
         rest = (min(rest),)
@@ -341,7 +370,7 @@ def countable_psa_integral(
         rest = [c] * (2 * len(pairs) + 1)
         rest[:-1:2] = pairs
         rest[1::2] = pairs
-    g = [*map(mins.__getitem__, partition._block_of), *rest]
+    g = [*head, *rest]
     return _by_parts(g, model.measure) / common
 
 
@@ -681,23 +710,30 @@ def dyadic_partitions(m: int) -> list[CountablePartition]:
     Stage ``j`` has ``2**j`` consecutive blocks of length ``2**(m-j)``
     (singletons beyond carry whatever mass the measure leaves there, none
     for the uniform measure on the window).  Stage ``m`` reaches full
-    information on the window.
+    information on the window.  Each stage is built directly, blocks as
+    ranges and block numbers as runs, through
+    :meth:`CountablePartition._built`: consecutive runs of one width from
+    1 are sorted, nonempty and partition ``{1..2**m}`` by construction, so
+    the per-state checks of ``CountablePartition(...)`` would find nothing.
     """
     size = 1 << check_size(m, "m", 0)
     stages = []
     for j in range(m + 1):
         width = size >> j
-        blocks = tuple(
-            tuple(range(start, start + width))
-            for start in range(1, size + 1, width)
-        )
-        stages.append(CountablePartition(blocks))
+        ends = range(1 + width, size + 2, width)
+        head = tuple(map(tuple, map(range, range(1, size + 1, width), ends)))
+        block_of = chain.from_iterable(map(repeat, range(1 << j), repeat(width)))
+        stages.append(CountablePartition._built(head, tuple(block_of)))
     return stages
+
+
+# the draws of random_eventually_constant_function, built once
+_EIGHTHS = tuple(Fraction(i, 8) for i in range(25))
 
 
 def random_eventually_constant_function(
     rng: random.Random, horizon: int
 ) -> EventuallyConstantFunction:
     """Values and tail drawn from ``0, 1/8, ..., 3``."""
-    values = tuple(Fraction(rng.randint(0, 24), 8) for _ in range(horizon))
-    return EventuallyConstantFunction(horizon, values, Fraction(rng.randint(0, 24), 8))
+    values = tuple(_EIGHTHS[rng.randint(0, 24)] for _ in range(horizon))
+    return EventuallyConstantFunction(horizon, values, _EIGHTHS[rng.randint(0, 24)])

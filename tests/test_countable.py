@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction as F
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1208,3 +1209,108 @@ class TestIntTails:
     def test_total_mass_must_be_one(self, weights):
         with pytest.raises(ValueError, match="total mass must be exactly 1"):
             finite_measure(weights)
+
+
+# -- directly built layouts, the weighted sum, the draws ---------------------
+
+
+class TestDyadicLayouts:
+    @pytest.mark.parametrize("m", range(13))
+    def test_built_stages_match_the_checked_constructor(self, m):
+        size = 1 << m
+        stages = dyadic_partitions(m)
+        assert len(stages) == m + 1
+        for j, stage in enumerate(stages):
+            width = size >> j
+            blocks = [list(range(s, s + width)) for s in range(1, size + 1, width)]
+            checked = CountablePartition(tuple(blocks))
+            assert type(stage) is CountablePartition
+            assert stage.head == checked.head and stage.width == checked.width == 1
+            assert all(type(b) is tuple for b in stage.head)
+            assert stage._block_of == checked._block_of
+            assert stage == checked and hash(stage) == hash(checked)
+            states = range(1, size + 5)  # past the window too
+            assert list(map(stage.block_key, states)) == list(
+                map(checked.block_key, states)
+            )
+        countable._check_refining(stages)
+
+
+def ref_infimum(f, partition, k):
+    """``f``'s infimum over the block of state ``k``, from the layout."""
+    top = sum(map(len, partition.head))
+    if k <= top:
+        (block,) = [b for b in partition.head if k in b]
+    elif partition.width is None:
+        block = range(top + 1, max(f.horizon, top) + 2)
+    else:
+        first = k - (k - top - 1) % partition.width
+        block = range(first, first + partition.width)
+    return min(map(f, block))
+
+
+# a denominator past SCALE_BITS on its own: values over it stay Fractions
+WIDE = (2**61 - 1) * (2**31 - 1)
+
+
+@st.composite
+def weighted_sum_cases(draw):
+    """A finite measure, a function whose horizon is shorter than, equal to
+    or longer than its support, with a nonzero tail constant over a wide
+    denominator or a small one, and a head, pair, infinite or singleton
+    layout."""
+    measure = draw(int_tail_measures().filter(lambda m: m.family == "finite"))
+    support = len(measure.weights)
+    horizon = draw(
+        st.sampled_from(
+            [max(support - draw(st.integers(1, 4)), 0), support, support + 3]
+        )
+    )
+    wide = draw(st.booleans())
+    value = st.builds(F, st.integers(0, 4), st.sampled_from([1, 2, 3, 8]))
+    values = draw(st.lists(value, min_size=horizon, max_size=horizon))
+    tail = F(draw(st.integers(1, 4)), WIDE if wide else draw(st.sampled_from([1, 3])))
+    f = EventuallyConstantFunction(horizon, tuple(values), tail)
+    layout = draw(
+        st.one_of(
+            countable_partitions(),
+            st.permutations(range(1, 9)).map(
+                lambda ks: CountablePartition(tuple((k,) for k in ks))
+            ),
+        )
+    )
+    return measure, f, layout, wide
+
+
+class TestWeightedSum:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_sum_cases())
+    def test_matches_a_per_state_reference(self, case):
+        measure, f, partition, wide = case
+        support = range(1, len(measure.weights) + 1)
+        want_lebesgue = sum((f(k) * measure.weight(k) for k in support), F(0))
+        want_psa = sum(
+            (ref_infimum(f, partition, k) * measure.weight(k) for k in support), F(0)
+        )
+        model = CountableModel(measure, partition)
+        with mock.patch.object(countable, "_tail_sum", wraps=_tail_sum) as tail_sum:
+            lebesgue = countable_lebesgue(f, measure)
+            psa = countable_psa_integral(f, model)
+        assert lebesgue == want_lebesgue and type(lebesgue) is F
+        assert psa == want_psa and type(psa) is F
+        # int values take the weighted sum; values past SCALE_BITS the tails
+        assert type(f._scaled[0][-1]) is (F if wide else int)
+        assert tail_sum.call_count == (2 if wide else 0)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("horizon", [0, 1, 1024])
+    def test_draws_match_the_fraction_reference(self, seed, horizon):
+        rng, ref = random.Random(seed), random.Random(seed)
+        f = random_eventually_constant_function(rng, horizon)
+        values = tuple(F(ref.randint(0, 24), 8) for _ in range(horizon))
+        tail = F(ref.randint(0, 24), 8)
+        assert f.values == values and f.tail == tail
+        assert all(type(x) is F for x in (*f.values, f.tail))
+        assert rng.getstate() == ref.getstate()

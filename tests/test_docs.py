@@ -386,9 +386,13 @@ def test_only_the_closed_form_integrals_skip_the_witness_check():
     # Decomposition._built keeps a witness unchecked: only the two integrals
     # that build theirs from checked parts call it; a caller's terms, and
     # an LP's support (replayed by _lp_integral), go through Decomposition(...)
+    # CountablePartition._built keeps a layout unchecked: only
+    # dyadic_partitions, whose runs partition the window by construction,
+    # calls it; a caller's blocks go through CountablePartition(...)
     assert _calls("_built") == {
         ("integrals", "choquet_integral"),
         ("integrals", "psa_integral"),
+        ("countable", "dyadic_partitions"),
     }
 
 
