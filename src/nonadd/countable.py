@@ -36,7 +36,6 @@ carries positive mass).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -197,21 +196,17 @@ def _tail_sum(
 ) -> Fraction:
     """``sum(w * measure.tail(k) for k, w in weights.items())``, exactly.
 
-    No tail is read as a ``Fraction``.  With int weights over a finite
-    family it is one sum over the int suffix, divided once by its
-    denominator.  Otherwise each ``w * tail(k)`` is an unreduced pair
-    ``(numerator, denominator)``, over the telescoping family
-    ``(wp, wq * (k + 1))``; the pairs are added in a balanced tree whose
-    denominators combine through their gcd, so each sum's denominator is
-    the lcm of its terms' and operands of one level are of similar size;
-    only the final ``Fraction`` normalizes.  Weights may be ints or
-    ``Fraction``s (values past the scaling budget of :func:`_scale`).
+    No tail is read as a ``Fraction``: each ``w * tail(k)`` is an
+    unreduced pair ``(numerator, denominator)`` from the tail's int pair,
+    over the telescoping family ``(wp, wq * (k + 1))``; the pairs are added
+    in a balanced tree whose denominators combine through their gcd, so
+    each sum's denominator is the lcm of its terms' and operands of one
+    level are of similar size; only the final ``Fraction`` normalizes.
+    Weights may be ints or ``Fraction``s (values past the scaling budget
+    of :func:`_scale`).  An integral over a finite family with int values
+    does not come here: :func:`_by_parts` sums it by weights.
     """
     suffix = measure._suffix
-    if suffix is not None and set(map(type, weights.values())) <= {int}:
-        top = len(suffix) - 1  # tail(k) is 0 from k = top on
-        total = sum(w * suffix[k] for k, w in weights.items() if k < top)
-        return Fraction(total, measure._den)
     terms = []
     for k, w in weights.items():
         if w:
@@ -512,10 +507,10 @@ def _prefix_report(
     Entry ``n``, the mass of the blocks inside ``{1..n}``, is read from the
     layout: in the head ``{1..K}`` it rises by each block's mass at its last
     state; from ``K`` on it is ``1 - tail(t)``, ``t`` the last state of the
-    last complete block (``K`` before an infinite block), built once per
-    ``t`` from the tail's int pair.  The prefixes sharing a ``t`` are found
-    by bisection and take it as one run, so the time grows with
-    ``len(prefixes) + K``, not with the depth.
+    last complete block (``K`` before an infinite block).  One pass over
+    ``prefixes`` builds that entry once per distinct ``t``, from the tail's
+    int pair, so the time grows with ``len(prefixes) + K``, not with the
+    depth.
     """
     partition, measure = model.partition, model.measure
     finite_atoms = partition.all_atoms_finite()
@@ -528,18 +523,18 @@ def _prefix_report(
         weights.subtract(block)
         rises[block[-1] - 1] = _tail_sum(weights, measure)
     head = list(accumulate(rises, initial=ZERO))  # entries n = 0..K
-    i, count, depth = bisect_left(prefixes, top), len(prefixes), prefixes[-1]
-    trace = list(map(head.__getitem__, prefixes[:i]))
     # past K, blocks of `width` states; an infinite one outlasts the depth
-    width = partition.width or depth + 1
-    while i < count:
-        n = prefixes[i]
-        start = n - (n - top) % width  # entry n's t
-        # the prefixes sharing t: at most `width` of them, being distinct
-        j = bisect_left(prefixes, start + width, i, min(i + width, count))
-        p, q = measure._tail_ratio(start)
-        trace += [Fraction(q - p, q)] * (j - i)
-        i = j
+    width = partition.width or prefixes[-1] + 1
+    trace, last = [], None
+    for n in prefixes:
+        if n < top:
+            trace.append(head[n])
+            continue
+        t = n - (n - top) % width  # entry n's t
+        if t != last:
+            p, q = measure._tail_ratio(t)
+            entry, last = Fraction(q - p, q), t
+        trace.append(entry)
     trace = tuple(trace)
     report = partial(
         CountableConvergenceReport,

@@ -378,12 +378,9 @@ def balanced_cover(v: Capacity) -> Capacity:
         for p in reversed(range(len(states))):
             b = 1 << states[p]
             rest, yx = duals[a ^ b], lb - cover[a ^ b]
-            sums = [0]
-            for w in rest:
-                sums += list(map(add, sums, repeat(w)))
             # the submasks holding x, ascending: for the top state, the upper half
             above = map(s.__getitem__, subs[h:] if b > a ^ b else [t for t in subs if t & b])
-            if max(map(sub, above, sums)) <= yx:
+            if max(map(sub, above, subset_sums(rest))) <= yx:
                 cover[a], duals[a] = lb, rest[:p] + (yx,) + rest[p:]
                 break
         else:

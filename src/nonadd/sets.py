@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from itertools import repeat
+from operator import add, attrgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 DEFAULT_MAX_STATES = 20
@@ -213,11 +214,12 @@ def mask_of(flags: Iterable) -> int:
 
 
 def subset_sums(weights: Sequence) -> list:
-    """The sum of ``weights`` over every subset, indexed by mask."""
-    table = [weights[0] * 0] * (1 << len(weights))  # a zero of their type
-    for mask in range(1, len(table)):
-        low = mask & -mask  # a recurrence: the low bit indexes a smaller mask
-        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    """The sum of ``weights`` over every subset, indexed by mask: by
+    doubling, each weight added to a copy of the table so far, from a zero
+    of the weights' type (``[0]`` for no weights)."""
+    table = [weights[0] * 0 if weights else 0]
+    for w in weights:
+        table += list(map(add, table, repeat(w)))
     return table
 
 

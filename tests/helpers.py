@@ -64,6 +64,18 @@ def level_scan_choquet(f: SimpleFunction, v: Capacity) -> IntegralResult:
     return IntegralResult(total, Decomposition(tuple(terms)))
 
 
+def subset_sums_by_low_bit(weights: Sequence) -> list:
+    """The sum of ``weights`` over every subset, indexed by mask, by the
+    recurrence on the low bit: ``table[mask]`` is the table at ``mask``
+    less its lowest state, plus that state's weight.  The reference for
+    ``sets.subset_sums``, which builds the table by doubling."""
+    table = [weights[0] * 0 if weights else 0] * (1 << len(weights))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + weights[low.bit_length() - 1]
+    return table
+
+
 def prime_capacity(n: int) -> Capacity:
     """``v(T) = |T| + 1/p_T``: monotone, one distinct prime denominator per event."""
     primes = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import accumulate
 from typing import NamedTuple
 from unittest import mock
 
@@ -1209,6 +1210,63 @@ class TestIntTails:
     def test_total_mass_must_be_one(self, weights):
         with pytest.raises(ValueError, match="total mass must be exactly 1"):
             finite_measure(weights)
+
+
+class TestHeadMassTraces:
+    # the unit-prefix trace over a long finite head: each block's mass goes
+    # through _tail_sum's pair tree, against a per-block Fraction reference
+    @pytest.mark.parametrize("layout", ["singletons", "mixed"])
+    def test_trace_matches_per_block_fractions(self, layout):
+        size = 1024
+        rng = random.Random(size)
+        raw = [F(rng.randint(0, 9), rng.choice([1, 2, 3, 5, 7])) for _ in range(size)]
+        raw[-1] += 1
+        total = sum(raw, F(0))
+        measure = finite_measure([w / total for w in raw])
+        states = list(range(1, size + 1))
+        if layout == "singletons":
+            head = [(k,) for k in states]
+        else:
+            # blocks of one to four states, scattered over the head
+            rng.shuffle(states)
+            head, i = [], 0
+            while i < size:
+                step = rng.randint(1, 4)
+                head.append(tuple(sorted(states[i : i + step])))
+                i += step
+        model = CountableModel(measure, CountablePartition(tuple(head)))
+        depth = size + 3
+        report = monotone_convergence_countable(model, unit_prefix_sequence(), depth)
+        rises = [F(0)] * (depth + 1)
+        for block in head:
+            rises[max(block)] += sum((measure.weights[k - 1] for k in block), F(0))
+        want = list(accumulate(rises))[1:]
+        assert report.integral_trace == tuple(want)
+        assert all(type(entry) is F for entry in report.integral_trace)
+        assert report.integral_trace[-1] == 1 and report.basis == "exact"
+
+
+class TestDeepLibraryTraces:
+    # every entry of the library trace at depth 20,000, against its closed form
+    depth = 20_000
+
+    def test_pairs_trace(self):
+        report = monotone_convergence_countable(
+            pairs_model(), unit_prefix_sequence(), self.depth
+        )
+        # entry n: the pairs inside {1..n}, t = n - n % 2 states, 1 - 1/(t + 1)
+        want = tuple(1 - F(1, n - n % 2 + 1) for n in range(1, self.depth + 1))
+        assert report.integral_trace == want
+        assert all(type(entry) is F for entry in report.integral_trace)
+        assert report.converges and report.basis == "finite-atoms"
+
+    def test_trivial_trace(self):
+        report = monotone_convergence_countable(
+            trivial_model(), unit_prefix_sequence(), self.depth
+        )
+        assert report.integral_trace == (F(0),) * self.depth
+        assert all(type(entry) is F for entry in report.integral_trace)
+        assert not report.converges and report.basis == "divergence-bound"
 
 
 # -- directly built layouts, the weighted sum, the draws ---------------------

@@ -337,7 +337,7 @@ def test_each_value_and_mask_rule_has_one_site():
 def test_masks_are_read_and_built_at_one_site_each():
     # a mask's states are read by sets.states_of and a mask is built from
     # per-state flags by sets.mask_of; the low-bit peel x & -x stays only
-    # there, in the three recurrences that index a smaller mask by it, in
+    # there, in the two recurrences that index a smaller mask by it, in
     # the simplex's pricing scan and in the gen op's floor loop
     peels = _sites(
         lambda n: isinstance(n, ast.BinOp)
@@ -348,7 +348,6 @@ def test_masks_are_read_and_built_at_one_site_each():
     )
     assert peels == {
         ("sets", "states_of"),
-        ("sets", "subset_sums"),
         ("sets", "submasks"),
         ("sets", "max_member_table"),
         ("simplex", "solve_max"),
@@ -367,6 +366,13 @@ def test_masks_are_read_and_built_at_one_site_each():
         ("integrals", "psp_integral"),
         ("integrals", "induced_psp_capacity"),
         ("convergence", "divergence_bits"),
+    }
+    # and every subset-sum table is built by sets.subset_sums, by doubling
+    assert _calls("subset_sums") == {
+        ("capacity", "mass_table"),
+        ("integrals", "verify_dual_certificate"),
+        ("integrals", "balanced_cover"),
+        ("sets", "generated_algebra"),
     }
 
 

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from helpers import all_set_partitions
+from helpers import all_set_partitions, subset_sums_by_low_bit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from nonadd import (
@@ -65,6 +65,7 @@ from nonadd.sets import (
     max_member_table,
     states_of,
     submasks,
+    subset_sums,
 )
 
 
@@ -124,6 +125,32 @@ def test_submasks_hand_cases():
 def test_submasks_are_every_nonempty_subset_ascending():
     for bits in range(1 << 7):
         assert submasks(bits) == [t for t in range(1, bits + 1) if t & ~bits == 0]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_subset_sums_match_the_low_bit_recurrence(n):
+    # the doubling table against the low-bit recurrence, entry by entry and
+    # type by type, over int weights and over Fraction weights
+    rng = random.Random(n)
+    for weights in (
+        [rng.randint(-5, 9) for _ in range(n)],
+        [F(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(n)],
+    ):
+        got, want = subset_sums(weights), subset_sums_by_low_bit(weights)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+
+def test_subset_sums_of_no_weights_is_one_zero():
+    assert subset_sums(()) == [0] and subset_sums([]) == [0]
+
+
+def test_a_mass_table_holds_only_fractions():
+    # the empty set's mass is a Fraction zero, not the int 0: an int there
+    # would send induce's table down exact_values' per-entry path
+    P = ProbabilityMeasure(StateSpace(3), (F(1, 2), F(1, 3), F(1, 6)))
+    assert type(P.mass_table[0]) is F
+    assert set(map(type, P.mass_table)) == {F}
 
 
 def test_max_member_table_hand_cases():
