@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, islice, repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .capacity import PropertyReport, _scale
@@ -61,19 +61,23 @@ class CountableMeasure:
     ``finite`` puts ``weights`` on ``{1..K}``, its tail their suffix sums.
     Construction decides that the tail starts at 1, never rises and reaches
     or tends to 0, which is what makes infinite-tail arithmetic exact.
+    A finite family keeps its weights as ints over the lcm ``_den`` of
+    their denominators, ``_weights``, built once here with their suffix
+    sums ``_suffix``; the telescoping family has neither.
     """
 
     family: str
     weights: tuple[Fraction, ...] = ()
+    _weights: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
     _suffix: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        suffix, den = None, 1
+        scaled, suffix, den = None, None, 1
         if self.family == "finite":
             ws = check_values(self.weights, "weights")
             den = lcm(*(w.denominator for w in ws))
-            scaled = [w.numerator * (den // w.denominator) for w in ws]
+            scaled = tuple(w.numerator * (den // w.denominator) for w in ws)
             suffix = tuple(accumulate(reversed(scaled), initial=0))[::-1]
             if suffix[0] != den:
                 raise ValueError("total mass must be exactly 1")
@@ -82,6 +86,7 @@ class CountableMeasure:
             raise ValueError(f"unknown measure family {self.family!r}")
         elif self.weights:
             raise ValueError("family 'telescoping' does not take weights")
+        object.__setattr__(self, "_weights", scaled)
         object.__setattr__(self, "_suffix", suffix)
         object.__setattr__(self, "_den", den)
 
@@ -238,18 +243,18 @@ def _by_parts(values: Sequence, measure: CountableMeasure) -> Fraction:
     Over a finite family with int values (all ints or all Fractions,
     as :func:`~nonadd.capacity._scale` gives them, so the tail constant
     tells) it is one weighted sum over the support ``{1..K}``: each value,
-    padded with the tail constant to ``K`` states, times its weight
-    ``suffix[k-1] - suffix[k]``, divided once by the denominator.
+    padded with the tail constant to ``K`` states, times the measure's
+    stored int weight (``_weights``, ``suffix[k-1] - suffix[k]``), divided
+    once by the denominator.
     Otherwise, with ``c = values[-1]``, it is ``sum_k (values[k-1] - c) *
     (tail(k-1) - tail(k)) + c``; summed by parts, ``tail(0)`` weighs
     ``values[0]`` and ``tail(k)`` weighs ``values[k] - values[k-1]``.  Only
     the nonzero steps go to :func:`_tail_sum`, so a function constant
     across a block reads one tail per block boundary.
     """
-    suffix = measure._suffix
-    if suffix is not None and type(values[-1]) is int:
+    weights = measure._weights
+    if weights is not None and type(values[-1]) is int:
         padded = chain(islice(values, len(values) - 1), repeat(values[-1]))
-        weights = map(sub, suffix, suffix[1:])
         return Fraction(sum(map(mul, padded, weights)), measure._den)
     steps = list(map(sub, values, chain((0,), values)))
     return _tail_sum(dict(compress(enumerate(steps), steps)), measure)
@@ -341,21 +346,25 @@ def countable_psa_integral(
     the infinite block's infimum as ``g``'s tail constant.  ``f`` is its
     tail constant ``c`` past its horizon, so ``g`` is ``c`` past the last
     block meeting the horizon.  The infima are taken over the scaled
-    values, and ``g`` is never built as a function.
+    values, and ``g`` is never built as a function.  The head blocks'
+    infima come from one pass over the head states with their block
+    numbers, each block's running minimum kept in a list indexed by its
+    number (every head block is nonempty, so each gets one).
     """
     scaled, common = f._scaled
     partition = model.partition
     top = len(partition._block_of)
     c = scaled[-1]
-    # vals[k] is f at state k for k up to max(horizon, K) + 1, so a head
-    # block's members index it directly; vals[0] is a placeholder
-    vals = (c,) + scaled + (c,) * (top - f.horizon)
-    if len(partition.head) == top:  # K blocks on K states: g is f there
-        head = vals[1 : top + 1]
-    else:
-        mins = [min(map(vals.__getitem__, block)) for block in partition.head]
-        head = map(mins.__getitem__, partition._block_of)
-    rest = vals[top + 1 :]  # f past K, then c
+    # vals[k - 1] is f at state k for k up to max(horizon, K) + 1
+    vals = scaled + (c,) * (top - f.horizon)
+    # each block's running minimum, None before its first member
+    mins = [None] * len(partition.head)
+    for v, i in zip(vals, partition._block_of):
+        low = mins[i]
+        if low is None or v < low:
+            mins[i] = v
+    head = map(mins.__getitem__, partition._block_of)
+    rest = vals[top:]  # f past K, then c
     if partition.width is None:
         rest = (min(rest),)
     elif partition.width == 2:
@@ -506,23 +515,25 @@ def _prefix_report(
 
     Entry ``n``, the mass of the blocks inside ``{1..n}``, is read from the
     layout: in the head ``{1..K}`` it rises by each block's mass at its last
-    state; from ``K`` on it is ``1 - tail(t)``, ``t`` the last state of the
-    last complete block (``K`` before an infinite block).  One pass over
-    ``prefixes`` builds that entry once per distinct ``t``, from the tail's
-    int pair, so the time grows with ``len(prefixes) + K``, not with the
-    depth.
+    state, so only the blocks ending by the depth are summed; from ``K`` on
+    it is ``1 - tail(t)``, ``t`` the last state of the last complete block
+    (``K`` before an infinite block).  One pass over ``prefixes`` builds
+    that entry once per distinct ``t``, from the tail's int pair, so the
+    time grows with ``len(prefixes) + K``, not with the depth.
     """
     partition, measure = model.partition, model.measure
     finite_atoms = partition.all_atoms_finite()
     target = countable_psa_integral(EventuallyConstantFunction.constant(1), model)
     top = len(partition._block_of)
-    rises = [ZERO] * top
+    reach = min(top, prefixes[-1])  # the head entries the trace can read
+    rises = [ZERO] * reach
     for block in partition.head:
-        # the block's mass: each member k weighs tail(k-1) - tail(k)
-        weights = Counter([k - 1 for k in block])
-        weights.subtract(block)
-        rises[block[-1] - 1] = _tail_sum(weights, measure)
-    head = list(accumulate(rises, initial=ZERO))  # entries n = 0..K
+        if block[-1] <= reach:
+            # the block's mass: each member k weighs tail(k-1) - tail(k)
+            weights = Counter([k - 1 for k in block])
+            weights.subtract(block)
+            rises[block[-1] - 1] = _tail_sum(weights, measure)
+    head = list(accumulate(rises, initial=ZERO))  # entries n = 0..reach
     # past K, blocks of `width` states; an infinite one outlasts the depth
     width = partition.width or prefixes[-1] + 1
     trace, last = [], None
@@ -566,6 +577,9 @@ def _check_refining(partitions: Sequence[CountablePartition]) -> None:
     past ``M`` splits iff the one from ``M+1`` or ``M+2`` does, and a fine
     infinite block meets two coarse blocks by ``M+4`` unless the coarse
     tail is infinite.  Heads are read from their tables, ``block_key`` past.
+    Each fine block's coarse owner is kept in a list indexed by the fine
+    block number (block numbers are dense from 0), and states are counted
+    only to name the one that splits.
     """
     for j in range(len(partitions) - 1):
         coarse, fine = partitions[j], partitions[j + 1]
@@ -574,13 +588,21 @@ def _check_refining(partitions: Sequence[CountablePartition]) -> None:
             p._block_of + tuple(map(p.block_key, range(len(p._block_of) + 1, n + 1)))
             for p in (fine, coarse)
         )
-        owner: dict[int, int] = {}
-        for k, (f, c) in enumerate(zip(fine_keys, coarse_keys), 1):
-            if owner.setdefault(f, c) != c:
-                raise ValueError(
-                    f"partition {j + 2} does not refine partition {j + 1} "
-                    f"(state {k} splits a finer block across coarser ones)"
-                )
+        # block numbers among states 1..n are dense from 0 and below n
+        owner: list[int | None] = [None] * n
+        for f, c in zip(fine_keys, coarse_keys):
+            if owner[f] == c:
+                continue
+            if owner[f] is None:
+                owner[f] = c
+                continue
+            # f's owner was set before this pair first came, so the pair
+            # failed there: its first state is the one that splits
+            k = list(zip(fine_keys, coarse_keys)).index((f, c)) + 1
+            raise ValueError(
+                f"partition {j + 2} does not refine partition {j + 1} "
+                f"(state {k} splits a finer block across coarser ones)"
+            )
 
 
 def check_increases_continuously(
@@ -705,19 +727,22 @@ def dyadic_partitions(m: int) -> list[CountablePartition]:
     Stage ``j`` has ``2**j`` consecutive blocks of length ``2**(m-j)``
     (singletons beyond carry whatever mass the measure leaves there, none
     for the uniform measure on the window).  Stage ``m`` reaches full
-    information on the window.  Each stage is built directly, blocks as
-    ranges and block numbers as runs, through
+    information on the window.  The heads are built by the refinement
+    itself, read backwards: stage ``m``'s singletons, then each coarser
+    head by joining adjacent pairs of blocks of the finer one.  Block
+    numbers are runs of one width.  Each stage goes through
     :meth:`CountablePartition._built`: consecutive runs of one width from
     1 are sorted, nonempty and partition ``{1..2**m}`` by construction, so
     the per-state checks of ``CountablePartition(...)`` would find nothing.
     """
     size = 1 << check_size(m, "m", 0)
+    heads = [tuple(zip(range(1, size + 1)))]
+    for _ in range(m):
+        finer = heads[-1]
+        heads.append(tuple(map(add, finer[::2], finer[1::2])))
     stages = []
-    for j in range(m + 1):
-        width = size >> j
-        ends = range(1 + width, size + 2, width)
-        head = tuple(map(tuple, map(range, range(1, size + 1, width), ends)))
-        block_of = chain.from_iterable(map(repeat, range(1 << j), repeat(width)))
+    for j, head in enumerate(reversed(heads)):
+        block_of = chain.from_iterable(map(repeat, range(1 << j), repeat(size >> j)))
         stages.append(CountablePartition._built(head, tuple(block_of)))
     return stages
 

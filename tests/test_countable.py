@@ -110,6 +110,27 @@ class TestMeasures:
         for k in range(1, 1001):
             assert measure.weight(k) == measure.tail(k - 1) - measure.tail(k)
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            finite_measure(["1/2", "1/3", "1/6"]),
+            finite_measure(["0", "1/7", "2/9", "0", "1/2", "17/126"]),
+            finite_measure([F(1, 2**61 - 1), F(2**61 - 2, 2**61 - 1)]),
+            uniform_finite_measure(7),
+        ],
+        ids=["finite", "mixed-with-zeros", "wide", "uniform"],
+    )
+    def test_stored_weights_are_suffix_steps(self, measure):
+        # the int weights a finite integral multiplies by, kept from
+        # construction: each the step of the suffix sums, all over _den
+        weights, suffix = measure._weights, measure._suffix
+        assert type(weights) is tuple and all(type(w) is int for w in weights)
+        assert len(weights) == len(measure.weights) == len(suffix) - 1
+        assert list(weights) == [suffix[k - 1] - suffix[k] for k in range(1, len(suffix))]
+        assert sum(weights) == measure._den
+        assert [F(w, measure._den) for w in weights] == list(measure.weights)
+        assert telescoping_measure()._weights is None
+
     def test_pair_masses_match_weights_past_a_kink(self):
         # weights 1/(k(k+1)) up to state 20, then falling linearly to 0 at
         # state 31: pair masses read through the tail must still equal
@@ -744,10 +765,10 @@ def countable_measures(draw):
 
 
 @st.composite
-def countable_partitions(draw, max_head=12, widths=(1, 2, None)):
+def countable_partitions(draw, max_head=12, widths=(1, 2, None), max_label=3):
     """A layout: states ``1..K`` labelled at random, blocks of equal labels
     (often not runs), then a tail of width 1 or 2 or one infinite block."""
-    labels = draw(st.lists(st.integers(0, 3), max_size=max_head))
+    labels = draw(st.lists(st.integers(0, max_label), max_size=max_head))
     blocks = {}
     for k, label in enumerate(labels, start=1):
         blocks.setdefault(label, []).append(k)
@@ -791,7 +812,15 @@ class TestTailSumsMatchBlockLoops:
         assert all(type(b.mass) is F for b in blocks) and type(remainder) is F
 
     @settings(max_examples=200, deadline=None)
-    @given(countable_functions(), countable_partitions(), countable_measures())
+    @given(
+        countable_functions(),
+        st.one_of(
+            countable_partitions(),
+            # many small head blocks whose members interleave
+            countable_partitions(max_head=80, max_label=40),
+        ),
+        countable_measures(),
+    )
     def test_psa_and_lebesgue(self, f, partition, measure):
         model = CountableModel(measure, partition)
         psa = countable_psa_integral(f, model)
@@ -870,6 +899,34 @@ class TestTailSumsMatchBlockLoops:
             countable_lebesgue(f, model.measure),
         ):
             assert value == 0 and type(value) is F
+
+
+class TestRefinementAgainstStatePairs:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        countable_partitions(max_head=16, max_label=6),
+        countable_partitions(max_head=16, max_label=6),
+    )
+    def test_refinement_names_the_first_splitting_state(self, coarse, fine):
+        # against every pair of states up to the longer head plus 8: the
+        # first state sharing a fine block with an earlier one that lies
+        # in another coarse block
+        n = max(len(coarse._block_of), len(fine._block_of)) + 8
+        split = next(
+            (
+                k
+                for k in range(1, n + 1)
+                for j in range(1, k)
+                if fine.block_key(j) == fine.block_key(k)
+                and coarse.block_key(j) != coarse.block_key(k)
+            ),
+            None,
+        )
+        if split is None:
+            countable._check_refining([coarse, fine])
+        else:
+            with pytest.raises(ValueError, match=f"state {split} splits"):
+                countable._check_refining([coarse, fine])
 
 
 class TestContinuityChain:
@@ -1244,6 +1301,39 @@ class TestHeadMassTraces:
         assert report.integral_trace == tuple(want)
         assert all(type(entry) is F for entry in report.integral_trace)
         assert report.integral_trace[-1] == 1 and report.basis == "exact"
+
+
+    @pytest.mark.parametrize("layout", ["singletons", "mixed"])
+    def test_depth_sums_only_the_blocks_it_reaches(self, layout, monkeypatch):
+        # entry n needs the blocks ending by n: at depth 12 over a 16,384-
+        # state head, at most 12 block masses go through _tail_sum
+        size, depth = 16_384, 12
+        measure = uniform_finite_measure(size)
+        if layout == "singletons":
+            head = [(k,) for k in range(1, size + 1)]
+        else:
+            # pairs {k, k + 3} on 1..16,380, so blocks end past their first
+            # member, and singletons past them
+            starts = range(0, size - size % 6, 6)
+            head = [(k, k + 3) for s in starts for k in range(s + 1, s + 4)]
+        sums = []
+        tail_sum = countable._tail_sum
+
+        def counted(weights, m):
+            sums.append(weights)
+            return tail_sum(weights, m)
+
+        monkeypatch.setattr(countable, "_tail_sum", counted)
+        model = CountableModel(measure, CountablePartition(tuple(head)))
+        report = monotone_convergence_countable(model, unit_prefix_sequence(), depth)
+        assert 0 < len(sums) <= depth
+        rises = [F(0)] * (size + 1)
+        for block in head:
+            rises[max(block)] += sum((measure.weights[k - 1] for k in block), F(0))
+        want = list(accumulate(rises))[1 : depth + 1]
+        assert report.integral_trace == tuple(want) and want[-1] > 0
+        assert all(type(entry) is F for entry in report.integral_trace)
+        assert report.basis == "finite-atoms" and report.converges
 
 
 class TestDeepLibraryTraces:

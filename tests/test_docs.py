@@ -246,6 +246,23 @@ def test_countable_integrals_share_one_by_parts_sum():
     }
 
 
+def test_finite_measure_weights_are_built_at_one_site():
+    # CountableMeasure.__post_init__ alone stores a finite family's int
+    # weights and _by_parts alone reads them; the suffix sums are read only
+    # as tails, by functions that name no sub, so none re-differences them
+    stores = _sites(lambda n: isinstance(n, ast.Constant) and n.value == "_weights")
+    assert stores == {("countable", "__post_init__")}
+
+    def reads(attr):
+        return _sites(lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
+
+    assert reads("_weights") == {("countable", "_by_parts")}
+    suffix_readers = {("countable", "_tail_ratio"), ("countable", "_tail_sum")}
+    assert reads("_suffix") == suffix_readers
+    subs = _sites(lambda n: isinstance(n, ast.Name) and n.id == "sub")
+    assert subs and not subs & suffix_readers
+
+
 def test_each_render_and_state_rule_has_one_site():
     # the CLI renders a value only through _obj (and _decimal's digits),
     # and the sites that read states check them with sets.check_states
